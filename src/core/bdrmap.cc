@@ -115,21 +115,10 @@ Bdrmap::Bdrmap(probe::ProbeServices& services, const InferenceInputs& inputs,
                BdrmapConfig config)
     : services_(services), inputs_(inputs), config_(config) {}
 
-std::vector<ObservedTrace> Bdrmap::collect_traces() {
+std::vector<ObservedTrace> Bdrmap::collect_traces(
+    std::span<const ProbeBlock> blocks) {
   std::vector<ObservedTrace> traces;
-  obs::Span schedule_span(tracer(), "stage.schedule");
-  auto blocks = build_probe_blocks(*inputs_.origins, inputs_.vp_ases);
-  if (!config_.target_filter.empty()) {
-    const auto& filter = config_.target_filter;
-    std::erase_if(blocks, [&](const ProbeBlock& b) {
-      return std::find(filter.begin(), filter.end(), b.target_as) ==
-             filter.end();
-    });
-  }
   stats_.blocks = blocks.size();
-  schedule_span.note("blocks", static_cast<std::int64_t>(blocks.size()));
-  schedule_span.close();
-
   obs::Span trace_span(tracer(), "stage.trace");
 
   auto is_vp = [&](AsId as) {
@@ -422,51 +411,23 @@ BdrmapResult infer_borders(RouterGraph graph, const InferenceInputs& inputs,
   return result;
 }
 
-BdrmapResult Bdrmap::run() {
-  // Each instance is single-threaded INTERNALLY: the stop set, stats and
-  // failure log mutate without locks, and services_ is stateful (RNG,
-  // probe counters). Multi-VP parallelism (runtime::MultiVpExecutor) gives
-  // every VP its own instance + services; a second thread entering the
-  // same instance is a bug we fail loudly on rather than corrupt silently.
-  const bool reentered = running_.exchange(true, std::memory_order_acq_rel);
-  BDRMAP_EXPECTS(!reentered,
-                 "core::Bdrmap is single-threaded per instance; run() "
-                 "re-entered concurrently");
-  struct RunGuard {
-    std::atomic<bool>& flag;
-    ~RunGuard() { flag.store(false, std::memory_order_release); }
-  } guard{running_};
-
-  obs::Span run_span(tracer(), "bdrmap.run");
-
-  std::vector<ObservedTrace> traces = collect_traces();
-  auto groups = resolve_aliases(traces);
-  auto confirmed = confirm_inbound(traces);
-
-  HeuristicsConfig heuristics_config = config_.heuristics;
-  if (config_.enable_timestamp_checks) {
-    heuristics_config.confirmed_inbound = &confirmed;
-  }
-  stats_.probes_sent = services_.probes_sent();
-
-  obs::Span merge_span(tracer(), "stage.merge");
-  RouterGraph graph(std::move(traces), groups);
-  merge_span.close();
-
-  obs::Span heuristics_span(tracer(), "stage.heuristics");
-  BdrmapResult result =
-      infer_borders(std::move(graph), inputs_, heuristics_config, stats_);
-  heuristics_span.note("links", static_cast<std::int64_t>(result.links.size()));
-  heuristics_span.close();
-
-  result.failed_targets = std::move(failures_);
-  run_span.note("probes_sent",
-                static_cast<std::int64_t>(result.stats.probes_sent));
-  publish_result(result, registry());
-  return result;
-}
+BdrmapResult Bdrmap::run() { return run_with(collect()); }
 
 CollectedTraces Bdrmap::collect() {
+  obs::Span schedule_span(tracer(), "stage.schedule");
+  const std::vector<ProbeBlock> blocks =
+      build_probe_blocks(*inputs_.origins, inputs_.vp_ases);
+  schedule_span.note("blocks", static_cast<std::int64_t>(blocks.size()));
+  schedule_span.close();
+  return collect(blocks);
+}
+
+CollectedTraces Bdrmap::collect(std::span<const ProbeBlock> blocks) {
+  // Each instance is single-threaded INTERNALLY: the stop set, stats and
+  // failure log mutate without locks, and services_ is stateful (RNG,
+  // probe counters). runtime::MultiVpExecutor gives every slice and every
+  // tail its own instance; a second thread entering the same instance is
+  // a bug we fail loudly on rather than corrupt silently.
   const bool reentered = running_.exchange(true, std::memory_order_acq_rel);
   BDRMAP_EXPECTS(!reentered,
                  "core::Bdrmap is single-threaded per instance; collect() "
@@ -477,10 +438,11 @@ CollectedTraces Bdrmap::collect() {
   } guard{running_};
 
   obs::Span collect_span(tracer(), "bdrmap.collect");
+  const std::uint64_t probes_before = services_.probes_sent();
   CollectedTraces out;
-  out.traces = collect_traces();
+  out.traces = collect_traces(blocks);
   out.failures = std::move(failures_);
-  out.probes_sent = services_.probes_sent();
+  out.probes_sent = services_.probes_sent() - probes_before;
   out.blocks = stats_.blocks;
   out.stopset_hits = stats_.stopset_hits;
   out.probe_failures = stats_.probe_failures;
@@ -499,6 +461,7 @@ BdrmapResult Bdrmap::run_with(CollectedTraces collected) {
   } guard{running_};
 
   obs::Span run_span(tracer(), "bdrmap.run");
+  const std::uint64_t probes_before = services_.probes_sent();
 
   stats_.blocks = collected.blocks;
   stats_.stopset_hits = collected.stopset_hits;
@@ -514,9 +477,10 @@ BdrmapResult Bdrmap::run_with(CollectedTraces collected) {
   if (config_.enable_timestamp_checks) {
     heuristics_config.confirmed_inbound = &confirmed;
   }
-  // Collection probes were spent by another services object; the tail's
-  // own alias/timestamp probes add on top.
-  stats_.probes_sent = collected.probes_sent + services_.probes_sent();
+  // Collection counted its own probes (possibly on other stacks); the
+  // tail adds only what this stack spent since it started.
+  stats_.probes_sent =
+      collected.probes_sent + services_.probes_sent() - probes_before;
 
   obs::Span merge_span(tracer(), "stage.merge");
   RouterGraph graph(std::move(traces), groups);

@@ -8,19 +8,21 @@
 // The class is written against probe::ProbeServices, so the identical
 // inference runs on a local prober or on the §5.8 split deployment.
 //
-// Threading model: one Bdrmap instance == one VP == one thread. The
-// instance mutates its stop set, stats, failure log and (through
-// services_) the probe RNG without any locks, and run() contracts against
-// concurrent re-entry. Cross-VP parallelism happens one level up:
-// runtime::MultiVpExecutor constructs an instance + ProbeServices per VP
-// and only shares the read-only InferenceInputs, which must stay
-// unmutated (and alive) for the duration of every run that references it.
+// Threading model: one Bdrmap instance == one thread. The instance
+// mutates its stop set, stats, failure log and (through services_) the
+// probe RNG without any locks, and every stage contracts against
+// concurrent re-entry. Parallelism happens one level up:
+// runtime::MultiVpExecutor constructs an instance per (VP, target-AS)
+// slice and per VP inference tail, and only shares the read-only
+// InferenceInputs, which must stay unmutated (and alive) for the duration
+// of every run that references it.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <span>
 #include <unordered_set>
 #include <vector>
 
@@ -60,18 +62,11 @@ struct BdrmapConfig {
   // registry. Metrics never feed inference: the border map is
   // bit-identical with obs on, off, or null.
   obs::Observability* obs = nullptr;
-  // When non-empty, collection probes only the blocks whose target AS is in
-  // this list (the §5.3 schedule is otherwise unchanged, including its
-  // sorted block order). This is the slice knob the serve engine uses to
-  // re-collect only churn-dirtied (VP, target-AS) slices; a filtered
-  // collect is bit-identical to the matching slice of an unfiltered one
-  // because the stop set is keyed per target AS.
-  std::vector<AsId> target_filter;
 };
 
 // The output of the collection stage (stage.schedule + stage.trace),
-// detached from the inference tail so a scheduler can cache, merge, or
-// re-run slices independently (serve::ServeEngine). Produced by
+// detached from the inference tail so runtime::MultiVpExecutor can cache
+// and re-run (VP, target-AS) slices independently. Produced by
 // Bdrmap::collect(), consumed by Bdrmap::run_with(); slices concatenate by
 // appending fields in target-AS order.
 struct CollectedTraces {
@@ -155,19 +150,25 @@ class Bdrmap {
   Bdrmap(probe::ProbeServices& services, const InferenceInputs& inputs,
          BdrmapConfig config = {});
 
+  // The whole pipeline on one probe stack: run_with(collect()). The §5.8
+  // split deployment and the examples use it; multi-VP runs go through
+  // runtime::MultiVpExecutor, which keys a stack per (VP, target-AS) slice.
   BdrmapResult run();
 
-  // Split pipeline (serve::ServeEngine): collect() runs only the probing
-  // stages and packages their output; run_with() runs the inference tail
-  // (alias resolution, inbound confirmation, graph build, §5.4 heuristics)
-  // over previously collected traces, using this instance's services for
-  // the alias/timestamp probing. run() == run_with(collect()) when both
-  // use the same services object.
+  // Split pipeline: collect() runs only the probing stages and packages
+  // their output, over the whole §5.3 schedule or over a given run of its
+  // blocks (one slice of runtime::SlicePlan); run_with() runs the
+  // inference tail (alias resolution, inbound confirmation, graph build,
+  // §5.4 heuristics) over previously collected traces, using this
+  // instance's services for the alias/timestamp probing. Each counts only
+  // the probes its own stage spends.
   CollectedTraces collect();
+  CollectedTraces collect(std::span<const ProbeBlock> blocks);
   BdrmapResult run_with(CollectedTraces collected);
 
  private:
-  std::vector<ObservedTrace> collect_traces();
+  std::vector<ObservedTrace> collect_traces(
+      std::span<const ProbeBlock> blocks);
   std::vector<std::vector<Ipv4Addr>> resolve_aliases(
       const std::vector<ObservedTrace>& traces);
   // [26]: timestamp-confirm the first externally-mapped hop of each trace.

@@ -24,6 +24,7 @@ class NullProbeServices final : public probe::ProbeServices {
     return std::nullopt;
   }
   std::uint64_t probes_sent() const override { return 0; }
+  void reseed(std::uint64_t) override {}
 };
 
 }  // namespace

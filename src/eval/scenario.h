@@ -97,33 +97,25 @@ class Scenario {
       const topo::Vp& vp, std::uint64_t seed = 0x515,
       probe::TracerConfig tracer = {}) const;
 
-  // Runs the full bdrmap pipeline for one VP.
+  // Runs the full bdrmap pipeline for one VP: a one-VP slice plan, i.e.
+  // run_bdrmap_parallel({vp}, config, seed).per_vp[0].
   core::BdrmapResult run_bdrmap(const topo::Vp& vp,
                                 core::BdrmapConfig config = {},
                                 std::uint64_t seed = 0x515,
                                 probe::TracerConfig tracer = {}) const;
 
   // Runs bdrmap for many VPs on the pool (sequentially when pool is
-  // null). VP i is seeded base_seed + i, exactly as the sequential bench
-  // loops did, so per-VP results are bit-identical to run_bdrmap(vps[i],
-  // config, base_seed + i) at any worker count; the merged reduction is
-  // in VP order. Safe because each VP gets a private probe stack and the
-  // shared substrate (FIB / BGP route caches) is internally locked.
+  // null): a cold runtime::MultiVpExecutor run, keeping no slices. Slice
+  // (VP i, target AS) and VP i's inference tail draw from seeds keyed by
+  // (base_seed, i, AS) and (base_seed, i), so the result is byte-identical
+  // at any worker count, and equals serve::ServeEngine's rebuild_full()
+  // with the same base seed. The merged reduction is in VP order. Safe
+  // because every slice gets a private probe stack and the shared
+  // substrate (FIB / BGP route caches) is internally locked.
   runtime::MultiVpResult run_bdrmap_parallel(
       const std::vector<topo::Vp>& vps, core::BdrmapConfig config = {},
       std::uint64_t base_seed = 0x515, runtime::ThreadPool* pool = nullptr,
       probe::TracerConfig tracer = {}) const;
-
-  // Sharded variant (DESIGN.md §14): repartitions each VP's collection
-  // into (VP × target-AS-batch) slice tasks via
-  // runtime::MultiVpExecutor::run_sharded. Output is a pure function of
-  // (vps, config, base_seed, ases_per_shard) — byte-identical at any
-  // worker count — but is keyed differently from run_bdrmap_parallel
-  // (per-slice RNG streams), so the two are not comparable maps.
-  runtime::MultiVpResult run_bdrmap_sharded(
-      const std::vector<topo::Vp>& vps, core::BdrmapConfig config = {},
-      std::uint64_t base_seed = 0x515, runtime::ThreadPool* pool = nullptr,
-      std::size_t ases_per_shard = 8, probe::TracerConfig tracer = {}) const;
 
   // Featured networks (see DESIGN.md).
   net::AsId featured_access() const;   // the §6 large access network
@@ -153,8 +145,8 @@ topo::GeneratorConfig large_access_config(std::uint64_t seed = 1);
 topo::GeneratorConfig tier1_config(std::uint64_t seed = 1);
 topo::GeneratorConfig small_access_config(std::uint64_t seed = 1);
 // The scale topology (DESIGN.md §14): thousands of ASes, so the §5.3
-// schedule is wide enough for probe-wave batching and (VP × target-AS)
-// sharding to show up in wall-clock rather than drown in setup cost.
+// schedule is wide enough for probe-wave batching and (VP, target-AS)
+// slicing to show up in wall-clock rather than drown in setup cost.
 topo::GeneratorConfig scale_config(std::uint64_t seed = 1);
 
 }  // namespace bdrmap::eval

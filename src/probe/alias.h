@@ -42,6 +42,13 @@ class AliasProber {
 
   std::uint64_t probes_sent() const { return probes_sent_; }
 
+  // Back to the state of a prober constructed with `seed`.
+  void reseed(std::uint64_t seed) {
+    rng_ = net::Rng(seed);
+    reply_counts_.clear();
+    probes_sent_ = 0;
+  }
+
  private:
   std::uint16_t next_ipid(const topo::Router& router, net::IfaceId iface,
                           double t);
@@ -68,7 +75,8 @@ class LocalProbeServices final : public ProbeServices {
                      topo::Vp vp, std::uint64_t seed,
                      TracerConfig tracer_config = {})
       : tracer_(net, fib, vp, seed, tracer_config),
-        prober_(net, fib, tracer_, seed ^ 0x5a, tracer_config.metrics) {}
+        prober_(net, fib, tracer_, prober_seed(seed),
+                tracer_config.metrics) {}
 
   TraceResult trace(Ipv4Addr dst, const StopFn& stop) override {
     return tracer_.trace(dst, stop);
@@ -89,10 +97,16 @@ class LocalProbeServices final : public ProbeServices {
   std::uint64_t probes_sent() const override {
     return tracer_.probes_sent() + prober_.probes_sent();
   }
+  void reseed(std::uint64_t seed) override {
+    tracer_.reseed(seed);
+    prober_.reseed(prober_seed(seed));
+  }
 
   TracerouteEngine& tracer() { return tracer_; }
 
  private:
+  static std::uint64_t prober_seed(std::uint64_t seed) { return seed ^ 0x5a; }
+
   TracerouteEngine tracer_;
   AliasProber prober_;
 };

@@ -85,6 +85,13 @@ Ipv4Addr TracerouteEngine::maybe_spoof(Ipv4Addr real, Ipv4Addr probe_dst) {
   return Ipv4Addr((probe_dst.value() & 0xffffff00u) | host);
 }
 
+void TracerouteEngine::reseed(std::uint64_t seed) {
+  rng_ = net::Rng(seed);
+  probes_sent_ = 0;
+  wave_.clear();
+  wave_arena_.reset();
+}
+
 void TracerouteEngine::prewalk_wave(const std::vector<Ipv4Addr>& dsts) {
   if (!config_.paris || dsts.empty()) return;
   // Starting a wave drops any unconsumed stash: the wave arena is about

@@ -91,6 +91,11 @@ class TracerouteEngine {
   std::uint64_t probes_sent() const { return probes_sent_; }
   const topo::Vp& vp() const { return vp_; }
 
+  // Back to the state of an engine constructed with `seed`: RNG, probe
+  // count and wave stash. The reach and VP-egress memos and the arenas'
+  // capacity stay; they are pure functions of the forwarding state.
+  void reseed(std::uint64_t seed);
+
  private:
   // The reply source address a router uses for a time-exceeded message.
   Ipv4Addr reply_source(net::RouterId router, net::IfaceId ingress,

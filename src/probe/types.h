@@ -85,6 +85,13 @@ class ProbeServices {
 
   // Number of probe packets sent so far (run-time accounting, §5.3).
   virtual std::uint64_t probes_sent() const = 0;
+
+  // Restores exactly the state of a stack freshly built with `seed`: RNG
+  // streams, probe counts and any per-run reply state. Only memos of pure
+  // functions of the forwarding state may survive. runtime::MultiVpExecutor
+  // reuses one stack across the (VP, target-AS) slices of a task this way.
+  // A stack that cannot honour this must fail its contract.
+  virtual void reseed(std::uint64_t seed) = 0;
 };
 
 }  // namespace bdrmap::probe

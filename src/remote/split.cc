@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "netbase/contract.h"
+
 namespace bdrmap::remote {
 
 // --- ProberDevice ---
@@ -308,6 +310,13 @@ std::optional<bool> RemoteProbeServices::timestamp_probe(
     corrupt_frames_.inc();
     return std::nullopt;
   }
+}
+
+void RemoteProbeServices::reseed(std::uint64_t seed) {
+  (void)seed;
+  BDRMAP_EXPECTS(false,
+                 "RemoteProbeServices cannot reseed: the prober state lives "
+                 "on the device");
 }
 
 }  // namespace bdrmap::remote

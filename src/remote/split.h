@@ -114,6 +114,10 @@ class RemoteProbeServices final : public probe::ProbeServices {
   std::uint64_t probes_sent() const override {
     return channel_->device().probes_sent();
   }
+  // Fails its contract: the prober's RNG and IP-ID state live on the
+  // device, which no request can rewind. The §5.8 split runs
+  // core::Bdrmap::run() on one stack and never goes through the executor.
+  void reseed(std::uint64_t seed) override;
 
   const ChannelStats& channel_stats() const { return channel_->stats(); }
   bool breaker_open() const { return breaker_open_; }

@@ -1,9 +1,8 @@
 #include "runtime/multi_vp.h"
 
+#include <algorithm>
 #include <chrono>
-#include <unordered_set>
 
-#include "core/blocks.h"
 #include "netbase/contract.h"
 #include "runtime/parallel_for.h"
 
@@ -15,10 +14,9 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
-// Seed mixer (splitmix64 finalizer over a keyed combination), the same
-// idiom as serve::ServeEngine: slice seeds depend only on (base, vp,
-// slice index), so the shard schedule — not worker timing — fixes every
-// RNG stream.
+// The one seed function (splitmix64 finalizer over a keyed combination).
+// Slice (vp, as) draws from mix(base, vp, as); VP vp's tail from
+// mix(base, vp, kInferSalt). Neither depends on the worker or the epoch.
 std::uint64_t mix(std::uint64_t a, std::uint64_t b, std::uint64_t c) {
   std::uint64_t z = a ^ (b * 0x9e3779b97f4a7c15ULL) ^
                     ((c + 1) * 0xbf58476d1ce4e5b9ULL);
@@ -29,9 +27,64 @@ std::uint64_t mix(std::uint64_t a, std::uint64_t b, std::uint64_t c) {
 
 constexpr std::uint64_t kInferSalt = 0x1f3a9;
 
+// One VP: collect its missing slices as nested tasks, stitch every slice
+// in plan order (copied when the caller keeps the store, moved when not),
+// run the inference tail.
+core::BdrmapResult run_vp(ThreadPool* pool, const VpJob& job, std::size_t vp,
+                          const core::BdrmapConfig& config,
+                          std::uint64_t base_seed, const SlicePlan& plan,
+                          std::vector<std::optional<core::CollectedTraces>>&
+                              stored,
+                          bool keep) {
+  BDRMAP_EXPECTS(static_cast<bool>(job.make_services),
+                 "VpJob needs a seeded probe-services factory");
+  const std::vector<SlicePlan::Slice>& slices = plan.slices(vp);
+  stored.resize(slices.size());
+  std::vector<std::size_t> missing;
+  for (std::size_t i = 0; i < slices.size(); ++i) {
+    if (!stored[i]) missing.push_back(i);
+  }
+  // A stack per chunk, reseeded per slice: reseed restores the fresh
+  // state, so the chunking never shows in the output.
+  const std::size_t chunk = default_chunk(pool, missing.size());
+  parallel_for(
+      pool, (missing.size() + chunk - 1) / chunk,
+      [&](std::size_t c) {
+        std::unique_ptr<probe::ProbeServices> services;
+        const std::size_t end = std::min(missing.size(), (c + 1) * chunk);
+        for (std::size_t k = c * chunk; k < end; ++k) {
+          const SlicePlan::Slice& slice = slices[missing[k]];
+          const std::uint64_t seed = mix(base_seed, vp, slice.target_as.value);
+          if (services) {
+            services->reseed(seed);
+          } else {
+            services = job.make_services(seed);
+          }
+          core::Bdrmap pipeline(*services, job.inputs, config);
+          // Exclusive per slot: no two tasks touch the same slice.
+          stored[missing[k]] = pipeline.collect(plan.blocks_of(vp, slice));
+        }
+      },
+      /*chunk=*/1);
+
+  core::CollectedTraces all;
+  for (std::optional<core::CollectedTraces>& slice : stored) {
+    if (keep) {
+      all.append(*slice);
+    } else {
+      all.append(std::move(*slice));
+    }
+  }
+  obs::Span vp_span(config.obs ? config.obs->tracer() : nullptr, "vp.run");
+  vp_span.note("vp", static_cast<std::int64_t>(vp));
+  auto services = job.make_services(mix(base_seed, vp, kInferSalt));
+  core::Bdrmap pipeline(*services, job.inputs, config);
+  return pipeline.run_with(std::move(all));
+}
+
 // Ordered reduction over out.per_vp, VP by VP on the joining thread: the
 // merged output is a pure function of the per-VP results, independent of
-// which worker finished first. Shared by run() and run_sharded().
+// which worker finished first.
 void reduce_ordered(MultiVpResult& out) {
   for (std::size_t vp = 0; vp < out.per_vp.size(); ++vp) {
     const core::BdrmapResult& r = out.per_vp[vp];
@@ -56,132 +109,54 @@ void reduce_ordered(MultiVpResult& out) {
 }
 }  // namespace
 
-MultiVpResult MultiVpExecutor::run(const std::vector<VpJob>& jobs) const {
+SlicePlan::SlicePlan(const std::vector<VpJob>& jobs, ThreadPool* pool,
+                     obs::Tracer* tracer) {
+  vps_ = parallel_map<VpSlices>(
+      pool, jobs.size(),
+      [&jobs, tracer](std::size_t vp) {
+        const core::InferenceInputs& inputs = jobs[vp].inputs;
+        BDRMAP_EXPECTS(inputs.origins != nullptr,
+                       "VpJob needs an origin table");
+        obs::Span span(tracer, "stage.schedule");
+        VpSlices out;
+        out.blocks = core::build_probe_blocks(*inputs.origins, inputs.vp_ases);
+        // The schedule is sorted by target AS: each run of equal target
+        // ASes is one slice.
+        for (std::size_t i = 0; i < out.blocks.size(); ++i) {
+          if (out.slices.empty() ||
+              out.slices.back().target_as != out.blocks[i].target_as) {
+            out.slices.push_back({out.blocks[i].target_as, i, i});
+          }
+          out.slices.back().end = i + 1;
+        }
+        span.note("blocks", static_cast<std::int64_t>(out.blocks.size()));
+        return out;
+      },
+      /*chunk=*/1);
+}
+
+MultiVpResult MultiVpExecutor::run(const std::vector<VpJob>& jobs,
+                                   const core::BdrmapConfig& config,
+                                   std::uint64_t base_seed,
+                                   SliceStore* store) const {
   MultiVpResult out;
-  // One tracer serves every job of a run; each VP's stage spans nest under
-  // its own vp.run span via the per-thread stacks.
-  obs::Tracer* tracer =
-      !jobs.empty() && jobs.front().config.obs
-          ? jobs.front().config.obs->tracer()
-          : nullptr;
+  obs::Tracer* tracer = config.obs ? config.obs->tracer() : nullptr;
   auto t0 = std::chrono::steady_clock::now();
   obs::Span run_span(tracer, "multi_vp.run");
   run_span.note("vps", static_cast<std::int64_t>(jobs.size()));
-  // One chunk per VP: a bdrmap run is far coarser than any scheduling
-  // overhead, and per-VP granularity gives thieves the most slack.
+  SliceStore cold;
+  SliceStore& slices = store ? *store : cold;
+  if (slices.plan.vp_count() != jobs.size()) {
+    slices = SliceStore{SlicePlan(jobs, pool_, tracer), {}};
+  }
+  slices.traces.resize(jobs.size());
+  // One task per VP; its slices fan out below it, so no VP waits for a
+  // global collection barrier before its tail.
   out.per_vp = parallel_map<core::BdrmapResult>(
       pool_, jobs.size(),
-      [&jobs](std::size_t i) {
-        const VpJob& job = jobs[i];
-        BDRMAP_EXPECTS(static_cast<bool>(job.make_services),
-                       "VpJob needs a probe-services factory");
-        obs::Span vp_span(
-            job.config.obs ? job.config.obs->tracer() : nullptr, "vp.run");
-        vp_span.note("vp", static_cast<std::int64_t>(i));
-        auto services = job.make_services();
-        core::Bdrmap pipeline(*services, job.inputs, job.config);
-        return pipeline.run();
-      },
-      /*chunk=*/1);
-  run_span.close();
-  out.times.run_seconds = seconds_since(t0);
-
-  // Ordered reduction, VP by VP on this thread: output is a pure function
-  // of the per-VP results, independent of which worker finished first.
-  auto r0 = std::chrono::steady_clock::now();
-  obs::Span reduce_span(tracer, "multi_vp.reduce");
-  reduce_ordered(out);
-  reduce_span.close();
-  out.times.reduce_seconds = seconds_since(r0);
-  return out;
-}
-
-MultiVpResult MultiVpExecutor::run_sharded(
-    const std::vector<ShardedVpJob>& jobs, const ShardPlan& plan) const {
-  MultiVpResult out;
-  obs::Tracer* tracer =
-      !jobs.empty() && jobs.front().config.obs
-          ? jobs.front().config.obs->tracer()
-          : nullptr;
-  auto t0 = std::chrono::steady_clock::now();
-  obs::Span run_span(tracer, "multi_vp.run_sharded");
-  run_span.note("vps", static_cast<std::int64_t>(jobs.size()));
-
-  const std::size_t batch =
-      plan.ases_per_shard == 0 ? 1 : plan.ases_per_shard;
-
-  // Build the flat shard list on the calling thread: for each VP, the
-  // distinct target ASes in §5.3 schedule order (the order
-  // build_probe_blocks emits), grouped into batches. The plan is pure
-  // input — no worker touches it concurrently.
-  struct Shard {
-    std::size_t vp;
-    std::size_t index_in_vp;  // keys the slice seed
-    std::vector<net::AsId> targets;
-  };
-  std::vector<Shard> shards;
-  for (std::size_t vp = 0; vp < jobs.size(); ++vp) {
-    const ShardedVpJob& job = jobs[vp];
-    BDRMAP_EXPECTS(job.config.target_filter.empty(),
-                   "run_sharded owns the target filter; pass it via the "
-                   "plan, not the job config");
-    auto blocks = core::build_probe_blocks(*job.inputs.origins,
-                                           job.inputs.vp_ases);
-    std::vector<net::AsId> targets;
-    std::unordered_set<net::AsId> seen;
-    for (const core::ProbeBlock& b : blocks) {
-      if (seen.insert(b.target_as).second) targets.push_back(b.target_as);
-    }
-    for (std::size_t start = 0; start < targets.size(); start += batch) {
-      Shard shard;
-      shard.vp = vp;
-      shard.index_in_vp = start / batch;
-      const std::size_t end = std::min(start + batch, targets.size());
-      shard.targets.assign(targets.begin() + static_cast<std::ptrdiff_t>(start),
-                           targets.begin() + static_cast<std::ptrdiff_t>(end));
-      shards.push_back(std::move(shard));
-    }
-  }
-  run_span.note("shards", static_cast<std::int64_t>(shards.size()));
-
-  // Collect every shard in parallel: each task is a filtered collect with
-  // its own probe stack seeded from (base, vp, shard index).
-  auto slices = parallel_map<core::CollectedTraces>(
-      pool_, shards.size(),
-      [&jobs, &shards, &plan](std::size_t i) {
-        const Shard& shard = shards[i];
-        const ShardedVpJob& job = jobs[shard.vp];
-        BDRMAP_EXPECTS(static_cast<bool>(job.make_services),
-                       "ShardedVpJob needs a probe-services factory");
-        core::BdrmapConfig config = job.config;
-        config.target_filter = shard.targets;
-        auto services = job.make_services(
-            mix(plan.base_seed, shard.vp, shard.index_in_vp));
-        core::Bdrmap pipeline(*services, job.inputs, config);
-        return pipeline.collect();
-      },
-      /*chunk=*/1);
-
-  // Stitch the slices back per VP in plan order — shards were emitted in
-  // (vp, batch) order, so this append IS the §5.3 schedule order.
-  std::vector<core::CollectedTraces> per_vp(jobs.size());
-  for (std::size_t i = 0; i < shards.size(); ++i) {
-    per_vp[shards[i].vp].append(std::move(slices[i]));
-  }
-
-  // Inference tails, one per VP, seeded off the collection streams.
-  out.per_vp = parallel_map<core::BdrmapResult>(
-      pool_, jobs.size(),
-      [&jobs, &per_vp, &plan](std::size_t vp) {
-        const ShardedVpJob& job = jobs[vp];
-        obs::Span vp_span(
-            job.config.obs ? job.config.obs->tracer() : nullptr, "vp.run");
-        vp_span.note("vp", static_cast<std::int64_t>(vp));
-        auto services =
-            job.make_services(mix(plan.base_seed, vp, kInferSalt));
-        core::Bdrmap pipeline(*services, job.inputs, job.config);
-        // Exclusive per index: no two workers touch the same slot.
-        return pipeline.run_with(std::move(per_vp[vp]));
+      [&](std::size_t vp) {
+        return run_vp(pool_, jobs[vp], vp, config, base_seed, slices.plan,
+                      slices.traces[vp], store != nullptr);
       },
       /*chunk=*/1);
   run_span.close();
@@ -193,55 +168,6 @@ MultiVpResult MultiVpExecutor::run_sharded(
   reduce_span.close();
   out.times.reduce_seconds = seconds_since(r0);
   return out;
-}
-
-std::vector<core::CollectedTraces> MultiVpExecutor::collect(
-    const std::vector<VpJob>& jobs) const {
-  obs::Tracer* tracer =
-      !jobs.empty() && jobs.front().config.obs
-          ? jobs.front().config.obs->tracer()
-          : nullptr;
-  obs::Span span(tracer, "multi_vp.collect");
-  span.note("slices", static_cast<std::int64_t>(jobs.size()));
-  return parallel_map<core::CollectedTraces>(
-      pool_, jobs.size(),
-      [&jobs](std::size_t i) {
-        const VpJob& job = jobs[i];
-        BDRMAP_EXPECTS(static_cast<bool>(job.make_services),
-                       "VpJob needs a probe-services factory");
-        auto services = job.make_services();
-        core::Bdrmap pipeline(*services, job.inputs, job.config);
-        return pipeline.collect();
-      },
-      /*chunk=*/1);
-}
-
-std::vector<core::BdrmapResult> MultiVpExecutor::infer(
-    const std::vector<VpJob>& jobs,
-    std::vector<core::CollectedTraces> collected) const {
-  BDRMAP_EXPECTS(jobs.size() == collected.size(),
-                 "one collected bundle per infer job");
-  obs::Tracer* tracer =
-      !jobs.empty() && jobs.front().config.obs
-          ? jobs.front().config.obs->tracer()
-          : nullptr;
-  obs::Span span(tracer, "multi_vp.infer");
-  span.note("vps", static_cast<std::int64_t>(jobs.size()));
-  return parallel_map<core::BdrmapResult>(
-      pool_, jobs.size(),
-      [&jobs, &collected](std::size_t i) {
-        const VpJob& job = jobs[i];
-        BDRMAP_EXPECTS(static_cast<bool>(job.make_services),
-                       "VpJob needs a probe-services factory");
-        obs::Span vp_span(
-            job.config.obs ? job.config.obs->tracer() : nullptr, "vp.run");
-        vp_span.note("vp", static_cast<std::int64_t>(i));
-        auto services = job.make_services();
-        core::Bdrmap pipeline(*services, job.inputs, job.config);
-        // Exclusive per index: no two workers touch the same slot.
-        return pipeline.run_with(std::move(collected[i]));
-      },
-      /*chunk=*/1);
 }
 
 }  // namespace bdrmap::runtime

@@ -30,10 +30,6 @@ std::string prefix_str(const net::Prefix& p) {
   return addr_str(p.network()) + "/" + std::to_string(p.length());
 }
 
-bool overlaps(const net::Prefix& a, const net::Prefix& b) {
-  return a.contains(b) || b.contains(a);
-}
-
 // Does `as` appear in any candidate tier of tiers(src, dst)?
 bool in_some_tier(const route::BgpSimulator& bgp, net::AsId src,
                   net::AsId dst, net::AsId as) {
@@ -113,40 +109,22 @@ void apply_event(const ChurnEvent& e, route::BgpSimulator& bgp,
 
 std::vector<net::AsId> affected_targets(
     const ChurnEvent& e, const route::BgpSimulator& bgp,
-    const topo::Internet& net, const std::vector<net::AsId>& targets) {
+    const std::vector<net::AsId>& targets) {
+  BDRMAP_EXPECTS(e.kind != ChurnKind::kWithdraw &&
+                     e.kind != ChurnKind::kAnnounce,
+                 "prefix events are bounded by the slice plan, not by "
+                 "affected_targets()");
+  // A path toward D through the (A, B) edge requires the counterpart
+  // endpoint to be a next-hop candidate toward D from the other — so a
+  // target outside this bound keeps its forwarding verbatim. The
+  // endpoints themselves are always in (their own reachability is what
+  // changed).
   std::vector<net::AsId> out;
-  switch (e.kind) {
-    case ChurnKind::kWithdraw:
-    case ChurnKind::kAnnounce: {
-      // State-independent: only probes into blocks covered by (or covering)
-      // the prefix can change outcome, and those blocks' target ASes are
-      // the origins of the overlapping announcements.
-      for (const topo::AnnouncedPrefix& ap : net.announced()) {
-        if (!overlaps(ap.prefix, e.prefix)) continue;
-        if (std::find(targets.begin(), targets.end(), ap.origin) !=
-                targets.end() &&
-            std::find(out.begin(), out.end(), ap.origin) == out.end()) {
-          out.push_back(ap.origin);
-        }
-      }
-      break;
-    }
-    case ChurnKind::kLinkDown:
-    case ChurnKind::kLinkUp:
-    case ChurnKind::kRelChange: {
-      // A path toward D through the (A, B) edge requires the counterpart
-      // endpoint to be a next-hop candidate toward D from the other — so a
-      // target outside this bound keeps its forwarding verbatim. The
-      // endpoints themselves are always in (their own reachability is what
-      // changed).
-      for (net::AsId d : targets) {
-        const bool endpoint = d == e.as_a || d == e.as_b;
-        if (endpoint || in_some_tier(bgp, e.as_a, d, e.as_b) ||
-            in_some_tier(bgp, e.as_b, d, e.as_a)) {
-          out.push_back(d);
-        }
-      }
-      break;
+  for (net::AsId d : targets) {
+    const bool endpoint = d == e.as_a || d == e.as_b;
+    if (endpoint || in_some_tier(bgp, e.as_a, d, e.as_b) ||
+        in_some_tier(bgp, e.as_b, d, e.as_a)) {
+      out.push_back(d);
     }
   }
   return out;

@@ -6,8 +6,9 @@
 // recovering, or a business-relationship change (e.g. a customer depeering
 // to settlement-free). apply_event() pushes the event into the
 // route::BgpSimulator / route::Fib churn overlays; affected_targets()
-// bounds which destination ASes the event can possibly reroute, so the
-// serve engine re-collects only the (VP, target) slices in that bound and
+// bounds which destination ASes a link or relationship event can possibly
+// reroute, so the serve engine re-collects only the (VP, target) slices in
+// that bound and
 // reuses every other slice's cached traces — with a hard bit-identity gate
 // against full recomputation (tests/serve_incremental_test.cc).
 //
@@ -49,18 +50,18 @@ std::string describe(const ChurnEvent& e);
 void apply_event(const ChurnEvent& e, route::BgpSimulator& bgp,
                  route::Fib& fib);
 
-// The destination ASes (drawn from `targets`) whose routing the event can
-// have changed, in `bgp`'s CURRENT state. Prefix events are state-
-// independent (origins of every announced prefix overlapping e.prefix).
-// Link/relationship events on (A, B) taint target D when the other
-// endpoint appears in some candidate tier of tiers(A, D) or tiers(B, D) —
-// a tier value toward D can only move where the counterpart AS was (or
-// becomes) a candidate — plus A and B themselves unconditionally. The
-// engine takes the union of this bound evaluated before AND after
-// apply_event, covering both routes that existed and routes that appear.
+// The destination ASes (drawn from `targets`) whose routing a link or
+// relationship event can have changed, in `bgp`'s CURRENT state. An
+// event on (A, B) taints target D when the other endpoint appears in some
+// candidate tier of tiers(A, D) or tiers(B, D) — a tier value toward D
+// can only move where the counterpart AS was (or becomes) a candidate —
+// plus A and B themselves unconditionally. The engine takes the union of
+// this bound evaluated before AND after apply_event, covering both routes
+// that existed and routes that appear. Prefix events are not routing
+// events in this sense: the engine bounds them by the planned blocks
+// that overlap the prefix (engine.h).
 std::vector<net::AsId> affected_targets(const ChurnEvent& e,
                                         const route::BgpSimulator& bgp,
-                                        const topo::Internet& net,
                                         const std::vector<net::AsId>& targets);
 
 // Deterministic churn generator for the daemon, the bench and the tests:

@@ -1,30 +1,31 @@
 // ServeEngine: incremental churn-driven re-inference behind a snapshot.
 //
-// The engine decomposes every vantage point's bdrmap run into per-target-AS
-// *slices* — one (VP, target AS) unit of trace collection, keyed by the
-// deterministic seed mix(base_seed, vp, as) — and keeps the collected
-// traces of every slice cached across epochs. When a ChurnEvent arrives it
+// The engine runs every vantage point through runtime::MultiVpExecutor
+// and keeps the executor's SliceStore — the per-VP slice plan and the
+// collected traces of every (VP, target-AS) slice — across epochs. When
+// a ChurnEvent arrives it
 //
-//   1. bounds the blast radius with churn.h's affected_targets() (union of
+//   1. bounds the blast radius: for prefix events, the slices whose
+//      planned blocks overlap the prefix; for link and relationship
+//      events, the slices of churn.h's affected_targets() (the union of
 //      the bound before and after the event is applied, covering routes
 //      that disappear and routes that appear),
-//   2. re-collects ONLY the dirty (VP, target) slices through
-//      runtime::MultiVpExecutor, reusing every clean slice verbatim,
-//   3. re-runs the inference tail (alias resolution onward) for every VP
-//      over the concatenated slices — inference is global per VP, and the
+//   2. erases exactly those slices from the store and runs the executor
+//      again: it re-collects the erased slices, reuses every clean slice
+//      verbatim, and re-runs the inference tail (alias resolution onward)
+//      for every VP — inference is global per VP, and the
 //      alias/confirmation probing consults the post-churn FIB — and
-//   4. compiles and atomically publishes a fresh BorderMapSnapshot.
+//   3. compiles and atomically publishes a fresh BorderMapSnapshot.
 //
-// The scheme is *exact*, not approximate: because each slice's collection
-// seed depends only on (base_seed, vp, as) — never on the epoch — a cached
-// clean slice is bit-identical to what a fresh collection would produce,
-// and recompute_reference() exists so tests can hard-gate
-// eval::same_border_map(incremental, from_scratch) on every scenario.
+// The scheme is *exact*, not approximate: each slice's collection seed
+// depends only on (base_seed, vp, as) — never on the epoch — so a stored
+// clean slice is bit-identical to what a fresh collection would produce.
+// A cold rebuild is the same executor run over an empty store, and
+// recompute_reference() is a cold run that keeps nothing, so tests can
+// hard-gate eval::same_border_map(incremental, from_scratch).
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <map>
 #include <memory>
 #include <set>
 #include <vector>
@@ -40,16 +41,11 @@
 namespace bdrmap::serve {
 
 // One vantage point as the engine sees it: a seeded probe-stack factory
-// (each collection slice and each inference pass gets its own services,
-// seeded deterministically) plus the VP's read-only inference inputs.
-struct VpContext {
-  std::function<std::unique_ptr<probe::ProbeServices>(std::uint64_t seed)>
-      make_services;
-  core::InferenceInputs inputs;
-};
+// plus the VP's read-only inference inputs.
+using VpContext = runtime::VpJob;
 
 struct EngineOptions {
-  core::BdrmapConfig config;        // target_filter is engine-managed
+  core::BdrmapConfig config;
   std::uint64_t base_seed = 0x515;  // scenario seed
   obs::Observability* obs = nullptr;
   runtime::ThreadPool* pool = nullptr;  // null: sequential baseline
@@ -57,7 +53,7 @@ struct EngineOptions {
 
 // What one apply() did, for the daemon's log and the serve.* counters.
 struct ChurnApplyStats {
-  std::size_t dirty_targets = 0;  // union over old and new routing state
+  std::size_t dirty_targets = 0;  // distinct target ASes of dirty slices
   std::size_t dirty_slices = 0;   // (VP, target) slices re-collected
   std::size_t clean_slices = 0;   // slices reused from the cache
   std::uint64_t epoch = 0;        // epoch the resulting snapshot carries
@@ -66,21 +62,24 @@ struct ChurnApplyStats {
 class ServeEngine {
  public:
   // References must outlive the engine. `bgp` and `fib` are the mutable
-  // routing substrate the churn events are applied to; the engine is the
-  // only writer and guarantees the quiescence their overlays require.
+  // routing substrate over `net` that the churn events are applied to;
+  // the engine is the only writer and guarantees the quiescence their
+  // overlays require.
   ServeEngine(const topo::Internet& net, route::BgpSimulator& bgp,
               route::Fib& fib, std::vector<VpContext> vps,
               EngineOptions options);
 
   // Collects every slice from scratch and publishes epoch 0 (or, after
-  // churn, the next epoch as a full rebuild). The identity baseline.
+  // churn, the next epoch as a full rebuild): the executor over an empty
+  // store, exactly Scenario::run_bdrmap_parallel with the same base seed.
   void rebuild_full();
 
   // Applies one churn event and publishes the next epoch incrementally.
   ChurnApplyStats apply(const ChurnEvent& event);
 
-  // From-scratch recompute of the CURRENT routing state through the same
-  // slice pipeline and seeds, touching neither the cache nor the handle.
+  // From-scratch recompute of the CURRENT routing state: the same
+  // executor run, cold and keeping nothing, touching neither the engine's
+  // store nor the handle.
   // per_vp is job-ordered; snapshot carries the same epoch as the live one
   // — bit-identity gates compare both against the incremental results.
   struct Reference {
@@ -103,34 +102,23 @@ class ServeEngine {
   std::size_t vp_count() const { return vps_.size(); }
 
  private:
-  std::uint64_t slice_seed(std::size_t vp, net::AsId as) const;
-  std::uint64_t infer_seed(std::size_t vp) const;
-  runtime::VpJob slice_job(std::size_t vp, net::AsId as) const;
-  runtime::VpJob infer_job(std::size_t vp) const;
   std::vector<OwnedPrefix> owned_prefixes() const;
-
-  // Concatenates each VP's cached slices (target-AS order), runs the
-  // inference tails, merges, compiles, publishes.
+  // Runs the executor over the store (collecting what it misses),
+  // compiles, publishes.
   void reinfer_and_publish(obs::Tracer* tracer);
-  std::vector<core::BdrmapResult> infer_all(
-      std::vector<core::CollectedTraces> per_vp_traces) const;
   std::shared_ptr<const BorderMapSnapshot> compile_snapshot(
       const std::vector<core::BdrmapResult>& results,
       std::uint64_t epoch) const;
 
-  const topo::Internet& net_;
   route::BgpSimulator& bgp_;
   route::Fib& fib_;
   std::vector<VpContext> vps_;
   EngineOptions options_;
   runtime::MultiVpExecutor executor_;
 
-  std::vector<std::vector<net::AsId>> vp_targets_;  // sorted, per VP
-  std::vector<net::AsId> targets_;                  // sorted union
-  // The slice cache: per VP, per target AS, the collected traces. Sorted
-  // map iteration reproduces the monolithic §5.3 schedule's AS order when
-  // slices are concatenated.
-  std::vector<std::map<net::AsId, core::CollectedTraces>> store_;
+  // The slice plan (built once, at construction) and the slice cache.
+  runtime::SliceStore store_;
+  std::vector<net::AsId> targets_;  // sorted union of the planned ASes
   // Prefixes currently withdrawn by churn; excluded from the snapshot's
   // routed view (and from recompute_reference's, identically).
   std::set<net::Prefix> withdrawn_;

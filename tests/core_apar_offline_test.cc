@@ -33,6 +33,7 @@ class NullServices final : public probe::ProbeServices {
     return std::nullopt;
   }
   std::uint64_t probes_sent() const override { return 0; }
+  void reseed(std::uint64_t) override {}
 };
 
 TEST(Apar, InfersMateAliasFromObservedSubnet) {

@@ -161,5 +161,17 @@ TEST(BdrmapResult, NeighborAsesListsLinkOwners) {
   }
 }
 
+// run() is run_with(collect()) on one stack: each stage counts only what
+// it spent, so the total is every probe the stack sent, counted once.
+TEST(BdrmapResult, OneStackRunCountsEveryProbeOnce) {
+  eval::Scenario s(eval::research_education_config(42));
+  const topo::Vp vp = s.vps_in(s.first_of(topo::AsKind::kResearchEdu)).front();
+  const InferenceInputs inputs = s.inputs_for(vp.as);
+  auto services = s.services_for(vp, 0x515);
+  const BdrmapResult result = Bdrmap(*services, inputs).run();
+  EXPECT_GT(result.stats.probes_sent, 0u);
+  EXPECT_EQ(result.stats.probes_sent, services->probes_sent());
+}
+
 }  // namespace
 }  // namespace bdrmap::core

@@ -3,11 +3,13 @@
 //
 // Each row pins serve::BorderMapSnapshot::fingerprint(), a structural hash
 // of the compiled border map, for one scenario family at ECMP probe salts
-// 0-3, plus the sharded two-VP "small" run at 1, 2 and 8 pool workers. The
-// rows were blessed on the commit that retired the alternative planes, and
-// there each of them reproduced every row: the uncached and the
+// 0-3, plus the two-VP "small" run at 1, 2 and 8 pool workers. The rows
+// were first blessed on the commit that retired the alternative planes,
+// where each of them reproduced every row: the uncached and the
 // keyed-egress FIB, the per-call heuristics scans, the hard-coded legacy
-// ladder, and probe waves off or 7 wide. The suite keeps the name of the
+// ladder, and probe waves off or 7 wide. They were re-blessed once when
+// every run moved onto the (VP, target-AS) slice plan, which re-keys the
+// probe RNG streams per slice. The suite keeps the name of the
 // cross-engine parity suite it replaced, because a row is the legacy
 // ladder's map; "Heuristic" in the name also puts it in the tsan stage's
 // ctest filter.
@@ -32,6 +34,7 @@
 #include "core/merge.h"
 #include "eval/scenario.h"
 #include "eval/scenario_registry.h"
+#include "runtime/multi_vp.h"
 #include "runtime/thread_pool.h"
 #include "serve/snapshot.h"
 
@@ -93,27 +96,29 @@ topo::Vp featured_vp(const Scenario& s) {
 // its own forward path: the unbatched reference for a whole pipeline run.
 class UnbatchedServices final : public probe::ProbeServices {
  public:
-  explicit UnbatchedServices(probe::ProbeServices& inner) : inner_(inner) {}
+  explicit UnbatchedServices(std::unique_ptr<probe::ProbeServices> inner)
+      : inner_(std::move(inner)) {}
 
   probe::TraceResult trace(net::Ipv4Addr dst,
                            const probe::StopFn& stop) override {
-    return inner_.trace(dst, stop);
+    return inner_->trace(dst, stop);
   }
   std::optional<net::Ipv4Addr> udp_probe(net::Ipv4Addr addr) override {
-    return inner_.udp_probe(addr);
+    return inner_->udp_probe(addr);
   }
   std::optional<std::uint16_t> ipid_sample(net::Ipv4Addr addr,
                                            double t) override {
-    return inner_.ipid_sample(addr, t);
+    return inner_->ipid_sample(addr, t);
   }
   std::optional<bool> timestamp_probe(net::Ipv4Addr path_dst,
                                       net::Ipv4Addr candidate) override {
-    return inner_.timestamp_probe(path_dst, candidate);
+    return inner_->timestamp_probe(path_dst, candidate);
   }
-  std::uint64_t probes_sent() const override { return inner_.probes_sent(); }
+  std::uint64_t probes_sent() const override { return inner_->probes_sent(); }
+  void reseed(std::uint64_t seed) override { inner_->reseed(seed); }
 
  private:
-  probe::ProbeServices& inner_;
+  std::unique_ptr<probe::ProbeServices> inner_;
 };
 
 class HeuristicParityTest : public ::testing::TestWithParam<std::string> {};
@@ -143,28 +148,32 @@ TEST(HeuristicParityTest, EcmpSaltsAndProbeWaves) {
   // unit tests check the walks themselves.
   auto s = make_scenario("small", kScenarioSeed);
   const topo::Vp vp = featured_vp(*s);
-  const core::InferenceInputs inputs = s->inputs_for(vp.as);
+  runtime::VpJob job;
+  job.make_services = [&s, vp](std::uint64_t seed)
+      -> std::unique_ptr<probe::ProbeServices> {
+    return std::make_unique<UnbatchedServices>(s->services_for(vp, seed));
+  };
+  job.inputs = s->inputs_for(vp.as);
   Row row;
   for (std::uint32_t salt = 0; salt < kSalts; ++salt) {
-    auto services = s->services_for(vp, kProbeSeed + salt);
-    UnbatchedServices unbatched(*services);
-    core::BdrmapResult r = core::Bdrmap(unbatched, inputs).run();
-    row.push_back(fingerprint({&r}));
+    const runtime::MultiVpResult m =
+        runtime::MultiVpExecutor(nullptr).run({job}, {}, kProbeSeed + salt);
+    row.push_back(fingerprint({&m.per_vp.front()}));
   }
   expect_row("small", row);
 }
 
 TEST(HeuristicParityTest, ShardedIdenticalAcrossWorkersAndEngines) {
   // A fresh scenario per worker count: every run fills the shared FIB and
-  // BGP caches from cold, concurrently at 2 and 8 workers.
+  // BGP caches from cold, concurrently at 2 and 8 workers, while the
+  // slices of both VPs interleave on the pool.
   for (unsigned workers : {1u, 2u, 8u}) {
     SCOPED_TRACE(std::to_string(workers) + " workers");
     auto s = make_scenario("small", kScenarioSeed);
     std::vector<topo::Vp> vps = s->vps_in(s->first_of(s->spec().vp_kind));
     if (vps.size() > 2) vps.resize(2);
     runtime::ThreadPool pool(workers);
-    runtime::MultiVpResult m = s->run_bdrmap_sharded(
-        vps, {}, 0x1517, &pool, /*ases_per_shard=*/4);
+    runtime::MultiVpResult m = s->run_bdrmap_parallel(vps, {}, 0x1517, &pool);
     std::vector<const core::BdrmapResult*> runs;
     for (const core::BdrmapResult& r : m.per_vp) runs.push_back(&r);
     expect_row("small/sharded", {fingerprint(runs)});

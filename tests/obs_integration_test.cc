@@ -137,12 +137,14 @@ TEST(ObsIntegration, MultiVpInstrumentedRunIsBitIdentical) {
   EXPECT_EQ(vp_runs, vps.size());
   EXPECT_EQ(obs.tracer()->open_span_count(), 0u);
 
-  // Pool counters landed in the shared registry. The submitting thread
-  // helps drain the queue, so executed (pool-side pops) can undercount.
+  // Pool counters landed in the shared registry: one task per VP plus the
+  // slice chunks fanned out below them. The submitting thread helps drain
+  // the queue, so executed (pool-side pops) can undercount.
   obs::MetricsSnapshot snap = obs.registry()->snapshot();
-  EXPECT_EQ(snap.counter("runtime.tasks_submitted"), vps.size());
+  EXPECT_GT(snap.counter("runtime.tasks_submitted"), vps.size());
   EXPECT_GT(snap.counter("runtime.tasks_executed"), 0u);
-  EXPECT_LE(snap.counter("runtime.tasks_executed"), vps.size());
+  EXPECT_LE(snap.counter("runtime.tasks_executed"),
+            snap.counter("runtime.tasks_submitted"));
 }
 
 }  // namespace

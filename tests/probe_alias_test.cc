@@ -144,5 +144,46 @@ TEST_F(AliasProbeFixture, ProbeCountsAccumulate) {
   EXPECT_GE(services_->probes_sent(), before + 3);
 }
 
+// The executor reuses one stack across slices through reseed(), so a used
+// stack, reseeded, must answer every probe exactly as a fresh one would.
+TEST_F(AliasProbeFixture, ReseedMatchesFreshStack) {
+  behavior(r2_).ipid = topo::IpidKind::kSharedCounter;  // reply counts
+  behavior(r2_).ipid_velocity = 50.0;
+  behavior(r3_).ipid = topo::IpidKind::kRandom;  // prober RNG
+  behavior(r3_).rate_limit_drop = 0.3;           // tracer and prober RNG
+  build();
+  const topo::Vp vp{as1_, r1_, ip("10.0.255.1"), 0};
+  // One fixed call sequence, every answer flattened into a list.
+  auto drive = [&](ProbeServices& s) {
+    std::vector<std::int64_t> out;
+    auto put = [&out](auto value) {
+      out.push_back(value ? static_cast<std::int64_t>(*value) : -1);
+    };
+    double t = 0.0;
+    for (int round = 0; round < 4; ++round) {
+      for (const char* addr : {"10.0.0.2", "10.0.0.6", "10.0.0.10"}) {
+        const TraceResult trace = s.trace(ip(addr), nullptr);
+        for (const TraceHop& hop : trace.hops) {
+          out.push_back(hop.addr.value());
+          out.push_back(static_cast<std::int64_t>(hop.kind));
+        }
+        const auto udp = s.udp_probe(ip(addr));
+        out.push_back(udp ? static_cast<std::int64_t>(udp->value()) : -1);
+        put(s.ipid_sample(ip(addr), t += 0.5));
+        put(s.timestamp_probe(ip(addr), ip("10.0.0.2")));
+      }
+    }
+    out.push_back(static_cast<std::int64_t>(s.probes_sent()));
+    return out;
+  };
+  LocalProbeServices used(m_.net(), *fib_, vp, 11);
+  const std::vector<std::int64_t> first = drive(used);
+  used.reseed(22);
+  LocalProbeServices fresh(m_.net(), *fib_, vp, 22);
+  const std::vector<std::int64_t> expected = drive(fresh);
+  EXPECT_EQ(drive(used), expected);
+  EXPECT_NE(first, expected);  // the sequence does read the seeded state
+}
+
 }  // namespace
 }  // namespace bdrmap::probe

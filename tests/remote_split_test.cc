@@ -6,6 +6,7 @@
 
 #include "core/bdrmap.h"
 #include "eval/scenario.h"
+#include "netbase/contract.h"
 
 namespace bdrmap::remote {
 namespace {
@@ -60,6 +61,16 @@ TEST_F(SplitFixture, RemoteMatchesLocalInference) {
     ASSERT_TRUE(remote_result.links_by_as.count(as)) << as.str();
     EXPECT_EQ(remote_result.links_by_as.at(as).size(), links.size());
   }
+}
+
+// The prober's RNG and IP-ID state live on the device: the remote stack
+// cannot honour reseed()'s fresh-stack contract, so it refuses.
+TEST_F(SplitFixture, RemoteReseedFailsContract) {
+  net::ScopedContractMode scoped(net::ContractMode::kThrow);
+  auto device_services = scenario_.services_for(vp_, 123);
+  ProberDevice device(*device_services);
+  RemoteProbeServices remote_services(device);
+  EXPECT_THROW(remote_services.reseed(7), net::ContractViolation);
 }
 
 TEST_F(SplitFixture, ChannelStatsAccumulate) {

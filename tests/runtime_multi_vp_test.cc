@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/blocks.h"
 #include "eval/degradation.h"
 #include "eval/scenario.h"
 #include "netbase/contract.h"
@@ -29,20 +30,21 @@ class MultiVpDeterminism : public ::testing::Test {
 TEST_F(MultiVpDeterminism, ParallelRunIsBitIdenticalToSequential) {
   ASSERT_GE(vps_.size(), 2u) << "scenario must host several VPs";
 
-  // Baseline: the exact loop the benches used to run, one VP at a time.
-  std::vector<core::BdrmapResult> sequential;
-  for (std::size_t i = 0; i < vps_.size(); ++i) {
-    sequential.push_back(scenario_.run_bdrmap(vps_[i], {}, 0x1000 + i));
-  }
+  // Baseline: the null pool runs every slice and tail on this thread.
+  runtime::MultiVpResult sequential =
+      scenario_.run_bdrmap_parallel(vps_, {}, 0x1000, nullptr);
 
   for (unsigned threads : {2u, 8u}) {
     runtime::ThreadPool pool(threads);
     runtime::MultiVpResult parallel =
         scenario_.run_bdrmap_parallel(vps_, {}, 0x1000, &pool);
-    ASSERT_EQ(parallel.per_vp.size(), sequential.size());
-    for (std::size_t i = 0; i < sequential.size(); ++i) {
-      EXPECT_TRUE(eval::same_border_map(parallel.per_vp[i], sequential[i]))
+    ASSERT_EQ(parallel.per_vp.size(), sequential.per_vp.size());
+    for (std::size_t i = 0; i < sequential.per_vp.size(); ++i) {
+      EXPECT_TRUE(eval::same_border_map(parallel.per_vp[i],
+                                        sequential.per_vp[i]))
           << "VP " << i << " diverged at " << threads << " threads";
+      EXPECT_EQ(parallel.per_vp[i].stats.probes_sent,
+                sequential.per_vp[i].stats.probes_sent);
     }
   }
 }
@@ -77,11 +79,50 @@ TEST_F(MultiVpDeterminism, MergedReductionIsOrderedAndStable) {
 }
 
 TEST_F(MultiVpDeterminism, SingleVpThroughExecutorMatchesDirectRun) {
-  core::BdrmapResult direct = scenario_.run_bdrmap(vps_[0], {}, 0x515);
+  // run_bdrmap is a one-VP plan: the same slices, seeds and tail.
+  core::BdrmapResult direct = scenario_.run_bdrmap(vps_[1], {}, 0x515);
+  runtime::ThreadPool pool(4);
   runtime::MultiVpResult via_executor =
-      scenario_.run_bdrmap_parallel({vps_[0]}, {}, 0x515, nullptr);
+      scenario_.run_bdrmap_parallel({vps_[1]}, {}, 0x515, &pool);
   ASSERT_EQ(via_executor.per_vp.size(), 1u);
   EXPECT_TRUE(eval::same_border_map(via_executor.per_vp[0], direct));
+  EXPECT_EQ(via_executor.per_vp[0].stats.probes_sent,
+            direct.stats.probes_sent);
+}
+
+TEST_F(MultiVpDeterminism, PlanSlicesConcatenateToSchedule) {
+  std::vector<runtime::VpJob> jobs(2);
+  jobs[0].inputs = scenario_.inputs_for(vp_as_);
+  jobs[1].inputs =
+      scenario_.inputs_for(scenario_.first_of(topo::AsKind::kTier1));
+  runtime::ThreadPool pool(4);
+  const runtime::SlicePlan plan(jobs, &pool);
+  ASSERT_EQ(plan.vp_count(), jobs.size());
+  for (std::size_t vp = 0; vp < jobs.size(); ++vp) {
+    const std::vector<core::ProbeBlock> schedule = core::build_probe_blocks(
+        *jobs[vp].inputs.origins, jobs[vp].inputs.vp_ases);
+    ASSERT_FALSE(schedule.empty());
+    // Slices in order, one per target AS, reproduce the schedule exactly:
+    // every block once, in build_probe_blocks order.
+    std::vector<core::ProbeBlock> stitched;
+    net::AsId previous;
+    for (const runtime::SlicePlan::Slice& slice : plan.slices(vp)) {
+      EXPECT_LT(slice.begin, slice.end);
+      if (previous.valid()) {
+        EXPECT_LT(previous, slice.target_as);
+      }
+      previous = slice.target_as;
+      for (const core::ProbeBlock& block : plan.blocks_of(vp, slice)) {
+        EXPECT_EQ(block.target_as, slice.target_as);
+        stitched.push_back(block);
+      }
+    }
+    ASSERT_EQ(stitched.size(), schedule.size()) << "VP " << vp;
+    for (std::size_t i = 0; i < schedule.size(); ++i) {
+      EXPECT_EQ(stitched[i].prefix, schedule[i].prefix) << i;
+      EXPECT_EQ(stitched[i].target_as, schedule[i].target_as) << i;
+    }
+  }
 }
 
 // Satellite audit: one Bdrmap instance must not be entered twice — the
@@ -118,6 +159,7 @@ TEST_F(MultiVpDeterminism, ReenteringRunningInstanceTrips) {
     std::uint64_t probes_sent() const override {
       return inner_.probes_sent();
     }
+    void reseed(std::uint64_t seed) override { inner_.reseed(seed); }
     bool fired() const { return fired_; }
 
    private:

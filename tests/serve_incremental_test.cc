@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -103,6 +104,56 @@ TEST(ServeIncrementalTest, AllScenarioFamiliesBitIdentity) {
     serve::ChurnStream stream(fx.scenario->net(), 7);
     for (int i = 0; i < 2; ++i) fx.engine->apply(stream.next());
     expect_identical(*fx.engine, name);
+  }
+}
+
+// One execution model: the engine's cold rebuild is the executor over an
+// empty store, so it is exactly Scenario::run_bdrmap_parallel with the
+// engine's base seed.
+TEST(ServeIncrementalTest, ColdRunEqualsRebuild) {
+  constexpr std::uint64_t kSeed = 42;
+  EngineFixture fx = make_engine("small", kSeed);
+  fx.engine->rebuild_full();
+  std::vector<topo::Vp> vps = fx.scenario->vps_in(fx.vp_as);
+  vps.resize(fx.engine->vp_count());
+  const runtime::MultiVpResult cold = fx.scenario->run_bdrmap_parallel(
+      vps, {}, kSeed ^ 0x515, fx.pool.get());
+  ASSERT_EQ(cold.per_vp.size(), fx.engine->last_results().size());
+  for (std::size_t vp = 0; vp < cold.per_vp.size(); ++vp) {
+    const core::BdrmapResult& built = fx.engine->last_results()[vp];
+    EXPECT_TRUE(eval::same_border_map(cold.per_vp[vp], built)) << "VP " << vp;
+    EXPECT_EQ(cold.per_vp[vp].stats.probes_sent, built.stats.probes_sent);
+  }
+}
+
+// Prefix events whose public-view origins are not exactly the announcing
+// AS: the slices are keyed by ProbeBlock::target_as (the public view), so
+// the dirty bound must come from the planned blocks under the prefix, not
+// from the announcer.
+TEST(ServeIncrementalTest, MismatchedOriginPrefixEvents) {
+  EngineFixture fx = make_engine("access", 42);
+  fx.engine->rebuild_full();
+  const asdata::OriginTable& pub = fx.scenario->collectors().public_origins();
+  std::vector<net::Prefix> mismatched;
+  for (const topo::AnnouncedPrefix& ap : fx.scenario->net().announced()) {
+    const auto* origins = pub.origins(ap.prefix.network());
+    const bool exact =
+        origins && origins->size() == 1 && origins->front() == ap.origin;
+    if (!exact && std::find(mismatched.begin(), mismatched.end(),
+                            ap.prefix) == mismatched.end()) {
+      mismatched.push_back(ap.prefix);
+    }
+  }
+  ASSERT_FALSE(mismatched.empty());
+  for (const net::Prefix& prefix : mismatched) {
+    for (serve::ChurnKind kind :
+         {serve::ChurnKind::kWithdraw, serve::ChurnKind::kAnnounce}) {
+      serve::ChurnEvent event;
+      event.kind = kind;
+      event.prefix = prefix;
+      fx.engine->apply(event);
+      expect_identical(*fx.engine, serve::describe(event));
+    }
   }
 }
 

@@ -166,6 +166,7 @@ class NarrowWaveServices final : public ProbeServices {
     return inner_.timestamp_probe(path_dst, candidate);
   }
   std::uint64_t probes_sent() const override { return inner_.probes_sent(); }
+  void reseed(std::uint64_t seed) override { inner_.reseed(seed); }
 
  private:
   ProbeServices& inner_;
@@ -184,7 +185,8 @@ TEST(TraceBatchTest, WaveInvarianceEndToEnd) {
 
   core::BdrmapResult unbatched = run(0);
   core::BdrmapResult narrow = run(7);  // odd width: most blocks go unhinted
-  core::BdrmapResult full = s.run_bdrmap(vp, {}, 0x515);  // default waves
+  auto services = s.services_for(vp, 0x515);
+  core::BdrmapResult full = core::Bdrmap(*services, inputs).run();
   EXPECT_TRUE(eval::same_border_map(unbatched, narrow));
   EXPECT_TRUE(eval::same_border_map(unbatched, full));
   EXPECT_GT(full.links.size(), 0u);
@@ -192,15 +194,15 @@ TEST(TraceBatchTest, WaveInvarianceEndToEnd) {
 
 TEST(TraceBatchTest, ShardedColdFillIdenticalAcrossWorkers) {
   // A fresh scenario per worker count: every run fills the shared FIB
-  // caches from cold, concurrently at 2 and 8 workers — the sharded
-  // executor's determinism contract (byte-identical at any worker count).
+  // caches from cold, concurrently at 2 and 8 workers, while the slices of
+  // both VPs interleave on the pool — the executor's determinism contract
+  // (byte-identical at any worker count).
   auto run = [](unsigned workers) {
     eval::Scenario s(eval::small_access_config(42));
     std::vector<topo::Vp> vps = s.vps_in(s.featured_access());
     if (vps.size() > 2) vps.resize(2);
     runtime::ThreadPool pool(workers);
-    return s.run_bdrmap_sharded(vps, {}, 0x1517, &pool,
-                                /*ases_per_shard=*/4);
+    return s.run_bdrmap_parallel(vps, {}, 0x1517, &pool);
   };
   runtime::MultiVpResult one = run(1);
   runtime::MultiVpResult two = run(2);
