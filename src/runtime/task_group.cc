@@ -21,12 +21,13 @@ void TaskGroup::record_exception() noexcept {
 }
 
 void TaskGroup::finish_one() noexcept {
+  // Count down AND notify while holding mu_. wait() re-acquires mu_ on its
+  // exit path, so once a joiner has seen unfinished_ == 0 it cannot return
+  // (and destroy mu_ and cv_) before this critical section ends. A
+  // decrement outside the lock would let a helping joiner observe zero,
+  // take and release mu_, and destroy the group before we lock it.
+  net::MutexLock lk(mu_);
   if (unfinished_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    // Notify while HOLDING mu_. wait() re-acquires mu_ on its exit path,
-    // so the group cannot be destroyed until this critical section ends;
-    // notifying after unlocking would let a helping joiner observe
-    // unfinished_ == 0, return, and destroy cv_ under our feet.
-    net::MutexLock lk(mu_);
     cv_.notify_all();
   }
 }
