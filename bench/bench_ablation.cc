@@ -1,16 +1,16 @@
-// Ablation bench for the §5.4 heuristic registry (DESIGN.md §15).
+// Ablation bench for the §5.4 heuristic rule table (DESIGN.md §15).
 //
 // For every registered scenario family this measures, against the
 // generator's ground truth (§5.6):
 //
-//  1. full-registry accuracy and wall clock — link/router accuracy of the
-//     default engine, median of --repeat runs after one warmup;
+//  1. full-ladder accuracy and wall clock — link/router accuracy of the
+//     default config, median of --repeat runs after one warmup;
 //  2. a confidence-threshold sweep — per threshold t, the accuracy and
 //     coverage of only the links whose emitted confidence is >= t. Higher
 //     thresholds should trade coverage for precision; the committed JSON
 //     is the regression reference for that trade-off;
-//  3. leave-one-out rule subsets — each of the eight registry rules
-//     disabled in turn via HeuristicsConfig::rule_overrides, re-scored.
+//  3. leave-one-out rule subsets — each of the eight §5.4 rules
+//     disabled in turn via HeuristicsConfig::disabled_rules, re-scored.
 //     The accuracy drop attributes ground-truth damage to individual
 //     §5.4 steps (the per-rule floors live in EXPERIMENTS.md and gate
 //     warn-only in CI through tools/check_ablation.py).
@@ -29,10 +29,11 @@
 #include <cstring>
 #include <fstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
-#include "core/heuristic_engine.h"
+#include "core/heuristics.h"
 #include "eval/ground_truth.h"
 #include "eval/report.h"
 #include "eval/scenario.h"
@@ -81,7 +82,7 @@ struct ThresholdRow {
 };
 
 struct SubsetRow {
-  std::string rule;           // disabled rule's slug ("" == full registry)
+  std::string rule;           // disabled rule's slug ("" == full ladder)
   std::size_t links = 0;
   double link_accuracy = 0.0;
   double router_accuracy = 0.0;
@@ -161,7 +162,7 @@ int main(int argc, char** argv) {
     FamilyReport report;
     report.family = family;
 
-    // 1. Full registry: score once, then the honest median wall clock.
+    // 1. Full ladder: score once, then the honest median wall clock.
     core::BdrmapResult full = run_with({});
     eval::ValidationSummary summary = truth.validate(full);
     report.links = summary.links_total;
@@ -192,12 +193,11 @@ int main(int argc, char** argv) {
     }
 
     // 3. Leave-one-out rule subsets.
-    for (const core::HeuristicRule& rule :
-         core::HeuristicEngine::registry()) {
+    for (std::string_view slug : core::heuristic_rule_slugs()) {
       core::BdrmapConfig config;
-      config.heuristics.rule_overrides[rule.slug()].enabled = false;
+      config.heuristics.disabled_rules = {std::string(slug)};
       report.leave_one_out.push_back(
-          score(truth, run_with(config), rule.slug()));
+          score(truth, run_with(config), std::string(slug)));
     }
 
     std::printf("%-28s links %4zu  link acc %5.1f%%  router acc %5.1f%%  "
@@ -207,7 +207,7 @@ int main(int argc, char** argv) {
     reports.push_back(std::move(report));
   }
 
-  // Per-rule damage table (accuracy delta vs the full registry).
+  // Per-rule damage table (accuracy delta vs the full ladder).
   std::printf("\nleave-one-out link-accuracy deltas (percentage points):\n");
   std::vector<std::vector<std::string>> cells;
   for (const auto& report : reports) {
@@ -219,8 +219,8 @@ int main(int argc, char** argv) {
     cells.push_back(std::move(row));
   }
   std::vector<std::string> header{"family"};
-  for (const core::HeuristicRule& rule : core::HeuristicEngine::registry()) {
-    header.push_back(std::string("-") + rule.slug());
+  for (std::string_view slug : core::heuristic_rule_slugs()) {
+    header.push_back("-" + std::string(slug));
   }
   std::fputs(eval::render_table(header, cells).c_str(), stdout);
 

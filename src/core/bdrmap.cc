@@ -1,8 +1,6 @@
 #include "core/bdrmap.h"
 
 #include <algorithm>
-#include <cctype>
-#include <string_view>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -22,25 +20,9 @@ namespace {
 // map.
 constexpr std::size_t kProbeWave = 64;
 
-// "1. VP network" -> "1_vp_network": registry-safe counter suffixes that
-// stay recognisably the paper's rule names.
-std::string heuristic_slug(Heuristic h) {
-  std::string slug;
-  for (char c : std::string_view(heuristic_name(h))) {
-    if (std::isalnum(static_cast<unsigned char>(c))) {
-      slug.push_back(static_cast<char>(
-          std::tolower(static_cast<unsigned char>(c))));
-    } else if (!slug.empty() && slug.back() != '_') {
-      slug.push_back('_');
-    }
-  }
-  if (!slug.empty() && slug.back() == '_') slug.pop_back();
-  return slug;
-}
-
-// Publishes the finished run to the registry: pipeline stats plus one
-// core.heuristic.<slug> fire count per §5.4 rule that placed a router or a
-// link. Post-hoc over the result — the counters can never perturb it.
+// Publishes the finished run to the registry: pipeline stats, the
+// confidence of every placement and each §5.4 rule's fires and skips.
+// Post-hoc over the result — the metrics can never perturb it.
 void publish_result(const BdrmapResult& result,
                     obs::MetricsRegistry* registry) {
   if (!registry) return;
@@ -64,15 +46,16 @@ void publish_result(const BdrmapResult& result,
   registry->gauge("core.arena.allocations")
       .set(static_cast<std::int64_t>(result.stats.arena_allocations));
 
-  // Confidence histograms share their observation sites with the per-tag
-  // fire counters below, so for every tag the histogram's total count
-  // equals the counter's value (tools/check_obs.py relies on this).
-  // Buckets are basis points of the [0,1] confidence.
+  // One core.confidence.<tag> observation per placement, in basis points
+  // of [0,1]: one per neighbor router (so the router tags' counts sum to
+  // core.neighbor_routers) and one per §5.4.8 link, which has no router of
+  // its own (at most core.heuristic.uncooperative.fires of them).
+  // tools/check_obs.py checks both sums.
   const std::vector<std::uint64_t> kConfidenceBounds{2500, 5000, 7500, 9000,
                                                      10000};
   auto observe_confidence = [&](Heuristic how, double confidence) {
     registry
-        ->histogram("core.heuristic." + heuristic_slug(how) + ".confidence",
+        ->histogram(std::string("core.confidence.") + heuristic_tag(how),
                     kConfidenceBounds)
         .observe(static_cast<std::uint64_t>(confidence * 10000.0 + 0.5));
   };
@@ -81,19 +64,15 @@ void publish_result(const BdrmapResult& result,
     if (result.graph.merged_away(n)) continue;
     const GraphRouter& router = routers[n];
     if (router.vp_side || router.how == Heuristic::kNone) continue;
-    registry->counter("core.heuristic." + heuristic_slug(router.how)).inc();
     observe_confidence(router.how, router.confidence);
   }
-  // §5.4.8 placements have no router of their own — count them from the
-  // link they produced.
   for (const InferredLink& link : result.links) {
     if (link.neighbor_router == InferredLink::kNoRouter) {
-      registry->counter("core.heuristic." + heuristic_slug(link.how)).inc();
       observe_confidence(link.how, link.confidence);
     }
   }
-  // Registry-engine accounting (DESIGN.md §15): how often each §5.4 rule
-  // family placed something, and how often it was skipped outright.
+  // How often each §5.4 rule placed something, and how often run() skipped
+  // it outright (DESIGN.md §15).
   for (const HeuristicRuleStats& rule : result.rule_stats) {
     registry->counter("core.heuristic." + rule.slug + ".fires")
         .inc(rule.fires);

@@ -1,30 +1,50 @@
 #include "core/router_graph.h"
 
 #include <algorithm>
+#include <iterator>
 
 #include "netbase/contract.h"
 
 namespace bdrmap::core {
 
-const char* heuristic_name(Heuristic h) {
-  switch (h) {
-    case Heuristic::kNone: return "none";
-    case Heuristic::kVpNetwork: return "1. VP network";
-    case Heuristic::kMultihomed: return "1. Multihomed to VP";
-    case Heuristic::kFirewall: return "2. Firewall";
-    case Heuristic::kUnrouted: return "3. Unrouted interface";
-    case Heuristic::kOnenet: return "4. IP-AS (onenet)";
-    case Heuristic::kThirdParty: return "5. Third party";
-    case Heuristic::kRelationship: return "5. AS relationship";
-    case Heuristic::kMissingCust: return "5. Missing customer";
-    case Heuristic::kHiddenPeer: return "5. Hidden peer";
-    case Heuristic::kCount: return "6. Count";
-    case Heuristic::kIpAs: return "6. IP-AS";
-    case Heuristic::kSilent: return "8. Silent neighbor";
-    case Heuristic::kOtherIcmp: return "8. Other ICMP";
-  }
-  return "?";
+namespace {
+
+// Per Heuristic, in enum order: the paper's Table 1 row name and the
+// metric tag publish_result files the placement's confidence under.
+struct HeuristicLabel {
+  const char* name;
+  const char* tag;
+};
+constexpr HeuristicLabel kHeuristicLabels[] = {
+    {"none", "none"},
+    {"1. VP network", "vp_network"},
+    {"1. Multihomed to VP", "multihomed"},
+    {"2. Firewall", "firewall"},
+    {"3. Unrouted interface", "unrouted"},
+    {"4. IP-AS (onenet)", "onenet"},
+    {"5. Third party", "third_party"},
+    {"5. AS relationship", "relationship"},
+    {"5. Missing customer", "missing_customer"},
+    {"5. Hidden peer", "hidden_peer"},
+    {"6. Count", "count"},
+    {"6. IP-AS", "ip_as"},
+    {"8. Silent neighbor", "silent"},
+    {"8. Other ICMP", "other_icmp"},
+};
+static_assert(std::size(kHeuristicLabels) ==
+              static_cast<std::size_t>(Heuristic::kOtherIcmp) + 1);
+
+const HeuristicLabel& label(Heuristic h) {
+  static constexpr HeuristicLabel kUnknown{"?", "unknown"};
+  const auto i = static_cast<std::size_t>(h);
+  return i < std::size(kHeuristicLabels) ? kHeuristicLabels[i] : kUnknown;
 }
+
+}  // namespace
+
+const char* heuristic_name(Heuristic h) { return label(h).name; }
+
+const char* heuristic_tag(Heuristic h) { return label(h).tag; }
 
 RouterGraph::RouterGraph(
     std::vector<ObservedTrace> traces,

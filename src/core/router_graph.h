@@ -40,7 +40,11 @@ enum class Heuristic : std::uint8_t {
   kOtherIcmp,    // §5.4.8 step 8.2 ("8. Other ICMP")
 };
 
+// The paper's Table 1 row name ("2. Firewall").
 const char* heuristic_name(Heuristic h);
+// The metric tag of a placement ("firewall", "third_party"): the <tag> of
+// core.confidence.<tag>.
+const char* heuristic_tag(Heuristic h);
 
 struct GraphRouter {
   std::vector<Ipv4Addr> addrs;      // full alias set (sorted)

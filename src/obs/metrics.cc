@@ -42,20 +42,18 @@ const HistogramSample* MetricsSnapshot::histogram(
 }
 
 const MetricsRegistry::Entry* MetricsRegistry::lookup(const std::string& name,
-                                                      Kind want, bool strict) {
+                                                      Kind want) {
   auto it = names_.find(name);
   if (it == names_.end()) return nullptr;
-  BDRMAP_EXPECTS(!strict,
-                 "metric name registered twice (one owner per instrument)");
   BDRMAP_EXPECTS(it->second.kind == want,
                  "metric name reused with a different instrument kind");
   return &it->second;
 }
 
-Counter MetricsRegistry::counter_impl(std::string_view name, bool strict) {
+Counter MetricsRegistry::counter(std::string_view name) {
   std::string key(name);
   net::MutexLock lk(mu_);
-  if (const Entry* e = lookup(key, Kind::kCounter, strict)) {
+  if (const Entry* e = lookup(key, Kind::kCounter)) {
     // Under kLog contract mode lookup() can return a mismatched entry;
     // hand back a no-op handle rather than aliasing the wrong cell.
     if (e->kind != Kind::kCounter) return Counter{};
@@ -68,10 +66,10 @@ Counter MetricsRegistry::counter_impl(std::string_view name, bool strict) {
   return Counter(&counters_[index]);
 }
 
-Gauge MetricsRegistry::gauge_impl(std::string_view name, bool strict) {
+Gauge MetricsRegistry::gauge(std::string_view name) {
   std::string key(name);
   net::MutexLock lk(mu_);
-  if (const Entry* e = lookup(key, Kind::kGauge, strict)) {
+  if (const Entry* e = lookup(key, Kind::kGauge)) {
     if (e->kind != Kind::kGauge) return Gauge{};
     return Gauge(&gauges_[e->index]);
   }
@@ -82,16 +80,17 @@ Gauge MetricsRegistry::gauge_impl(std::string_view name, bool strict) {
   return Gauge(&gauges_[index]);
 }
 
-Histogram MetricsRegistry::histogram_impl(std::string_view name,
-                                          std::vector<std::uint64_t> bounds,
-                                          bool strict) {
+Histogram MetricsRegistry::histogram(std::string_view name,
+                                     std::vector<std::uint64_t> bounds) {
   BDRMAP_EXPECTS(!bounds.empty(), "histogram needs at least one bucket bound");
   BDRMAP_EXPECTS(std::is_sorted(bounds.begin(), bounds.end()),
                  "histogram bucket bounds must ascend");
   std::string key(name);
   net::MutexLock lk(mu_);
-  if (const Entry* e = lookup(key, Kind::kHistogram, strict)) {
+  if (const Entry* e = lookup(key, Kind::kHistogram)) {
     if (e->kind != Kind::kHistogram) return Histogram{};
+    BDRMAP_EXPECTS(histograms_[e->index].bounds == bounds,
+                   "histogram re-requested with different bucket bounds");
     return Histogram(&histograms_[e->index]);
   }
   std::size_t index = histograms_.size();
@@ -103,28 +102,6 @@ Histogram MetricsRegistry::histogram_impl(std::string_view name,
   histogram_names_.push_back(key);
   names_.emplace(std::move(key), Entry{Kind::kHistogram, index});
   return Histogram(&histograms_[index]);
-}
-
-Counter MetricsRegistry::register_counter(std::string_view name) {
-  return counter_impl(name, /*strict=*/true);
-}
-Gauge MetricsRegistry::register_gauge(std::string_view name) {
-  return gauge_impl(name, /*strict=*/true);
-}
-Histogram MetricsRegistry::register_histogram(
-    std::string_view name, std::vector<std::uint64_t> bounds) {
-  return histogram_impl(name, std::move(bounds), /*strict=*/true);
-}
-
-Counter MetricsRegistry::counter(std::string_view name) {
-  return counter_impl(name, /*strict=*/false);
-}
-Gauge MetricsRegistry::gauge(std::string_view name) {
-  return gauge_impl(name, /*strict=*/false);
-}
-Histogram MetricsRegistry::histogram(std::string_view name,
-                                     std::vector<std::uint64_t> bounds) {
-  return histogram_impl(name, std::move(bounds), /*strict=*/false);
 }
 
 MetricsSnapshot MetricsRegistry::snapshot() const {

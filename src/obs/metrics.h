@@ -17,12 +17,11 @@
 //     registration mutex into plain structs, sorted by name. The copy is
 //     isolated: later increments never mutate an existing snapshot.
 //
-// Naming contract: explicit registration (register_counter & friends)
-// contract-fails on a duplicate name — a second owner for the same
-// instrument is a wiring bug. Get-or-create (counter & friends) returns
-// the existing instrument, which is what per-VP pipeline instances use to
-// share one logical counter; a name registered as one kind and requested
-// as another always contract-fails.
+// Naming contract: registration is get-or-create — counter(), gauge() and
+// histogram() return the existing instrument for a known name, which is
+// what per-VP pipeline instances use to share one logical counter. A name
+// requested as another kind, or a histogram re-requested with other
+// bounds, contract-fails: one name means one instrument.
 #pragma once
 
 #include <atomic>
@@ -140,20 +139,13 @@ class MetricsRegistry {
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
-  // Strict registration: contract-fails when `name` already exists (as any
-  // kind). For instruments with exactly one owner.
-  Counter register_counter(std::string_view name);
-  Gauge register_gauge(std::string_view name);
-  Histogram register_histogram(std::string_view name,
-                               std::vector<std::uint64_t> bounds);
-
   // Get-or-create: returns the existing instrument when `name` is already
-  // registered with the same kind (and, for histograms, ignores the bounds
-  // of later callers); contract-fails on a kind mismatch. For instruments
-  // shared by many instances (per-VP pipelines, per-network benches).
-  Counter counter(std::string_view name);
-  Gauge gauge(std::string_view name);
-  Histogram histogram(std::string_view name, std::vector<std::uint64_t> bounds);
+  // registered with the same kind (and, for histograms, the same bounds);
+  // contract-fails on a kind or bounds mismatch.
+  Counter counter(std::string_view name) BDRMAP_EXCLUDES(mu_);
+  Gauge gauge(std::string_view name) BDRMAP_EXCLUDES(mu_);
+  Histogram histogram(std::string_view name, std::vector<std::uint64_t> bounds)
+      BDRMAP_EXCLUDES(mu_);
 
   MetricsSnapshot snapshot() const BDRMAP_EXCLUDES(mu_);
 
@@ -164,15 +156,9 @@ class MetricsRegistry {
     std::size_t index;  // into the matching cell store
   };
 
-  // strict=true contract-fails on any existing entry; strict=false reuses
-  // a same-kind entry and contract-fails on a kind mismatch.
-  Counter counter_impl(std::string_view name, bool strict)
-      BDRMAP_EXCLUDES(mu_);
-  Gauge gauge_impl(std::string_view name, bool strict) BDRMAP_EXCLUDES(mu_);
-  Histogram histogram_impl(std::string_view name,
-                           std::vector<std::uint64_t> bounds, bool strict)
-      BDRMAP_EXCLUDES(mu_);
-  const Entry* lookup(const std::string& name, Kind want, bool strict)
+  // The entry registered under `name`, or nullptr; contract-fails when it
+  // is of another kind.
+  const Entry* lookup(const std::string& name, Kind want)
       BDRMAP_REQUIRES(mu_);
 
   // mu_ guards registration and snapshot; the handle hot path never takes

@@ -308,7 +308,7 @@ TEST_F(HeuristicsFixture, Step71_CollapsesSingleInterfaceVpPredecessors) {
 }
 
 TEST_F(HeuristicsFixture, Step71_DisabledByConfig) {
-  config_.rule_overrides["analytic_alias"].enabled = false;
+  config_.disabled_rules = {"analytic_alias"};
   run({make_trace(AsId(2), "20.0.9.9",
                   {{"10.0.0.1"}, {"10.0.1.1"}, {"20.0.0.1"}, {nullptr}}),
        make_trace(AsId(2), "20.1.9.9",

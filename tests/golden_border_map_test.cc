@@ -180,31 +180,5 @@ TEST(HeuristicParityTest, ShardedIdenticalAcrossWorkersAndEngines) {
   }
 }
 
-TEST(HeuristicParityTest, ExplicitPaperOrderMatchesDefault) {
-  // Naming every rule in registration order is the same thing as naming
-  // none, and unknown slugs are ignored: resolve_order's tie-break keeps
-  // the paper ladder, down to the emitted confidences.
-  auto s = make_scenario("small", kScenarioSeed);
-  auto run = [&](std::vector<std::string> order) {
-    core::BdrmapConfig config;
-    config.heuristics.rule_order = std::move(order);
-    return s->run_bdrmap(featured_vp(*s), config, kProbeSeed);
-  };
-  auto confidences = [](const core::BdrmapResult& r) {
-    std::vector<double> out;
-    for (const auto& link : r.links) out.push_back(link.confidence);
-    return out;
-  };
-  const std::string& expected = golden_table().at("small").front();
-  core::BdrmapResult implicit = run({});
-  for (const core::BdrmapResult& r :
-       {run({"vp_network", "firewall", "unrouted", "onenet", "relationships",
-             "counting", "analytic_alias", "uncooperative"}),
-        run({"no_such_rule"})}) {
-    EXPECT_EQ(fingerprint({&r}), expected);
-    EXPECT_EQ(confidences(r), confidences(implicit));
-  }
-}
-
 }  // namespace
 }  // namespace bdrmap::eval

@@ -1,5 +1,5 @@
 // Property tests for the §5.4 confidence algebra (DESIGN.md §15,
-// core/heuristic_engine.h): every combinator maps into [0,1], both()/
+// core/confidence.h): every combinator maps into [0,1], both()/
 // either() are commutative bitwise and associative up to rounding,
 // support() is monotone in added evidence, the per-rule priors are
 // well-formed, relationship priors read the store as documented, and the
@@ -16,7 +16,7 @@
 
 #include "asdata/as_relationships.h"
 #include "core/bdrmap.h"
-#include "core/heuristic_engine.h"
+#include "core/confidence.h"
 #include "eval/fuzzer.h"
 #include "eval/scenario.h"
 #include "runtime/thread_pool.h"

@@ -1,5 +1,4 @@
-// Per-§5.4-step fixtures for the registry heuristic engine (DESIGN.md
-// §15). Each test hand-builds the minimal topology one rule needs and pins
+// Per-§5.4-step fixtures for the heuristic rule table (DESIGN.md §15). Each test hand-builds the minimal topology one rule needs and pins
 // down all three observable effects: which heuristic fires (router tag AND
 // the per-rule fires counter), the exact confidence emitted (recomputed
 // through the conf:: algebra with EXPECT_DOUBLE_EQ — the fixture knows the
@@ -12,7 +11,9 @@
 #include <string_view>
 #include <vector>
 
-#include "core/heuristic_engine.h"
+#include "core/confidence.h"
+#include "core/heuristics.h"
+#include "netbase/contract.h"
 #include "test_support.h"
 
 namespace bdrmap::core {
@@ -37,7 +38,7 @@ class HeuristicRuleFixture : public ::testing::Test {
     in_.origins.add(pfx("50.0.0.0/8"), AsId(5));
   }
 
-  // Runs the registry engine (the HeuristicsConfig default) and keeps the
+  // Runs the §5.4 rule table (the HeuristicsConfig default) and keeps the
   // Heuristics instance alive so rule_stats() stays inspectable.
   std::vector<UncooperativeNeighbor> run(std::vector<ObservedTrace> traces) {
     graph_ = std::make_unique<RouterGraph>(std::move(traces), groups_);
@@ -273,7 +274,7 @@ TEST_F(HeuristicRuleFixture, Step7_AnalyticAliasCountsMerges) {
 }
 
 TEST_F(HeuristicRuleFixture, Step7_DisabledViaOverrideSkips) {
-  config_.rule_overrides["analytic_alias"].enabled = false;
+  config_.disabled_rules = {"analytic_alias"};
   run({make_trace(AsId(2), "20.0.9.9",
                   {{"10.0.0.1"}, {"10.0.1.1"}, {"20.0.0.1"}, {nullptr}}),
        make_trace(AsId(2), "20.1.9.9",
@@ -352,8 +353,8 @@ TEST_F(HeuristicRuleFixture, Precondition_MissingRelsSkipsDependentRules) {
 
 TEST_F(HeuristicRuleFixture, Precondition_OverrideDisableFallsToCounting) {
   // §5.4.5 would claim this border via step 5.3; disabling the rule by
-  // override makes the counting step own it instead.
-  config_.rule_overrides["relationships"].enabled = false;
+  // config makes the counting step own it instead.
+  config_.disabled_rules = {"relationships"};
   in_.rels.add_p2p(AsId(1), AsId(2));
   run({make_trace(AsId(2), "20.0.9.9",
                   {{"10.0.0.1"}, {"10.0.0.2"}, {"10.0.1.2"}, {"20.0.0.1"},
@@ -364,16 +365,27 @@ TEST_F(HeuristicRuleFixture, Precondition_OverrideDisableFallsToCounting) {
   EXPECT_EQ(stats("relationships").fires, 0u);
 }
 
-TEST_F(HeuristicRuleFixture, Override_ConfidenceScaleOnlyScalesConfidence) {
-  config_.rule_overrides["vp_network"].confidence_scale = 0.5;
+TEST_F(HeuristicRuleFixture, UnknownDisabledSlugContractFails) {
+  // A misspelt rule name must not silently run the full ladder.
+  net::ScopedContractMode guard(net::ContractMode::kThrow);
+  config_.disabled_rules = {"analytic_aliases"};
+  EXPECT_THROW(run({make_trace(AsId(2), "20.0.0.9",
+                               {{"10.0.0.1"}, {"10.0.0.2"}, {"20.0.0.1"}})}),
+               net::ContractViolation);
+}
+
+TEST_F(HeuristicRuleFixture, RuleSlugsArePaperOrderStats) {
   run({make_trace(AsId(2), "20.0.0.9",
                   {{"10.0.0.1"}, {"10.0.0.2"}, {"20.0.0.1"}})});
-  // The assignment itself is untouched; only the emitted strength halves.
-  EXPECT_EQ(router_at("10.0.0.1").how, Heuristic::kVpNetwork);
-  EXPECT_TRUE(router_at("10.0.0.1").vp_side);
-  EXPECT_DOUBLE_EQ(router_at("10.0.0.1").confidence,
-                   conf::prior(Heuristic::kVpNetwork) * 0.5);
-  EXPECT_EQ(stats("vp_network").fires, 1u);
+  const std::vector<std::string_view> slugs = heuristic_rule_slugs();
+  EXPECT_EQ(slugs, (std::vector<std::string_view>{
+                       "vp_network", "firewall", "unrouted", "onenet",
+                       "relationships", "counting", "analytic_alias",
+                       "uncooperative"}));
+  ASSERT_EQ(h_->rule_stats().size(), slugs.size());
+  for (std::size_t i = 0; i < slugs.size(); ++i) {
+    EXPECT_EQ(h_->rule_stats()[i].slug, slugs[i]);
+  }
 }
 
 }  // namespace

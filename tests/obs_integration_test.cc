@@ -8,8 +8,10 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "core/heuristics.h"
 #include "eval/degradation.h"
 #include "eval/scenario.h"
 #include "obs/obs.h"
@@ -91,13 +93,23 @@ TEST(ObsIntegration, FullRunRecordsStageSpansAndHeuristicFires) {
   EXPECT_EQ(snap.counter("core.traces"), result.stats.traces);
   EXPECT_GT(snap.counter("probe.traces"), 0u);
   EXPECT_GT(snap.counter("route.fib.routing_fills"), 0u);
-  std::uint64_t heuristic_fires = 0;
-  for (const obs::CounterSample& c : snap.counters) {
-    if (c.name.rfind("core.heuristic.", 0) == 0) heuristic_fires += c.value;
+  std::uint64_t rule_fires = 0;
+  for (const std::string_view slug : heuristic_rule_slugs()) {
+    rule_fires +=
+        snap.counter("core.heuristic." + std::string(slug) + ".fires");
   }
-  // Fires count owned neighbor routers plus silent §5.4.8 placements, so
-  // a run that inferred links must have attributed at least one.
-  EXPECT_GT(heuristic_fires, 0u);
+  // A run that inferred links must have credited at least one rule.
+  EXPECT_GT(rule_fires, 0u);
+  // One confidence per neighbor router, filed under its Table 1 tag.
+  std::uint64_t router_confidences = 0;
+  for (const obs::HistogramSample& h : snap.histograms) {
+    if (h.name.rfind("core.confidence.", 0) == 0 &&
+        h.name != "core.confidence.silent" &&
+        h.name != "core.confidence.other_icmp") {
+      router_confidences += h.count;
+    }
+  }
+  EXPECT_EQ(router_confidences, result.stats.neighbor_routers);
 }
 
 TEST(ObsIntegration, MultiVpInstrumentedRunIsBitIdentical) {

@@ -1,6 +1,7 @@
 // MetricsRegistry semantics (src/obs/metrics.h): handle no-op convention,
 // counter/gauge/histogram arithmetic, exact sums under 8-thread contention,
-// snapshot isolation, and the strict vs get-or-create naming contract.
+// snapshot isolation, and the get-or-create naming contract (one name, one
+// instrument: kind and histogram bounds must match).
 #include "obs/metrics.h"
 
 #include <gtest/gtest.h>
@@ -33,7 +34,7 @@ TEST(ObsMetrics, NullHandlesAreNoOps) {
 
 TEST(ObsMetrics, CounterAccumulates) {
   MetricsRegistry reg;
-  Counter c = reg.register_counter("test.events");
+  Counter c = reg.counter("test.events");
   EXPECT_TRUE(static_cast<bool>(c));
   c.inc();
   c.inc(9);
@@ -45,7 +46,7 @@ TEST(ObsMetrics, CounterAccumulates) {
 
 TEST(ObsMetrics, GaugeSetAndAdd) {
   MetricsRegistry reg;
-  Gauge g = reg.register_gauge("test.level");
+  Gauge g = reg.gauge("test.level");
   g.set(5);
   g.add(-8);
   EXPECT_EQ(g.value(), -3);
@@ -54,7 +55,7 @@ TEST(ObsMetrics, GaugeSetAndAdd) {
 
 TEST(ObsMetrics, HistogramBucketsCountAndSum) {
   MetricsRegistry reg;
-  Histogram h = reg.register_histogram("test.sizes", {1, 4, 16});
+  Histogram h = reg.histogram("test.sizes", {1, 4, 16});
   // Bucket i counts bounds[i-1] < v <= bounds[i]; overflow bucket last.
   h.observe(0);   // <= 1
   h.observe(1);   // <= 1
@@ -77,9 +78,9 @@ TEST(ObsMetrics, ConcurrentIncrementsSumExactly) {
   constexpr int kThreads = 8;
   constexpr std::uint64_t kPerThread = 20000;
   MetricsRegistry reg;
-  Counter c = reg.register_counter("test.contended");
-  Gauge g = reg.register_gauge("test.net_level");
-  Histogram h = reg.register_histogram("test.samples", {2, 4});
+  Counter c = reg.counter("test.contended");
+  Gauge g = reg.gauge("test.net_level");
+  Histogram h = reg.histogram("test.samples", {2, 4});
 
   std::vector<std::thread> workers;
   workers.reserve(kThreads);
@@ -109,11 +110,11 @@ TEST(ObsMetrics, ConcurrentIncrementsSumExactly) {
 
 TEST(ObsMetrics, SnapshotIsIsolatedFromLaterIncrements) {
   MetricsRegistry reg;
-  Counter c = reg.register_counter("test.frozen");
+  Counter c = reg.counter("test.frozen");
   c.inc(3);
   MetricsSnapshot before = reg.snapshot();
   c.inc(100);
-  Counter late = reg.register_counter("test.late");
+  Counter late = reg.counter("test.late");
   late.inc();
   EXPECT_EQ(before.counter("test.frozen"), 3u);
   EXPECT_EQ(before.counter("test.late"), 0u);  // not registered yet then
@@ -124,26 +125,14 @@ TEST(ObsMetrics, SnapshotIsIsolatedFromLaterIncrements) {
 
 TEST(ObsMetrics, SnapshotSectionsAreSortedByName) {
   MetricsRegistry reg;
-  reg.register_counter("zz.last");
-  reg.register_counter("aa.first");
-  reg.register_counter("mm.middle");
+  reg.counter("zz.last");
+  reg.counter("aa.first");
+  reg.counter("mm.middle");
   MetricsSnapshot snap = reg.snapshot();
   ASSERT_EQ(snap.counters.size(), 3u);
   EXPECT_EQ(snap.counters[0].name, "aa.first");
   EXPECT_EQ(snap.counters[1].name, "mm.middle");
   EXPECT_EQ(snap.counters[2].name, "zz.last");
-}
-
-TEST(ObsMetrics, StrictRegistrationRejectsDuplicates) {
-  net::ScopedContractMode guard(net::ContractMode::kThrow);
-  MetricsRegistry reg;
-  reg.register_counter("test.once");
-  EXPECT_THROW(reg.register_counter("test.once"), net::ContractViolation);
-  // Strict registration rejects ANY existing name, even of another kind,
-  // and regardless of which API created it.
-  EXPECT_THROW(reg.register_gauge("test.once"), net::ContractViolation);
-  reg.counter("test.shared");
-  EXPECT_THROW(reg.register_counter("test.shared"), net::ContractViolation);
 }
 
 TEST(ObsMetrics, GetOrCreateSharesOneInstrument) {
@@ -154,9 +143,8 @@ TEST(ObsMetrics, GetOrCreateSharesOneInstrument) {
   b.inc(3);
   EXPECT_EQ(a.value(), 5u);
   EXPECT_EQ(reg.snapshot().counter("test.shared"), 5u);
-  // Later bounds are ignored: the first registration fixes the shape.
   Histogram h1 = reg.histogram("test.shared_hist", {1, 2});
-  Histogram h2 = reg.histogram("test.shared_hist", {100, 200, 300});
+  Histogram h2 = reg.histogram("test.shared_hist", {1, 2});
   h1.observe(0);
   h2.observe(0);
   MetricsSnapshot snap = reg.snapshot();
@@ -172,6 +160,16 @@ TEST(ObsMetrics, GetOrCreateRejectsKindMismatch) {
   reg.counter("test.kinded");
   EXPECT_THROW(reg.gauge("test.kinded"), net::ContractViolation);
   EXPECT_THROW(reg.histogram("test.kinded", {1}), net::ContractViolation);
+}
+
+TEST(ObsMetrics, GetOrCreateRejectsBoundsMismatch) {
+  net::ScopedContractMode guard(net::ContractMode::kThrow);
+  MetricsRegistry reg;
+  reg.histogram("test.bounded", {1, 2});
+  EXPECT_THROW(reg.histogram("test.bounded", {100, 200, 300}),
+               net::ContractViolation);
+  EXPECT_THROW(reg.histogram("test.bounded", {1}), net::ContractViolation);
+  EXPECT_NO_THROW(reg.histogram("test.bounded", {1, 2}));
 }
 
 }  // namespace

@@ -153,7 +153,7 @@ TEST(ObsTraceExport, EnabledExportRoundTripsEscapedNotes) {
   options.enabled = true;
   options.run_label = "golden";
   Observability obs(options);
-  obs.registry()->counter("core.heuristic.2_firewall").inc(3);
+  obs.registry()->counter("core.heuristic.firewall.fires").inc(3);
   obs.registry()->gauge("runtime.queue_depth").set(-1);
   obs.registry()->histogram("test.hist", {1, 2}).observe(5);
   {
@@ -165,7 +165,7 @@ TEST(ObsTraceExport, EnabledExportRoundTripsEscapedNotes) {
 
   const std::string doc = export_json(obs, test_info());
   EXPECT_TRUE(contains(doc, "\"enabled\": true")) << doc;
-  EXPECT_TRUE(contains(doc, "{\"name\": \"core.heuristic.2_firewall\", "
+  EXPECT_TRUE(contains(doc, "{\"name\": \"core.heuristic.firewall.fires\", "
                             "\"value\": 3}"))
       << doc;
   EXPECT_TRUE(contains(doc, "{\"name\": \"runtime.queue_depth\", "

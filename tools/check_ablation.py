@@ -19,7 +19,7 @@ accuracy floors are scenario-generator properties, not code contracts
 (see EXPERIMENTS.md; note leave-one-out deltas can legitimately be
 POSITIVE, e.g. disabling counting helps on spoofed_source):
 
-  * per family present in both documents: full-registry link accuracy
+  * per family present in both documents: full-ladder link accuracy
     within --tolerance of the reference
   * per (family, rule): leave-one-out link accuracy within --tolerance
   * per (family, threshold): sweep accuracy and coverage within
