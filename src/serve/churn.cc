@@ -30,16 +30,6 @@ std::string prefix_str(const net::Prefix& p) {
   return addr_str(p.network()) + "/" + std::to_string(p.length());
 }
 
-// Does `as` appear in any candidate tier of tiers(src, dst)?
-bool in_some_tier(const route::BgpSimulator& bgp, net::AsId src,
-                  net::AsId dst, net::AsId as) {
-  const auto& set = bgp.tiers(src, dst);
-  for (const auto& tier : set.tiers) {
-    if (std::find(tier.begin(), tier.end(), as) != tier.end()) return true;
-  }
-  return false;
-}
-
 }  // namespace
 
 const char* churn_kind_name(ChurnKind kind) {
@@ -105,29 +95,6 @@ void apply_event(const ChurnEvent& e, route::BgpSimulator& bgp,
       fib.invalidate_egress();
       break;
   }
-}
-
-std::vector<net::AsId> affected_targets(
-    const ChurnEvent& e, const route::BgpSimulator& bgp,
-    const std::vector<net::AsId>& targets) {
-  BDRMAP_EXPECTS(e.kind != ChurnKind::kWithdraw &&
-                     e.kind != ChurnKind::kAnnounce,
-                 "prefix events are bounded by the slice plan, not by "
-                 "affected_targets()");
-  // A path toward D through the (A, B) edge requires the counterpart
-  // endpoint to be a next-hop candidate toward D from the other — so a
-  // target outside this bound keeps its forwarding verbatim. The
-  // endpoints themselves are always in (their own reachability is what
-  // changed).
-  std::vector<net::AsId> out;
-  for (net::AsId d : targets) {
-    const bool endpoint = d == e.as_a || d == e.as_b;
-    if (endpoint || in_some_tier(bgp, e.as_a, d, e.as_b) ||
-        in_some_tier(bgp, e.as_b, d, e.as_a)) {
-      out.push_back(d);
-    }
-  }
-  return out;
 }
 
 ChurnStream::ChurnStream(const topo::Internet& net, std::uint64_t seed)

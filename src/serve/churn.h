@@ -1,16 +1,14 @@
 // Routing churn: typed events, their application to the routing substrate,
-// and the dirty-set analysis that makes re-inference incremental.
+// and a seeded generator of event streams.
 //
 // A ChurnEvent models one control- or data-plane change between inference
 // epochs: a BGP announcement or withdrawal, an interdomain link failing or
 // recovering, or a business-relationship change (e.g. a customer depeering
 // to settlement-free). apply_event() pushes the event into the
-// route::BgpSimulator / route::Fib churn overlays; affected_targets()
-// bounds which destination ASes a link or relationship event can possibly
-// reroute, so the serve engine re-collects only the (VP, target) slices in
-// that bound and
-// reuses every other slice's cached traces — with a hard bit-identity gate
-// against full recomputation (tests/serve_incremental_test.cc).
+// route::BgpSimulator / route::Fib churn overlays. Which cached slices an
+// event dirties is the serve engine's decision (engine.h); the
+// bit-identity gate against full recomputation is
+// tests/serve_incremental_test.cc.
 //
 // Quiescence contract: events are applied strictly between epochs, never
 // while probes are in flight (the executor's fork/join provides the
@@ -50,21 +48,7 @@ std::string describe(const ChurnEvent& e);
 void apply_event(const ChurnEvent& e, route::BgpSimulator& bgp,
                  route::Fib& fib);
 
-// The destination ASes (drawn from `targets`) whose routing a link or
-// relationship event can have changed, in `bgp`'s CURRENT state. An
-// event on (A, B) taints target D when the other endpoint appears in some
-// candidate tier of tiers(A, D) or tiers(B, D) — a tier value toward D
-// can only move where the counterpart AS was (or becomes) a candidate —
-// plus A and B themselves unconditionally. The engine takes the union of
-// this bound evaluated before AND after apply_event, covering both routes
-// that existed and routes that appear. Prefix events are not routing
-// events in this sense: the engine bounds them by the planned blocks
-// that overlap the prefix (engine.h).
-std::vector<net::AsId> affected_targets(const ChurnEvent& e,
-                                        const route::BgpSimulator& bgp,
-                                        const std::vector<net::AsId>& targets);
-
-// Deterministic churn generator for the daemon, the bench and the tests:
+// Deterministic churn generator for the daemon and the tests:
 // walks the ground-truth topology and emits a reproducible, seeded stream
 // of consistent events (never withdraws a withdrawn prefix, never fails a
 // failed link; relationship flips toggle c2p edges to p2p and back, which

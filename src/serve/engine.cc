@@ -7,18 +7,6 @@
 
 namespace bdrmap::serve {
 
-namespace {
-
-std::vector<net::AsId> sorted_union(std::vector<net::AsId> a,
-                                    const std::vector<net::AsId>& b) {
-  a.insert(a.end(), b.begin(), b.end());
-  std::sort(a.begin(), a.end());
-  a.erase(std::unique(a.begin(), a.end()), a.end());
-  return a;
-}
-
-}  // namespace
-
 ServeEngine::ServeEngine(const topo::Internet& /*net*/,
                          route::BgpSimulator& bgp, route::Fib& fib,
                          std::vector<VpContext> vps, EngineOptions options)
@@ -35,12 +23,6 @@ ServeEngine::ServeEngine(const topo::Internet& /*net*/,
   // The plan never changes: churn moves routes, not the public origin
   // table the §5.3 schedule is built from.
   store_.plan = runtime::SlicePlan(vps_, options_.pool);
-  for (std::size_t vp = 0; vp < vps_.size(); ++vp) {
-    for (const runtime::SlicePlan::Slice& slice : store_.plan.slices(vp)) {
-      targets_.push_back(slice.target_as);
-    }
-  }
-  targets_ = sorted_union(std::move(targets_), {});
   if (options_.obs && options_.obs->registry()) {
     obs::MetricsRegistry* reg = options_.obs->registry();
     churn_events_ = reg->counter("serve.churn.events");
@@ -76,21 +58,7 @@ ChurnApplyStats ServeEngine::apply(const ChurnEvent& event) {
   obs::Span span(tracer, "serve.apply");
   span.note("event", churn_kind_name(event.kind));
 
-  // Link and relationship events: the routing bound in the OLD state
-  // (routes the event destroys)...
-  const bool prefix_event = event.kind == ChurnKind::kWithdraw ||
-                            event.kind == ChurnKind::kAnnounce;
-  std::vector<net::AsId> dirty_ases;
-  if (!prefix_event) {
-    dirty_ases = affected_targets(event, bgp_, targets_);
-  }
   apply_event(event, bgp_, fib_);
-  // ...unioned with the bound in the NEW state (routes it creates).
-  if (!prefix_event) {
-    dirty_ases = sorted_union(std::move(dirty_ases),
-                              affected_targets(event, bgp_, targets_));
-  }
-
   if (event.kind == ChurnKind::kWithdraw) withdrawn_.insert(event.prefix);
   if (event.kind == ChurnKind::kAnnounce) withdrawn_.erase(event.prefix);
 
@@ -99,12 +67,13 @@ ChurnApplyStats ServeEngine::apply(const ChurnEvent& event) {
 
   // A prefix event changes the forwarding of the addresses under the
   // prefix only, so the dirty slices are exactly those whose planned
-  // blocks overlap it.
+  // blocks overlap it. A link or relationship event dirties every slice,
+  // as rebuild_full() does: the executor then runs cold, which equals
+  // recompute_reference() by construction.
+  const bool prefix_event = event.kind == ChurnKind::kWithdraw ||
+                            event.kind == ChurnKind::kAnnounce;
   auto dirty = [&](std::size_t vp, const runtime::SlicePlan::Slice& slice) {
-    if (!prefix_event) {
-      return std::binary_search(dirty_ases.begin(), dirty_ases.end(),
-                                slice.target_as);
-    }
+    if (!prefix_event) return true;
     for (const core::ProbeBlock& block : store_.plan.blocks_of(vp, slice)) {
       if (block.prefix.contains(event.prefix) ||
           event.prefix.contains(block.prefix)) {
@@ -114,15 +83,12 @@ ChurnApplyStats ServeEngine::apply(const ChurnEvent& event) {
     return false;
   };
   std::vector<std::pair<std::size_t, std::size_t>> erase;
-  std::vector<net::AsId> erased_ases;
   std::size_t total_slices = 0;
   for (std::size_t vp = 0; vp < vps_.size(); ++vp) {
     const auto& slices = store_.plan.slices(vp);
     total_slices += slices.size();
     for (std::size_t i = 0; i < slices.size(); ++i) {
-      if (!dirty(vp, slices[i])) continue;
-      erase.emplace_back(vp, i);
-      erased_ases.push_back(slices[i].target_as);
+      if (dirty(vp, slices[i])) erase.emplace_back(vp, i);
     }
   }
   {
@@ -134,7 +100,6 @@ ChurnApplyStats ServeEngine::apply(const ChurnEvent& event) {
   }
 
   ChurnApplyStats stats;
-  stats.dirty_targets = sorted_union(std::move(erased_ases), {}).size();
   stats.dirty_slices = erase.size();
   stats.clean_slices = total_slices - erase.size();
   stats.epoch = epoch_;

@@ -5,11 +5,10 @@
 // collected traces of every (VP, target-AS) slice — across epochs. When
 // a ChurnEvent arrives it
 //
-//   1. bounds the blast radius: for prefix events, the slices whose
-//      planned blocks overlap the prefix; for link and relationship
-//      events, the slices of churn.h's affected_targets() (the union of
-//      the bound before and after the event is applied, covering routes
-//      that disappear and routes that appear),
+//   1. marks the dirty slices: for a prefix event (withdraw or announce),
+//      the slices whose planned blocks overlap the prefix; for a link or
+//      relationship event, every slice, as rebuild_full() does (why no
+//      narrower bound: docs/serving.md §4),
 //   2. erases exactly those slices from the store and runs the executor
 //      again: it re-collects the erased slices, reuses every clean slice
 //      verbatim, and re-runs the inference tail (alias resolution onward)
@@ -53,7 +52,6 @@ struct EngineOptions {
 
 // What one apply() did, for the daemon's log and the serve.* counters.
 struct ChurnApplyStats {
-  std::size_t dirty_targets = 0;  // distinct target ASes of dirty slices
   std::size_t dirty_slices = 0;   // (VP, target) slices re-collected
   std::size_t clean_slices = 0;   // slices reused from the cache
   std::uint64_t epoch = 0;        // epoch the resulting snapshot carries
@@ -96,8 +94,6 @@ class ServeEngine {
     return last_results_;
   }
 
-  // Union of every VP's target ASes, sorted (the dirty-set domain).
-  const std::vector<net::AsId>& targets() const { return targets_; }
   std::uint64_t epoch() const { return epoch_; }
   std::size_t vp_count() const { return vps_.size(); }
 
@@ -118,7 +114,6 @@ class ServeEngine {
 
   // The slice plan (built once, at construction) and the slice cache.
   runtime::SliceStore store_;
-  std::vector<net::AsId> targets_;  // sorted union of the planned ASes
   // Prefixes currently withdrawn by churn; excluded from the snapshot's
   // routed view (and from recompute_reference's, identically).
   std::set<net::Prefix> withdrawn_;

@@ -18,8 +18,8 @@
 // holds the latch, exactly like the library implementation, but every
 // unlock is a release so the happens-before chain is complete.
 //
-// bench/bench_serve.cc measures exactly this read path under a concurrent
-// swapper; tests/serve_handle_test.cc stress-tests it under tsan.
+// tests/serve_handle_test.cc stress-tests this read path under a
+// concurrent swapper with tsan.
 #pragma once
 
 #include <atomic>

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -78,20 +79,37 @@ void expect_identical(const serve::ServeEngine& engine,
   }
 }
 
-// The tight loop: on the small family, gate EVERY event kind the stream
-// emits, checking identity after each epoch.
+// The tight loop: gate EVERY event kind the stream emits, checking
+// identity after each epoch. Besides the small family, the inputs carry
+// two 19-VP access streams that end on the failure of an IXP LAN (link
+// 2386 at stream 4, link 2390 at stream 8), one link that carries many AS
+// pairs, and a single-VP ren run.
 TEST(ServeIncrementalTest, PerEventBitIdentity) {
-  EngineFixture fx = make_engine("small", 42);
-  fx.engine->rebuild_full();
-  expect_identical(*fx.engine, "epoch 0");
-  serve::ChurnStream stream(fx.scenario->net(), 42);
-  for (int i = 0; i < 6; ++i) {
-    const serve::ChurnEvent event = stream.next();
-    const serve::ChurnApplyStats stats = fx.engine->apply(event);
-    EXPECT_EQ(stats.epoch, fx.engine->epoch());
-    expect_identical(*fx.engine,
-                     "epoch " + std::to_string(stats.epoch) + " after " +
-                         serve::describe(event));
+  struct Input {
+    const char* family;
+    std::size_t max_vps;
+    std::uint64_t stream_seed;
+    int events;
+  };
+  constexpr std::size_t kAllVps = std::numeric_limits<std::size_t>::max();
+  for (const Input& in : {Input{"small", 3, 42, 6},
+                          Input{"access", kAllVps, 4, 4},
+                          Input{"access", kAllVps, 8, 12},
+                          Input{"ren", kAllVps, 42, 6}}) {
+    const std::string label = std::string(in.family) + " stream " +
+                              std::to_string(in.stream_seed);
+    EngineFixture fx = make_engine(in.family, 42, nullptr, in.max_vps);
+    fx.engine->rebuild_full();
+    expect_identical(*fx.engine, label + " epoch 0");
+    serve::ChurnStream stream(fx.scenario->net(), in.stream_seed);
+    for (int i = 0; i < in.events; ++i) {
+      const serve::ChurnEvent event = stream.next();
+      const serve::ChurnApplyStats stats = fx.engine->apply(event);
+      EXPECT_EQ(stats.epoch, fx.engine->epoch());
+      expect_identical(*fx.engine,
+                       label + " epoch " + std::to_string(stats.epoch) +
+                           " after " + serve::describe(event));
+    }
   }
 }
 
@@ -157,17 +175,32 @@ TEST(ServeIncrementalTest, MismatchedOriginPrefixEvents) {
   }
 }
 
+// The dirty-set contract: a prefix event re-collects only the slices whose
+// planned blocks overlap the prefix, so some slices stay cached; a link or
+// relationship event re-collects every slice.
 TEST(ServeIncrementalTest, DirtySetIsActuallyPartial) {
   EngineFixture fx = make_engine("small", 42);
   fx.engine->rebuild_full();
   const std::uint64_t v0 = fx.engine->handle().version();
   serve::ChurnStream stream(fx.scenario->net(), 42);
   std::size_t clean_total = 0;
+  std::size_t prefix_events = 0;
   for (int i = 0; i < 4; ++i) {
-    const serve::ChurnApplyStats stats = fx.engine->apply(stream.next());
-    EXPECT_GT(stats.dirty_slices, 0u);
+    const serve::ChurnEvent event = stream.next();
+    const serve::ChurnApplyStats stats = fx.engine->apply(event);
+    EXPECT_GT(stats.dirty_slices, 0u) << serve::describe(event);
+    if (event.kind == serve::ChurnKind::kWithdraw ||
+        event.kind == serve::ChurnKind::kAnnounce) {
+      ++prefix_events;
+      EXPECT_GT(stats.clean_slices, 0u) << serve::describe(event);
+    } else {
+      EXPECT_EQ(stats.clean_slices, 0u) << serve::describe(event);
+    }
     clean_total += stats.clean_slices;
   }
+  // The stream must exercise both rules.
+  EXPECT_GT(prefix_events, 0u);
+  EXPECT_LT(prefix_events, 4u);
   // Incrementality must be real: across a handful of events at least some
   // slices were served from the cache rather than re-collected.
   EXPECT_GT(clean_total, 0u);

@@ -14,6 +14,7 @@
 // Usage:
 //   bdrmapd [--scenario NAME] [--seed N] [--threads N] [--churn K]
 //           [--queries M] [--compare-full] [--obs-json FILE] [--quiet]
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -60,26 +61,31 @@ bool parse_args(int argc, char** argv, Options* opts) {
     auto next = [&]() -> const char* {
       return (i + 1 < argc) ? argv[++i] : nullptr;
     };
+    // A whole unsigned decimal that fits the field: empty, signed,
+    // trailing-garbage and out-of-range text is an error, not 0 or a prefix.
+    auto number = [&](auto* out) {
+      const char* v = next();
+      if (v) {
+        const char* end = v + std::strlen(v);
+        const auto [ptr, ec] = std::from_chars(v, end, *out);
+        if (ec == std::errc() && ptr == end) return true;
+      }
+      std::fprintf(stderr, "%s needs an unsigned integer, got '%s'\n",
+                   arg.c_str(), v ? v : "");
+      return false;
+    };
     if (arg == "--scenario") {
       const char* v = next();
       if (!v) return false;
       opts->scenario = v;
     } else if (arg == "--seed") {
-      const char* v = next();
-      if (!v) return false;
-      opts->seed = std::strtoull(v, nullptr, 10);
+      if (!number(&opts->seed)) return false;
     } else if (arg == "--threads") {
-      const char* v = next();
-      if (!v) return false;
-      opts->threads = static_cast<unsigned>(std::strtoul(v, nullptr, 10));
+      if (!number(&opts->threads)) return false;
     } else if (arg == "--churn") {
-      const char* v = next();
-      if (!v) return false;
-      opts->churn = std::strtoull(v, nullptr, 10);
+      if (!number(&opts->churn)) return false;
     } else if (arg == "--queries") {
-      const char* v = next();
-      if (!v) return false;
-      opts->queries = std::strtoull(v, nullptr, 10);
+      if (!number(&opts->queries)) return false;
     } else if (arg == "--compare-full") {
       opts->compare_full = true;
     } else if (arg == "--quiet") {
@@ -187,10 +193,10 @@ int main(int argc, char** argv) {
 
   if (!opts.quiet) {
     std::printf("bdrmapd: scenario=%s seed=%llu, %zu VPs in %s, "
-                "%zu target ASes, %u thread(s)\n",
+                "%u thread(s)\n",
                 opts.scenario.c_str(),
                 static_cast<unsigned long long>(opts.seed), vps.size(),
-                vp_as.str().c_str(), engine.targets().size(), opts.threads);
+                vp_as.str().c_str(), opts.threads);
   }
 
   auto t0 = std::chrono::steady_clock::now();
@@ -238,11 +244,10 @@ int main(int argc, char** argv) {
             .count();
     snap = engine.handle().current();
     if (!opts.quiet) {
-      std::printf("epoch %llu: %-28s %zu dirty targets, %zu/%zu slices "
-                  "re-collected, fingerprint %016llx (%.3fs)\n",
+      std::printf("epoch %llu: %-28s %zu/%zu slices re-collected, "
+                  "fingerprint %016llx (%.3fs)\n",
                   static_cast<unsigned long long>(stats.epoch),
-                  serve::describe(event).c_str(), stats.dirty_targets,
-                  stats.dirty_slices,
+                  serve::describe(event).c_str(), stats.dirty_slices,
                   stats.dirty_slices + stats.clean_slices,
                   static_cast<unsigned long long>(snap->fingerprint()), c_s);
     }
