@@ -11,15 +11,6 @@ namespace bdrmap::core {
 
 namespace {
 
-// Batched probe-wave width (DESIGN.md §14): collect_traces() announces the
-// first destination of each of the next kProbeWave blocks via
-// ProbeServices::prewalk_wave before tracing them, so a local engine
-// pre-walks their forward paths in one lockstep pass. Retries within a
-// block stay unbatched. The pre-walk is a pure FIB walk; replies, RNG and
-// stop sets are evaluated in trace() itself, so the width never changes a
-// map.
-constexpr std::size_t kProbeWave = 64;
-
 // Publishes the finished run to the registry: pipeline stats, the
 // confidence of every placement and each §5.4 rule's fires and skips.
 // Post-hoc over the result — the metrics can never perturb it.
@@ -114,31 +105,15 @@ std::vector<ObservedTrace> Bdrmap::collect_traces(
     return set->front();
   };
 
-  // First destination probed in a block (§5.3): skip the network address
-  // of real prefixes, probe tiny ones from their first address.
-  auto first_dst = [](const ProbeBlock& block) {
-    return block.prefix.size() >= 4
-               ? Ipv4Addr(block.prefix.first().value() + 1)
-               : block.prefix.first();
-  };
-  std::vector<Ipv4Addr> wave;
-  for (std::size_t bi = 0; bi < blocks.size(); ++bi) {
-    // Announce the next wave of first destinations so a local engine can
-    // pre-walk their forward paths in one lockstep batch. Retry probes
-    // (attempt > 0) fall back to solo walks inside trace().
-    if (bi % kProbeWave == 0) {
-      wave.clear();
-      const std::size_t end = std::min(bi + kProbeWave, blocks.size());
-      for (std::size_t j = bi; j < end; ++j) {
-        wave.push_back(first_dst(blocks[j]));
-      }
-      services_.prewalk_wave(wave);
-    }
-    const ProbeBlock& block = blocks[bi];
+  for (const ProbeBlock& block : blocks) {
     int attempts = static_cast<int>(std::min<std::uint64_t>(
         static_cast<std::uint64_t>(config_.max_addrs_per_block),
         block.prefix.size()));
-    Ipv4Addr dst = first_dst(block);
+    // First destination probed in a block (§5.3): skip the network address
+    // of real prefixes, probe tiny ones from their first address.
+    Ipv4Addr dst = block.prefix.size() >= 4
+                       ? Ipv4Addr(block.prefix.first().value() + 1)
+                       : block.prefix.first();
     for (int attempt = 0; attempt < attempts; ++attempt, dst = dst.next()) {
       if (!block.prefix.contains(dst)) break;
       probe::StopFn stop = nullptr;

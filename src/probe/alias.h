@@ -81,9 +81,6 @@ class LocalProbeServices final : public ProbeServices {
   TraceResult trace(Ipv4Addr dst, const StopFn& stop) override {
     return tracer_.trace(dst, stop);
   }
-  void prewalk_wave(const std::vector<Ipv4Addr>& dsts) override {
-    tracer_.prewalk_wave(dsts);
-  }
   std::optional<Ipv4Addr> udp_probe(Ipv4Addr addr) override {
     return prober_.udp_probe(addr);
   }

@@ -9,7 +9,7 @@ TracerouteEngine::TracerouteEngine(const topo::Internet& net,
                                    const route::Fib& fib, topo::Vp vp,
                                    std::uint64_t seed, TracerConfig config)
     : net_(net), fib_(fib), vp_(vp), rng_(seed), config_(config),
-      vp_query_(fib.query(vp.addr)), batch_(net, fib, config.metrics) {
+      vp_query_(fib.query(vp.addr)) {
   if (config_.metrics) {
     traces_ = config_.metrics->counter("probe.traces");
     trace_packets_ = config_.metrics->counter("probe.trace_packets");
@@ -88,28 +88,37 @@ Ipv4Addr TracerouteEngine::maybe_spoof(Ipv4Addr real, Ipv4Addr probe_dst) {
 void TracerouteEngine::reseed(std::uint64_t seed) {
   rng_ = net::Rng(seed);
   probes_sent_ = 0;
-  wave_.clear();
-  wave_arena_.reset();
 }
 
-void TracerouteEngine::prewalk_wave(const std::vector<Ipv4Addr>& dsts) {
-  if (!config_.paris || dsts.empty()) return;
-  // Starting a wave drops any unconsumed stash: the wave arena is about
-  // to be recycled, which would dangle the stale paths.
-  wave_.clear();
-  wave_arena_.reset();
-  wave_flows_.clear();
-  for (Ipv4Addr dst : dsts) {
-    wave_flows_.push_back({dst, 0, config_.max_ttl, nullptr});
+const std::vector<TracerouteEngine::PathHop>& TracerouteEngine::walk(
+    const route::Fib::RouteQuery& q, std::uint32_t flow_salt,
+    int limit) const {
+  path_.clear();
+  RouterId cur = vp_.attach_router;
+  IfaceId ingress;
+  bool entered = false;  // the last hop crossed an interdomain link
+  // BDRMAP_HOT_BEGIN(probe_walk) — BDR104: one hop per pass; pure FIB
+  // reads into the reused path_, no node containers.
+  for (int step = 0; step < limit; ++step) {
+    PathHop node;
+    node.router = cur;
+    node.ingress = ingress;
+    node.is_delivery = fib_.delivered_at(cur, q);
+    if (node.is_delivery) node.dst_is_own_addr = fib_.addr_owned_by(cur, q);
+    // Enterprise edge filtering: the border answers for itself but drops
+    // probes transiting into the network (§4 challenge 3).
+    node.firewalled = entered && net_.router(cur).behavior.firewall_edge &&
+                      !node.dst_is_own_addr;
+    path_.push_back(node);
+    if (node.is_delivery || node.firewalled || step + 1 >= limit) break;
+    auto hop = fib_.next_hop(cur, q, flow_salt);
+    if (!hop) break;  // no route
+    entered = hop->crossed_interdomain;
+    cur = hop->router;
+    ingress = hop->ingress;
   }
-  wave_paths_.assign(wave_flows_.size(), PrewalkedPath{});
-  batch_.prewalk(vp_.attach_router, wave_flows_.data(), wave_flows_.size(),
-                 wave_arena_, wave_paths_.data());
-  for (std::size_t i = 0; i < dsts.size(); ++i) {
-    // First writer wins on duplicate destinations; the loser re-walks
-    // solo in trace() — same pure path either way.
-    wave_.emplace(dsts[i].value(), wave_paths_[i]);
-  }
+  // BDRMAP_HOT_END(probe_walk)
+  return path_;
 }
 
 TraceResult TracerouteEngine::trace(Ipv4Addr dst, const StopFn& stop) {
@@ -117,60 +126,35 @@ TraceResult TracerouteEngine::trace(Ipv4Addr dst, const StopFn& stop) {
   TraceResult result;
   result.dst = dst;
 
-  // The forward path, pre-walked (TraceBatch, DESIGN.md §14): either
-  // stashed by a prewalk_wave() call or walked solo here. The walk is a
-  // pure function of the FIB, so both routes yield identical paths; all
+  // The forward path is walked before any reply is generated; all
   // RNG/stop-set consumption happens in the reply loop below.
-  PrewalkedPath path;
+  const route::Fib::RouteQuery q = fib_.query(dst);
+  const std::vector<PathHop>* path = &classic_path_;
   if (config_.paris) {
-    auto it = wave_.find(dst.value());
-    if (it != wave_.end()) {
-      path = it->second;  // hops stay valid until the next wave starts
-      wave_.erase(it);
-    } else {
-      solo_arena_.reset();
-      FlowSpec flow{dst, 0, config_.max_ttl, nullptr};
-      batch_.prewalk(vp_.attach_router, &flow, 1, solo_arena_, &path);
-    }
+    path = &walk(q, 0, config_.max_ttl);
   } else {
     // Classic traceroute: each TTL's probe hashes to its own ECMP choice;
     // the recorded "path" is hop k of the salt-k walk — which may splice
-    // different true paths together (the [2] artifact). One RouteQuery
-    // resolution is shared by every per-TTL flow; the batch advances all
-    // of them in lockstep.
-    solo_arena_.reset();
-    const route::Fib::RouteQuery q = fib_.query(dst);
-    wave_flows_.clear();
+    // different true paths together (the [2] artifact). Every per-TTL
+    // walk shares the one RouteQuery resolution.
+    classic_path_.clear();
     for (int ttl = 1; ttl <= config_.max_ttl; ++ttl) {
-      wave_flows_.push_back({dst, static_cast<std::uint32_t>(ttl), ttl, &q});
-    }
-    wave_paths_.assign(wave_flows_.size(), PrewalkedPath{});
-    batch_.prewalk(vp_.attach_router, wave_flows_.data(), wave_flows_.size(),
-                   solo_arena_, wave_paths_.data());
-    classic_scratch_.clear();
-    for (int ttl = 1; ttl <= config_.max_ttl; ++ttl) {
-      const PrewalkedPath& probe_path =
-          wave_paths_[static_cast<std::size_t>(ttl - 1)];
-      if (probe_path.count == 0) break;
-      const PathHop& last = probe_path.hops[probe_path.count - 1];
-      classic_scratch_.push_back(last);
-      if (static_cast<int>(probe_path.count) < ttl) {
+      const std::vector<PathHop>& probe_path =
+          walk(q, static_cast<std::uint32_t>(ttl), ttl);
+      const PathHop& last = probe_path.back();
+      classic_path_.push_back(last);
+      if (static_cast<int>(probe_path.size()) < ttl) {
         // The salt-ttl walk ended early (delivery/firewall/no route):
         // its terminal node is recorded and probing stops.
         break;
       }
       if (last.is_delivery || last.firewalled) break;
     }
-    path.query = q;
-    path.hops = classic_scratch_.data();
-    path.count = static_cast<std::uint32_t>(classic_scratch_.size());
   }
-  const route::Fib::RouteQuery& q = path.query;
 
   // Generate per-TTL replies along the walked path.
   int gap = 0;
-  for (std::uint32_t hop_i = 0; hop_i < path.count; ++hop_i) {
-    const PathHop& node = path.hops[hop_i];
+  for (const PathHop& node : *path) {
     ++probes_sent_;
     trace_packets_.inc();
     const auto& router = net_.router(node.router);
@@ -241,16 +225,13 @@ TraceResult TracerouteEngine::trace(Ipv4Addr dst, const StopFn& stop) {
 }
 
 bool TracerouteEngine::reaches(RouterId router, Ipv4Addr probe_dst) const {
-  // Derived from the shared pure walk (trace_batch.h): the probe reaches
-  // `router` iff the path terminates there as an unfirewalled delivery
-  // (edge filters still permit traffic to the border's own addresses,
-  // which the walk's firewalled flag already exempts).
-  solo_arena_.reset();
-  FlowSpec flow{probe_dst, 0, config_.max_ttl, nullptr};
-  PrewalkedPath path;
-  batch_.prewalk(vp_.attach_router, &flow, 1, solo_arena_, &path);
-  if (path.count == 0) return false;
-  const PathHop& last = path.hops[path.count - 1];
+  // The probe reaches `router` iff its walk terminates there as an
+  // unfirewalled delivery (edge filters still permit traffic to the
+  // border's own addresses, which the walk's firewalled flag exempts).
+  const std::vector<PathHop>& path =
+      walk(fib_.query(probe_dst), 0, config_.max_ttl);
+  if (path.empty()) return false;
+  const PathHop& last = path.back();
   return last.is_delivery && !last.firewalled && last.router == router;
 }
 
@@ -278,16 +259,10 @@ std::optional<bool> TracerouteEngine::timestamp_probe(Ipv4Addr path_dst,
 
   // Walk the forward path; the candidate stamps iff it is the ingress
   // interface of some hop (the semantics [26] exploits: a router stamps
-  // with the address of the interface the packet arrived on). The path
-  // comes from the shared pure walk (trace_batch.h).
-  solo_arena_.reset();
-  FlowSpec flow{path_dst, 0, config_.max_ttl, nullptr};
-  PrewalkedPath path;
-  batch_.prewalk(vp_.attach_router, &flow, 1, solo_arena_, &path);
+  // with the address of the interface the packet arrived on).
   bool delivered = false;
   bool stamped = false;
-  for (std::uint32_t i = 0; i < path.count; ++i) {
-    const PathHop& node = path.hops[i];
+  for (const PathHop& node : walk(fib_.query(path_dst), 0, config_.max_ttl)) {
     if (node.ingress.valid() && net_.iface(node.ingress).addr == candidate) {
       stamped = true;
     }

@@ -10,16 +10,19 @@
 // probabilistically; echo replies carry the probed address as their source.
 // Paris probing is implicit: the FIB is deterministic per flow, so every
 // TTL of a trace follows the same path.
+//
+// Every forward path is one walk over the FIB (walk(), DESIGN.md §14): a
+// pure function of routing that consumes no RNG and never consults the
+// stop set. trace() generates replies along the walked path afterwards;
+// reaches() and timestamp_probe() read the same walk.
 #pragma once
 
 #include <cstdint>
 #include <unordered_map>
 #include <vector>
 
-#include "netbase/arena.h"
 #include "netbase/rng.h"
 #include "obs/metrics.h"
-#include "probe/trace_batch.h"
 #include "probe/types.h"
 #include "route/fib.h"
 #include "topo/generator.h"
@@ -57,17 +60,6 @@ class TracerouteEngine {
 
   TraceResult trace(Ipv4Addr dst, const StopFn& stop = nullptr);
 
-  // Batched probe-wave execution (DESIGN.md §14): pre-walks the forward
-  // paths of the given future trace() destinations in one lockstep
-  // TraceBatch pass. Each subsequent trace() consumes its stashed path
-  // instead of walking alone; the reply plane (RNG draws, stop-set
-  // evaluation, probe accounting) is untouched, so results stay
-  // bit-identical to unbatched tracing in the same call order. Calling
-  // this starts a new wave: any unconsumed stash from the previous wave
-  // is dropped and the wave arena is recycled. No-op in classic
-  // (non-Paris) mode, where trace() itself batches its per-TTL flows.
-  void prewalk_wave(const std::vector<Ipv4Addr>& dsts);
-
   // ICMP echo probe to `addr` itself (used for alias resolution / §5.4.8
   // evidence). Returns the reply source, which for echo replies is the
   // probed address.
@@ -91,12 +83,29 @@ class TracerouteEngine {
   std::uint64_t probes_sent() const { return probes_sent_; }
   const topo::Vp& vp() const { return vp_; }
 
-  // Back to the state of an engine constructed with `seed`: RNG, probe
-  // count and wave stash. The reach and VP-egress memos and the arenas'
-  // capacity stay; they are pure functions of the forwarding state.
+  // Back to the state of an engine constructed with `seed`: RNG and probe
+  // count. The reach and VP-egress memos stay; they are pure functions of
+  // the forwarding state.
   void reseed(std::uint64_t seed);
 
  private:
+  // One forward-path hop: the router the probe's TTL expires at, the
+  // interface it arrived on, and the delivery/firewall classification the
+  // reply plane and reachability read.
+  struct PathHop {
+    net::RouterId router;
+    net::IfaceId ingress;           // invalid on the first hop
+    bool is_delivery = false;       // dst terminates at this router
+    bool dst_is_own_addr = false;   // dst is one of the router's interfaces
+    bool firewalled = false;        // edge filter blocks onward delivery
+  };
+
+  // Walks one flow from the VP's attach router toward `q`'s destination:
+  // at most `limit` hops, ECMP choices hashed with `flow_salt`. The hops
+  // land in path_, which the next walk overwrites.
+  const std::vector<PathHop>& walk(const route::Fib::RouteQuery& q,
+                                   std::uint32_t flow_salt, int limit) const;
+
   // The reply source address a router uses for a time-exceeded message.
   Ipv4Addr reply_source(net::RouterId router, net::IfaceId ingress,
                         const route::Fib::RouteQuery& dst_query) const;
@@ -121,19 +130,10 @@ class TracerouteEngine {
   // router -> egress interface toward the VP (invalid == no egress).
   mutable std::unordered_map<std::uint32_t, net::IfaceId> vp_egress_cache_;
 
-  // The shared pure-walk engine: trace() (Paris and classic), reaches()
-  // and timestamp_probe() all derive their forward paths from it.
-  // Mutable because reaches() is logically const but reuses the batch
-  // scratch and the solo arena (same discipline as reach_cache_).
-  mutable TraceBatch batch_;
-  // Solo walks (one flow) recycle this arena per call; stashed wave
-  // paths live in wave_arena_, reset only when a new wave starts.
-  mutable net::Arena solo_arena_;
-  net::Arena wave_arena_;
-  std::unordered_map<std::uint32_t, PrewalkedPath> wave_;
-  std::vector<FlowSpec> wave_flows_;          // scratch
-  std::vector<PrewalkedPath> wave_paths_;     // scratch
-  std::vector<PathHop> classic_scratch_;      // classic-mode spliced path
+  // The last walk's hops, reused across calls. Mutable because reaches()
+  // is logically const (same discipline as reach_cache_).
+  mutable std::vector<PathHop> path_;
+  std::vector<PathHop> classic_path_;  // classic mode's spliced path
 };
 
 }  // namespace bdrmap::probe

@@ -55,17 +55,6 @@ class ProbeServices {
   // Paris traceroute with ICMP echo probes toward `dst`.
   virtual TraceResult trace(Ipv4Addr dst, const StopFn& stop) = 0;
 
-  // Optional batched probe-wave hint (DESIGN.md §14): the caller is about
-  // to trace() each of `dsts`, in order. Implementations with a local FIB
-  // pre-walk every forward path in one lockstep pass so the subsequent
-  // traces skip their per-flow walks; results are bit-identical either
-  // way (the walk is pure — replies, RNG and stop sets are evaluated in
-  // trace() itself). The default does nothing, which is always correct —
-  // the split remote deployment ignores waves entirely.
-  virtual void prewalk_wave(const std::vector<Ipv4Addr>& dsts) {
-    (void)dsts;
-  }
-
   // UDP probe to a high port (Mercator): the source address of the ICMP
   // port-unreachable reply, if the router answers.
   virtual std::optional<Ipv4Addr> udp_probe(Ipv4Addr addr) = 0;

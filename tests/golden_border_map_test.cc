@@ -7,12 +7,12 @@
 // were first blessed on the commit that retired the alternative planes,
 // where each of them reproduced every row: the uncached and the
 // keyed-egress FIB, the per-call heuristics scans, the hard-coded legacy
-// ladder, and probe waves off or 7 wide. They were re-blessed once when
-// every run moved onto the (VP, target-AS) slice plan, which re-keys the
-// probe RNG streams per slice. The suite keeps the name of the
-// cross-engine parity suite it replaced, because a row is the legacy
-// ladder's map; "Heuristic" in the name also puts it in the tsan stage's
-// ctest filter.
+// ladder, and probe waves off or 7 wide (probe waves are since deleted).
+// They were re-blessed once when every run moved onto the (VP, target-AS)
+// slice plan, which re-keys the probe RNG streams per slice. The suite
+// keeps the name of the cross-engine parity suite it replaced, because a
+// row is the legacy ladder's map; "Heuristic" in the name also puts it in
+// the tsan stage's ctest filter.
 //
 // A failing test prints its recomputed row in the table's format. Paste it
 // into the table only when the change of map is intended.
@@ -23,7 +23,6 @@
 #include <fstream>
 #include <map>
 #include <memory>
-#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -92,35 +91,6 @@ topo::Vp featured_vp(const Scenario& s) {
   return s.vps_in(s.first_of(s.spec().vp_kind)).front();
 }
 
-// Forwards every probe but drops the probe-wave hint, so each trace walks
-// its own forward path: the unbatched reference for a whole pipeline run.
-class UnbatchedServices final : public probe::ProbeServices {
- public:
-  explicit UnbatchedServices(std::unique_ptr<probe::ProbeServices> inner)
-      : inner_(std::move(inner)) {}
-
-  probe::TraceResult trace(net::Ipv4Addr dst,
-                           const probe::StopFn& stop) override {
-    return inner_->trace(dst, stop);
-  }
-  std::optional<net::Ipv4Addr> udp_probe(net::Ipv4Addr addr) override {
-    return inner_->udp_probe(addr);
-  }
-  std::optional<std::uint16_t> ipid_sample(net::Ipv4Addr addr,
-                                           double t) override {
-    return inner_->ipid_sample(addr, t);
-  }
-  std::optional<bool> timestamp_probe(net::Ipv4Addr path_dst,
-                                      net::Ipv4Addr candidate) override {
-    return inner_->timestamp_probe(path_dst, candidate);
-  }
-  std::uint64_t probes_sent() const override { return inner_->probes_sent(); }
-  void reseed(std::uint64_t seed) override { inner_->reseed(seed); }
-
- private:
-  std::unique_ptr<probe::ProbeServices> inner_;
-};
-
 class HeuristicParityTest : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(HeuristicParityTest, RegistryMatchesLegacyLadder) {
@@ -143,15 +113,15 @@ INSTANTIATE_TEST_SUITE_P(Families, HeuristicParityTest,
                          });
 
 TEST(HeuristicParityTest, EcmpSaltsAndProbeWaves) {
-  // Probe waves only pre-walk forward paths, so a run without them must
-  // land on the same row at every salt. The lockstep-vs-solo TraceBatch
-  // unit tests check the walks themselves.
+  // A job built by hand over the scenario's own services, run straight on
+  // the executor, must land on the family's row at every salt. The name
+  // is kept from when the row was also checked with probe waves off;
+  // TraceBatchTest.TraceHopsFollowReferenceWalk checks the walks.
   auto s = make_scenario("small", kScenarioSeed);
   const topo::Vp vp = featured_vp(*s);
   runtime::VpJob job;
-  job.make_services = [&s, vp](std::uint64_t seed)
-      -> std::unique_ptr<probe::ProbeServices> {
-    return std::make_unique<UnbatchedServices>(s->services_for(vp, seed));
+  job.make_services = [&s, vp](std::uint64_t seed) {
+    return s->services_for(vp, seed);
   };
   job.inputs = s->inputs_for(vp.as);
   Row row;

@@ -34,7 +34,7 @@ TEST_F(MultiVpDeterminism, ParallelRunIsBitIdenticalToSequential) {
   runtime::MultiVpResult sequential =
       scenario_.run_bdrmap_parallel(vps_, {}, 0x1000, nullptr);
 
-  for (unsigned threads : {2u, 8u}) {
+  for (unsigned threads : {2u, 4u, 8u}) {
     runtime::ThreadPool pool(threads);
     runtime::MultiVpResult parallel =
         scenario_.run_bdrmap_parallel(vps_, {}, 0x1000, &pool);

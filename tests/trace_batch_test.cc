@@ -1,15 +1,14 @@
-// Golden bit-identity suite for batched probe-wave tracing (DESIGN.md §14).
+// Forward-path and pipeline identity checks (DESIGN.md §14).
 //
-// TraceBatch pre-walks many flows in lockstep over the shared FIB; every
-// path it produces must be byte-identical to the one a solo (single-flow)
-// walk computes, across ECMP salts, selectively-announced (pinned)
-// prefixes, shared-query flows, and arena reuse across wave epochs. At
-// the pipeline level, waves narrowed or dropped must leave the border map
-// untouched, a sharded plan must be byte-identical at 1, 2 and 8
-// pool workers filling cold caches concurrently, and the heuristics'
-// compiled first-external table must equal a per-router rescan. Suite
-// name carries "TraceBatch" so check.sh's tsan pass picks these tests up.
-#include <algorithm>
+// Every trace() hop must land on the router a reference walk over the
+// public FIB calls predicts, in Paris and classic mode, for every
+// announced prefix (pinned ones included) and across an ECMP diamond
+// where classic mode splices paths. At the pipeline level, a
+// sharded plan must be byte-identical at 1, 2 and 8 pool workers filling
+// cold caches concurrently, and the heuristics' compiled first-external
+// table must equal a per-router rescan. The suite keeps the name of the
+// batched-walk suite it replaced; "TraceBatch" in the name puts these
+// tests in check.sh's tsan pass.
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -22,11 +21,12 @@
 #include "eval/degradation.h"
 #include "eval/scenario.h"
 #include "eval/scenario_registry.h"
-#include "netbase/arena.h"
-#include "probe/trace_batch.h"
+#include "probe/tracer.h"
 #include "probe/types.h"
+#include "route/bgp_sim.h"
 #include "route/fib.h"
 #include "runtime/thread_pool.h"
+#include "test_support.h"
 #include "topo/generator.h"
 
 namespace bdrmap::probe {
@@ -34,162 +34,150 @@ namespace {
 
 using net::Ipv4Addr;
 
-// Flattens a prewalked path for exact comparison.
-std::vector<std::uint64_t> encode(const PrewalkedPath& p) {
-  std::vector<std::uint64_t> out;
-  out.reserve(p.count * 2);
-  for (std::uint32_t i = 0; i < p.count; ++i) {
-    const PathHop& h = p.hops[i];
-    out.push_back((std::uint64_t{h.router.value} << 32) | h.ingress.value);
-    out.push_back((h.is_delivery ? 4u : 0u) | (h.dst_is_own_addr ? 2u : 0u) |
-                  (h.firewalled ? 1u : 0u));
+// Reference forward path of one flow, written against the public FIB
+// calls only: the routers a probe with TTL budget `limit` and ECMP salt
+// `flow_salt` visits from `start` toward `dst`. Enterprise borders drop
+// probes that entered over an interdomain link unless dst is their own
+// interface address.
+struct RefPath {
+  std::vector<std::uint32_t> routers;
+  bool stopped = false;  // delivered or filtered at the last router
+  bool host = false;     // delivered to a host prefix behind the last router
+};
+
+RefPath reference_walk(const topo::Internet& net, const route::Fib& fib,
+                       net::RouterId start, Ipv4Addr dst,
+                       std::uint32_t flow_salt, int limit) {
+  const route::Fib::RouteQuery q = fib.query(dst);
+  const auto own = net.iface_at(dst);
+  RefPath path;
+  net::RouterId cur = start;
+  bool entered = false;
+  while (static_cast<int>(path.routers.size()) < limit) {
+    path.routers.push_back(cur.value);
+    const bool own_addr = own && net.iface(*own).router == cur;
+    if (fib.delivered_at(cur, q)) {
+      path.stopped = true;
+      path.host = !own_addr;
+      break;
+    }
+    if (entered && net.router(cur).behavior.firewall_edge) {
+      path.stopped = true;
+      break;
+    }
+    auto hop = fib.next_hop(cur, q, flow_salt);
+    if (!hop) break;
+    entered = hop->crossed_interdomain;
+    cur = hop->router;
   }
-  return out;
+  return path;
 }
 
-// Every announced prefix interior (including the selectively-announced /
-// pinned ones) under ECMP salts 0-3: the address classes the tracer
-// actually probes, each exercising a distinct FIB resolution path.
-std::vector<FlowSpec> salted_workload(const eval::Scenario& s) {
-  std::vector<FlowSpec> flows;
-  for (const auto& ap : s.net().announced()) {
-    Ipv4Addr inside(ap.prefix.network().value() + 1);
-    if (!ap.prefix.contains(inside)) inside = ap.prefix.network();
-    for (std::uint32_t salt = 0; salt < 4; ++salt) {
-      flows.push_back({inside, salt, 48, nullptr});
+// The truth routers a trace() toward `dst` must report. Paris: one salt-0
+// walk. Classic: hop k of the salt-k walk, up to the first walk that ends
+// short of its TTL or stops at its last router. A host prefix costs one
+// more probe, answered behind the delivery router.
+std::vector<std::uint32_t> expected_routers(const topo::Internet& net,
+                                            const route::Fib& fib,
+                                            net::RouterId start, Ipv4Addr dst,
+                                            const TracerConfig& config) {
+  RefPath path;
+  if (config.paris) {
+    path = reference_walk(net, fib, start, dst, 0, config.max_ttl);
+  } else {
+    std::vector<std::uint32_t> spliced;
+    for (int ttl = 1; ttl <= config.max_ttl; ++ttl) {
+      path = reference_walk(net, fib, start, dst,
+                            static_cast<std::uint32_t>(ttl), ttl);
+      spliced.push_back(path.routers.back());
+      if (static_cast<int>(path.routers.size()) < ttl || path.stopped) break;
+    }
+    path.routers = std::move(spliced);
+  }
+  if (path.host) path.routers.push_back(path.routers.back());
+  return path.routers;
+}
+
+// Traces every destination from `vp` under probe salts 0-3, in Paris and
+// classic mode. The gap limit exceeds the TTL budget, so every trace
+// covers its whole forward path. Returns the traces whose truth routers
+// differ from the reference.
+std::size_t reference_mismatches(const topo::Internet& net,
+                                 const route::Fib& fib, const topo::Vp& vp,
+                                 const std::vector<Ipv4Addr>& dsts) {
+  std::size_t mismatches = 0;
+  for (bool paris : {true, false}) {
+    TracerConfig config;
+    config.paris = paris;
+    config.gap_limit = config.max_ttl + 1;
+    for (std::uint64_t salt = 0; salt < 4; ++salt) {
+      TracerouteEngine engine(net, fib, vp, 0x515 + salt, config);
+      for (Ipv4Addr dst : dsts) {
+        std::vector<std::uint32_t> got;
+        for (const TraceHop& hop : engine.trace(dst).hops) {
+          got.push_back(hop.truth_router.value);
+        }
+        const std::vector<std::uint32_t> want =
+            expected_routers(net, fib, vp.attach_router, dst, config);
+        if (got != want && ++mismatches <= 3) {
+          ADD_FAILURE() << (paris ? "paris" : "classic") << " salt " << salt
+                        << " dst " << dst.str() << ": "
+                        << ::testing::PrintToString(got) << " != reference "
+                        << ::testing::PrintToString(want);
+        }
+      }
     }
   }
-  return flows;
+  return mismatches;
 }
 
-TEST(TraceBatchTest, LockstepMatchesSoloWalks) {
+TEST(TraceBatchTest, TraceHopsFollowReferenceWalk) {
+  // Every announced prefix interior of the small access network, pinned
+  // prefixes and enterprise firewalls included.
   eval::Scenario s(eval::small_access_config(42));
-  std::vector<FlowSpec> flows = salted_workload(s);
-  const net::RouterId start = s.vps().front().attach_router;
+  std::vector<Ipv4Addr> dsts;
   bool saw_pinned = false;
   for (const auto& ap : s.net().announced()) {
     saw_pinned |= !ap.only_via_links.empty();
+    Ipv4Addr inside(ap.prefix.network().value() + 1);
+    dsts.push_back(ap.prefix.contains(inside) ? inside : ap.prefix.network());
   }
-  EXPECT_TRUE(saw_pinned) << "workload must cover pinned prefixes";
+  ASSERT_TRUE(saw_pinned) << "workload must cover pinned prefixes";
+  EXPECT_EQ(reference_mismatches(s.net(), s.fib(), s.vps().front(), dsts),
+            0u);
 
-  TraceBatch batched(s.net(), s.fib());
-  net::Arena wave_arena;
-  std::vector<PrewalkedPath> wave(flows.size());
-  batched.prewalk(start, flows.data(), flows.size(), wave_arena,
-                  wave.data());
-
-  TraceBatch solo(s.net(), s.fib());
-  for (std::size_t i = 0; i < flows.size(); ++i) {
-    net::Arena solo_arena;
-    PrewalkedPath alone;
-    solo.prewalk(start, &flows[i], 1, solo_arena, &alone);
-    EXPECT_EQ(encode(wave[i]), encode(alone))
-        << "flow " << i << " (salt " << flows[i].flow_salt << ")";
+  // The generator's IGP costs leave no equal-cost ties on those paths, so
+  // an ECMP diamond r1 -> {r2, r3} -> r4 -> r5 (AS 2) supplies the
+  // destinations where classic mode's per-TTL salts splice paths.
+  test::MiniNet m;
+  const net::AsId as1 = m.add_as();
+  const net::AsId as2 = m.add_as();
+  const net::RouterId r1 = m.add_router(as1);
+  const net::RouterId r2 = m.add_router(as1);
+  const net::RouterId r3 = m.add_router(as1);
+  const net::RouterId r4 = m.add_router(as1);
+  const net::RouterId r5 = m.add_router(as2);
+  m.net().truth_relationships().add_c2p(as2, as1);
+  m.link(topo::LinkKind::kInternal, as1, r1, test::ip("10.0.0.1"), r2,
+         test::ip("10.0.0.2"));
+  m.link(topo::LinkKind::kInternal, as1, r1, test::ip("10.0.0.5"), r3,
+         test::ip("10.0.0.6"));
+  m.link(topo::LinkKind::kInternal, as1, r2, test::ip("10.0.0.9"), r4,
+         test::ip("10.0.0.10"));
+  m.link(topo::LinkKind::kInternal, as1, r3, test::ip("10.0.0.13"), r4,
+         test::ip("10.0.0.14"));
+  m.link(topo::LinkKind::kInterdomain, as1, r4, test::ip("10.0.1.1"), r5,
+         test::ip("10.0.1.2"));
+  m.announce("10.0.0.0/16", as1, r1);
+  m.announce("20.0.0.0/16", as2, r5);
+  const route::BgpSimulator bgp(m.net());
+  const route::Fib fib(m.net(), bgp);
+  std::vector<Ipv4Addr> diamond;
+  for (std::uint32_t d = 1; d < 64; ++d) {
+    diamond.emplace_back(test::ip("20.0.2.0").value() + d);
   }
-}
-
-TEST(TraceBatchTest, SharedQueryMatchesOwnResolution) {
-  eval::Scenario s(eval::small_access_config(42));
-  const net::RouterId start = s.vps().front().attach_router;
-  const auto& ap = s.net().announced().front();
-  Ipv4Addr dst(ap.prefix.network().value() + 1);
-  if (!ap.prefix.contains(dst)) dst = ap.prefix.network();
-
-  // Classic traceroute's shape: per-TTL salts, one destination. The
-  // shared resolution must not perturb any flow's path.
-  const route::Fib::RouteQuery q = s.fib().query(dst);
-  std::vector<FlowSpec> shared, owned;
-  for (std::uint32_t salt = 0; salt < 4; ++salt) {
-    shared.push_back({dst, salt, 48, &q});
-    owned.push_back({dst, salt, 48, nullptr});
-  }
-  TraceBatch batch(s.net(), s.fib());
-  net::Arena arena_a, arena_b;
-  std::vector<PrewalkedPath> a(shared.size()), b(owned.size());
-  batch.prewalk(start, shared.data(), shared.size(), arena_a, a.data());
-  batch.prewalk(start, owned.data(), owned.size(), arena_b, b.data());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(encode(a[i]), encode(b[i])) << "salt " << i;
-  }
-}
-
-TEST(TraceBatchTest, ArenaReuseAcrossEpochs) {
-  eval::Scenario s(eval::small_access_config(42));
-  std::vector<FlowSpec> flows = salted_workload(s);
-  const net::RouterId start = s.vps().front().attach_router;
-
-  TraceBatch batch(s.net(), s.fib());
-  net::Arena arena;
-  std::vector<PrewalkedPath> first(flows.size());
-  batch.prewalk(start, flows.data(), flows.size(), arena, first.data());
-  std::vector<std::vector<std::uint64_t>> golden;
-  golden.reserve(first.size());
-  for (const auto& p : first) golden.push_back(encode(p));
-  const net::Arena::Stats warm = arena.stats();
-
-  // Epoch 2: reset rewinds the arena; the identical wave must replay into
-  // the retained capacity — same paths, no new reservation.
-  arena.reset();
-  std::vector<PrewalkedPath> second(flows.size());
-  batch.prewalk(start, flows.data(), flows.size(), arena, second.data());
-  for (std::size_t i = 0; i < second.size(); ++i) {
-    EXPECT_EQ(golden[i], encode(second[i])) << "flow " << i;
-  }
-  EXPECT_EQ(arena.stats().bytes_reserved, warm.bytes_reserved)
-      << "reset must retain capacity, not grow it";
-  EXPECT_EQ(arena.stats().bytes_used, warm.bytes_used);
-}
-
-// Forwards every probe, but passes on only the first `width` addresses of
-// each announced wave (none at width 0): the pipeline's waves, narrowed.
-class NarrowWaveServices final : public ProbeServices {
- public:
-  NarrowWaveServices(ProbeServices& inner, std::size_t width)
-      : inner_(inner), width_(width) {}
-
-  TraceResult trace(Ipv4Addr dst, const StopFn& stop) override {
-    return inner_.trace(dst, stop);
-  }
-  void prewalk_wave(const std::vector<Ipv4Addr>& dsts) override {
-    if (width_ == 0) return;
-    inner_.prewalk_wave(std::vector<Ipv4Addr>(
-        dsts.begin(), dsts.begin() + std::min(width_, dsts.size())));
-  }
-  std::optional<Ipv4Addr> udp_probe(Ipv4Addr addr) override {
-    return inner_.udp_probe(addr);
-  }
-  std::optional<std::uint16_t> ipid_sample(Ipv4Addr addr, double t) override {
-    return inner_.ipid_sample(addr, t);
-  }
-  std::optional<bool> timestamp_probe(Ipv4Addr path_dst,
-                                      Ipv4Addr candidate) override {
-    return inner_.timestamp_probe(path_dst, candidate);
-  }
-  std::uint64_t probes_sent() const override { return inner_.probes_sent(); }
-  void reseed(std::uint64_t seed) override { inner_.reseed(seed); }
-
- private:
-  ProbeServices& inner_;
-  std::size_t width_;
-};
-
-TEST(TraceBatchTest, WaveInvarianceEndToEnd) {
-  eval::Scenario s(eval::small_access_config(42));
-  const topo::Vp vp = s.vps_in(s.featured_access()).front();
-  const core::InferenceInputs inputs = s.inputs_for(vp.as);
-  auto run = [&](std::size_t width) {
-    auto services = s.services_for(vp, 0x515);
-    NarrowWaveServices narrowed(*services, width);
-    return core::Bdrmap(narrowed, inputs).run();
-  };
-
-  core::BdrmapResult unbatched = run(0);
-  core::BdrmapResult narrow = run(7);  // odd width: most blocks go unhinted
-  auto services = s.services_for(vp, 0x515);
-  core::BdrmapResult full = core::Bdrmap(*services, inputs).run();
-  EXPECT_TRUE(eval::same_border_map(unbatched, narrow));
-  EXPECT_TRUE(eval::same_border_map(unbatched, full));
-  EXPECT_GT(full.links.size(), 0u);
+  const topo::Vp vp{as1, r1, test::ip("10.0.255.1"), 0};
+  EXPECT_EQ(reference_mismatches(m.net(), fib, vp, diamond), 0u);
 }
 
 TEST(TraceBatchTest, ShardedColdFillIdenticalAcrossWorkers) {

@@ -13,12 +13,12 @@
 // Scenario names come from eval::scenario_registry — the four clean §5.6
 // networks plus the adversarial families (route_leak, hijack, ...).
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <string>
 #include <thread>
 
 #include "check/check.h"
+#include "cli_number.h"
 #include "core/offline.h"
 #include "eval/ground_truth.h"
 #include "eval/scenario_registry.h"
@@ -84,6 +84,9 @@ bool parse_args(int argc, char** argv, Options* opts) {
     auto next = [&]() -> const char* {
       return (i + 1 < argc) ? argv[++i] : nullptr;
     };
+    auto number = [&](auto* out) {
+      return tools::parse_number(arg.c_str(), next(), out);
+    };
     if (arg == "--scenario") {
       const char* v = next();
       if (!v) return false;
@@ -91,20 +94,13 @@ bool parse_args(int argc, char** argv, Options* opts) {
     } else if (arg == "--list-scenarios") {
       opts->list_scenarios = true;
     } else if (arg == "--seed") {
-      const char* v = next();
-      if (!v) return false;
-      opts->seed = std::strtoull(v, nullptr, 10);
+      if (!number(&opts->seed)) return false;
     } else if (arg == "--vp") {
-      const char* v = next();
-      if (!v) return false;
-      opts->vp_index = std::strtoull(v, nullptr, 10);
+      if (!number(&opts->vp_index)) return false;
     } else if (arg == "--all-vps") {
       opts->all_vps = true;
     } else if (arg == "--threads") {
-      const char* v = next();
-      if (!v) return false;
-      opts->threads =
-          static_cast<unsigned>(std::strtoul(v, nullptr, 10));
+      if (!number(&opts->threads)) return false;
     } else if (arg == "--json") {
       const char* v = next();
       if (!v) return false;

@@ -14,14 +14,13 @@
 // Usage:
 //   bdrmapd [--scenario NAME] [--seed N] [--threads N] [--churn K]
 //           [--queries M] [--compare-full] [--obs-json FILE] [--quiet]
-#include <charconv>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "cli_number.h"
 #include "eval/degradation.h"
 #include "eval/scenario_registry.h"
 #include "obs/export.h"
@@ -61,18 +60,8 @@ bool parse_args(int argc, char** argv, Options* opts) {
     auto next = [&]() -> const char* {
       return (i + 1 < argc) ? argv[++i] : nullptr;
     };
-    // A whole unsigned decimal that fits the field: empty, signed,
-    // trailing-garbage and out-of-range text is an error, not 0 or a prefix.
     auto number = [&](auto* out) {
-      const char* v = next();
-      if (v) {
-        const char* end = v + std::strlen(v);
-        const auto [ptr, ec] = std::from_chars(v, end, *out);
-        if (ec == std::errc() && ptr == end) return true;
-      }
-      std::fprintf(stderr, "%s needs an unsigned integer, got '%s'\n",
-                   arg.c_str(), v ? v : "");
-      return false;
+      return tools::parse_number(arg.c_str(), next(), out);
     };
     if (arg == "--scenario") {
       const char* v = next();

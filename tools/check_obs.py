@@ -18,10 +18,8 @@ default the gate also requires:
   * at least one rule fire counter (core.heuristic.<rule>.fires) is
     nonzero — a run whose every rule was skipped placed nothing
   * every span is closed and parent ids point at earlier spans
-  * data-oriented core consistency (DESIGN.md §14), whenever the metrics
-    appear: core.arena.bytes_used <= core.arena.bytes_reserved, and the
-    probe.batch.flows_per_batch histogram observes exactly once per batch
-    (count == probe.batch.batches, sum == probe.batch.flows)
+  * data-oriented core consistency (DESIGN.md §14), whenever the gauges
+    appear: core.arena.bytes_used <= core.arena.bytes_reserved
   * heuristic confidence accounting (DESIGN.md §15): publish_result
     observes one core.confidence.<tag> sample per neighbor router and one
     per §5.4.8 link, so the histogram counts over the router tags (all
@@ -187,9 +185,9 @@ def check_run(doc, serve: bool = False) -> list[str]:
     if not fired:
         findings.append("no core.heuristic.<rule>.fires counter is nonzero")
 
-    # Data-oriented core consistency (DESIGN.md §14). Conditional: not
-    # every run wires the probe metrics, and serve runs publish different
-    # families, so absence is fine — inconsistency is not.
+    # Data-oriented core consistency (DESIGN.md §14). Conditional: serve
+    # runs publish different families, so absence is fine — inconsistency
+    # is not.
     gauges = {g["name"]: g["value"] for g in doc["metrics"]["gauges"]}
     reserved = gauges.get("core.arena.bytes_reserved")
     used = gauges.get("core.arena.bytes_used")
@@ -197,24 +195,11 @@ def check_run(doc, serve: bool = False) -> list[str]:
         findings.append(
             f"core.arena.bytes_used ({used}) exceeds bytes_reserved "
             f"({reserved}): arena accounting is broken")
-    hists = {h["name"]: h for h in doc["metrics"]["histograms"]}
-    per_batch = hists.get("probe.batch.flows_per_batch")
-    if per_batch is not None:
-        batches = counters.get("probe.batch.batches", 0)
-        flows = counters.get("probe.batch.flows", 0)
-        if per_batch["count"] != batches:
-            findings.append(
-                f"probe.batch.flows_per_batch count ({per_batch['count']}) "
-                f"!= probe.batch.batches ({batches}): not one observation "
-                "per batch")
-        if per_batch["sum"] != flows:
-            findings.append(
-                f"probe.batch.flows_per_batch sum ({per_batch['sum']}) "
-                f"!= probe.batch.flows ({flows}): flow accounting drifted")
 
     # Heuristic confidence accounting (DESIGN.md §15). Conditional like
     # the checks above: an export without core.neighbor_routers published
     # no inference result.
+    hists = {h["name"]: h for h in doc["metrics"]["histograms"]}
     if "core.neighbor_routers" in counters:
         router_count = link_count = 0
         for name, hist in hists.items():

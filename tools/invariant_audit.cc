@@ -10,12 +10,11 @@
 //                   [--passes id,id,...] [--list] [--no-pipeline]
 //                   [--max-route-pairs N] [--max-fib-walks N] [--quiet]
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "check/check.h"
+#include "cli_number.h"
 #include "eval/scenario.h"
 
 using namespace bdrmap;
@@ -61,18 +60,17 @@ bool parse_args(int argc, char** argv, Options* opts) {
     auto next = [&]() -> const char* {
       return (i + 1 < argc) ? argv[++i] : nullptr;
     };
+    auto number = [&](auto* out) {
+      return tools::parse_number(arg.c_str(), next(), out);
+    };
     if (arg == "--scenario") {
       const char* v = next();
       if (v == nullptr) return false;
       opts->scenario = v;
     } else if (arg == "--seed") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      opts->seed = std::strtoull(v, nullptr, 10);
+      if (!number(&opts->seed)) return false;
     } else if (arg == "--vp") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      opts->vp_index = std::strtoull(v, nullptr, 10);
+      if (!number(&opts->vp_index)) return false;
     } else if (arg == "--passes") {
       const char* v = next();
       if (v == nullptr) return false;
@@ -82,13 +80,9 @@ bool parse_args(int argc, char** argv, Options* opts) {
     } else if (arg == "--no-pipeline") {
       opts->run_pipeline = false;
     } else if (arg == "--max-route-pairs") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      opts->max_route_pairs = std::strtoull(v, nullptr, 10);
+      if (!number(&opts->max_route_pairs)) return false;
     } else if (arg == "--max-fib-walks") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      opts->max_fib_walks = std::strtoull(v, nullptr, 10);
+      if (!number(&opts->max_fib_walks)) return false;
     } else if (arg == "--quiet") {
       opts->quiet = true;
     } else {

@@ -11,11 +11,11 @@
 //                 [--list] [--quiet]
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "cli_number.h"
 #include "eval/fuzzer.h"
 #include "obs/export.h"
 #include "obs/obs.h"
@@ -50,26 +50,21 @@ bool parse_args(int argc, char** argv, Options* opts) {
     auto next = [&]() -> const char* {
       return (i + 1 < argc) ? argv[++i] : nullptr;
     };
+    auto number = [&](auto* out) {
+      return tools::parse_number(arg.c_str(), next(), out);
+    };
     if (arg == "--seeds") {
-      const char* v = next();
-      if (!v) return false;
-      opts->seeds = std::strtoull(v, nullptr, 10);
+      if (!number(&opts->seeds)) return false;
     } else if (arg == "--base-seed") {
-      const char* v = next();
-      if (!v) return false;
-      opts->base_seed = std::strtoull(v, nullptr, 10);
+      if (!number(&opts->base_seed)) return false;
     } else if (arg == "--family") {
       const char* v = next();
       if (!v) return false;
       opts->families.emplace_back(v);
     } else if (arg == "--floor") {
-      const char* v = next();
-      if (!v) return false;
-      opts->floor_override = std::strtod(v, nullptr);
+      if (!number(&opts->floor_override)) return false;
     } else if (arg == "--threads") {
-      const char* v = next();
-      if (!v) return false;
-      opts->threads = static_cast<unsigned>(std::strtoul(v, nullptr, 10));
+      if (!number(&opts->threads)) return false;
     } else if (arg == "--obs-json") {
       const char* v = next();
       if (!v) return false;

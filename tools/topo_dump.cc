@@ -6,10 +6,10 @@
 //
 // Usage: topo_dump [--scenario ren|access|tier1|small] [--seed N] [--links]
 #include <cstdio>
-#include <cstring>
 #include <map>
 #include <string>
 
+#include "cli_number.h"
 #include "eval/scenario.h"
 
 using namespace bdrmap;
@@ -29,6 +29,14 @@ const char* kind_name(topo::AsKind kind) {
   return "?";
 }
 
+int usage(const char* argv0) {
+  std::fprintf(stderr,
+               "usage: %s [--scenario ren|access|tier1|small] "
+               "[--seed N] [--links]\n",
+               argv0);
+  return 2;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -39,16 +47,13 @@ int main(int argc, char** argv) {
     std::string arg = argv[i];
     if (arg == "--scenario" && i + 1 < argc) {
       scenario_name = argv[++i];
-    } else if (arg == "--seed" && i + 1 < argc) {
-      seed = std::strtoull(argv[++i], nullptr, 10);
+    } else if (arg == "--seed") {
+      const char* v = i + 1 < argc ? argv[++i] : nullptr;
+      if (!tools::parse_number(arg.c_str(), v, &seed)) return usage(argv[0]);
     } else if (arg == "--links") {
       list_links = true;
     } else {
-      std::fprintf(stderr,
-                   "usage: %s [--scenario ren|access|tier1|small] "
-                   "[--seed N] [--links]\n",
-                   argv[0]);
-      return 2;
+      return usage(argv[0]);
     }
   }
 
