@@ -35,7 +35,7 @@ class OriginTable {
   // paper's baseline uses.
   AsId origin(Ipv4Addr a) const;
 
-  // True iff exactly one AS originates the longest match and it is `as`.
+  // True iff some announced prefix covers `a`.
   bool is_routed(Ipv4Addr a) const { return origins(a) != nullptr; }
 
   // Every (prefix, origin set), lexicographic by prefix.

@@ -1,8 +1,6 @@
 #include "route/bgp_sim.h"
 
 #include <algorithm>
-#include <deque>
-#include <queue>
 
 #include "netbase/contract.h"
 
@@ -22,14 +20,44 @@ BgpSimulator::BgpSimulator(const topo::Internet& net, BgpPolicy policy,
     tier_hits_ = metrics->counter("route.bgp.tier_cache_hits");
     tier_fills_ = metrics->counter("route.bgp.tier_cache_fills");
   }
-  leaker_set_.insert(policy_.leakers.begin(), policy_.leakers.end());
+  std::uint32_t max_as = 0;
   for (const auto& info : net.ases()) {
-    as_index_.emplace(info.id, as_ids_.size());
     as_ids_.push_back(info.id);
+    max_as = std::max(max_as, info.id.value);
+  }
+  index_of_.assign(std::size_t{max_as} + 1, kNoIndex);
+  for (std::uint32_t i = 0; i < as_ids_.size(); ++i) {
+    index_of_[as_ids_[i].value] = i;
+  }
+  leaker_.assign(as_ids_.size(), 0);
+  for (AsId leaker : policy_.leakers) {
+    if (std::uint32_t li = index(leaker); li != kNoIndex) leaker_[li] = 1;
+  }
+  build_graph();
+}
+
+void BgpSimulator::build_graph() {
+  // Edges to ASes outside the topology carry no routes and are dropped.
+  const auto& rels = this->rels();
+  const std::size_t n = as_ids_.size();
+  graph_.offsets.assign(3 * n + 1, 0);
+  graph_.adj.clear();
+  auto append = [&](const std::vector<AsId>& list) {
+    for (AsId as : list) {
+      if (std::uint32_t j = index(as); j != kNoIndex) graph_.adj.push_back(j);
+    }
+  };
+  for (std::size_t i = 0; i < n; ++i) {
+    append(rels.providers(as_ids_[i]));
+    graph_.offsets[3 * i + 1] = static_cast<std::uint32_t>(graph_.adj.size());
+    append(rels.customers(as_ids_[i]));
+    graph_.offsets[3 * i + 2] = static_cast<std::uint32_t>(graph_.adj.size());
+    append(rels.peers(as_ids_[i]));
+    graph_.offsets[3 * i + 3] = static_cast<std::uint32_t>(graph_.adj.size());
   }
 }
 
-const BgpSimulator::PerDst& BgpSimulator::table(AsId dst) const {
+const BgpSimulator::PerDst& BgpSimulator::table(std::uint32_t dst) const {
   {
     net::SharedLock lk(cache_mu_);
     auto it = cache_.find(dst);
@@ -37,7 +65,6 @@ const BgpSimulator::PerDst& BgpSimulator::table(AsId dst) const {
   }
   table_fills_.inc();
 
-  const auto& rels = this->rels();
   auto t = std::make_unique<PerDst>();
   const std::size_t n = as_ids_.size();
   t->cust.assign(n, kInf);
@@ -46,15 +73,13 @@ const BgpSimulator::PerDst& BgpSimulator::table(AsId dst) const {
 
   // 1. Customer-cone distances: BFS from dst upward along customer->provider
   //    edges. cust[x] = hops of the p2c chain from x down to dst.
-  std::deque<AsId> queue;
-  t->cust[index(dst)] = 0;
-  queue.push_back(dst);
-  while (!queue.empty()) {
-    AsId cur = queue.front();
-    queue.pop_front();
-    std::uint16_t d = t->cust[index(cur)];
-    for (AsId provider : rels.providers(cur)) {
-      auto& slot = t->cust[index(provider)];
+  std::vector<std::uint32_t> queue{dst};
+  t->cust[dst] = 0;
+  for (std::size_t head = 0; head < queue.size(); ++head) {
+    const std::uint32_t cur = queue[head];
+    const std::uint16_t d = t->cust[cur];
+    for (std::uint32_t provider : graph_.providers(cur)) {
+      auto& slot = t->cust[provider];
       if (slot == kInf) {
         slot = static_cast<std::uint16_t>(d + 1);
         queue.push_back(provider);
@@ -72,7 +97,7 @@ const BgpSimulator::PerDst& BgpSimulator::table(AsId dst) const {
   // 4. Adversarial export overrides (route leaks).
   if (policy_.has_leaks()) apply_leaks(*t);
 
-  BDRMAP_ENSURES(t->cust[index(dst)] == 0,
+  BDRMAP_ENSURES(t->cust[dst] == 0,
                  "destination must sit at distance zero in its own cone");
   // The computation above is pure, so two threads racing to fill the same
   // destination produced identical tables: first writer wins, the loser's
@@ -84,11 +109,10 @@ const BgpSimulator::PerDst& BgpSimulator::table(AsId dst) const {
 }
 
 void BgpSimulator::derive_peer(PerDst& t) const {
-  const auto& rels = this->rels();
-  const std::size_t n = as_ids_.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    for (AsId p : rels.peers(as_ids_[i])) {
-      std::uint16_t via = t.cust[index(p)];
+  const std::uint32_t n = static_cast<std::uint32_t>(as_ids_.size());
+  for (std::uint32_t i = 0; i < n; ++i) {
+    for (std::uint32_t p : graph_.peers(i)) {
+      std::uint16_t via = t.cust[p];
       if (via != kInf && via + 1 < t.peer[i]) {
         t.peer[i] = static_cast<std::uint16_t>(via + 1);
       }
@@ -97,41 +121,38 @@ void BgpSimulator::derive_peer(PerDst& t) const {
 }
 
 void BgpSimulator::derive_prov(PerDst& t) const {
-  // Dijkstra with unit weights over base values; relax-only, so it can be
-  // re-run after leak relaxations lowered cust/peer entries.
-  const auto& rels = this->rels();
-  const std::size_t n = as_ids_.size();
-  using Entry = std::pair<std::uint16_t, std::uint32_t>;  // (dist, index)
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> pq;
-  auto base = [&](std::size_t i) {
-    return std::min(t.cust[i], t.peer[i]);
+  // Dijkstra with unit weights as a bucket queue: bucket d holds the nodes
+  // whose route of length d is exported to their customers. A relaxation
+  // from bucket d only fills bucket d + 1, so buckets are drained in
+  // ascending order and the minimum distances are unique. Relax-only, so it
+  // can be re-run after leak relaxations lowered cust/peer entries.
+  const std::uint32_t n = static_cast<std::uint32_t>(as_ids_.size());
+  std::vector<std::vector<std::uint32_t>> buckets;
+  auto push = [&](std::uint16_t d, std::uint32_t i) {
+    if (d >= buckets.size()) buckets.resize(std::size_t{d} + 1);
+    buckets[d].push_back(i);
   };
-  for (std::size_t i = 0; i < n; ++i) {
-    if (base(i) != kInf) {
-      pq.emplace(base(i), static_cast<std::uint32_t>(i));
-    }
+  auto base = [&](std::uint32_t i) { return std::min(t.cust[i], t.peer[i]); };
+  for (std::uint32_t i = 0; i < n; ++i) {
+    if (base(i) != kInf) push(base(i), i);
   }
-  while (!pq.empty()) {
-    auto [d, i] = pq.top();
-    pq.pop();
-    std::uint16_t best_i = std::min(base(i), t.prov[i]);
-    if (d > best_i) continue;  // stale entry
-    for (AsId customer : rels.customers(as_ids_[i])) {
-      std::size_t c = index(customer);
-      std::uint16_t nd = static_cast<std::uint16_t>(d + 1);
-      if (nd < t.prov[c] && nd < base(c)) {
-        t.prov[c] = nd;
-        pq.emplace(nd, static_cast<std::uint32_t>(c));
+  for (std::size_t d = 0; d < buckets.size(); ++d) {
+    const auto nd = static_cast<std::uint16_t>(d + 1);
+    // push() may grow `buckets`, so index rather than hold a reference.
+    for (std::size_t k = 0; k < buckets[d].size(); ++k) {
+      const std::uint32_t i = buckets[d][k];
+      if (d > std::min(base(i), t.prov[i])) continue;  // stale entry
+      for (std::uint32_t c : graph_.customers(i)) {
+        if (nd < t.prov[c] && nd < base(c)) {
+          t.prov[c] = nd;
+          push(nd, c);
+        }
       }
     }
   }
 }
 
 void BgpSimulator::apply_leaks(PerDst& t) const {
-  const auto& rels = this->rels();
-  auto min3 = [&](std::size_t i) {
-    return std::min({t.cust[i], t.peer[i], t.prov[i]});
-  };
   // Iterate to a fixed point: one leaker's leaked route can shorten another
   // leaker's best route. Every relaxation strictly decreases a bounded
   // value, so the loop terminates; the computation is a pure function of
@@ -139,28 +160,25 @@ void BgpSimulator::apply_leaks(PerDst& t) const {
   bool changed = true;
   while (changed) {
     changed = false;
-    std::deque<std::size_t> up;  // cone re-propagation frontier
+    std::vector<std::uint32_t> up;  // cone re-propagation frontier
     for (AsId leaker : policy_.leakers) {
-      auto it = as_index_.find(leaker);
-      if (it == as_index_.end()) continue;
-      const std::size_t li = it->second;
-      const std::uint16_t d = min3(li);
+      const std::uint32_t li = index(leaker);
+      if (li == kNoIndex) continue;
+      const std::uint16_t d = t.best(li);
       if (d >= kInf) continue;
       const std::uint16_t nd = static_cast<std::uint16_t>(d + 1);
       // Providers accept the leak as a customer route, peers as a peer
       // route — unless their own best route is already at least as short
       // (loop detection rejects the circular announcement).
-      for (AsId p : rels.providers(leaker)) {
-        const std::size_t pi = index(p);
-        if (nd < min3(pi) && nd < t.cust[pi]) {
+      for (std::uint32_t pi : graph_.providers(li)) {
+        if (nd < t.best(pi) && nd < t.cust[pi]) {
           t.cust[pi] = nd;
           up.push_back(pi);
           changed = true;
         }
       }
-      for (AsId q : rels.peers(leaker)) {
-        const std::size_t qi = index(q);
-        if (nd < min3(qi) && nd < t.peer[qi]) {
+      for (std::uint32_t qi : graph_.peers(li)) {
+        if (nd < t.best(qi) && nd < t.peer[qi]) {
           t.peer[qi] = nd;
           changed = true;
         }
@@ -168,13 +186,11 @@ void BgpSimulator::apply_leaks(PerDst& t) const {
     }
     // A leaked customer route propagates up the cone like a real one, with
     // the same loop-detection guard.
-    while (!up.empty()) {
-      const std::size_t ci = up.front();
-      up.pop_front();
+    for (std::size_t head = 0; head < up.size(); ++head) {
+      const std::uint32_t ci = up[head];
       const std::uint16_t nd = static_cast<std::uint16_t>(t.cust[ci] + 1);
-      for (AsId p : rels.providers(as_ids_[ci])) {
-        const std::size_t pi = index(p);
-        if (nd < min3(pi) && nd < t.cust[pi]) {
+      for (std::uint32_t pi : graph_.providers(ci)) {
+        if (nd < t.best(pi) && nd < t.cust[pi]) {
           t.cust[pi] = nd;
           up.push_back(pi);
         }
@@ -194,6 +210,7 @@ void BgpSimulator::set_relationship(AsId a, AsId b,
         net_.truth_relationships());
   }
   rels_override_->set_rel(a, b, rel_of_b_from_a);
+  build_graph();
   invalidate_all();
 }
 
@@ -207,10 +224,10 @@ void BgpSimulator::invalidate_all() {
 }
 
 RouteInfo BgpSimulator::route(AsId src, AsId dst) const {
-  if (!as_index_.count(src) || !as_index_.count(dst)) return {};
-  if (src == dst) return {RouteClass::kSelf, 0};
-  const PerDst& t = table(dst);
-  std::size_t i = index(src);
+  const std::uint32_t i = index(src), di = index(dst);
+  if (i == kNoIndex || di == kNoIndex) return {};
+  if (i == di) return {RouteClass::kSelf, 0};
+  const PerDst& t = table(di);
   if (t.cust[i] != kInf) return {RouteClass::kCustomer, t.cust[i]};
   if (t.peer[i] != kInf) return {RouteClass::kPeer, t.peer[i]};
   if (t.prov[i] != kInf) return {RouteClass::kProvider, t.prov[i]};
@@ -219,14 +236,13 @@ RouteInfo BgpSimulator::route(AsId src, AsId dst) const {
 
 std::vector<std::vector<AsId>> BgpSimulator::candidate_tiers(AsId src,
                                                              AsId dst) const {
-  return compute_tiers(src, dst).tiers;
+  return compute_tiers(index(src), index(dst)).tiers;
 }
 
 const BgpSimulator::TierSet& BgpSimulator::tiers(AsId src, AsId dst) const {
-  if (!as_index_.count(src) || !as_index_.count(dst)) return kNoTiers;
-  const std::uint64_t key =
-      (static_cast<std::uint64_t>(index(src)) << 32) |
-      static_cast<std::uint64_t>(index(dst));
+  const std::uint32_t i = index(src), di = index(dst);
+  if (i == kNoIndex || di == kNoIndex) return kNoTiers;
+  const std::uint64_t key = (std::uint64_t{i} << 32) | di;
   {
     net::SharedLock lk(tiers_mu_);
     auto it = tiers_.find(key);
@@ -236,129 +252,121 @@ const BgpSimulator::TierSet& BgpSimulator::tiers(AsId src, AsId dst) const {
     }
   }
   tier_fills_.inc();
-  auto t = std::make_unique<TierSet>(compute_tiers(src, dst));
+  auto t = std::make_unique<TierSet>(compute_tiers(i, di));
   net::MutexLock lk(tiers_mu_);
   auto it = tiers_.emplace(key, std::move(t)).first;
   return *it->second;
 }
 
-BgpSimulator::TierSet BgpSimulator::compute_tiers(AsId src, AsId dst) const {
-  TierSet set;
-  auto& tiers = set.tiers;
-  if (!as_index_.count(src) || !as_index_.count(dst) || src == dst) {
-    return set;
-  }
-  const auto& rels = this->rels();
-  const PerDst& t = table(dst);
-  std::size_t i = index(src);
+template <typename Emit>
+void BgpSimulator::for_each_in_tier(const PerDst& t, std::uint32_t i,
+                                    RouteClass cls, Emit&& emit) const {
   // The distance a neighbor advertises toward us: its customer-cone
   // distance normally, or — when it leaks — its best route of any class.
-  auto advertised = [&](AsId n) {
-    std::size_t ni = index(n);
-    std::uint16_t via = t.cust[ni];
-    if (is_leaker(n)) {
-      via = std::min({via, t.peer[ni], t.prov[ni]});
-    }
-    return via;
+  auto advertised = [&](std::uint32_t j) {
+    return leaker_[j] ? t.best(j) : t.cust[j];
   };
+  switch (cls) {
+    case RouteClass::kCustomer:
+      if (t.cust[i] == kInf) return;
+      for (std::uint32_t c : graph_.customers(i)) {
+        const std::uint16_t via = advertised(c);
+        if (via != kInf && via + 1 == t.cust[i]) emit(c);
+      }
+      return;
+    case RouteClass::kPeer:
+      if (t.peer[i] == kInf) return;
+      for (std::uint32_t p : graph_.peers(i)) {
+        const std::uint16_t via = advertised(p);
+        if (via != kInf && via + 1 == t.peer[i]) emit(p);
+      }
+      return;
+    case RouteClass::kProvider: {
+      // Provider fallback tier: providers that have any route, best first.
+      if (t.best(i) == kInf) return;
+      std::uint16_t best = kInf;
+      for (std::uint32_t y : graph_.providers(i)) {
+        best = std::min(best, t.best(y));
+      }
+      if (best == kInf) return;
+      for (std::uint32_t y : graph_.providers(i)) {
+        if (t.best(y) == best) emit(y);
+      }
+      return;
+    }
+    default:
+      return;
+  }
+}
 
-  if (t.cust[i] != kInf) {
+BgpSimulator::TierSet BgpSimulator::compute_tiers(std::uint32_t src,
+                                                  std::uint32_t dst) const {
+  TierSet set;
+  if (src == kNoIndex || dst == kNoIndex || src == dst) return set;
+  const PerDst& t = table(dst);
+  for (RouteClass cls :
+       {RouteClass::kCustomer, RouteClass::kPeer, RouteClass::kProvider}) {
     std::vector<AsId> tier;
-    for (AsId c : rels.customers(src)) {
-      std::uint16_t via = advertised(c);
-      if (via != kInf && via + 1 == t.cust[i]) tier.push_back(c);
-    }
+    for_each_in_tier(t, src, cls,
+                     [&](std::uint32_t j) { tier.push_back(as_ids_[j]); });
     std::sort(tier.begin(), tier.end());
-    if (!tier.empty()) tiers.push_back(std::move(tier));
-  }
-  if (t.peer[i] != kInf) {
-    std::vector<AsId> tier;
-    for (AsId p : rels.peers(src)) {
-      std::uint16_t via = advertised(p);
-      if (via != kInf && via + 1 == t.peer[i]) tier.push_back(p);
-    }
-    std::sort(tier.begin(), tier.end());
-    if (!tier.empty()) tiers.push_back(std::move(tier));
-  }
-  if (t.prov[i] != kInf || t.cust[i] != kInf || t.peer[i] != kInf) {
-    // Provider fallback tier: providers that have any route, best first.
-    std::vector<AsId> tier;
-    std::uint16_t best = kInf;
-    for (AsId y : rels.providers(src)) {
-      std::size_t yi = index(y);
-      std::uint16_t via =
-          std::min({t.cust[yi], t.peer[yi], t.prov[yi]});
-      if (via != kInf) best = std::min<std::uint16_t>(best, via);
-    }
-    for (AsId y : rels.providers(src)) {
-      std::size_t yi = index(y);
-      std::uint16_t via =
-          std::min({t.cust[yi], t.peer[yi], t.prov[yi]});
-      if (via == best && via != kInf) tier.push_back(y);
-    }
-    std::sort(tier.begin(), tier.end());
-    if (!tier.empty()) tiers.push_back(std::move(tier));
+    if (!tier.empty()) set.tiers.push_back(std::move(tier));
   }
   return set;
 }
 
 std::vector<AsId> BgpSimulator::as_path(AsId src, AsId dst) const {
   std::vector<AsId> path;
-  if (!as_index_.count(src) || !as_index_.count(dst)) return path;
+  const std::uint32_t si = index(src), di = index(dst);
+  if (si == kNoIndex || di == kNoIndex) return path;
   path.push_back(src);
-  if (src == dst) return path;
-  const auto& rels = this->rels();
-  const PerDst& t = table(dst);
+  if (si == di) return path;
+  const PerDst& t = table(di);
 
-  auto min3 = [&](std::size_t i) {
-    return std::min({t.cust[i], t.peer[i], t.prov[i]});
+  // The lowest-AS member of tier `cls` at `i`, kNoIndex when it is empty.
+  auto lowest = [&](std::uint32_t i, RouteClass cls) {
+    std::uint32_t best = kNoIndex;
+    for_each_in_tier(t, i, cls, [&](std::uint32_t j) {
+      if (best == kNoIndex || as_ids_[j] < as_ids_[best]) best = j;
+    });
+    return best;
   };
-  AsId cur = src;
+  std::uint32_t cur = si;
   bool downhill = false;  // after crossing a peer or p2c edge, only descend
   // Leaked routes can revisit an AS in pathological policies; treat a
   // revisit as BGP loop detection dropping the path.
-  std::unordered_set<std::uint32_t> seen;
-  seen.insert(cur.value);
-  for (int guard = 0; guard < 48 && cur != dst; ++guard) {
-    AsId next;
-    if (downhill && is_leaker(cur) && min3(index(cur)) < t.cust[index(cur)]) {
+  std::vector<std::uint32_t> seen{cur};
+  for (int guard = 0; guard < 48 && cur != di; ++guard) {
+    std::uint32_t next = kNoIndex;
+    if (downhill && leaker_[cur] && t.best(cur) < t.cust[cur]) {
       // A leaked announcement brought the path here: the leaker forwards
       // along its own best (possibly uphill) route — the valley.
       downhill = false;
       continue;
     }
     if (downhill) {
-      // Follow the customer chain toward dst, lowest-AS tie break. A
-      // leaking customer advertises its best route of any class.
-      std::uint16_t want = static_cast<std::uint16_t>(t.cust[index(cur)] - 1);
-      bool found = false;
-      for (AsId c : rels.customers(cur)) {
-        std::uint16_t via = t.cust[index(c)];
-        if (is_leaker(c)) via = std::min(via, min3(index(c)));
-        if (via == want && (!found || c < next)) {
-          next = c;
-          found = true;
+      // Follow the customer chain toward dst. A leaking customer advertises
+      // its best route of any class.
+      next = lowest(cur, RouteClass::kCustomer);
+    } else {
+      // The first non-empty tier; crossing into a peer or customer flips
+      // us to descend-only mode.
+      for (RouteClass cls : {RouteClass::kCustomer, RouteClass::kPeer,
+                             RouteClass::kProvider}) {
+        next = lowest(cur, cls);
+        if (next != kNoIndex) {
+          downhill = cls != RouteClass::kProvider;
+          break;
         }
       }
-      if (!found && rels.rel(cur, dst) != asdata::Relationship::kNone &&
-          want == 0) {
-        next = dst;
-        found = true;
-      }
-      if (!found) return {};
-    } else {
-      const auto& cand = tiers(cur, dst).tiers;
-      if (cand.empty()) return {};
-      next = cand.front().front();
-      // Crossing into a peer or customer flips us to descend-only mode.
-      auto rel = rels.rel(cur, next);
-      if (rel != asdata::Relationship::kProvider) downhill = true;
     }
-    if (!seen.insert(next.value).second) return {};
-    path.push_back(next);
+    if (next == kNoIndex) return {};
+    if (std::find(seen.begin(), seen.end(), next) != seen.end()) return {};
+    seen.push_back(next);
+    path.push_back(as_ids_[next]);
     cur = next;
   }
-  if (cur != dst) return {};
+  if (cur != di) return {};
   BDRMAP_ENSURES(path.front() == src && path.back() == dst,
                  "as_path endpoints must match the query");
   return path;

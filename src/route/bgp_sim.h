@@ -10,11 +10,11 @@
 // would record.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
-#include <optional>
+#include <span>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "netbase/ids.h"
@@ -67,7 +67,10 @@ class BgpSimulator {
 
   const BgpPolicy& policy() const { return policy_; }
 
-  // Best route class/length from `src` toward `dst` (an AS).
+  // Best route class/length from `src` toward `dst` (an AS). Every AS
+  // advertises its shortest valley-free route to its customers, so a
+  // provider route's length can be shorter than as_path(), which follows
+  // each provider's own preferred route.
   RouteInfo route(AsId src, AsId dst) const;
 
   // Next-hop AS candidates grouped into preference tiers: tier 0 is the
@@ -76,15 +79,16 @@ class BgpSimulator {
   // preference order. Routers fall back to a later tier only when
   // per-prefix announcement filtering empties an earlier one.
   //
-  // Computes fresh on every call (the reference tests check the FIB's
-  // cached egress decisions against); hot paths use tiers() below.
+  // Computes fresh on every call: the reference the tests check the FIB's
+  // cached egress decisions against. The FIB itself uses tiers() below.
   std::vector<std::vector<AsId>> candidate_tiers(AsId src, AsId dst) const;
 
-  // Memoized candidate tiers for one (src, dst) AS pair. Each tier is
-  // sorted ascending (membership checks can binary-search). The returned
-  // reference is stable for the simulator's lifetime; fills are pure
-  // functions of the immutable relationship graph, so first-writer-wins
-  // insertion under tiers_mu_ is value-deterministic at any thread count.
+  // Memoized candidate tiers for one (src, dst) AS pair, for the FIB's
+  // egress fills (route::Fib). Each tier is sorted ascending (membership
+  // checks can binary-search). The returned reference is stable until the
+  // next invalidation; fills are pure functions of the relationship graph,
+  // so first-writer-wins insertion under tiers_mu_ is value-deterministic at
+  // any thread count.
   struct TierSet {
     std::vector<std::vector<AsId>> tiers;
   };
@@ -93,6 +97,8 @@ class BgpSimulator {
   // The deterministic best AS path from `src` to `dst` using lowest-AS
   // tie-breaking — what a route collector peering with `src` records.
   // Empty when unreachable; otherwise starts with `src`, ends with `dst`.
+  // Reads the destination's table directly and never touches the tier
+  // cache.
   std::vector<AsId> as_path(AsId src, AsId dst) const;
 
   bool reachable(AsId src, AsId dst) const {
@@ -103,14 +109,16 @@ class BgpSimulator {
   //
   // A long-lived daemon replays relationship churn into the simulator
   // without rebuilding the topology. The first override copies the truth
-  // graph into a private store (copy-on-write); later route/tier fills read
-  // the overridden store. Overrides and invalidation REQUIRE external
-  // quiescence: no concurrent route()/tiers()/as_path() callers (the serve
-  // engine applies churn strictly between inference epochs, and the thread
-  // pool's task hand-off provides the happens-before edge).
+  // graph into a private store (copy-on-write), and every override rebuilds
+  // the dense adjacency that later fills read. Overrides and invalidation
+  // REQUIRE external quiescence: no concurrent route()/tiers()/as_path()
+  // callers (the serve engine applies churn strictly between inference
+  // epochs, and the thread pool's task hand-off provides the
+  // happens-before edge).
 
   // Rewrites the relationship between `a` and `b` in both directions
-  // (kNone removes the edge) and invalidates every cached table/tier.
+  // (kNone removes the edge), rebuilds the dense adjacency and invalidates
+  // every cached table/tier.
   void set_relationship(AsId a, AsId b, asdata::Relationship rel_of_b_from_a)
       BDRMAP_EXCLUDES(cache_mu_, tiers_mu_);
 
@@ -124,6 +132,29 @@ class BgpSimulator {
 
  private:
   static constexpr std::uint16_t kInf = 0xffff;
+  static constexpr std::uint32_t kNoIndex = 0xffffffff;
+
+  // The relationship graph over dense AS indices in compressed-sparse-row
+  // form: node i's providers, customers and peers are consecutive runs of
+  // `adj`, each in the order the relationship store lists them. Built from
+  // rels() at construction and by set_relationship; every fill reads only
+  // this and the PerDst arrays.
+  struct Graph {
+    std::vector<std::uint32_t> offsets;  // 3 * n + 1 run boundaries
+    std::vector<std::uint32_t> adj;
+    std::span<const std::uint32_t> providers(std::uint32_t i) const {
+      return run(3 * i);
+    }
+    std::span<const std::uint32_t> customers(std::uint32_t i) const {
+      return run(3 * i + 1);
+    }
+    std::span<const std::uint32_t> peers(std::uint32_t i) const {
+      return run(3 * i + 2);
+    }
+    std::span<const std::uint32_t> run(std::size_t r) const {
+      return {adj.data() + offsets[r], adj.data() + offsets[r + 1]};
+    }
+  };
 
   struct PerDst {
     // All indexed by dense AS index. cust[x]: length of the shortest
@@ -131,17 +162,30 @@ class BgpSimulator {
     // peer[x]: via one peer edge then a customer chain; prov[x]: via one or
     // more provider edges first (valley-free "up then down").
     std::vector<std::uint16_t> cust, peer, prov;
+    std::uint16_t best(std::uint32_t i) const {
+      return std::min({cust[i], peer[i], prov[i]});
+    }
   };
 
-  const PerDst& table(AsId dst) const BDRMAP_EXCLUDES(cache_mu_);
-  TierSet compute_tiers(AsId src, AsId dst) const;
-  std::size_t index(AsId as) const { return as_index_.at(as); }
-  bool is_leaker(AsId as) const { return leaker_set_.count(as) > 0; }
+  // Dense index of `as`, kNoIndex when it is not in the topology.
+  std::uint32_t index(AsId as) const {
+    return as.value < index_of_.size() ? index_of_[as.value] : kNoIndex;
+  }
+  void build_graph();
+  const PerDst& table(std::uint32_t dst) const BDRMAP_EXCLUDES(cache_mu_);
+  TierSet compute_tiers(std::uint32_t src, std::uint32_t dst) const;
+
+  // The tier rule, written once for compute_tiers and as_path: calls
+  // emit(j) for every neighbor j of `i` in the `cls` tier toward the
+  // destination of `t` (cls is kCustomer, kPeer or kProvider).
+  template <typename Emit>
+  void for_each_in_tier(const PerDst& t, std::uint32_t i, RouteClass cls,
+                        Emit&& emit) const;
 
   // Relax-only derivations shared by the base fill and the leak overlay:
-  // peer[] from cust[] across peer edges, prov[] via Dijkstra down p2c
-  // edges. Both only ever lower values, so re-running after a leak
-  // relaxation is safe.
+  // peer[] from cust[] across peer edges, prov[] by a unit-weight bucket
+  // queue down p2c edges. Both only ever lower values, so re-running after
+  // a leak relaxation is safe.
   void derive_peer(PerDst& t) const;
   void derive_prov(PerDst& t) const;
   // Applies the BgpPolicy route leaks to a freshly computed table, iterated
@@ -149,9 +193,7 @@ class BgpSimulator {
   void apply_leaks(PerDst& t) const;
 
   // Effective relationship graph: the overlay if churn installed one, the
-  // topology's truth graph otherwise. Read from fill paths only; the
-  // overlay pointer is written exclusively under the quiescence contract
-  // of set_relationship above.
+  // topology's truth graph otherwise. Fills read graph_, built from it.
   const asdata::RelationshipStore& rels() const {
     return rels_override_ ? *rels_override_ : net_.truth_relationships();
   }
@@ -159,21 +201,22 @@ class BgpSimulator {
   const topo::Internet& net_;
   BgpPolicy policy_;
   std::unique_ptr<asdata::RelationshipStore> rels_override_;
-  std::unordered_set<AsId> leaker_set_;
-  std::unordered_map<AsId, std::size_t> as_index_;
-  std::vector<AsId> as_ids_;
+  std::vector<AsId> as_ids_;             // dense index -> AS
+  std::vector<std::uint32_t> index_of_;  // AS number -> dense index
+  std::vector<std::uint8_t> leaker_;     // dense index -> BgpPolicy leaker
+  // Written only under the quiescence contract of set_relationship.
+  Graph graph_;
   // No-op handles unless a registry was supplied at construction.
   obs::Counter table_fills_;
   obs::Counter tier_hits_;
   obs::Counter tier_fills_;
-  // Lazily computed per-destination tables (most workloads touch every
-  // destination exactly once, so we cache forever). Guarded by cache_mu_:
-  // concurrent multi-VP runs share one simulator, and the fill is
-  // value-deterministic (a pure function of the immutable truth graph),
-  // so first-writer-wins insertion keeps results independent of thread
-  // interleaving.
+  // Lazily computed per-destination tables keyed by dense index, kept until
+  // the next invalidation. Guarded by cache_mu_: concurrent multi-VP runs
+  // share one simulator, and the fill is value-deterministic (a pure
+  // function of the graph), so first-writer-wins insertion keeps results
+  // independent of thread interleaving.
   mutable net::SharedMutex cache_mu_;
-  mutable std::unordered_map<AsId, std::unique_ptr<PerDst>> cache_
+  mutable std::unordered_map<std::uint32_t, std::unique_ptr<PerDst>> cache_
       BDRMAP_GUARDED_BY(cache_mu_);
   // Candidate-tier cache keyed by packed dense (src, dst) indices. Same
   // locking and purity discipline as cache_ above; referenced entries live

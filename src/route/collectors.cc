@@ -52,13 +52,17 @@ CollectorView::CollectorView(const topo::Internet& net,
   }
 
   // Each collector peer contributes its best path to every origin AS, and
-  // the origins of every announced prefix it can reach.
-  std::unordered_set<net::AsId> origin_ases;
-  for (const auto& ap : net.announced()) origin_ases.insert(ap.origin);
+  // the origins of every announced prefix it can reach. Origins are walked
+  // in ascending order, so each peer's paths come in that order.
+  std::vector<net::AsId> origin_ases;
+  for (const auto& ap : net.announced()) origin_ases.push_back(ap.origin);
   // MOAS co-origins appear in the truth origin table as additional origins.
   for (const auto& [prefix, origin_set] : net.truth_origins().all_prefixes()) {
-    for (net::AsId o : origin_set) origin_ases.insert(o);
+    origin_ases.insert(origin_ases.end(), origin_set.begin(), origin_set.end());
   }
+  std::sort(origin_ases.begin(), origin_ases.end());
+  origin_ases.erase(std::unique(origin_ases.begin(), origin_ases.end()),
+                    origin_ases.end());
 
   std::unordered_set<net::AsId> reachable_origins;
   for (net::AsId cp : peers_) {

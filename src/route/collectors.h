@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstdint>
+#include <unordered_set>
 #include <vector>
 
 #include "asdata/bgp_origins.h"
@@ -44,7 +45,8 @@ class CollectorView {
   // BGP data"). Unannounced infrastructure space is absent by construction.
   const asdata::OriginTable& public_origins() const { return origins_; }
 
-  // Every AS path collected (first element: collector peer; last: origin).
+  // Every AS path collected (first element: collector peer; last: origin),
+  // grouped by peer and, within a peer, in ascending origin order.
   const std::vector<std::vector<net::AsId>>& paths() const { return paths_; }
 
   // Collector peer ASes.

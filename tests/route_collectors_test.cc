@@ -115,5 +115,21 @@ TEST_F(CollectorFixture, PathsEndAtOrigins) {
   }
 }
 
+TEST_F(CollectorFixture, EachPeersPathsComeInAscendingOriginOrder) {
+  // Path order is part of the view's output, so it must not depend on the
+  // standard library's hash layout.
+  const auto& paths = view_->paths();
+  ASSERT_FALSE(paths.empty());
+  std::size_t runs = 1;
+  for (std::size_t i = 1; i < paths.size(); ++i) {
+    if (paths[i].front() != paths[i - 1].front()) {
+      ++runs;
+      continue;
+    }
+    EXPECT_LT(paths[i - 1].back(), paths[i].back()) << "path " << i;
+  }
+  EXPECT_LE(runs, view_->peer_ases().size()) << "a peer's paths are split";
+}
+
 }  // namespace
 }  // namespace bdrmap::route

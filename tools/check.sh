@@ -72,8 +72,8 @@ run_tsan() {
   cmake --preset tsan
   cmake --build --preset tsan -j "$JOBS" --target \
     runtime_thread_pool_test runtime_multi_vp_test netbase_contract_test \
-    route_fastpath_test trace_batch_test obs_metrics_test obs_trace_test \
-    eval_fuzzer_test serve_handle_test serve_snapshot_test \
+    route_bgp_test route_fastpath_test trace_batch_test obs_metrics_test \
+    obs_trace_test eval_fuzzer_test serve_handle_test serve_snapshot_test \
     serve_incremental_test golden_border_map_test \
     heuristic_confidence_test bdrmap_sim bdrmapd
   ctest --test-dir build-tsan -j "$JOBS" --output-on-failure \
