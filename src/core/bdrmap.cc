@@ -28,14 +28,6 @@ void publish_result(const BdrmapResult& result,
   registry->counter("core.stopset_hits").inc(result.stats.stopset_hits);
   registry->counter("core.probe_failures").inc(result.stats.probe_failures);
   registry->counter("core.links").inc(result.links.size());
-  // Compiled-view footprint (gauges: last run wins; per-VP engines racing
-  // here is fine, the values are diagnostics, not inference inputs).
-  registry->gauge("core.arena.bytes_reserved")
-      .set(static_cast<std::int64_t>(result.stats.arena_bytes_reserved));
-  registry->gauge("core.arena.bytes_used")
-      .set(static_cast<std::int64_t>(result.stats.arena_bytes_used));
-  registry->gauge("core.arena.allocations")
-      .set(static_cast<std::int64_t>(result.stats.arena_allocations));
 
   // One core.confidence.<tag> observation per placement, in basis points
   // of [0,1]: one per neighbor router (so the router tags' counts sum to
@@ -279,25 +271,18 @@ BdrmapResult infer_borders(RouterGraph graph, const InferenceInputs& inputs,
   Heuristics heuristics(result.graph, inputs, config);
   auto uncooperative = heuristics.run();
   result.rule_stats = heuristics.rule_stats();
-  const InferenceInputs& inputs_ = inputs;  // keep the body below uniform
-
-  // The graph is final from here on: compile the SoA/CSR view once and
-  // run every scan below over its contiguous arrays (DESIGN.md §14).
-  net::Arena arena;
-  const CompiledGraph cg = result.graph.compile(arena);
 
   // Routers that are the first non-VP router of some trace (counting only
   // time-exceeded hops): these border the VP network even when the hop
-  // before them never answered. Hop addresses were resolved to router
-  // indices at compile time, so this is a pure array walk.
-  // BDRMAP_HOT_BEGIN(infer_scan)
-  std::uint8_t* follows_vp = arena.allocate<std::uint8_t>(cg.router_count);
-  for (std::uint32_t t = 0; t < cg.trace_count; ++t) {
-    for (std::uint32_t i = cg.trace_offsets[t]; i < cg.trace_offsets[t + 1];
-         ++i) {
-      const std::uint32_t r = cg.trace_hops[i];
-      if (cg.vp_side[r]) continue;
-      follows_vp[r] = 1;
+  // before them never answered.
+  const auto& routers = result.graph.routers();
+  std::vector<std::uint8_t> follows_vp(routers.size(), 0);
+  for (const ObservedTrace& trace : result.graph.traces()) {
+    for (const ObservedHop& hop : trace.hops) {
+      if (hop.kind != probe::ReplyKind::kTimeExceeded) continue;
+      const std::optional<std::size_t> r = result.graph.router_of(hop.addr);
+      if (!r || routers[*r].vp_side) continue;
+      follows_vp[*r] = 1;
       break;
     }
   }
@@ -306,36 +291,33 @@ BdrmapResult infer_borders(RouterGraph graph, const InferenceInputs& inputs,
   // neighbor router) adjacency, plus first-after-gap borders, plus the
   // §5.4.8 placements for otherwise-uncovered neighbors.
   auto org_of = [&](AsId as) {
-    if (!inputs_.siblings) return as;
-    auto sibs = inputs_.siblings->siblings_of(as);
+    if (!inputs.siblings) return as;
+    auto sibs = inputs.siblings->siblings_of(as);
     return sibs.empty() ? as : sibs.front();
   };
   std::unordered_set<AsId> linked_orgs;
-  for (std::uint32_t n = 0; n < cg.router_count; ++n) {
-    if (!cg.live[n]) continue;
-    if (cg.vp_side[n] ||
-        cg.how[n] == static_cast<std::uint8_t>(Heuristic::kNone) ||
-        !cg.owner[n].valid()) {
+  for (std::size_t n = 0; n < routers.size(); ++n) {
+    if (result.graph.merged_away(n)) continue;
+    const GraphRouter& router = routers[n];
+    if (router.vp_side || router.how == Heuristic::kNone ||
+        !router.owner.valid()) {
       continue;
     }
-    const auto how = static_cast<Heuristic>(cg.how[n]);
     bool any_near = false;
-    for (std::uint32_t i = cg.prev_offsets[n]; i < cg.prev_offsets[n + 1];
-         ++i) {
-      const std::uint32_t p = cg.prev[i];
-      if (cg.vp_side[p]) {
-        result.links.push_back({p, n, cg.owner[n], how, cg.confidence[n]});
+    for (std::size_t p : router.prev) {  // ascending: the links' order
+      if (routers[p].vp_side) {
+        result.links.push_back(
+            {p, n, router.owner, router.how, router.confidence});
         any_near = true;
       }
     }
     if (!any_near && follows_vp[n]) {
-      result.links.push_back(
-          {InferredLink::kNoRouter, n, cg.owner[n], how, cg.confidence[n]});
+      result.links.push_back({InferredLink::kNoRouter, n, router.owner,
+                              router.how, router.confidence});
       any_near = true;
     }
-    if (any_near) linked_orgs.insert(org_of(cg.owner[n]));
+    if (any_near) linked_orgs.insert(org_of(router.owner));
   }
-  // BDRMAP_HOT_END(infer_scan)
   for (const auto& u : uncooperative) {
     if (linked_orgs.count(org_of(u.neighbor))) continue;
     result.links.push_back(
@@ -348,19 +330,15 @@ BdrmapResult infer_borders(RouterGraph graph, const InferenceInputs& inputs,
   }
 
   stats.routers = 0;
-  for (std::uint32_t n = 0; n < cg.router_count; ++n) {
-    if (!cg.live[n]) continue;
+  for (std::size_t n = 0; n < routers.size(); ++n) {
+    if (result.graph.merged_away(n)) continue;
     ++stats.routers;
-    if (cg.vp_side[n]) {
+    if (routers[n].vp_side) {
       ++stats.vp_routers;
-    } else if (cg.how[n] != static_cast<std::uint8_t>(Heuristic::kNone)) {
+    } else if (routers[n].how != Heuristic::kNone) {
       ++stats.neighbor_routers;
     }
   }
-  const net::Arena::Stats& arena_stats = arena.stats();
-  stats.arena_bytes_reserved = arena_stats.bytes_reserved;
-  stats.arena_bytes_used = arena_stats.bytes_used;
-  stats.arena_allocations = arena_stats.allocations;
   result.stats = stats;
   return result;
 }

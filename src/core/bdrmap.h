@@ -115,12 +115,6 @@ struct BdrmapStats {
   std::size_t stopset_hits = 0;
   // Probes the measurement channel abandoned (§5.8 degraded deployment).
   std::size_t probe_failures = 0;
-  // Footprint of the compiled SoA/CSR inference view (DESIGN.md §14).
-  // Memory accounting only — never part of border-map equality
-  // (eval::same_border_map ignores these fields by construction).
-  std::size_t arena_bytes_reserved = 0;
-  std::size_t arena_bytes_used = 0;
-  std::size_t arena_allocations = 0;
 };
 
 struct BdrmapResult {

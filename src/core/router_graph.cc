@@ -203,68 +203,6 @@ void RouterGraph::merge(std::size_t into, std::size_t from) {
   BDRMAP_ENSURES(merged_away(from) && !merged_away(into));
 }
 
-CompiledGraph RouterGraph::compile(net::Arena& arena) const {
-  CompiledGraph cg;
-  cg.router_count = static_cast<std::uint32_t>(routers_.size());
-
-  std::uint8_t* live = arena.allocate<std::uint8_t>(routers_.size());
-  std::uint8_t* vp_side = arena.allocate<std::uint8_t>(routers_.size());
-  std::uint8_t* how = arena.allocate<std::uint8_t>(routers_.size());
-  AsId* owner = arena.allocate<AsId>(routers_.size());
-  double* confidence = arena.allocate<double>(routers_.size());
-
-  std::size_t prev_total = 0;
-  for (const GraphRouter& r : routers_) prev_total += r.prev.size();
-  std::uint32_t* prev_offsets =
-      arena.allocate<std::uint32_t>(routers_.size() + 1);
-  std::uint32_t* prev = arena.allocate<std::uint32_t>(prev_total);
-
-  std::uint32_t cursor = 0;
-  for (std::size_t n = 0; n < routers_.size(); ++n) {
-    const GraphRouter& r = routers_[n];
-    live[n] = !r.addrs.empty();
-    vp_side[n] = r.vp_side;
-    how[n] = static_cast<std::uint8_t>(r.how);
-    owner[n] = r.owner;
-    confidence[n] = r.confidence;
-    prev_offsets[n] = cursor;
-    // std::set iterates ascending; the CSR row keeps that order so the
-    // link-emission scan visits near-side routers identically.
-    for (std::size_t p : r.prev) prev[cursor++] = static_cast<std::uint32_t>(p);
-  }
-  prev_offsets[routers_.size()] = cursor;
-
-  cg.trace_count = static_cast<std::uint32_t>(traces_.size());
-  std::size_t hop_total = 0;
-  for (const ObservedTrace& t : traces_) hop_total += t.hops.size();
-  std::uint32_t* trace_offsets =
-      arena.allocate<std::uint32_t>(traces_.size() + 1);
-  std::uint32_t* trace_hops = arena.allocate<std::uint32_t>(hop_total);
-
-  cursor = 0;
-  for (std::size_t t = 0; t < traces_.size(); ++t) {
-    trace_offsets[t] = cursor;
-    for (const ObservedHop& hop : traces_[t].hops) {
-      if (hop.kind != probe::ReplyKind::kTimeExceeded) continue;
-      auto it = addr_to_router_.find(hop.addr);
-      if (it == addr_to_router_.end()) continue;
-      trace_hops[cursor++] = static_cast<std::uint32_t>(it->second);
-    }
-  }
-  trace_offsets[traces_.size()] = cursor;
-
-  cg.live = live;
-  cg.vp_side = vp_side;
-  cg.how = how;
-  cg.owner = owner;
-  cg.confidence = confidence;
-  cg.prev_offsets = prev_offsets;
-  cg.prev = prev;
-  cg.trace_offsets = trace_offsets;
-  cg.trace_hops = trace_hops;
-  return cg;
-}
-
 std::size_t RouterGraph::live_router_count() const {
   std::size_t n = 0;
   for (const auto& r : routers_) n += !r.addrs.empty();

@@ -11,12 +11,12 @@
 #include <cstdint>
 #include <limits>
 #include <map>
+#include <optional>
 #include <set>
 #include <unordered_map>
 #include <vector>
 
 #include "core/observations.h"
-#include "netbase/arena.h"
 #include "netbase/ids.h"
 
 namespace bdrmap::core {
@@ -65,38 +65,6 @@ struct GraphRouter {
   double confidence = 0.0;
 };
 
-// Data-oriented compiled view of a finished graph (DESIGN.md §14). The
-// §5.4 link-emission and first-external-router scans are the inference
-// tail's hot loops; against GraphRouter they chase per-router std::set
-// nodes and re-hash every hop address. compile() flattens exactly what
-// those loops read — per-router annotation columns, CSR predecessor
-// adjacency, and per-trace hop records with addresses pre-resolved to
-// dense u32 router indices — into one arena, so the scans touch only
-// contiguous arrays and the whole view frees in O(1). Rows preserve the
-// source iteration order (std::set ascending, traces in collection
-// order), so consumers are bit-identical to the pointer-chasing loops.
-struct CompiledGraph {
-  static constexpr std::uint32_t kNoRouter = 0xffffffffu;
-
-  // Per-router SoA columns, indexed by RouterGraph router index.
-  std::uint32_t router_count = 0;
-  const std::uint8_t* live = nullptr;     // 1 == not merged away
-  const std::uint8_t* vp_side = nullptr;  // 1 == VP-network side
-  const std::uint8_t* how = nullptr;      // Heuristic enum value
-  const AsId* owner = nullptr;
-  const double* confidence = nullptr;     // inference strength (§15)
-
-  // CSR predecessor adjacency: prev rows of every router, concatenated.
-  const std::uint32_t* prev_offsets = nullptr;  // router_count + 1 entries
-  const std::uint32_t* prev = nullptr;
-
-  // Per-trace time-exceeded hop records, flattened in trace order: each
-  // row lists the hops' router indices (post-merge), pre-resolved once.
-  std::uint32_t trace_count = 0;
-  const std::uint32_t* trace_offsets = nullptr;  // trace_count + 1 entries
-  const std::uint32_t* trace_hops = nullptr;
-};
-
 class RouterGraph {
  public:
   // Builds the graph from traces and alias groups (taking ownership of the
@@ -118,11 +86,6 @@ class RouterGraph {
   void merge(std::size_t into, std::size_t from);
 
   const std::vector<ObservedTrace>& traces() const { return traces_; }
-
-  // Compiles the SoA/CSR view into `arena` (DESIGN.md §14). Call after
-  // the graph has stopped mutating (heuristics run, merges done); the
-  // view is invalidated by any later merge() or by resetting the arena.
-  CompiledGraph compile(net::Arena& arena) const;
 
   std::size_t live_router_count() const;
   bool merged_away(std::size_t i) const { return routers_[i].addrs.empty(); }

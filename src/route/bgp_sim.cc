@@ -31,7 +31,8 @@ BgpSimulator::BgpSimulator(const topo::Internet& net, BgpPolicy policy,
   }
   leaker_.assign(as_ids_.size(), 0);
   for (AsId leaker : policy_.leakers) {
-    if (std::uint32_t li = index(leaker); li != kNoIndex) leaker_[li] = 1;
+    const std::uint32_t li = dense_index(leaker);
+    if (li != kNoIndex) leaker_[li] = 1;
   }
   build_graph();
 }
@@ -44,7 +45,8 @@ void BgpSimulator::build_graph() {
   graph_.adj.clear();
   auto append = [&](const std::vector<AsId>& list) {
     for (AsId as : list) {
-      if (std::uint32_t j = index(as); j != kNoIndex) graph_.adj.push_back(j);
+      const std::uint32_t j = dense_index(as);
+      if (j != kNoIndex) graph_.adj.push_back(j);
     }
   };
   for (std::size_t i = 0; i < n; ++i) {
@@ -162,7 +164,7 @@ void BgpSimulator::apply_leaks(PerDst& t) const {
     changed = false;
     std::vector<std::uint32_t> up;  // cone re-propagation frontier
     for (AsId leaker : policy_.leakers) {
-      const std::uint32_t li = index(leaker);
+      const std::uint32_t li = dense_index(leaker);
       if (li == kNoIndex) continue;
       const std::uint16_t d = t.best(li);
       if (d >= kInf) continue;
@@ -224,7 +226,7 @@ void BgpSimulator::invalidate_all() {
 }
 
 RouteInfo BgpSimulator::route(AsId src, AsId dst) const {
-  const std::uint32_t i = index(src), di = index(dst);
+  const std::uint32_t i = dense_index(src), di = dense_index(dst);
   if (i == kNoIndex || di == kNoIndex) return {};
   if (i == di) return {RouteClass::kSelf, 0};
   const PerDst& t = table(di);
@@ -236,11 +238,11 @@ RouteInfo BgpSimulator::route(AsId src, AsId dst) const {
 
 std::vector<std::vector<AsId>> BgpSimulator::candidate_tiers(AsId src,
                                                              AsId dst) const {
-  return compute_tiers(index(src), index(dst)).tiers;
+  return compute_tiers(dense_index(src), dense_index(dst)).tiers;
 }
 
 const BgpSimulator::TierSet& BgpSimulator::tiers(AsId src, AsId dst) const {
-  const std::uint32_t i = index(src), di = index(dst);
+  const std::uint32_t i = dense_index(src), di = dense_index(dst);
   if (i == kNoIndex || di == kNoIndex) return kNoTiers;
   const std::uint64_t key = (std::uint64_t{i} << 32) | di;
   {
@@ -317,7 +319,7 @@ BgpSimulator::TierSet BgpSimulator::compute_tiers(std::uint32_t src,
 
 std::vector<AsId> BgpSimulator::as_path(AsId src, AsId dst) const {
   std::vector<AsId> path;
-  const std::uint32_t si = index(src), di = index(dst);
+  const std::uint32_t si = dense_index(src), di = dense_index(dst);
   if (si == kNoIndex || di == kNoIndex) return path;
   path.push_back(src);
   if (si == di) return path;

@@ -88,7 +88,8 @@ class BgpSimulator {
   // checks can binary-search). The returned reference is stable until the
   // next invalidation; fills are pure functions of the relationship graph,
   // so first-writer-wins insertion under tiers_mu_ is value-deterministic at
-  // any thread count.
+  // any thread count. One pair's tiers feed the fills of every router of
+  // `src`, which is why this stays memoized (DESIGN.md §9 has the timing).
   struct TierSet {
     std::vector<std::vector<AsId>> tiers;
   };
@@ -103,6 +104,14 @@ class BgpSimulator {
 
   bool reachable(AsId src, AsId dst) const {
     return route(src, dst).cls != RouteClass::kNone;
+  }
+
+  // Dense index of `as`: its position in the topology's AS list as of
+  // construction, kNoIndex when it is not there. route::Fib keys its
+  // per-AS tables by the same index.
+  static constexpr std::uint32_t kNoIndex = 0xffffffff;
+  std::uint32_t dense_index(AsId as) const {
+    return as.value < index_of_.size() ? index_of_[as.value] : kNoIndex;
   }
 
   // -- Churn hooks (serve::ServeEngine) -------------------------------------
@@ -132,7 +141,6 @@ class BgpSimulator {
 
  private:
   static constexpr std::uint16_t kInf = 0xffff;
-  static constexpr std::uint32_t kNoIndex = 0xffffffff;
 
   // The relationship graph over dense AS indices in compressed-sparse-row
   // form: node i's providers, customers and peers are consecutive runs of
@@ -167,10 +175,6 @@ class BgpSimulator {
     }
   };
 
-  // Dense index of `as`, kNoIndex when it is not in the topology.
-  std::uint32_t index(AsId as) const {
-    return as.value < index_of_.size() ? index_of_[as.value] : kNoIndex;
-  }
   void build_graph();
   const PerDst& table(std::uint32_t dst) const BDRMAP_EXCLUDES(cache_mu_);
   TierSet compute_tiers(std::uint32_t src, std::uint32_t dst) const;

@@ -25,15 +25,6 @@ inline std::uint64_t flow_rank(Ipv4Addr dst, LinkId link) {
 
 }  // namespace
 
-std::size_t Fib::EgressKeyHash::operator()(const EgressKey& k) const noexcept {
-  std::uint64_t h = (std::uint64_t{k.router} << 32) ^ k.dst_as;
-  h ^= reinterpret_cast<std::uintptr_t>(k.pinned) * 0x9e3779b97f4a7c15ULL;
-  h ^= h >> 33;
-  h *= 0xff51afd7ed558ccdULL;
-  h ^= h >> 29;
-  return static_cast<std::size_t>(h);
-}
-
 Fib::Fib(const topo::Internet& net, const BgpSimulator& bgp,
          FibOptions options)
     : net_(net), bgp_(bgp) {
@@ -46,11 +37,11 @@ Fib::Fib(const topo::Internet& net, const BgpSimulator& bgp,
         "route.fib.egress_tied_sessions", {0, 1, 2, 4, 8});
   }
   const auto& ases = net.ases();
-  as_dense_.reserve(ases.size());
   router_as_dense_.assign(net.routers().size(), kNoIndex);
   router_local_.assign(net.routers().size(), kNoIndex);
   for (std::uint32_t d = 0; d < ases.size(); ++d) {
-    as_dense_.emplace(ases[d].id, d);
+    BDRMAP_EXPECTS(bgp.dense_index(ases[d].id) == d,
+                   "Fib and BgpSimulator must index the same AS list");
     const auto& routers = ases[d].routers;
     for (std::uint32_t i = 0; i < routers.size(); ++i) {
       router_as_dense_[routers[i].value] = d;
@@ -60,6 +51,13 @@ Fib::Fib(const topo::Internet& net, const BgpSimulator& bgp,
   routing_.resize(ases.size());
   sessions_.resize(ases.size());
   sessions_by_far_.resize(ases.size());
+  row_width_ = static_cast<std::uint32_t>(ases.size());
+  pinned_column_.assign(net.announced().size(), kNoIndex);
+  for (std::size_t i = 0; i < net.announced().size(); ++i) {
+    if (!net.announced()[i].only_via_links.empty()) {
+      pinned_column_[i] = row_width_++;
+    }
+  }
   // Row pointers start null; rows are allocated on the first egress
   // decision a router makes (vector of atomics is fixed-size by design).
   egress_rows_ = std::vector<std::atomic<std::atomic<const EgressEntry*>*>>(
@@ -77,8 +75,10 @@ Fib::Fib(const topo::Internet& net, const BgpSimulator& bgp,
     IfaceId ib = iface_of(info.router_b);
     BDRMAP_EXPECTS(ia.valid() && ib.valid(),
                    "interdomain link must terminate on both end routers");
-    std::uint32_t da = as_dense_.at(info.as_a);
-    std::uint32_t db = as_dense_.at(info.as_b);
+    std::uint32_t da = bgp.dense_index(info.as_a);
+    std::uint32_t db = bgp.dense_index(info.as_b);
+    BDRMAP_EXPECTS(da != kNoIndex && db != kNoIndex,
+                   "interdomain link ends must be known ASes");
     sessions_[da].push_back({info.link, info.router_a, info.router_b,
                              ia, ib, info.as_a, info.as_b, info.via_ixp});
     sessions_[db].push_back({info.link, info.router_b, info.router_a,
@@ -125,10 +125,8 @@ void Fib::invalidate_egress() {
   // Mutators run under the serve layer's quiescence contract (no
   // concurrent forwarding), so relaxed stores suffice to null the rows.
   net::MutexLock lk(egress_mu_);
-  egress_.clear();
-  const std::size_t n_ases = sessions_.size();
   for (auto& storage : egress_row_storage_) {
-    for (std::size_t j = 0; j < n_ases; ++j) {
+    for (std::size_t j = 0; j < row_width_; ++j) {
       storage[j].store(nullptr, std::memory_order_relaxed);
     }
   }
@@ -148,8 +146,8 @@ bool Fib::prefix_withdrawn(const topo::AnnouncedPrefix* ap) const {
 }
 
 const std::vector<Session>& Fib::sessions_of(AsId as) const {
-  auto it = as_dense_.find(as);
-  return it == as_dense_.end() ? kNoSessions : sessions_[it->second];
+  const std::uint32_t d = bgp_.dense_index(as);
+  return d == kNoIndex ? kNoSessions : sessions_[d];
 }
 
 AsId Fib::owner_of(RouterId r) const {
@@ -161,13 +159,6 @@ AsId Fib::owner_of(RouterId r) const {
 }
 
 Fib::RouteQuery::Resolved Fib::resolve(Ipv4Addr dst) const {
-  // Dense index of the routing target AS, kNoIndex for ASes outside the
-  // construction snapshot (corrupted-truth audits) — those fall back to
-  // the keyed egress map instead of the flat rows.
-  auto dense_as = [this](AsId as) {
-    auto it = as_dense_.find(as);
-    return it == as_dense_.end() ? kNoIndex : it->second;
-  };
   RouteQuery::Resolved r;
   if (auto iface_id = net_.iface_at(dst)) {
     const auto& iface = net_.iface(*iface_id);
@@ -186,7 +177,7 @@ Fib::RouteQuery::Resolved Fib::resolve(Ipv4Addr dst) const {
         const auto& oi = net_.iface(other);
         if (owner_of(oi.router) == link.addr_space_owner) {
           r.dst_as = link.addr_space_owner;
-          r.dst_as_dense = dense_as(r.dst_as);
+          r.column = bgp_.dense_index(r.dst_as);
           r.target = oi.router;
           r.cross_link = link.id;
           r.cross_egress = other;
@@ -195,7 +186,7 @@ Fib::RouteQuery::Resolved Fib::resolve(Ipv4Addr dst) const {
       }
     }
     r.dst_as = owner;
-    r.dst_as_dense = dense_as(owner);
+    r.column = bgp_.dense_index(owner);
     r.target = t;
     return r;
   }
@@ -206,11 +197,18 @@ Fib::RouteQuery::Resolved Fib::resolve(Ipv4Addr dst) const {
     if (prefix_withdrawn(ap)) return r;
     r.ok = true;
     r.dst_as = ap->origin;
-    r.dst_as_dense = dense_as(ap->origin);
+    r.column = bgp_.dense_index(ap->origin);
     r.target = ap->host_router;
     r.final_router = ap->host_router;
     r.ap = ap;
-    if (!ap->only_via_links.empty()) r.pinned = &ap->only_via_links;
+    if (!ap->only_via_links.empty()) {
+      r.pinned = &ap->only_via_links;
+      const auto i = static_cast<std::size_t>(ap - net_.announced().data());
+      BDRMAP_EXPECTS(i < pinned_column_.size() &&
+                         pinned_column_[i] != kNoIndex,
+                     "pinned prefix announced after Fib construction");
+      if (r.column != kNoIndex) r.column = pinned_column_[i];
+    }
     return r;
   }
   return r;
@@ -356,7 +354,7 @@ Fib::EgressEntry Fib::compute_egress_entry(
   // them is applied by next_hop at lookup time.
   EgressEntry entry;
   const AsId as = owner_of(r);
-  const std::uint32_t as_dense = as_dense_.at(as);
+  const std::uint32_t as_dense = router_as_dense_[r.value];
   const auto& sessions = sessions_[as_dense];
   const auto& by_far = sessions_by_far_[as_dense];
   if (!sessions.empty()) {
@@ -394,52 +392,28 @@ Fib::EgressEntry Fib::compute_egress_entry(
   return entry;
 }
 
-const Fib::EgressEntry& Fib::egress_entry(
-    RouterId r, AsId dst_as, const std::vector<LinkId>* pinned) const {
-  const EgressKey key{r.value, dst_as.value,
-                      static_cast<const void*>(pinned)};
-  {
-    net::SharedLock lk(egress_mu_);
-    auto it = egress_.find(key);
-    if (it != egress_.end()) {
-      egress_hits_.inc();
-      return *it->second;
-    }
-  }
+const Fib::EgressEntry* Fib::egress_fill(
+    RouterId r, const RouteQuery::Resolved& res) const {
   egress_misses_.inc();
-
-  auto entry = std::make_unique<EgressEntry>(
-      compute_egress_entry(r, dst_as, pinned));
-
-  // Pure function of the immutable topology: first writer wins.
-  net::MutexLock lk(egress_mu_);
-  auto it = egress_.emplace(key, std::move(entry)).first;
-  return *it->second;
-}
-
-const Fib::EgressEntry* Fib::egress_fill_flat(RouterId r,
-                                              std::uint32_t dst_as_dense,
-                                              AsId dst_as) const {
-  egress_misses_.inc();
-  EgressEntry filled = compute_egress_entry(r, dst_as, nullptr);
+  EgressEntry filled = compute_egress_entry(r, res.dst_as, res.pinned);
 
   net::MutexLock lk(egress_mu_);
   std::atomic<const EgressEntry*>* row =
       egress_rows_[r.value].load(std::memory_order_relaxed);
   if (!row) {
     auto storage = std::make_unique<std::atomic<const EgressEntry*>[]>(
-        sessions_.size());  // value-initialized: every slot starts null
+        row_width_);  // value-initialized: every slot starts null
     row = storage.get();
     egress_row_storage_.push_back(std::move(storage));
     egress_rows_[r.value].store(row, std::memory_order_release);
   }
   // First writer wins; a racing fill computed the identical entry.
-  if (const EgressEntry* e = row[dst_as_dense].load(std::memory_order_relaxed)) {
+  if (const EgressEntry* e = row[res.column].load(std::memory_order_relaxed)) {
     return e;
   }
   egress_pool_.push_back(std::move(filled));
   const EgressEntry* e = &egress_pool_.back();
-  row[dst_as_dense].store(e, std::memory_order_release);
+  row[res.column].store(e, std::memory_order_release);
   return e;
 }
 
@@ -447,19 +421,18 @@ const Fib::EgressEntry* Fib::egress_fill_flat(RouterId r,
 // Array loads, published-pointer acquire loads and pure hashes only; no
 // node containers, no heap allocation (cold fills live outside the region).
 
-const Fib::EgressEntry* Fib::egress_entry_flat(RouterId r,
-                                               std::uint32_t dst_as_dense,
-                                               AsId dst_as) const {
+const Fib::EgressEntry* Fib::egress_entry(
+    RouterId r, const RouteQuery::Resolved& res) const {
   std::atomic<const EgressEntry*>* row =
       egress_rows_[r.value].load(std::memory_order_acquire);
   if (row) {
-    if (const EgressEntry* e =
-            row[dst_as_dense].load(std::memory_order_acquire)) {
+    const EgressEntry* e = row[res.column].load(std::memory_order_acquire);
+    if (e) {
       egress_hits_.inc();
       return e;
     }
   }
-  return egress_fill_flat(r, dst_as_dense, dst_as);
+  return egress_fill(r, res);
 }
 
 std::optional<Fib::Hop> Fib::next_hop_resolved(
@@ -495,12 +468,9 @@ std::optional<Fib::Hop> Fib::next_hop_resolved(
   }
 
   // Interdomain: pick an egress session by preference tier + hot potato.
-  // Flat rows serve the unpinned case; the keyed map holds pinned
-  // decisions and ASes outside the construction snapshot.
-  const EgressEntry* e =
-      (!res.pinned && res.dst_as_dense != kNoIndex)
-          ? egress_entry_flat(r, res.dst_as_dense, res.dst_as)
-          : &egress_entry(r, res.dst_as, res.pinned);
+  // An AS outside the construction snapshot has no candidate tiers.
+  if (res.column == kNoIndex) return std::nullopt;
+  const EgressEntry* e = egress_entry(r, res);
   if (e->tied.empty()) return std::nullopt;
   const Session* egress = e->tied.front();
   if (e->tied.size() > 1) {

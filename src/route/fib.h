@@ -16,13 +16,14 @@
 // cheap while staying bit-identical to the naive per-hop recomputation:
 //  * RouteQuery — the destination is resolved (interface lookup, announced
 //    prefix match, delivery target) once per trace, not once per hop;
-//  * memoized decision caches — per-router flat egress rows, a keyed map
-//    for pinned decisions, and per-(src, dst) candidate tiers (bgp_sim.h),
-//    filled lazily with first-writer-wins discipline (fills are pure
-//    functions of the immutable topology, so results are independent of
-//    thread interleaving — the MultiVpExecutor contract);
+//  * memoized decision caches — per-router flat egress rows (one column
+//    per destination AS, then one per selectively announced prefix) and
+//    per-(src, dst) candidate tiers (bgp_sim.h), filled lazily with
+//    first-writer-wins discipline (fills are pure functions of the
+//    immutable topology, so results are independent of thread
+//    interleaving — the MultiVpExecutor contract);
 //  * dense indexing — routers and ASes are addressed by flat arrays
-//    instead of hash probes on the IGP path.
+//    (ASes by BgpSimulator::dense_index) instead of hash probes.
 // tests/route_fastpath_test.cc checks every hop against a reference
 // per-hop tier scan built from the public calls below.
 #pragma once
@@ -102,10 +103,10 @@ class Fib {
       IfaceId cross_egress;        // target's interface on cross_link
       const topo::AnnouncedPrefix* ap = nullptr;
       const std::vector<LinkId>* pinned = nullptr;
-      // Dense index of dst_as (kNoIndex when the AS is outside the
-      // construction snapshot): routes the hot walk onto the flat egress
-      // rows instead of the keyed hash map.
-      std::uint32_t dst_as_dense = 0xffffffffu;
+      // Egress-row column of this destination: the pinned prefix's own
+      // column, else dst_as's dense index; kNoIndex when dst_as is outside
+      // the construction snapshot, which has no route.
+      std::uint32_t column = BgpSimulator::kNoIndex;
     };
     Ipv4Addr dst_;
     Resolved res_;
@@ -161,8 +162,7 @@ class Fib {
   // applied the hot path pays one relaxed atomic load.
 
   // Marks an interdomain link down (up=false) or restores it. Invalidates
-  // the egress-decision cache; references previously returned by
-  // egress_entry become dangling.
+  // the egress-decision cache.
   void set_link_state(LinkId link, bool up)
       BDRMAP_EXCLUDES(overlay_mu_, egress_mu_);
 
@@ -195,17 +195,8 @@ class Fib {
   struct EgressEntry {
     std::vector<const Session*> tied;
   };
-  struct EgressKey {
-    std::uint32_t router;
-    std::uint32_t dst_as;
-    const void* pinned;  // identity of AnnouncedPrefix::only_via_links
-    bool operator==(const EgressKey&) const = default;
-  };
-  struct EgressKeyHash {
-    std::size_t operator()(const EgressKey& k) const noexcept;
-  };
 
-  static constexpr std::uint32_t kNoIndex = 0xffffffffu;
+  static constexpr std::uint32_t kNoIndex = BgpSimulator::kNoIndex;
 
   // Router ownership as of Fib construction. The dense tables snapshot the
   // topology when the Fib is built; reading ownership from the same
@@ -226,16 +217,13 @@ class Fib {
   // topology (+ a quiescent churn overlay), so racing fills are identical.
   EgressEntry compute_egress_entry(RouterId r, AsId dst_as,
                                    const std::vector<LinkId>* pinned) const;
-  const EgressEntry& egress_entry(RouterId r, AsId dst_as,
-                                  const std::vector<LinkId>* pinned) const
+  // Flat-row lookup of the resolved destination's column: two
+  // acquire-loads on the hot walk, no lock, no hashing; a miss fills.
+  const EgressEntry* egress_entry(RouterId r,
+                                  const RouteQuery::Resolved& res) const
       BDRMAP_EXCLUDES(egress_mu_);
-  // Flat-row lookup for the unpinned common case (DESIGN.md §14): two
-  // acquire-loads on the hot walk, no lock, no hashing.
-  const EgressEntry* egress_entry_flat(RouterId r, std::uint32_t dst_as_dense,
-                                       AsId dst_as) const
-      BDRMAP_EXCLUDES(egress_mu_);
-  const EgressEntry* egress_fill_flat(RouterId r, std::uint32_t dst_as_dense,
-                                      AsId dst_as) const
+  const EgressEntry* egress_fill(RouterId r,
+                                 const RouteQuery::Resolved& res) const
       BDRMAP_EXCLUDES(egress_mu_);
   std::optional<Hop> internal_step(RouterId r, RouterId target, Ipv4Addr dst,
                                    std::uint32_t flow_salt) const;
@@ -249,10 +237,9 @@ class Fib {
   obs::Counter routing_fills_;
   obs::Histogram egress_tied_;
 
-  // Dense layouts, built once at construction: AS ids to dense indices,
-  // router id to its owner's dense AS index, router id to its position in
-  // the owner's router list. The IGP hot path does array loads only.
-  std::unordered_map<AsId, std::uint32_t> as_dense_;
+  // Dense layouts, built once at construction: router id to its owner's
+  // dense AS index (BgpSimulator::dense_index), router id to its position
+  // in the owner's router list. The IGP hot path does array loads only.
   std::vector<std::uint32_t> router_as_dense_;
   std::vector<std::uint32_t> router_local_;
 
@@ -270,20 +257,19 @@ class Fib {
   mutable std::vector<std::unique_ptr<AsRouting>> routing_
       BDRMAP_GUARDED_BY(routing_mu_);
 
-  // Egress decision cache, same locking and purity discipline. Entries
-  // live behind unique_ptr so references survive rehashes. Since the
-  // flat rows below took over the unpinned case this map only ever holds
-  // pinned (selective-announcement) decisions and snapshot-foreign ASes.
-  mutable net::SharedMutex egress_mu_;
-  mutable std::unordered_map<EgressKey, std::unique_ptr<EgressEntry>,
-                             EgressKeyHash>
-      egress_ BDRMAP_GUARDED_BY(egress_mu_);
+  // Egress-row column of each selectively announced prefix, by index into
+  // Internet::announced (kNoIndex for prefixes announced everywhere): the
+  // pinned columns follow the AS columns, so a row is row_width_ wide.
+  std::vector<std::uint32_t> pinned_column_;
+  std::uint32_t row_width_ = 0;
 
-  // Flat egress rows (DESIGN.md §14): per-router arrays of published
-  // entry pointers indexed by the destination's dense AS index. Rows are
-  // allocated lazily (only routers that actually make interdomain
-  // decisions pay), published with release stores and read with acquire
-  // loads; entries live in a deque so published pointers stay stable.
+  // Egress decision memo, same purity discipline as routing_: per-router
+  // arrays of published entry pointers, one column per destination AS and
+  // one per pinned prefix. Rows are allocated lazily (only routers that
+  // actually make interdomain decisions pay), published with release
+  // stores and read with acquire loads; entries live in a deque so
+  // published pointers stay stable. egress_mu_ serializes the fills.
+  mutable net::Mutex egress_mu_;
   mutable std::vector<std::atomic<std::atomic<const EgressEntry*>*>>
       egress_rows_;
   mutable std::vector<std::unique_ptr<std::atomic<const EgressEntry*>[]>>

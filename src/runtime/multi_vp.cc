@@ -102,9 +102,6 @@ void reduce_ordered(MultiVpResult& out) {
     out.total.neighbor_routers += r.stats.neighbor_routers;
     out.total.stopset_hits += r.stats.stopset_hits;
     out.total.probe_failures += r.stats.probe_failures;
-    out.total.arena_bytes_reserved += r.stats.arena_bytes_reserved;
-    out.total.arena_bytes_used += r.stats.arena_bytes_used;
-    out.total.arena_allocations += r.stats.arena_allocations;
   }
 }
 }  // namespace

@@ -7,7 +7,9 @@
 // were first blessed on the commit that retired the alternative planes,
 // where each of them reproduced every row: the uncached and the
 // keyed-egress FIB, the per-call heuristics scans, the hard-coded legacy
-// ladder, and probe waves off or 7 wide (probe waves are since deleted).
+// ladder, and probe waves off or 7 wide. All are since deleted; the FIB's
+// last keyed map, for pinned prefixes, became columns of its flat rows
+// with every row unchanged.
 // They were re-blessed once when every run moved onto the (VP, target-AS)
 // slice plan, which re-keys the probe RNG streams per slice. The suite
 // keeps the name of the cross-engine parity suite it replaced, because a

@@ -1,15 +1,17 @@
 // Golden suite for the forwarding fast path (DESIGN.md §9).
 //
-// The cached plane (RouteQuery resolve-once, flat and keyed egress caches,
-// memoized tiers, dense IGP indexing) is checked hop by hop against a
-// reference tier scan written here from the Fib's and the BGP simulator's
-// public calls: the per-hop recomputation the caches replaced. Covers
-// randomized destinations, interface addresses, selectively-announced
-// (pinned) prefixes, nonzero ECMP salts, and concurrent cache fills from
-// many threads (the MultiVpExecutor determinism contract). Suite name
-// carries "FastPath" so check.sh's tsan pass picks these tests up.
+// The cached plane (RouteQuery resolve-once, flat egress rows with AS and
+// pinned-prefix columns, memoized tiers, dense IGP indexing) is checked
+// hop by hop against a reference tier scan written here from the Fib's and
+// the BGP simulator's public calls: the per-hop recomputation the caches
+// replaced. Covers randomized destinations, interface addresses,
+// selectively-announced (pinned) prefixes, nonzero ECMP salts, link and
+// relationship churn, and concurrent cache fills from many threads (the
+// MultiVpExecutor determinism contract). Suite name carries "FastPath" so
+// check.sh's tsan pass picks these tests up.
 #include <algorithm>
 #include <limits>
+#include <map>
 #include <optional>
 #include <string>
 #include <thread>
@@ -261,7 +263,7 @@ TEST(RouteFastPath, CachedMatchesUncachedResearchEducation) {
 
 TEST(RouteFastPath, PinnedPrefixWalksMatch) {
   // Selective announcement decouples forwarding from plain tier order;
-  // pinned decisions go through the keyed egress cache.
+  // pinned decisions live in their prefix's own egress-row column.
   Plane p(eval::small_access_config(7));
   std::vector<Probe> work;
   net::Rng rng(0x9111);
@@ -279,6 +281,112 @@ TEST(RouteFastPath, PinnedPrefixWalksMatch) {
   ASSERT_FALSE(work.empty())
       << "generator produced no selectively-announced prefixes";
   expect_walks_match_reference(p, work);
+}
+
+// How often the walks of `work` cross each interdomain link.
+std::map<topo::LinkId, std::size_t> link_crossings(
+    const Fib& fib, const std::vector<Probe>& work) {
+  std::map<topo::LinkId, std::size_t> crossings;
+  for (const Probe& probe : work) {
+    const Fib::RouteQuery q = fib.query(probe.dst);
+    RouterId r = probe.start;
+    for (std::size_t hop = 0; hop < kMaxWalkHops; ++hop) {
+      const auto next = fib.next_hop(r, q, probe.salt);
+      if (!next) break;
+      if (next->crossed_interdomain) ++crossings[next->link];
+      r = next->router;
+    }
+  }
+  return crossings;
+}
+
+// The most-crossed link that `eligible` accepts (lowest id on ties).
+template <typename Eligible>
+std::optional<topo::LinkId> busiest_link(
+    const std::map<topo::LinkId, std::size_t>& crossings,
+    Eligible&& eligible) {
+  std::optional<topo::LinkId> best;
+  std::size_t best_count = 0;
+  for (const auto& [link, count] : crossings) {
+    if (count > best_count && eligible(link)) {
+      best = link;
+      best_count = count;
+    }
+  }
+  return best;
+}
+
+TEST(RouteFastPath, ChurnWalksMatchReference) {
+  // Every churn step must drop the egress decisions it invalidates: the
+  // reference recomputes each decision from the current overlay, so a
+  // stale memo entry (an AS column or a pinned-prefix column) shows up
+  // as a walk that still leaves on a down link or an old tier. Each
+  // step's link is the one the warm walks cross most, so the memo holds
+  // decisions that the step changes.
+  Plane p(eval::small_access_config(7));
+  const topo::Internet& net = p.gen.net;
+  const std::vector<Probe> work = build_workload(net, 0xC4A21);
+  expect_walks_match_reference(p, work);
+  std::vector<std::vector<std::uint64_t>> warm;
+  warm.reserve(work.size());
+  for (const Probe& probe : work) warm.push_back(walk(p.fib, probe));
+
+  auto pinned = [&](topo::LinkId link) {
+    for (const auto& ap : net.announced()) {
+      const auto& only = ap.only_via_links;
+      if (std::find(only.begin(), only.end(), link) != only.end()) {
+        return true;
+      }
+    }
+    return false;
+  };
+  const auto crossings = link_crossings(p.fib, work);
+
+  // 1. A pinned prefix's own access link goes down.
+  const std::optional<topo::LinkId> access = busiest_link(crossings, pinned);
+  ASSERT_TRUE(access.has_value()) << "the walks cross no pinned link";
+  p.fib.set_link_state(*access, false);
+  expect_walks_match_reference(p, work);
+
+  // 2. Then an unpinned interdomain link.
+  const std::optional<topo::LinkId> transit =
+      busiest_link(crossings, [&](topo::LinkId l) { return !pinned(l); });
+  ASSERT_TRUE(transit.has_value()) << "the walks cross no unpinned link";
+  p.fib.set_link_state(*transit, false);
+  expect_walks_match_reference(p, work);
+
+  // 3. Then a transit relationship over another busy link becomes peering.
+  std::map<topo::LinkId, std::pair<AsId, AsId>> ends;
+  for (const auto& info : net.interdomain_links()) {
+    ends[info.link] = {info.as_a, info.as_b};
+  }
+  auto transit_rel = [&](topo::LinkId l) {
+    const auto [a, b] = ends.at(l);
+    const asdata::Relationship rel = p.bgp.relationships().rel(a, b);
+    return rel == asdata::Relationship::kCustomer ||
+           rel == asdata::Relationship::kProvider;
+  };
+  const std::optional<topo::LinkId> flipped =
+      busiest_link(crossings, [&](topo::LinkId l) {
+        return l != *access && l != *transit && transit_rel(l);
+      });
+  ASSERT_TRUE(flipped.has_value()) << "the walks cross no transit link";
+  const auto [a, b] = ends.at(*flipped);
+  const asdata::Relationship original = p.bgp.relationships().rel(a, b);
+  p.bgp.set_relationship(a, b, asdata::Relationship::kPeer);
+  p.fib.invalidate_egress();
+  expect_walks_match_reference(p, work);
+
+  // Restoring every step restores every walk.
+  p.bgp.set_relationship(a, b, original);
+  p.fib.invalidate_egress();
+  p.fib.set_link_state(*transit, true);
+  p.fib.set_link_state(*access, true);
+  std::size_t changed = 0;
+  for (std::size_t i = 0; i < work.size(); ++i) {
+    changed += walk(p.fib, work[i]) != warm[i];
+  }
+  EXPECT_EQ(changed, 0u);
 }
 
 TEST(RouteFastPath, QueryAgreesWithAddressForms) {

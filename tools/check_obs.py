@@ -18,8 +18,6 @@ default the gate also requires:
   * at least one rule fire counter (core.heuristic.<rule>.fires) is
     nonzero — a run whose every rule was skipped placed nothing
   * every span is closed and parent ids point at earlier spans
-  * data-oriented core consistency (DESIGN.md §14), whenever the gauges
-    appear: core.arena.bytes_used <= core.arena.bytes_reserved
   * heuristic confidence accounting (DESIGN.md §15): publish_result
     observes one core.confidence.<tag> sample per neighbor router and one
     per §5.4.8 link, so the histogram counts over the router tags (all
@@ -185,20 +183,9 @@ def check_run(doc, serve: bool = False) -> list[str]:
     if not fired:
         findings.append("no core.heuristic.<rule>.fires counter is nonzero")
 
-    # Data-oriented core consistency (DESIGN.md §14). Conditional: serve
-    # runs publish different families, so absence is fine — inconsistency
-    # is not.
-    gauges = {g["name"]: g["value"] for g in doc["metrics"]["gauges"]}
-    reserved = gauges.get("core.arena.bytes_reserved")
-    used = gauges.get("core.arena.bytes_used")
-    if reserved is not None and used is not None and used > reserved:
-        findings.append(
-            f"core.arena.bytes_used ({used}) exceeds bytes_reserved "
-            f"({reserved}): arena accounting is broken")
-
-    # Heuristic confidence accounting (DESIGN.md §15). Conditional like
-    # the checks above: an export without core.neighbor_routers published
-    # no inference result.
+    # Heuristic confidence accounting (DESIGN.md §15). Conditional: serve
+    # runs publish different families, and an export without
+    # core.neighbor_routers published no inference result.
     hists = {h["name"]: h for h in doc["metrics"]["histograms"]}
     if "core.neighbor_routers" in counters:
         router_count = link_count = 0

@@ -29,8 +29,8 @@ through three analysis passes (docs/static_analysis.md §3):
   hot-region   — between `// BDRMAP_HOT_BEGIN(name)` and
                 `// BDRMAP_HOT_END(name)` markers (the data-oriented inner
                 loops, DESIGN.md §14) node-based containers and naked
-                `new` are banned; allocations there belong in arenas or
-                flat vectors.
+                `new` are banned; allocations there belong in flat
+                vectors.
 
 Each finding carries a stable rule id (catalog in RULES; `--list-rules`).
 `--json` emits a machine-readable document instead of text lines.
@@ -422,7 +422,7 @@ def pass_concurrency_determinism(ctx: FileContext) -> list[Finding]:
 # designate the per-trace inner loops of the data-oriented core
 # (DESIGN.md §14). Inside a region, node-based containers
 # (std::unordered_map / std::map / std::list) and naked `new` are banned:
-# every per-element allocation there belongs in an arena or a flat vector.
+# every per-element allocation there belongs in a flat vector.
 # Unbalanced markers are findings too, so a region cannot silently stop
 # being checked.
 # --------------------------------------------------------------------------
@@ -464,8 +464,8 @@ def pass_hot_region(ctx: FileContext) -> list[Finding]:
                 region = ", ".join(sorted(open_regions))
                 findings.append(Finding(
                     "BDR104", ctx.relstr, n,
-                    f"{what} inside hot region '{region}' — use an arena "
-                    "or flat vector (DESIGN.md §14)"))
+                    f"{what} inside hot region '{region}' — use a flat "
+                    "vector (DESIGN.md §14)"))
     for name, line in sorted(open_regions.items()):
         findings.append(Finding(
             "BDR104", ctx.relstr, line,
