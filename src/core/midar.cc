@@ -33,6 +33,8 @@ void MidarResolver::resolve(const std::vector<Ipv4Addr>& addrs) {
       clock_ + config_.estimation_samples * config_.estimation_gap + 60.0;
 
   for (Ipv4Addr addr : addrs) {
+    // Each address's estimation is its own measurement, like a pair test.
+    services_.begin_alias_test(pair_key(addr, addr));
     std::vector<std::pair<double, std::uint16_t>> samples;
     double t = clock_;
     for (int i = 0; i < config_.estimation_samples; ++i) {

@@ -11,7 +11,10 @@ std::optional<Ipv4Addr> AliasProber::udp_probe(Ipv4Addr addr) {
   const auto& router = net_.router(owner);
   if (!router.behavior.responds_udp) return std::nullopt;
   if (!tracer_.reaches_addr(addr)) return std::nullopt;
-  if (rng_.chance(router.behavior.rate_limit_drop)) return std::nullopt;
+  if (net::unit_draw(net::mix(seed_, addr.value(), kUdpSalt)) <
+      router.behavior.rate_limit_drop) {
+    return std::nullopt;
+  }
   // The reply is transmitted from the interface toward the prober; if the
   // router cannot resolve a route back, it uses its canonical address.
   // The tracer memoizes this per-router lookup (the VP address is fixed).
@@ -21,12 +24,20 @@ std::optional<Ipv4Addr> AliasProber::udp_probe(Ipv4Addr addr) {
   return net_.canonical_addr(owner);
 }
 
+std::uint32_t AliasProber::count_reply(std::uint64_t key) {
+  for (auto& [counter, count] : reply_counts_) {
+    if (counter == key) return ++count;
+  }
+  reply_counts_.emplace_back(key, 1);
+  return 1;
+}
+
 std::uint16_t AliasProber::next_ipid(const topo::Router& router,
-                                     net::IfaceId iface, double t) {
+                                     net::IfaceId iface, double t,
+                                     std::uint64_t random_draw) {
   switch (router.behavior.ipid) {
     case topo::IpidKind::kSharedCounter: {
-      auto& count = reply_counts_[router.id.value];
-      ++count;
+      const std::uint32_t count = count_reply(router.id.value);
       double base = router.behavior.ipid_init +
                     router.behavior.ipid_velocity * t +
                     static_cast<double>(count);
@@ -34,9 +45,8 @@ std::uint16_t AliasProber::next_ipid(const topo::Router& router,
           static_cast<std::uint64_t>(base) & 0xffff);
     }
     case topo::IpidKind::kPerInterface: {
-      std::uint64_t key = 0x100000000ULL | iface.value;
-      auto& count = reply_counts_[key];
-      ++count;
+      const std::uint32_t count =
+          count_reply(0x100000000ULL | iface.value);
       // Each interface has its own counter: decorrelated initial value and
       // velocity derived from the interface id.
       std::uint32_t init = router.behavior.ipid_init ^
@@ -48,7 +58,7 @@ std::uint16_t AliasProber::next_ipid(const topo::Router& router,
           static_cast<std::uint64_t>(base) & 0xffff);
     }
     case topo::IpidKind::kRandom:
-      return static_cast<std::uint16_t>(rng_.uniform(0, 0xffff));
+      return static_cast<std::uint16_t>(random_draw >> 48);
     case topo::IpidKind::kZero:
       return 0;
   }
@@ -59,14 +69,19 @@ std::optional<std::uint16_t> AliasProber::ipid_sample(Ipv4Addr addr,
                                                       double t) {
   ++probes_sent_;
   ipid_samples_.inc();
+  // Two independent draws per sample: rate limiting and a random ID.
+  const std::uint64_t sample = ++test_samples_;
   auto iface = net_.iface_at(addr);
   if (!iface) return std::nullopt;
   net::RouterId owner = net_.iface(*iface).router;
   const auto& router = net_.router(owner);
   if (!router.behavior.responds_echo) return std::nullopt;
   if (!tracer_.reaches_addr(addr)) return std::nullopt;
-  if (rng_.chance(router.behavior.rate_limit_drop)) return std::nullopt;
-  return next_ipid(router, *iface, t);
+  if (net::unit_draw(net::mix(test_stream_, sample, 0)) <
+      router.behavior.rate_limit_drop) {
+    return std::nullopt;
+  }
+  return next_ipid(router, *iface, t, net::mix(test_stream_, sample, 1));
 }
 
 }  // namespace bdrmap::probe

@@ -51,7 +51,7 @@ MsgType Frame::type() const {
   if (payload.empty()) throw ProtocolError(ProtoErr::kTruncated);
   std::uint8_t t = payload.front();
   if (t < static_cast<std::uint8_t>(MsgType::kTraceReq) ||
-      t > static_cast<std::uint8_t>(MsgType::kError)) {
+      t > static_cast<std::uint8_t>(MsgType::kAliasTestResp)) {
     throw ProtocolError(ProtoErr::kUnknownType);
   }
   return static_cast<MsgType>(t);
@@ -231,6 +231,35 @@ std::optional<bool> decode_ts_resp(const std::vector<std::uint8_t>& buf) {
   r.expect_done();
   if (!has) return std::nullopt;
   return stamped;
+}
+
+std::vector<std::uint8_t> encode_alias_test_req(std::uint64_t key) {
+  Writer w;
+  w.u8(static_cast<std::uint8_t>(MsgType::kAliasTestReq));
+  w.u32(static_cast<std::uint32_t>(key >> 32));
+  w.u32(static_cast<std::uint32_t>(key));
+  return w.take();
+}
+
+std::uint64_t decode_alias_test_req(const std::vector<std::uint8_t>& buf) {
+  Reader r(buf);
+  expect_type(r, MsgType::kAliasTestReq);
+  const std::uint64_t hi = r.u32();
+  const std::uint64_t key = (hi << 32) | r.u32();
+  r.expect_done();
+  return key;
+}
+
+std::vector<std::uint8_t> encode_alias_test_resp() {
+  Writer w;
+  w.u8(static_cast<std::uint8_t>(MsgType::kAliasTestResp));
+  return w.take();
+}
+
+void decode_alias_test_resp(const std::vector<std::uint8_t>& buf) {
+  Reader r(buf);
+  expect_type(r, MsgType::kAliasTestResp);
+  r.expect_done();
 }
 
 std::vector<std::uint8_t> encode_hello_req() {

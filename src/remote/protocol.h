@@ -39,6 +39,8 @@ enum class MsgType : std::uint8_t {
   kHelloReq = 9,    // (re-)establish a device session
   kHelloResp = 10,  // carries the granted session id
   kError = 11,      // negative acknowledgement, carries an ErrCode
+  kAliasTestReq = 12,   // begin_alias_test: carries the 64-bit test key
+  kAliasTestResp = 13,  // empty acknowledgement
 };
 
 // Why a frame or payload could not be accepted.
@@ -184,6 +186,11 @@ std::vector<std::uint8_t> encode_ts_req(net::Ipv4Addr path_dst,
                                         net::Ipv4Addr candidate);
 std::vector<std::uint8_t> encode_ts_resp(std::optional<bool> stamped);
 std::optional<bool> decode_ts_resp(const std::vector<std::uint8_t>& buf);
+
+std::vector<std::uint8_t> encode_alias_test_req(std::uint64_t key);
+std::uint64_t decode_alias_test_req(const std::vector<std::uint8_t>& buf);
+std::vector<std::uint8_t> encode_alias_test_resp();
+void decode_alias_test_resp(const std::vector<std::uint8_t>& buf);
 
 std::vector<std::uint8_t> encode_hello_req();
 std::vector<std::uint8_t> encode_hello_resp(std::uint32_t session);

@@ -72,6 +72,10 @@ std::vector<std::uint8_t> ProberDevice::handle(
         r.expect_done();
         return encode_ipid_resp(services_.ipid_sample(a, t));
       }
+      case MsgType::kAliasTestReq: {
+        services_.begin_alias_test(decode_alias_test_req(request));
+        return encode_alias_test_resp();
+      }
       case MsgType::kTsReq: {
         net::Ipv4Addr path_dst = r.addr();
         net::Ipv4Addr candidate = r.addr();
@@ -296,6 +300,17 @@ std::optional<std::uint16_t> RemoteProbeServices::ipid_sample(
     ++channel_->stats().corrupt_frames_detected;
     corrupt_frames_.inc();
     return std::nullopt;
+  }
+}
+
+void RemoteProbeServices::begin_alias_test(std::uint64_t key) {
+  auto payload = request(encode_alias_test_req(key));
+  if (!payload) return;
+  try {
+    decode_alias_test_resp(*payload);
+  } catch (const ProtocolError&) {
+    ++channel_->stats().corrupt_frames_detected;
+    corrupt_frames_.inc();
   }
 }
 

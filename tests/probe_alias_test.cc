@@ -185,5 +185,35 @@ TEST_F(AliasProbeFixture, ReseedMatchesFreshStack) {
   EXPECT_NE(first, expected);  // the sequence does read the seeded state
 }
 
+// An alias test's replies are a pure function of (seed, key) and its own
+// samples: the same key answers the same series after any other probing,
+// which is what lets one pair's verdict be kept and reused.
+TEST_F(AliasProbeFixture, AliasTestKeyFixesTheReplies) {
+  behavior(r2_).ipid = topo::IpidKind::kSharedCounter;  // reply counts
+  behavior(r2_).ipid_velocity = 50.0;
+  behavior(r3_).ipid = topo::IpidKind::kRandom;  // keyed random IDs
+  behavior(r3_).rate_limit_drop = 0.3;           // keyed drops
+  build();
+  auto series = [&](std::uint64_t key) {
+    services_->begin_alias_test(key);
+    std::vector<std::int64_t> out;
+    double t = 0.0;
+    for (int i = 0; i < 12; ++i) {
+      for (const char* addr : {"10.0.0.2", "10.0.0.5", "10.0.0.6"}) {
+        const auto id = services_->ipid_sample(ip(addr), t);
+        out.push_back(id ? static_cast<std::int64_t>(*id) : -1);
+      }
+      t += 0.5;
+    }
+    return out;
+  };
+  const std::vector<std::int64_t> first = series(7);
+  EXPECT_NE(series(8), first);  // the key does select the draws
+  for (int i = 0; i < 5; ++i) {
+    (void)services_->ipid_sample(ip("10.0.0.5"), 100.0 + i);
+  }
+  EXPECT_EQ(series(7), first);
+}
+
 }  // namespace
 }  // namespace bdrmap::probe

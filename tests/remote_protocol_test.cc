@@ -40,6 +40,14 @@ TEST(Protocol, IpidRoundTrip) {
   EXPECT_FALSE(decode_ipid_resp(encode_ipid_resp(std::nullopt)).has_value());
 }
 
+TEST(Protocol, AliasTestRoundTrip) {
+  const std::uint64_t key = 0x0A000001'0A000102ULL;
+  EXPECT_EQ(decode_alias_test_req(encode_alias_test_req(key)), key);
+  EXPECT_NO_THROW(decode_alias_test_resp(encode_alias_test_resp()));
+  EXPECT_THROW(decode_alias_test_resp(encode_alias_test_req(key)),
+               ProtocolError);
+}
+
 TEST(Protocol, HelloAndErrorRoundTrip) {
   EXPECT_EQ(decode_hello_resp(encode_hello_resp(7u)), 7u);
   EXPECT_EQ(decode_error(encode_error(ErrCode::kBadSession)),
@@ -187,6 +195,8 @@ std::vector<CorpusEntry> build_corpus() {
        [](const std::vector<std::uint8_t>& b) { decode_ipid_resp(b); }},
       {"ts_resp", encode_ts_resp(true),
        [](const std::vector<std::uint8_t>& b) { decode_ts_resp(b); }},
+      {"alias_test_req", encode_alias_test_req(0x0A000001'0A000102ULL),
+       [](const std::vector<std::uint8_t>& b) { decode_alias_test_req(b); }},
       {"hello_resp", encode_hello_resp(3),
        [](const std::vector<std::uint8_t>& b) { decode_hello_resp(b); }},
       {"error", encode_error(ErrCode::kStaleSeq),
