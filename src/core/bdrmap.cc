@@ -21,6 +21,10 @@ void publish_result(const BdrmapResult& result,
   registry->counter("core.traces").inc(result.stats.traces);
   registry->counter("core.alias_pair_tests")
       .inc(result.stats.alias_pair_tests);
+  registry->counter("core.alias_pairs_reused")
+      .inc(result.stats.alias_pairs_reused);
+  registry->counter("core.alias_pairs_probed")
+      .inc(result.stats.alias_pair_tests - result.stats.alias_pairs_reused);
   registry->counter("core.routers").inc(result.stats.routers);
   registry->counter("core.vp_routers").inc(result.stats.vp_routers);
   registry->counter("core.neighbor_routers")
@@ -156,7 +160,7 @@ std::vector<ObservedTrace> Bdrmap::collect_traces(
 }
 
 std::vector<std::vector<Ipv4Addr>> Bdrmap::resolve_aliases(
-    const std::vector<ObservedTrace>& traces) {
+    const std::vector<ObservedTrace>& traces, AliasEvidence* evidence) {
   obs::Span alias_span(tracer(), "stage.alias");
   // Every address observed in a time-exceeded reply participates.
   std::vector<Ipv4Addr> ttl_addrs;
@@ -199,7 +203,7 @@ std::vector<std::vector<Ipv4Addr>> Bdrmap::resolve_aliases(
     return singletons;
   }
 
-  AliasResolver resolver(services_, config_.alias);
+  AliasResolver resolver(services_, config_.alias, evidence);
 
   // Prefixscan over observed point-to-point hops (§5.3): confirms inbound
   // interfaces and yields near-side aliases.
@@ -230,8 +234,11 @@ std::vector<std::vector<Ipv4Addr>> Bdrmap::resolve_aliases(
   }
 
   stats_.alias_pair_tests = resolver.pair_tests();
+  stats_.alias_pairs_reused = resolver.pairs_reused();
   alias_span.note("pair_tests",
                   static_cast<std::int64_t>(stats_.alias_pair_tests));
+  alias_span.note("pairs_reused",
+                  static_cast<std::int64_t>(stats_.alias_pairs_reused));
   return resolver.groups(ttl_addrs);
 }
 
@@ -382,7 +389,8 @@ CollectedTraces Bdrmap::collect(std::span<const ProbeBlock> blocks) {
   return out;
 }
 
-BdrmapResult Bdrmap::run_with(CollectedTraces collected) {
+BdrmapResult Bdrmap::run_with(CollectedTraces collected,
+                              AliasEvidence* evidence) {
   const bool reentered = running_.exchange(true, std::memory_order_acq_rel);
   BDRMAP_EXPECTS(!reentered,
                  "core::Bdrmap is single-threaded per instance; run_with() "
@@ -402,7 +410,7 @@ BdrmapResult Bdrmap::run_with(CollectedTraces collected) {
   failures_ = std::move(collected.failures);
   std::vector<ObservedTrace> traces = std::move(collected.traces);
 
-  auto groups = resolve_aliases(traces);
+  auto groups = resolve_aliases(traces, evidence);
   auto confirmed = confirm_inbound(traces);
 
   HeuristicsConfig heuristics_config = config_.heuristics;

@@ -109,6 +109,10 @@ struct BdrmapStats {
   std::size_t blocks = 0;
   std::size_t traces = 0;
   std::size_t alias_pair_tests = 0;
+  // Of those, pairs whose verdict came from stored alias evidence rather
+  // than from probing (runtime::SliceStore). Excluded from
+  // eval::same_border_map, like probes_sent.
+  std::size_t alias_pairs_reused = 0;
   std::size_t routers = 0;
   std::size_t vp_routers = 0;
   std::size_t neighbor_routers = 0;
@@ -155,16 +159,19 @@ class Bdrmap {
   // inference tail (alias resolution, inbound confirmation, graph build,
   // §5.4 heuristics) over previously collected traces, using this
   // instance's services for the alias/timestamp probing. Each counts only
-  // the probes its own stage spends.
+  // the probes its own stage spends. With `evidence`, alias resolution
+  // reuses the verdicts and Mercator sources stored there and adds what it
+  // measures; the evidence must come from stacks seeded as this one.
   CollectedTraces collect();
   CollectedTraces collect(std::span<const ProbeBlock> blocks);
-  BdrmapResult run_with(CollectedTraces collected);
+  BdrmapResult run_with(CollectedTraces collected,
+                        AliasEvidence* evidence = nullptr);
 
  private:
   std::vector<ObservedTrace> collect_traces(
       std::span<const ProbeBlock> blocks);
   std::vector<std::vector<Ipv4Addr>> resolve_aliases(
-      const std::vector<ObservedTrace>& traces);
+      const std::vector<ObservedTrace>& traces, AliasEvidence* evidence);
   // [26]: timestamp-confirm the first externally-mapped hop of each trace.
   std::unordered_set<Ipv4Addr> confirm_inbound(
       const std::vector<ObservedTrace>& traces);

@@ -207,7 +207,7 @@ void Heuristics::build_first_external_table() const {
   // a *different* router supplies its origin; a router's own first hop is
   // consumed before it joins the pending set, so hops strictly after the
   // first occurrence are considered — exactly a per-router rescan (the
-  // reference oracle in tests/trace_batch_test.cc).
+  // reference oracle in tests/walk_reference_test.cc).
   const std::size_t count = graph_.routers().size();
   first_external_table_.assign(count, {});
   std::vector<std::uint32_t> seen_epoch(count, 0);

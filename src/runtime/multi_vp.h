@@ -9,16 +9,21 @@
 // inference tail, and reduces the per-VP results in VP order. A cold map
 // (Scenario::run_bdrmap_parallel, Scenario::run_bdrmap) is that run
 // without a store to keep; serve::ServeEngine keeps its store across
-// epochs and erases only the slices a churn event dirtied.
+// epochs and erases only the slices and alias evidence a churn event
+// dirtied.
 //
 // Determinism strategy (DESIGN.md §8): parallelism never reorders any
 // observable. A slice's probe stack is seeded from (base seed, VP index,
 // target AS) and the tail's from (base seed, VP index) — never from the
 // worker, the epoch, or which slices were already stored — so a stored
 // slice is bit-identical to a fresh one and the output is byte-identical
-// at 1 or 64 workers. Nothing a slice mutates is shared (the substrate's
-// lazy route caches are value-deterministic and internally locked), and
-// the reduction walks VPs in index order on the joining thread.
+// at 1 or 64 workers. Within the tail, each alias pair test is keyed on
+// (tail seed, pair) and each Mercator probe on (tail seed, address), so a
+// stored verdict or source equals a fresh measurement under the same
+// forwarding state, whatever the tail tested before it. Nothing a slice
+// mutates is shared (the substrate's lazy route caches are
+// value-deterministic and internally locked), and the reduction walks VPs
+// in index order on the joining thread.
 #pragma once
 
 #include <cstdint>
@@ -81,13 +86,17 @@ class SlicePlan {
   std::vector<VpSlices> vps_;
 };
 
-// A plan and the collected traces of its slices, kept across executor
-// runs. The executor plans an empty store and collects every slice into
-// it; resetting traces[vp][i] makes the next run re-collect slice i of VP
-// vp and reuse every other slice verbatim.
+// A plan, the collected traces of its slices and each VP's alias
+// evidence, kept across executor runs. The executor plans an empty store
+// and collects every slice into it; resetting traces[vp][i] makes the next
+// run re-collect slice i of VP vp and reuse every other slice verbatim.
+// VP vp's inference tail looks its alias pairs and Mercator sources up in
+// evidence[vp] first and probes only what is missing there; clearing it
+// makes the next tail measure everything again.
 struct SliceStore {
   SlicePlan plan;
   std::vector<std::vector<std::optional<core::CollectedTraces>>> traces;
+  std::vector<core::AliasEvidence> evidence;
 };
 
 // Wall-clock of the two stages, for the runtime's telemetry contract.
@@ -115,7 +124,7 @@ class MultiVpExecutor {
   explicit MultiVpExecutor(ThreadPool* pool) : pool_(pool) {}
 
   // Plans `store` if it is empty, collects the slices it is missing, and
-  // runs every VP's inference tail. One pool task per VP fans its missing
+  // runs every VP's inference tail over the store's alias evidence. One pool task per VP fans its missing
   // slices out as nested tasks, one probe stack per chunk of slices,
   // reseeded per slice; there is no barrier between VPs, so workers idle
   // in one VP's join steal slices of another. A stored slice stands for

@@ -23,6 +23,9 @@ ServeEngine::ServeEngine(const topo::Internet& /*net*/,
   // The plan never changes: churn moves routes, not the public origin
   // table the §5.3 schedule is built from.
   store_.plan = runtime::SlicePlan(vps_, options_.pool);
+  for (const VpContext& vp : vps_) {
+    vp_addrs_.push_back(vp.make_services(options_.base_seed)->vp_addr());
+  }
   if (options_.obs && options_.obs->registry()) {
     obs::MetricsRegistry* reg = options_.obs->registry();
     churn_events_ = reg->counter("serve.churn.events");
@@ -49,6 +52,7 @@ void ServeEngine::rebuild_full() {
   if (built_) ++epoch_;
   built_ = true;
   store_.traces.clear();
+  store_.evidence.clear();
   reinfer_and_publish(tracer);
 }
 
@@ -66,14 +70,24 @@ ChurnApplyStats ServeEngine::apply(const ChurnEvent& event) {
   churn_events_.inc();
 
   // A prefix event changes the forwarding of the addresses under the
-  // prefix only, so the dirty slices are exactly those whose planned
-  // blocks overlap it. A link or relationship event dirties every slice,
-  // as rebuild_full() does: the executor then runs cold, which equals
+  // prefix only. Probes toward interface addresses never consult it, so
+  // the dirty slices are those whose planned blocks overlap it — unless
+  // it covers the VP's own address: replies sourced toward the VP (the
+  // kEgressToSrc hops of every trace, Mercator sources) move with it, and
+  // that VP loses every slice and its alias evidence. A link or
+  // relationship event dirties every slice and all evidence, as
+  // rebuild_full() does: the executor then runs cold, which equals
   // recompute_reference() by construction.
   const bool prefix_event = event.kind == ChurnKind::kWithdraw ||
                             event.kind == ChurnKind::kAnnounce;
+  std::vector<bool> vp_dirty(vps_.size(), !prefix_event);
+  if (prefix_event) {
+    for (std::size_t vp = 0; vp < vps_.size(); ++vp) {
+      vp_dirty[vp] = event.prefix.contains(vp_addrs_[vp]);
+    }
+  }
   auto dirty = [&](std::size_t vp, const runtime::SlicePlan::Slice& slice) {
-    if (!prefix_event) return true;
+    if (vp_dirty[vp]) return true;
     for (const core::ProbeBlock& block : store_.plan.blocks_of(vp, slice)) {
       if (block.prefix.contains(event.prefix) ||
           event.prefix.contains(block.prefix)) {
@@ -99,6 +113,10 @@ ChurnApplyStats ServeEngine::apply(const ChurnEvent& event) {
     for (const auto& [vp, i] : erase) store_.traces[vp][i].reset();
   }
 
+  for (std::size_t vp = 0; vp < vps_.size(); ++vp) {
+    if (vp_dirty[vp]) store_.evidence[vp] = {};
+  }
+
   ChurnApplyStats stats;
   stats.dirty_slices = erase.size();
   stats.clean_slices = total_slices - erase.size();
@@ -107,6 +125,11 @@ ChurnApplyStats ServeEngine::apply(const ChurnEvent& event) {
   clean_slices_.inc(stats.clean_slices);
 
   reinfer_and_publish(tracer);
+  for (const core::BdrmapResult& r : last_results_) {
+    stats.alias_pairs_reused += r.stats.alias_pairs_reused;
+    stats.alias_pairs_probed +=
+        r.stats.alias_pair_tests - r.stats.alias_pairs_reused;
+  }
   return stats;
 }
 

@@ -1,24 +1,28 @@
 // ServeEngine: incremental churn-driven re-inference behind a snapshot.
 //
 // The engine runs every vantage point through runtime::MultiVpExecutor
-// and keeps the executor's SliceStore — the per-VP slice plan and the
-// collected traces of every (VP, target-AS) slice — across epochs. When
-// a ChurnEvent arrives it
+// and keeps the executor's SliceStore — the per-VP slice plan, the
+// collected traces of every (VP, target-AS) slice and each VP's alias
+// evidence — across epochs. When a ChurnEvent arrives it
 //
-//   1. marks the dirty slices: for a prefix event (withdraw or announce),
-//      the slices whose planned blocks overlap the prefix; for a link or
-//      relationship event, every slice, as rebuild_full() does (why no
-//      narrower bound: docs/serving.md §4),
-//   2. erases exactly those slices from the store and runs the executor
-//      again: it re-collects the erased slices, reuses every clean slice
-//      verbatim, and re-runs the inference tail (alias resolution onward)
-//      for every VP — inference is global per VP, and the
-//      alias/confirmation probing consults the post-churn FIB — and
+//   1. marks what the event dirtied: for a prefix event (withdraw or
+//      announce), the slices whose planned blocks overlap the prefix, and
+//      every slice and the alias evidence of each VP whose own address the
+//      prefix covers; for a link or relationship event, every slice and
+//      all evidence, as rebuild_full() does (why no narrower bound:
+//      docs/serving.md §4),
+//   2. erases exactly that from the store and runs the executor again: it
+//      re-collects the erased slices, reuses every clean slice verbatim,
+//      and re-runs the inference tail (alias resolution onward) for every
+//      VP — inference is global per VP — probing only the alias pairs and
+//      Mercator sources its evidence lacks, and
 //   3. compiles and atomically publishes a fresh BorderMapSnapshot.
 //
 // The scheme is *exact*, not approximate: each slice's collection seed
 // depends only on (base_seed, vp, as) — never on the epoch — so a stored
-// clean slice is bit-identical to what a fresh collection would produce.
+// clean slice is bit-identical to what a fresh collection would produce,
+// and each alias pair test is keyed on (tail seed, pair), so stored
+// evidence equals a fresh measurement while the routes it crossed stand.
 // A cold rebuild is the same executor run over an empty store, and
 // recompute_reference() is a cold run that keeps nothing, so tests can
 // hard-gate eval::same_border_map(incremental, from_scratch).
@@ -54,6 +58,9 @@ struct EngineOptions {
 struct ChurnApplyStats {
   std::size_t dirty_slices = 0;   // (VP, target) slices re-collected
   std::size_t clean_slices = 0;   // slices reused from the cache
+  // Alias pairs the epoch's tails took from stored evidence / probed.
+  std::size_t alias_pairs_reused = 0;
+  std::size_t alias_pairs_probed = 0;
   std::uint64_t epoch = 0;        // epoch the resulting snapshot carries
 };
 
@@ -112,8 +119,12 @@ class ServeEngine {
   EngineOptions options_;
   runtime::MultiVpExecutor executor_;
 
-  // The slice plan (built once, at construction) and the slice cache.
+  // The slice plan (built once, at construction), the slice cache and the
+  // per-VP alias evidence.
   runtime::SliceStore store_;
+  // Each VP's own address (ProbeServices::vp_addr), read once at
+  // construction: a prefix event that covers it dirties the VP entirely.
+  std::vector<net::Ipv4Addr> vp_addrs_;
   // Prefixes currently withdrawn by churn; excluded from the snapshot's
   // routed view (and from recompute_reference's, identically).
   std::set<net::Prefix> withdrawn_;

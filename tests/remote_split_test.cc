@@ -4,9 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
 #include "core/bdrmap.h"
 #include "eval/scenario.h"
 #include "netbase/contract.h"
+#include "netbase/rng.h"
 
 namespace bdrmap::remote {
 namespace {
@@ -61,6 +66,48 @@ TEST_F(SplitFixture, RemoteMatchesLocalInference) {
     ASSERT_TRUE(remote_result.links_by_as.count(as)) << as.str();
     EXPECT_EQ(remote_result.links_by_as.at(as).size(), links.size());
   }
+}
+
+// Alias pair tests are keyed on (seed, pair), and the key reaches the
+// device: a remote stack and a local stack of one seed give the same
+// verdicts and Mercator sources on the same shuffled pair list.
+TEST_F(SplitFixture, RemoteMatchesLocalAliasVerdicts) {
+  core::InferenceInputs inputs = scenario_.inputs_for(vp_as_);
+  auto collector = scenario_.services_for(vp_, 123);
+  core::Bdrmap pipeline(*collector, inputs);
+  core::AliasEvidence measured;
+  pipeline.run_with(pipeline.collect(), &measured);
+  std::vector<std::uint64_t> keys;
+  for (const auto& [key, verdict] : measured.verdicts) keys.push_back(key);
+  ASSERT_GT(keys.size(), 20u);
+  std::sort(keys.begin(), keys.end());
+  net::Rng(5).shuffle(keys);
+
+  auto run = [&](probe::ProbeServices& services) {
+    core::AliasEvidence evidence;
+    core::AliasResolver resolver(services, {}, &evidence);
+    std::vector<std::pair<std::uint64_t, core::AliasVerdict>> verdicts;
+    for (std::uint64_t key : keys) {
+      const net::Ipv4Addr a(static_cast<std::uint32_t>(key >> 32));
+      const net::Ipv4Addr b(static_cast<std::uint32_t>(key));
+      verdicts.emplace_back(key, resolver.test_pair(a, b));
+    }
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> sources;
+    for (const auto& [addr, src] : evidence.udp_sources) {
+      sources.emplace_back(addr.value(), src ? src->value() : 0u);
+    }
+    std::sort(sources.begin(), sources.end());
+    return std::make_pair(verdicts, sources);
+  };
+  auto local_services = scenario_.services_for(vp_, 77);
+  const auto local = run(*local_services);
+  auto device_services = scenario_.services_for(vp_, 77);
+  ProberDevice device(*device_services);
+  RemoteProbeServices remote_services(device);
+  const auto remote = run(remote_services);
+  EXPECT_EQ(remote.first, local.first);
+  EXPECT_EQ(remote.second, local.second);
+  EXPECT_EQ(remote_services.vp_addr(), vp_.addr);
 }
 
 // The prober's RNG and IP-ID state live on the device: the remote stack

@@ -22,6 +22,8 @@
 namespace bdrmap {
 namespace {
 
+constexpr std::size_t kAllVps = std::numeric_limits<std::size_t>::max();
+
 struct EngineFixture {
   std::unique_ptr<eval::Scenario> scenario;
   std::unique_ptr<runtime::ThreadPool> pool;
@@ -91,7 +93,6 @@ TEST(ServeIncrementalTest, PerEventBitIdentity) {
     std::uint64_t stream_seed;
     int events;
   };
-  constexpr std::size_t kAllVps = std::numeric_limits<std::size_t>::max();
   for (const Input& in : {Input{"small", 3, 42, 6},
                           Input{"access", kAllVps, 4, 4},
                           Input{"access", kAllVps, 8, 12},
@@ -175,12 +176,57 @@ TEST(ServeIncrementalTest, MismatchedOriginPrefixEvents) {
   }
 }
 
+// A prefix event that covers a VP's own address moves every reply routed
+// toward the VP: the kEgressToSrc hops of all its traces, and its Mercator
+// sources. The engine re-collects that VP's slices and drops its alias
+// evidence, so withdrawing the prefix and announcing it again each
+// publish the from-scratch map.
+TEST(ServeIncrementalTest, PrefixCoveringVpAddressMatchesReference) {
+  EngineFixture fx = make_engine("access", 42, nullptr, kAllVps);
+  fx.engine->rebuild_full();
+  const std::vector<topo::Vp> vps = fx.scenario->vps_in(fx.vp_as);
+  const topo::AnnouncedPrefix* covering =
+      fx.scenario->net().announced_match(vps.front().addr);
+  ASSERT_NE(covering, nullptr);
+  // A prefix event elsewhere first, so every VP holds evidence.
+  serve::ChurnEvent other;
+  other.kind = serve::ChurnKind::kWithdraw;
+  for (const topo::AnnouncedPrefix& ap : fx.scenario->net().announced()) {
+    if (!ap.prefix.contains(covering->prefix) &&
+        !covering->prefix.contains(ap.prefix)) {
+      other.prefix = ap.prefix;
+      break;
+    }
+  }
+  EXPECT_GT(fx.engine->apply(other).alias_pairs_reused, 0u);
+  expect_identical(*fx.engine, serve::describe(other));
+  for (serve::ChurnKind kind :
+       {serve::ChurnKind::kWithdraw, serve::ChurnKind::kAnnounce}) {
+    serve::ChurnEvent event;
+    event.kind = kind;
+    event.prefix = covering->prefix;
+    fx.engine->apply(event);
+    expect_identical(*fx.engine, serve::describe(event));
+    for (std::size_t vp = 0; vp < vps.size(); ++vp) {
+      const core::BdrmapStats& stats = fx.engine->last_results()[vp].stats;
+      if (covering->prefix.contains(vps[vp].addr)) {
+        EXPECT_EQ(stats.alias_pairs_reused, 0u) << "VP " << vp;
+      } else {
+        EXPECT_EQ(stats.alias_pairs_reused, stats.alias_pair_tests)
+            << "VP " << vp;
+      }
+    }
+  }
+}
+
 // The dirty-set contract: a prefix event re-collects only the slices whose
-// planned blocks overlap the prefix, so some slices stay cached; a link or
-// relationship event re-collects every slice.
+// planned blocks overlap the prefix, so some slices stay cached, and the
+// tails reuse the alias evidence of the previous epochs; a link or
+// relationship event re-collects every slice and probes every alias pair.
 TEST(ServeIncrementalTest, DirtySetIsActuallyPartial) {
   EngineFixture fx = make_engine("small", 42);
   fx.engine->rebuild_full();
+  const std::vector<topo::Vp> vps = fx.scenario->vps_in(fx.vp_as);
   const std::uint64_t v0 = fx.engine->handle().version();
   serve::ChurnStream stream(fx.scenario->net(), 42);
   std::size_t clean_total = 0;
@@ -193,9 +239,15 @@ TEST(ServeIncrementalTest, DirtySetIsActuallyPartial) {
         event.kind == serve::ChurnKind::kAnnounce) {
       ++prefix_events;
       EXPECT_GT(stats.clean_slices, 0u) << serve::describe(event);
+      for (std::size_t vp = 0; vp < fx.engine->vp_count(); ++vp) {
+        ASSERT_FALSE(event.prefix.contains(vps[vp].addr));
+      }
+      EXPECT_GT(stats.alias_pairs_reused, 0u) << serve::describe(event);
     } else {
       EXPECT_EQ(stats.clean_slices, 0u) << serve::describe(event);
+      EXPECT_EQ(stats.alias_pairs_reused, 0u) << serve::describe(event);
     }
+    EXPECT_GT(stats.alias_pairs_probed + stats.alias_pairs_reused, 0u);
     clean_total += stats.clean_slices;
   }
   // The stream must exercise both rules.

@@ -234,10 +234,13 @@ int main(int argc, char** argv) {
     snap = engine.handle().current();
     if (!opts.quiet) {
       std::printf("epoch %llu: %-28s %zu/%zu slices re-collected, "
-                  "fingerprint %016llx (%.3fs)\n",
+                  "%zu/%zu alias pairs probed, fingerprint %016llx "
+                  "(%.3fs)\n",
                   static_cast<unsigned long long>(stats.epoch),
                   serve::describe(event).c_str(), stats.dirty_slices,
                   stats.dirty_slices + stats.clean_slices,
+                  stats.alias_pairs_probed,
+                  stats.alias_pairs_probed + stats.alias_pairs_reused,
                   static_cast<unsigned long long>(snap->fingerprint()), c_s);
     }
   }

@@ -8,8 +8,9 @@
 #   --lint         run only the static-analysis stage (lint.py + clang-tidy)
 #   --tsan         run only the thread-sanitizer pass over the concurrency
 #                  suites (runtime pool/executor + contract tests + the
-#                  fast-path concurrent cache-fill suite + the golden
-#                  border-map table)
+#                  fast-path concurrent cache-fill suite + the walk
+#                  reference + the alias-evidence store tests + the
+#                  golden border-map table)
 #   --bench        benchmark smoke: python3 perfbench/test_smoke.py runs
 #                  every perfbench workload at toy size and checks that it
 #                  reports every metric BENCHMARK.json names
@@ -72,12 +73,12 @@ run_tsan() {
   cmake --preset tsan
   cmake --build --preset tsan -j "$JOBS" --target \
     runtime_thread_pool_test runtime_multi_vp_test netbase_contract_test \
-    route_bgp_test route_fastpath_test trace_batch_test obs_metrics_test \
+    route_bgp_test route_fastpath_test walk_reference_test obs_metrics_test \
     obs_trace_test eval_fuzzer_test serve_handle_test serve_snapshot_test \
     serve_incremental_test golden_border_map_test \
-    heuristic_confidence_test bdrmap_sim bdrmapd
+    heuristic_confidence_test alias_evidence_test bdrmap_sim bdrmapd
   ctest --test-dir build-tsan -j "$JOBS" --output-on-failure \
-    -R 'ThreadPool|TaskGroup|ParallelFor|ParallelMap|MultiVp|Contract|FastPath|TraceBatch|Obs|Fuzzer|Serve|Heuristic'
+    -R 'ThreadPool|TaskGroup|ParallelFor|ParallelMap|MultiVp|Contract|FastPath|WalkReference|AliasEvidence|Obs|Fuzzer|Serve|Heuristic'
 }
 
 run_fuzz() {

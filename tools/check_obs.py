@@ -18,6 +18,8 @@ default the gate also requires:
   * at least one rule fire counter (core.heuristic.<rule>.fires) is
     nonzero — a run whose every rule was skipped placed nothing
   * every span is closed and parent ids point at earlier spans
+  * alias evidence accounting: core.alias_pairs_reused +
+    core.alias_pairs_probed == core.alias_pair_tests
   * heuristic confidence accounting (DESIGN.md §15): publish_result
     observes one core.confidence.<tag> sample per neighbor router and one
     per §5.4.8 link, so the histogram counts over the router tags (all
@@ -182,6 +184,18 @@ def check_run(doc, serve: bool = False) -> list[str]:
     ]
     if not fired:
         findings.append("no core.heuristic.<rule>.fires counter is nonzero")
+
+    # Alias evidence accounting: every pair a tail consulted was either
+    # reused from stored evidence or probed (docs/serving.md §4).
+    alias = ("core.alias_pair_tests", "core.alias_pairs_reused",
+             "core.alias_pairs_probed")
+    if all(name in counters for name in alias):
+        tests, reused, probed = (counters[name] for name in alias)
+        if reused + probed != tests:
+            findings.append(
+                f"core.alias_pairs_reused ({reused}) + "
+                f"core.alias_pairs_probed ({probed}) != "
+                f"core.alias_pair_tests ({tests})")
 
     # Heuristic confidence accounting (DESIGN.md §15). Conditional: serve
     # runs publish different families, and an export without
