@@ -42,4 +42,12 @@ std::vector<AsId> SiblingTable::siblings_of(AsId as) const {
   return members(org);
 }
 
+AsId SiblingTable::representative(AsId as) const {
+  OrgId org = org_of(as);
+  if (!org.valid()) return as;
+  auto it = org_to_as_.find(org);
+  return it == org_to_as_.end() || it->second.empty() ? as
+                                                       : it->second.front();
+}
+
 }  // namespace bdrmap::asdata

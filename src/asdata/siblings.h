@@ -34,6 +34,10 @@ class SiblingTable {
   // The sibling set of `as` including itself; just {as} when unknown.
   std::vector<AsId> siblings_of(AsId as) const;
 
+  // The lowest AS of `as`'s sibling set (siblings_of(as).front()) without
+  // copying the set: one representative per organization.
+  AsId representative(AsId as) const;
+
   std::size_t size() const { return as_to_org_.size(); }
 
  private:

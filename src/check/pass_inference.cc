@@ -2,7 +2,11 @@
 // consistency, owner-assignment discipline, and §5.4 heuristic
 // preconditions. These audit the products of the inference core — the
 // structures every reported border link is derived from.
+#include <algorithm>
+#include <cstdint>
 #include <map>
+#include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -64,8 +68,7 @@ void run_router_graph(const CheckContext& ctx, ViolationSink& sink) {
                                        " is not in the router's alias set");
       }
     }
-    auto check_adjacency = [&](const std::set<std::size_t>& side,
-                               const char* dir) {
+    auto check_adjacency = [&](const auto& side, const char* dir) {
       for (std::size_t j : side) {
         if (j >= routers.size()) {
           sink.error(router_name(i), std::string(dir) +
@@ -94,7 +97,8 @@ void run_router_graph(const CheckContext& ctx, ViolationSink& sink) {
     if (graph.merged_away(i)) continue;
     for (std::size_t j : routers[i].next) {
       if (j < routers.size() && !graph.merged_away(j) &&
-          routers[j].prev.count(i) == 0) {
+          !std::binary_search(routers[j].prev.begin(), routers[j].prev.end(),
+                              i)) {
         sink.error(router_name(i), "asymmetric adjacency: next contains " +
                                        router_name(j) +
                                        " but its prev does not contain " +
@@ -103,7 +107,8 @@ void run_router_graph(const CheckContext& ctx, ViolationSink& sink) {
     }
     for (std::size_t j : routers[i].prev) {
       if (j < routers.size() && !graph.merged_away(j) &&
-          routers[j].next.count(i) == 0) {
+          !std::binary_search(routers[j].next.begin(), routers[j].next.end(),
+                              i)) {
         sink.error(router_name(i), "asymmetric adjacency: prev contains " +
                                        router_name(j) +
                                        " but its next does not contain " +
@@ -119,6 +124,64 @@ void run_router_graph(const CheckContext& ctx, ViolationSink& sink) {
       sink.error(addr.str(),
                  "router_of() disagrees with the router that lists the "
                  "address (index drift after a corrupting mutation)");
+    }
+  }
+
+  // The address table: every id names one address (ascending), its router
+  // column agrees with router_of() and with that router's alias set —
+  // merge() must move the column with the addresses.
+  const std::size_t ids = graph.address_count();
+  for (std::uint32_t id = 0; id < ids; ++id) {
+    const Ipv4Addr addr = graph.address(id);
+    if (id > 0 && !(graph.address(id - 1) < addr)) {
+      sink.error(addr.str(), "address table is not strictly ascending");
+    }
+    const std::uint32_t r = graph.router_of_id(id);
+    const std::optional<std::size_t> found = graph.router_of(addr);
+    if (r == RouterGraph::kNoRouter ? found.has_value()
+                                    : found != std::optional<std::size_t>(r)) {
+      sink.error(addr.str(), "router_of_id() disagrees with router_of()");
+    }
+    if (r == RouterGraph::kNoRouter) continue;
+    if (r >= routers.size() || graph.merged_away(r) ||
+        !std::binary_search(routers[r].addrs.begin(), routers[r].addrs.end(),
+                            addr)) {
+      sink.error(addr.str(), "router_of_id() names " + router_name(r) +
+                                 ", whose alias set does not list the "
+                                 "address (stale column after a merge?)");
+    }
+  }
+
+  // Each hop id names that hop's address; a non-reply has no id, and a
+  // time-exceeded reply's address always has a router.
+  const auto& traces = graph.traces();
+  for (std::size_t t = 0; t < traces.size(); ++t) {
+    const auto& hops = traces[t].hops;
+    const std::span<const std::uint32_t> hop_ids = graph.hop_ids(t);
+    if (hop_ids.size() != hops.size()) {
+      sink.error("trace#" + std::to_string(t),
+                 "hop-id array length differs from the trace's hop count");
+      continue;
+    }
+    for (std::size_t i = 0; i < hops.size(); ++i) {
+      const std::uint32_t id = hop_ids[i];
+      if (hops[i].kind == probe::ReplyKind::kNone) {
+        if (id != RouterGraph::kNoId) {
+          sink.error("trace#" + std::to_string(t),
+                     "non-reply hop carries an address id");
+        }
+        continue;
+      }
+      if (id >= ids || graph.address(id) != hops[i].addr) {
+        sink.error(hops[i].addr.str(),
+                   "hop id does not name the hop's address");
+        continue;
+      }
+      if (hops[i].kind == probe::ReplyKind::kTimeExceeded &&
+          graph.router_of_id(id) == RouterGraph::kNoRouter) {
+        sink.error(hops[i].addr.str(),
+                   "time-exceeded hop address has no router");
+      }
     }
   }
 }

@@ -1,6 +1,7 @@
 #include "core/bdrmap.h"
 
 #include <algorithm>
+#include <span>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -282,26 +283,26 @@ BdrmapResult infer_borders(RouterGraph graph, const InferenceInputs& inputs,
   // Routers that are the first non-VP router of some trace (counting only
   // time-exceeded hops): these border the VP network even when the hop
   // before them never answered.
-  const auto& routers = result.graph.routers();
+  const RouterGraph& inferred = result.graph;
+  const auto& routers = inferred.routers();
   std::vector<std::uint8_t> follows_vp(routers.size(), 0);
-  for (const ObservedTrace& trace : result.graph.traces()) {
-    for (const ObservedHop& hop : trace.hops) {
-      if (hop.kind != probe::ReplyKind::kTimeExceeded) continue;
-      const std::optional<std::size_t> r = result.graph.router_of(hop.addr);
-      if (!r || routers[*r].vp_side) continue;
-      follows_vp[*r] = 1;
+  // BDRMAP_HOT_BEGIN(follows_vp)
+  for (std::size_t t = 0; t < inferred.traces().size(); ++t) {
+    const auto& hops = inferred.traces()[t].hops;
+    const std::span<const std::uint32_t> ids = inferred.hop_ids(t);
+    for (std::size_t i = 0; i < hops.size(); ++i) {
+      if (hops[i].kind != probe::ReplyKind::kTimeExceeded) continue;
+      const std::uint32_t r = inferred.router_of_id(ids[i]);
+      if (routers[r].vp_side) continue;
+      follows_vp[r] = 1;
       break;
     }
   }
+  // BDRMAP_HOT_END(follows_vp)
 
   // Emit router-level interdomain links: every (VP-side router -> inferred
   // neighbor router) adjacency, plus first-after-gap borders, plus the
   // §5.4.8 placements for otherwise-uncovered neighbors.
-  auto org_of = [&](AsId as) {
-    if (!inputs.siblings) return as;
-    auto sibs = inputs.siblings->siblings_of(as);
-    return sibs.empty() ? as : sibs.front();
-  };
   std::unordered_set<AsId> linked_orgs;
   for (std::size_t n = 0; n < routers.size(); ++n) {
     if (result.graph.merged_away(n)) continue;
@@ -323,10 +324,10 @@ BdrmapResult infer_borders(RouterGraph graph, const InferenceInputs& inputs,
                               router.how, router.confidence});
       any_near = true;
     }
-    if (any_near) linked_orgs.insert(org_of(router.owner));
+    if (any_near) linked_orgs.insert(heuristics.org_rep(router.owner));
   }
   for (const auto& u : uncooperative) {
-    if (linked_orgs.count(org_of(u.neighbor))) continue;
+    if (linked_orgs.count(heuristics.org_rep(u.neighbor))) continue;
     result.links.push_back(
         {u.vp_router, InferredLink::kNoRouter, u.neighbor, u.how,
          u.confidence});

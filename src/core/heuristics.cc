@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <iterator>
 #include <map>
+#include <optional>
+#include <span>
 #include <utility>
 
 #include "core/confidence.h"
@@ -42,10 +44,23 @@ Heuristics::Heuristics(RouterGraph& graph, const InferenceInputs& in,
                                [&](const Rule& r) { return r.slug == slug; }),
                    "HeuristicsConfig::disabled_rules names no §5.4 rule");
   }
-  extend_vp_space();
+  // One longest match per distinct address: the routing of every id
+  // feeds both the RIR extension and the per-id classification.
+  const std::size_t ids = graph_.address_count();
+  std::vector<AddrRouting> routing;
+  routing.reserve(ids);
+  for (std::uint32_t id = 0; id < ids; ++id) {
+    routing.push_back(routing_of(graph_.address(id)));
+  }
+  extend_vp_space(routing);
+  info_.reserve(ids);
+  for (std::uint32_t id = 0; id < ids; ++id) {
+    info_.push_back(classify_routed(graph_.address(id), routing[id]));
+  }
 }
 
 std::vector<UncooperativeNeighbor> Heuristics::run() {
+  order_ = graph_.by_hop_distance();
   for (std::size_t i = 0; i < std::size(kRules); ++i) {
     const Rule& rule = kRules[i];
     const bool disabled =
@@ -68,31 +83,36 @@ bool Heuristics::is_vp_as(AsId as) const {
 }
 
 AsId Heuristics::org_rep(AsId as) const {
-  if (!in_.siblings) return as;
-  auto sibs = in_.siblings->siblings_of(as);
-  return sibs.empty() ? as : sibs.front();
+  return in_.siblings ? in_.siblings->representative(as) : as;
 }
 
 AddrInfo Heuristics::classify(Ipv4Addr addr) const {
-  auto it = classify_cache_.find(addr);
-  if (it != classify_cache_.end()) return it->second;
-  AddrInfo info = classify_uncached(addr);
-  classify_cache_.emplace(addr, info);
-  return info;
+  if (const std::optional<std::uint32_t> id = graph_.id_of(addr)) {
+    return info_[*id];
+  }
+  return classify_routed(addr, routing_of(addr));
 }
 
-AddrInfo Heuristics::classify_uncached(Ipv4Addr addr) const {
-  if (in_.ixps && in_.ixps->is_ixp_address(addr)) {
-    return {AddrClass::kIxp, AsId{}};
+Heuristics::AddrRouting Heuristics::routing_of(Ipv4Addr addr) const {
+  AddrRouting out;
+  out.origins = in_.origins->origins(addr);
+  out.ixp = in_.ixps && in_.ixps->is_ixp_address(addr);
+  if (out.origins) {
+    out.vp_originated =
+        std::any_of(out.origins->begin(), out.origins->end(),
+                    [&](AsId o) { return is_vp_as(o); });
   }
-  const auto* origin_set = in_.origins->origins(addr);
-  if (origin_set && !origin_set->empty()) {
+  return out;
+}
+
+AddrInfo Heuristics::classify_routed(Ipv4Addr addr,
+                                     const AddrRouting& routing) const {
+  if (routing.ixp) return {AddrClass::kIxp, AsId{}};
+  if (routing.origins && !routing.origins->empty()) {
     // If any origin of the longest match is a VP sibling, the address
     // belongs to the hosting network's space.
-    for (AsId o : *origin_set) {
-      if (is_vp_as(o)) return {AddrClass::kVp, vp_as_};
-    }
-    return {AddrClass::kExternal, origin_set->front()};
+    if (routing.vp_originated) return {AddrClass::kVp, vp_as_};
+    return {AddrClass::kExternal, routing.origins->front()};
   }
   for (const auto& block : vp_extra_blocks_) {
     if (block.contains(addr)) return {AddrClass::kVp, vp_as_};
@@ -100,11 +120,22 @@ AddrInfo Heuristics::classify_uncached(Ipv4Addr addr) const {
   return {AddrClass::kUnrouted, AsId{}};
 }
 
-void Heuristics::extend_vp_space() {
+void Heuristics::extend_vp_space(const std::vector<AddrRouting>& routing) {
   // §5.4.1: when an address originated by a VP AS appears in a trace, all
   // previous unrouted addresses on the path back to the VP are assumed to
   // be delegated to the hosting network; the RIR files name the blocks.
   if (!in_.rir) return;
+
+  // The delegation of each id is looked up at most once: a repeat lookup
+  // would name a block (and organization) already recorded.
+  std::vector<std::uint8_t> looked_up(routing.size(), 0);
+  auto add_block = [&](const net::Prefix& block) {
+    if (std::find(vp_extra_blocks_.begin(), vp_extra_blocks_.end(), block) ==
+        vp_extra_blocks_.end()) {
+      vp_extra_blocks_.push_back(block);
+    }
+  };
+  const auto& traces = graph_.traces();
 
   // Robustness anchor: the TTL-1 hop of a trace is the VP host's default
   // gateway — hosting-network infrastructure by construction, even when
@@ -116,18 +147,18 @@ void Heuristics::extend_vp_space() {
   // origin row can erase the whole kVp address class and with it every
   // border inference.
   std::vector<net::OrgId> vp_orgs;
-  for (const auto& trace : graph_.traces()) {
-    if (trace.hops.empty()) continue;
-    const auto& hop = trace.hops.front();
-    if (hop.kind != probe::ReplyKind::kTimeExceeded) continue;
-    if (in_.origins->origins(hop.addr)) continue;  // routed: classify works
-    if (in_.ixps && in_.ixps->is_ixp_address(hop.addr)) continue;
-    auto delegation = in_.rir->lookup(hop.addr);
-    if (!delegation) continue;
-    if (std::find(vp_extra_blocks_.begin(), vp_extra_blocks_.end(),
-                  delegation->block) == vp_extra_blocks_.end()) {
-      vp_extra_blocks_.push_back(delegation->block);
+  for (std::size_t t = 0; t < traces.size(); ++t) {
+    if (traces[t].hops.empty()) continue;
+    if (traces[t].hops.front().kind != probe::ReplyKind::kTimeExceeded) {
+      continue;
     }
+    const std::uint32_t id = graph_.hop_ids(t).front();
+    // Routed: classify works.
+    if (routing[id].origins || routing[id].ixp || looked_up[id]) continue;
+    looked_up[id] = 1;
+    auto delegation = in_.rir->lookup(graph_.address(id));
+    if (!delegation) continue;
+    add_block(delegation->block);
     if (std::find(vp_orgs.begin(), vp_orgs.end(), delegation->org) ==
         vp_orgs.end()) {
       vp_orgs.push_back(delegation->org);
@@ -135,43 +166,34 @@ void Heuristics::extend_vp_space() {
   }
   for (net::OrgId org : vp_orgs) {
     for (const auto& d : in_.rir->all()) {
-      if (!(d.org == org)) continue;
-      if (std::find(vp_extra_blocks_.begin(), vp_extra_blocks_.end(),
-                    d.block) == vp_extra_blocks_.end()) {
-        vp_extra_blocks_.push_back(d.block);
-      }
+      if (d.org == org) add_block(d.block);
     }
   }
 
-  for (const auto& trace : graph_.traces()) {
+  // BDRMAP_HOT_BEGIN(extend_vp_space)
+  for (std::size_t t = 0; t < traces.size(); ++t) {
+    const auto& hops = traces[t].hops;
+    const std::span<const std::uint32_t> ids = graph_.hop_ids(t);
     // Find the last hop whose address is VP-originated in public BGP.
-    std::ptrdiff_t last_vp = -1;
-    for (std::size_t i = 0; i < trace.hops.size(); ++i) {
-      const auto& hop = trace.hops[i];
-      if (hop.kind != probe::ReplyKind::kTimeExceeded) continue;
-      const auto* origin_set = in_.origins->origins(hop.addr);
-      if (!origin_set) continue;
-      for (AsId o : *origin_set) {
-        if (is_vp_as(o)) {
-          last_vp = static_cast<std::ptrdiff_t>(i);
-          break;
-        }
+    std::size_t last_vp = 0;
+    for (std::size_t i = hops.size(); i-- > 0;) {
+      if (hops[i].kind == probe::ReplyKind::kTimeExceeded &&
+          routing[ids[i]].vp_originated) {
+        last_vp = i;
+        break;
       }
     }
-    if (last_vp < 0) continue;
-    for (std::ptrdiff_t i = 0; i < last_vp; ++i) {
-      const auto& hop = trace.hops[static_cast<std::size_t>(i)];
-      if (hop.kind != probe::ReplyKind::kTimeExceeded) continue;
-      if (in_.origins->origins(hop.addr)) continue;  // routed: not missing
-      if (in_.ixps && in_.ixps->is_ixp_address(hop.addr)) continue;
-      auto delegation = in_.rir->lookup(hop.addr);
-      if (!delegation) continue;
-      if (std::find(vp_extra_blocks_.begin(), vp_extra_blocks_.end(),
-                    delegation->block) == vp_extra_blocks_.end()) {
-        vp_extra_blocks_.push_back(delegation->block);
-      }
+    for (std::size_t i = 0; i < last_vp; ++i) {
+      if (hops[i].kind != probe::ReplyKind::kTimeExceeded) continue;
+      const std::uint32_t id = ids[i];
+      // Routed: not missing.
+      if (routing[id].origins || routing[id].ixp || looked_up[id]) continue;
+      looked_up[id] = 1;
+      auto delegation = in_.rir->lookup(graph_.address(id));
+      if (delegation) add_block(delegation->block);
     }
   }
+  // BDRMAP_HOT_END(extend_vp_space)
 }
 
 bool Heuristics::all_vp(const GraphRouter& r) const {
@@ -213,17 +235,18 @@ void Heuristics::build_first_external_table() const {
   std::vector<std::uint32_t> seen_epoch(count, 0);
   std::vector<std::uint32_t> pending;
   std::uint32_t epoch = 0;
+  const auto& traces = graph_.traces();
   // BDRMAP_HOT_BEGIN(first_external_scan)
-  for (const auto& trace : graph_.traces()) {
+  for (std::size_t t = 0; t < traces.size(); ++t) {
     ++epoch;
     pending.clear();
-    for (const auto& hop : trace.hops) {
-      if (hop.kind != probe::ReplyKind::kTimeExceeded) continue;
-      auto r = graph_.router_of(hop.addr);
-      if (!r) continue;
-      const auto x = static_cast<std::uint32_t>(*r);
+    const auto& hops = traces[t].hops;
+    const std::span<const std::uint32_t> ids = graph_.hop_ids(t);
+    for (std::size_t h = 0; h < hops.size(); ++h) {
+      if (hops[h].kind != probe::ReplyKind::kTimeExceeded) continue;
+      const std::uint32_t x = graph_.router_of_id(ids[h]);
       if (!pending.empty()) {
-        AddrInfo info = classify(hop.addr);
+        const AddrInfo& info = info_[ids[h]];
         if (info.cls == AddrClass::kExternal) {
           std::size_t keep = 0;
           for (std::size_t i = 0; i < pending.size(); ++i) {
@@ -302,18 +325,21 @@ void Heuristics::phase1_vp_network() {
   // Precompute, per router, whether any VP-originated time-exceeded address
   // appears after it in some trace (step 1.2's condition).
   std::vector<char> vp_after(graph_.routers().size(), 0);
-  for (const auto& trace : graph_.traces()) {
+  const auto& traces = graph_.traces();
+  // BDRMAP_HOT_BEGIN(vp_after)
+  for (std::size_t t = 0; t < traces.size(); ++t) {
+    const auto& hops = traces[t].hops;
+    const std::span<const std::uint32_t> ids = graph_.hop_ids(t);
     bool vp_seen_later = false;
-    for (std::size_t i = trace.hops.size(); i-- > 0;) {
-      const auto& hop = trace.hops[i];
-      if (hop.kind != probe::ReplyKind::kTimeExceeded) continue;
-      auto r = graph_.router_of(hop.addr);
-      if (r && vp_seen_later) vp_after[*r] = 1;
-      if (classify(hop.addr).cls == AddrClass::kVp) vp_seen_later = true;
+    for (std::size_t i = hops.size(); i-- > 0;) {
+      if (hops[i].kind != probe::ReplyKind::kTimeExceeded) continue;
+      if (vp_seen_later) vp_after[graph_.router_of_id(ids[i])] = 1;
+      if (info_[ids[i]].cls == AddrClass::kVp) vp_seen_later = true;
     }
   }
+  // BDRMAP_HOT_END(vp_after)
 
-  for (std::size_t r : graph_.by_hop_distance()) {
+  for (std::size_t r : order_) {
     const GraphRouter& router = graph_.routers()[r];
     if (router.how != Heuristic::kNone) continue;
     // Any VP-originated interface suffices here: alias resolution merges a
@@ -391,7 +417,7 @@ void Heuristics::phase1_vp_network() {
 // ---------------------------------------------------------------------------
 
 void Heuristics::phase2_firewall() {
-  for (std::size_t r : graph_.by_hop_distance()) {
+  for (std::size_t r : order_) {
     GraphRouter& router = graph_.routers()[r];
     if (router.how != Heuristic::kNone) continue;
     if (!all_vp(router)) continue;
@@ -441,7 +467,7 @@ void Heuristics::phase3_unrouted() {
     AddrClass c = classify(a).cls;
     return c == AddrClass::kUnrouted || c == AddrClass::kIxp;
   };
-  for (std::size_t r : graph_.by_hop_distance()) {
+  for (std::size_t r : order_) {
     GraphRouter& router = graph_.routers()[r];
     if (router.how != Heuristic::kNone || router.ttl_addrs.empty()) continue;
 
@@ -564,7 +590,7 @@ void Heuristics::phase3_unrouted() {
 // ---------------------------------------------------------------------------
 
 void Heuristics::phase4_onenet() {
-  for (std::size_t r : graph_.by_hop_distance()) {
+  for (std::size_t r : order_) {
     GraphRouter& router = graph_.routers()[r];
     if (router.how != Heuristic::kNone || router.ttl_addrs.empty()) continue;
 
@@ -621,7 +647,7 @@ void Heuristics::phase4_onenet() {
 
 void Heuristics::phase5_relationships() {
   // Third-party detection (steps 5.1 / 5.2).
-  for (std::size_t r : graph_.by_hop_distance()) {
+  for (std::size_t r : order_) {
     GraphRouter& router = graph_.routers()[r];
     if (router.how != Heuristic::kNone) continue;
     auto externals = external_origins(router);
@@ -678,7 +704,7 @@ void Heuristics::phase5_relationships() {
 
   // Steps 5.3 / 5.4 / 5.5: VP-addressed borders classified by relationship
   // data about the adjacent and subsequent address space.
-  for (std::size_t r : graph_.by_hop_distance()) {
+  for (std::size_t r : order_) {
     GraphRouter& router = graph_.routers()[r];
     if (router.how != Heuristic::kNone) continue;
     if (!all_vp(router)) continue;
@@ -747,7 +773,7 @@ void Heuristics::phase5_relationships() {
 // ---------------------------------------------------------------------------
 
 void Heuristics::phase6_counting() {
-  for (std::size_t r : graph_.by_hop_distance()) {
+  for (std::size_t r : order_) {
     GraphRouter& router = graph_.routers()[r];
     if (router.how != Heuristic::kNone || router.ttl_addrs.empty()) continue;
 
@@ -884,48 +910,63 @@ void Heuristics::phase8_uncooperative() {
   for (std::size_t ti = 0; ti < traces.size(); ++ti) {
     traces_by_org[org_rep(traces[ti].target_as)].push_back(ti);
   }
+  const auto& routers = graph_.routers();
 
   for (AsId neighbor : bgp_neighbors) {
-    if (covered.count(org_rep(neighbor))) continue;
+    const AsId neighbor_org = org_rep(neighbor);
+    if (covered.count(neighbor_org)) continue;
 
     // Process the traces toward this AS as a set (§5.4.8). Rate limiting
     // can hide the true final VP router in a few traces, so we accept the
     // dominant final router rather than demanding strict unanimity.
-    std::map<std::size_t, std::size_t> last_counts;
+    // (final VP router, traces) pairs; a handful per neighbor.
+    std::vector<std::pair<std::size_t, std::size_t>> last_counts;
     bool beyond = false;
     bool icmp_from_neighbor = false;
-    auto scan_trace = [&](const ObservedTrace& trace) {
-      // Last VP-side router, and anything after it?
-      std::size_t last_vp = std::numeric_limits<std::size_t>::max();
-      for (const auto& hop : trace.hops) {
-        if (hop.kind == probe::ReplyKind::kNone) continue;
-        if (hop.kind == probe::ReplyKind::kTimeExceeded) {
-          auto r = graph_.router_of(hop.addr);
-          if (r && graph_.routers()[*r].vp_side) {
-            last_vp = *r;
-            continue;
-          }
-          if (last_vp != std::numeric_limits<std::size_t>::max()) {
-            beyond = true;  // a non-VP interface after the last VP router
-          }
-        } else {
-          // Echo reply / unreachable: does its source map to the neighbor?
-          AddrInfo info = classify(hop.addr);
-          if (info.cls == AddrClass::kExternal &&
-              org_rep(info.origin) == org_rep(neighbor)) {
-            icmp_from_neighbor = true;
+    auto it = traces_by_org.find(neighbor_org);
+    if (it != traces_by_org.end()) {
+      // BDRMAP_HOT_BEGIN(uncooperative_scan)
+      for (std::size_t ti : it->second) {
+        const auto& hops = traces[ti].hops;
+        const std::span<const std::uint32_t> ids = graph_.hop_ids(ti);
+        // Last VP-side router, and anything after it?
+        std::uint32_t last_vp = RouterGraph::kNoRouter;
+        for (std::size_t i = 0; i < hops.size(); ++i) {
+          if (hops[i].kind == probe::ReplyKind::kNone) continue;
+          if (hops[i].kind == probe::ReplyKind::kTimeExceeded) {
+            const std::uint32_t r = graph_.router_of_id(ids[i]);
+            if (routers[r].vp_side) {
+              last_vp = r;
+              continue;
+            }
+            if (last_vp != RouterGraph::kNoRouter) {
+              beyond = true;  // a non-VP interface after the last VP router
+            }
+          } else {
+            // Echo reply / unreachable: does its source map to the
+            // neighbor?
+            const AddrInfo& info = info_[ids[i]];
+            if (info.cls == AddrClass::kExternal &&
+                org_rep(info.origin) == neighbor_org) {
+              icmp_from_neighbor = true;
+            }
           }
         }
+        if (last_vp == RouterGraph::kNoRouter) continue;
+        auto counted = std::find_if(
+            last_counts.begin(), last_counts.end(),
+            [&](const auto& entry) { return entry.first == last_vp; });
+        if (counted != last_counts.end()) {
+          ++counted->second;
+        } else {
+          last_counts.emplace_back(last_vp, 1);
+        }
       }
-      if (last_vp != std::numeric_limits<std::size_t>::max()) {
-        ++last_counts[last_vp];
-      }
-    };
-    auto it = traces_by_org.find(org_rep(neighbor));
-    if (it != traces_by_org.end()) {
-      for (std::size_t ti : it->second) scan_trace(traces[ti]);
+      // BDRMAP_HOT_END(uncooperative_scan)
     }
     if (beyond || last_counts.empty()) continue;
+    // Ties go to the lowest router index.
+    std::sort(last_counts.begin(), last_counts.end());
     std::size_t total = 0, best_count = 0;
     std::size_t common_last = std::numeric_limits<std::size_t>::max();
     for (const auto& [router, count] : last_counts) {

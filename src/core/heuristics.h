@@ -94,15 +94,26 @@ class Heuristics {
   // annotations, and returns the §5.4.8 placements.
   std::vector<UncooperativeNeighbor> run();
 
-  // Classification of an observed address (valid after construction;
-  // memoized — the inputs never change after construction).
+  // Classification of an address (valid after construction). Addresses in
+  // the graph's address table read the per-id table the constructor fills
+  // with one longest match each; any other address is computed afresh.
   AddrInfo classify(Ipv4Addr addr) const;
+
+  // Unrouted blocks attributed to the VP network via RIR delegations
+  // (§5.4.1), in discovery order.
+  const std::vector<net::Prefix>& vp_extra_blocks() const {
+    return vp_extra_blocks_;
+  }
 
   // External origins of the first routed hop after `router` in each trace,
   // in trace order. Served from a table built in one pass over all traces
   // on first use, so it is only valid before the first alias merge (§5.4.3
   // and §5.4.5, its callers, both run before §5.4.7 merges).
   std::vector<AsId> first_external_after(std::size_t router) const;
+
+  // Representative AS for sibling-collapsing comparisons: the lowest AS
+  // of its organization (itself without a sibling table).
+  AsId org_rep(AsId as) const;
 
   // nextas(r): the most common provider among the destination ASes probed
   // through the router (§5.4 final paragraph).
@@ -130,11 +141,19 @@ class Heuristics {
   // Sentinel for current_rule_: no rule is firing.
   static constexpr std::size_t kNoRule = static_cast<std::size_t>(-1);
 
+  // What the public BGP view and the IXP list say about one address: the
+  // inputs of classify() and of the §5.4.1 RIR extension.
+  struct AddrRouting {
+    const std::vector<AsId>* origins = nullptr;  // longest match, if any
+    bool ixp = false;            // inside a known IXP peering LAN
+    bool vp_originated = false;  // some origin of the match is a VP AS
+  };
+
   bool is_vp_as(AsId as) const;
-  // Representative AS for sibling-collapsing comparisons.
-  AsId org_rep(AsId as) const;
-  // The longest-match/IXP/RIR lookup behind classify().
-  AddrInfo classify_uncached(Ipv4Addr addr) const;
+  // The longest-match and IXP lookups for `addr`.
+  AddrRouting routing_of(Ipv4Addr addr) const;
+  // classify() given the address's routing (and vp_extra_blocks_).
+  AddrInfo classify_routed(Ipv4Addr addr, const AddrRouting& routing) const;
   // One pass over all traces filling first_external_table_ for every
   // router at once (see first_external_after).
   void build_first_external_table() const;
@@ -154,8 +173,10 @@ class Heuristics {
   };
   ScoredNextas nextas_scored(std::size_t router) const;
 
+  // §5.4.1 RIR delegation extension, given the routing of every id of the
+  // graph's address table.
+  void extend_vp_space(const std::vector<AddrRouting>& routing);
   // Phases 5 and 8 read in_.rels; run() calls them only when it is set.
-  void extend_vp_space();            // §5.4.1 RIR delegation extension
   void phase1_vp_network();          // §5.4.1
   void phase2_firewall();            // §5.4.2
   void phase3_unrouted();            // §5.4.3
@@ -176,9 +197,13 @@ class Heuristics {
   AsId vp_as_;  // primary VP AS
   // Unrouted blocks attributed to the VP network via RIR delegations.
   std::vector<net::Prefix> vp_extra_blocks_;
-  // Compiled-scan caches (DESIGN.md §14). Mutable: they memoize const
-  // lookups without changing observable results.
-  mutable std::unordered_map<Ipv4Addr, AddrInfo> classify_cache_;
+  // classify() of every id of the graph's address table (DESIGN.md §14).
+  std::vector<AddrInfo> info_;
+  // Live routers by hop distance; run() computes it once, since only the
+  // §5.4.7 merges (after every reader of it) change the graph.
+  std::vector<std::size_t> order_;
+  // Compiled-scan cache (DESIGN.md §14). Mutable: it memoizes a const
+  // lookup without changing observable results.
   mutable std::vector<std::vector<AsId>> first_external_table_;
   mutable bool first_external_built_ = false;
   // Per-rule accounting (kRules order).

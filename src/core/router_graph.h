@@ -6,14 +6,17 @@
 // observed in ICMP time-exceeded messages — echo replies carry the probed
 // address and say nothing about which router holds it (§5.3) — so the graph
 // tracks which observations came from time-exceeded replies.
+//
+// Every address that replied in some trace (or is listed in an alias group)
+// is interned once into a dense id (DESIGN.md §14): per-hop scans over the
+// traces read the hop-id arrays and the id -> router column instead of
+// hashing addresses.
 #pragma once
 
 #include <cstdint>
 #include <limits>
-#include <map>
 #include <optional>
-#include <set>
-#include <unordered_map>
+#include <span>
 #include <vector>
 
 #include "core/observations.h"
@@ -50,11 +53,13 @@ struct GraphRouter {
   std::vector<Ipv4Addr> addrs;      // full alias set (sorted)
   std::vector<Ipv4Addr> ttl_addrs;  // subset seen in time-exceeded replies
   int min_hop = std::numeric_limits<int>::max();  // observed hop distance
-  std::set<std::size_t> prev;  // routers observed immediately before
-  std::set<std::size_t> next;  // routers observed immediately after
-  std::set<AsId> dest_ases;    // target ASes probed through this router
+  // Flat sets: sorted ascending, no duplicates (link emission relies on
+  // the ascending order).
+  std::vector<std::size_t> prev;  // routers observed immediately before
+  std::vector<std::size_t> next;  // routers observed immediately after
+  std::vector<AsId> dest_ases;    // target ASes probed through this router
   // Target ASes for which this router was the last responsive hop.
-  std::set<AsId> terminal_for;
+  std::vector<AsId> terminal_for;
 
   // Ownership inference (filled by core::Heuristics).
   AsId owner;
@@ -67,6 +72,14 @@ struct GraphRouter {
 
 class RouterGraph {
  public:
+  // hop_ids() entry of a hop that did not reply.
+  static constexpr std::uint32_t kNoId =
+      std::numeric_limits<std::uint32_t>::max();
+  // router_of_id() of an address no router carries (seen only in echo or
+  // unreachable replies).
+  static constexpr std::uint32_t kNoRouter =
+      std::numeric_limits<std::uint32_t>::max();
+
   // Builds the graph from traces and alias groups (taking ownership of the
   // traces). Addresses not covered by any group become singleton routers.
   RouterGraph(std::vector<ObservedTrace> traces,
@@ -77,6 +90,20 @@ class RouterGraph {
 
   // Router index carrying `addr`, if observed.
   std::optional<std::size_t> router_of(Ipv4Addr addr) const;
+
+  // The address table: every address that replied in some trace or is
+  // listed in an alias group, ascending; an address's index is its id.
+  std::size_t address_count() const { return addrs_.size(); }
+  Ipv4Addr address(std::uint32_t id) const { return addrs_[id]; }
+  // Id of `addr`, if it is in the table (a binary search).
+  std::optional<std::uint32_t> id_of(Ipv4Addr addr) const;
+  // Ids of trace `t`'s hops, parallel to traces()[t].hops; kNoId where
+  // the hop did not reply.
+  std::span<const std::uint32_t> hop_ids(std::size_t t) const {
+    return {hop_ids_.data() + hop_begin_[t], hop_begin_[t + 1] - hop_begin_[t]};
+  }
+  // Router carrying address `id` (kept current by merge()), or kNoRouter.
+  std::uint32_t router_of_id(std::uint32_t id) const { return router_col_[id]; }
 
   // Routers sorted by observed hop distance (nearest first).
   std::vector<std::size_t> by_hop_distance() const;
@@ -92,8 +119,11 @@ class RouterGraph {
 
  private:
   std::vector<GraphRouter> routers_;
-  std::unordered_map<Ipv4Addr, std::size_t> addr_to_router_;
   std::vector<ObservedTrace> traces_;
+  std::vector<Ipv4Addr> addrs_;            // id -> address, ascending
+  std::vector<std::uint32_t> router_col_;  // id -> router, or kNoRouter
+  std::vector<std::uint32_t> hop_ids_;     // every hop of every trace
+  std::vector<std::size_t> hop_begin_;     // trace t's hops start here
 };
 
 }  // namespace bdrmap::core

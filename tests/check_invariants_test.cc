@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -305,6 +306,36 @@ TEST_F(InferenceCorruption, DuplicateInterfaceIsCaughtByStructurePass) {
       << report.summary();
   EXPECT_TRUE(any_detail_contains(report, pass_id::kRouterGraphStructure,
                                   "two live routers"));
+}
+
+// Corruption class 5b: stale address column — a merge that moves a
+// router's addresses but not their id -> router entries leaves the column
+// naming a tombstone.
+TEST_F(InferenceCorruption, StaleAddressColumnIsCaughtByStructurePass) {
+  core::BdrmapResult result = *result_;
+  auto& routers = result.graph.routers();
+  std::size_t a = live_router(result, [](const core::GraphRouter& r) {
+    return !r.ttl_addrs.empty();
+  });
+  std::size_t b = live_router(result, [&](const core::GraphRouter& r) {
+    return !r.ttl_addrs.empty() && &r != &routers[a];
+  });
+  core::GraphRouter& into = routers[a];
+  into.addrs.insert(into.addrs.end(), routers[b].addrs.begin(),
+                    routers[b].addrs.end());
+  std::sort(into.addrs.begin(), into.addrs.end());
+  into.ttl_addrs.insert(into.ttl_addrs.end(), routers[b].ttl_addrs.begin(),
+                        routers[b].ttl_addrs.end());
+  std::sort(into.ttl_addrs.begin(), into.ttl_addrs.end());
+  routers[b] = core::GraphRouter{};
+
+  CheckReport report = InvariantChecker().run(
+      context_for(result), one(pass_id::kRouterGraphStructure));
+  EXPECT_GT(errors_of(report, pass_id::kRouterGraphStructure), 0u)
+      << report.summary();
+  EXPECT_TRUE(any_detail_contains(report, pass_id::kRouterGraphStructure,
+                                  "stale column"))
+      << report.summary();
 }
 
 // Corruption class 6: a router owned by an AS absent from every input

@@ -5,15 +5,21 @@
 // announced prefix (pinned ones included) and across an ECMP diamond
 // where classic mode splices paths. At the pipeline level, a
 // sharded plan must be byte-identical at 1, 2 and 8 pool workers filling
-// cold caches concurrently, and the heuristics' compiled first-external
-// table must equal a per-router rescan. check.sh's tsan pass selects the
-// suite by name ("WalkReference").
+// cold caches concurrently, the heuristics' compiled first-external table
+// must equal a per-router rescan, and the per-address table (classes,
+// §5.4.1 VP-extra blocks, the id -> router column after §5.4.7 merges) must
+// equal a per-hop recomputation from the public inputs. check.sh's tsan
+// pass selects the suite by name ("WalkReference").
+#include <algorithm>
 #include <cstdint>
+#include <map>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "asdata/bgp_origins.h"
 #include "core/bdrmap.h"
 #include "core/heuristics.h"
 #include "core/router_graph.h"
@@ -259,6 +265,246 @@ TEST(WalkReferenceTest, CompiledScanParityEndToEnd) {
     EXPECT_EQ(mismatches, 0u) << family;
     EXPECT_GT(observed, 0u) << family;
   }
+}
+
+// Reference for the §5.4.1 RIR extension, hop by hop as the heuristics
+// ran it before the per-address table: TTL-1 anchors (plus every block of
+// their organizations), then the unrouted hops before each trace's last
+// VP-originated hop. Written against the public inputs only.
+bool reference_is_vp(const core::InferenceInputs& in, net::AsId as) {
+  return std::find(in.vp_ases.begin(), in.vp_ases.end(), as) !=
+         in.vp_ases.end();
+}
+
+std::vector<net::Prefix> reference_vp_extra_blocks(
+    const std::vector<core::ObservedTrace>& traces,
+    const core::InferenceInputs& in) {
+  std::vector<net::Prefix> blocks;
+  if (!in.rir) return blocks;
+  auto add = [&](const net::Prefix& block) {
+    if (std::find(blocks.begin(), blocks.end(), block) == blocks.end()) {
+      blocks.push_back(block);
+    }
+  };
+  auto missing = [&](const core::ObservedHop& hop) {
+    return hop.kind == ReplyKind::kTimeExceeded &&
+           in.origins->origins(hop.addr) == nullptr &&
+           !(in.ixps && in.ixps->is_ixp_address(hop.addr));
+  };
+  std::vector<net::OrgId> orgs;
+  for (const auto& trace : traces) {
+    if (trace.hops.empty() || !missing(trace.hops.front())) continue;
+    auto delegation = in.rir->lookup(trace.hops.front().addr);
+    if (!delegation) continue;
+    add(delegation->block);
+    if (std::find(orgs.begin(), orgs.end(), delegation->org) == orgs.end()) {
+      orgs.push_back(delegation->org);
+    }
+  }
+  for (net::OrgId org : orgs) {
+    for (const auto& d : in.rir->all()) {
+      if (d.org == org) add(d.block);
+    }
+  }
+  for (const auto& trace : traces) {
+    std::ptrdiff_t last_vp = -1;
+    for (std::size_t i = 0; i < trace.hops.size(); ++i) {
+      const auto& hop = trace.hops[i];
+      if (hop.kind != ReplyKind::kTimeExceeded) continue;
+      const auto* origins = in.origins->origins(hop.addr);
+      if (origins && std::any_of(origins->begin(), origins->end(),
+                                 [&](net::AsId o) {
+                                   return reference_is_vp(in, o);
+                                 })) {
+        last_vp = static_cast<std::ptrdiff_t>(i);
+      }
+    }
+    for (std::ptrdiff_t i = 0; i < last_vp; ++i) {
+      const auto& hop = trace.hops[static_cast<std::size_t>(i)];
+      if (!missing(hop)) continue;
+      if (auto delegation = in.rir->lookup(hop.addr)) add(delegation->block);
+    }
+  }
+  return blocks;
+}
+
+// Reference classify(): the longest match, IXP and RIR-extension lookups
+// per address.
+core::AddrInfo reference_classify(const core::InferenceInputs& in,
+                                  const std::vector<net::Prefix>& blocks,
+                                  Ipv4Addr addr) {
+  const net::AsId vp_as = in.vp_ases.empty() ? net::AsId{} : in.vp_ases.front();
+  if (in.ixps && in.ixps->is_ixp_address(addr)) {
+    return {core::AddrClass::kIxp, net::AsId{}};
+  }
+  const auto* origins = in.origins->origins(addr);
+  if (origins && !origins->empty()) {
+    for (net::AsId o : *origins) {
+      if (reference_is_vp(in, o)) return {core::AddrClass::kVp, vp_as};
+    }
+    return {core::AddrClass::kExternal, origins->front()};
+  }
+  for (const auto& block : blocks) {
+    if (block.contains(addr)) return {core::AddrClass::kVp, vp_as};
+  }
+  return {core::AddrClass::kUnrouted, net::AsId{}};
+}
+
+// Every replying hop's id names its address, and the id -> router column
+// names the live router whose alias set lists it. Returns the mismatches.
+std::size_t column_mismatches(const core::RouterGraph& graph,
+                              const char* what) {
+  std::map<Ipv4Addr, std::uint32_t> listed_by;
+  for (std::size_t r = 0; r < graph.routers().size(); ++r) {
+    for (Ipv4Addr a : graph.routers()[r].addrs) {
+      listed_by.emplace(a, static_cast<std::uint32_t>(r));
+    }
+  }
+  std::size_t mismatches = 0;
+  for (std::size_t t = 0; t < graph.traces().size(); ++t) {
+    const auto& hops = graph.traces()[t].hops;
+    const auto ids = graph.hop_ids(t);
+    EXPECT_EQ(ids.size(), hops.size()) << what;
+    for (std::size_t i = 0; i < hops.size() && i < ids.size(); ++i) {
+      if (hops[i].kind == ReplyKind::kNone) {
+        mismatches += ids[i] != core::RouterGraph::kNoId;
+        continue;
+      }
+      if (ids[i] >= graph.address_count() ||
+          graph.address(ids[i]) != hops[i].addr) {
+        ++mismatches;
+        continue;
+      }
+      auto it = listed_by.find(hops[i].addr);
+      const std::uint32_t want =
+          it == listed_by.end() ? core::RouterGraph::kNoRouter : it->second;
+      if (graph.router_of_id(ids[i]) != want && ++mismatches <= 3) {
+        ADD_FAILURE() << what << ": " << hops[i].addr.str()
+                      << " column names router "
+                      << graph.router_of_id(ids[i]) << ", listed by "
+                      << want;
+      }
+    }
+  }
+  return mismatches;
+}
+
+// The dense classification of `graph` under `inputs` against the per-hop
+// reference: VP-extra blocks (as a set) and, for every replying hop
+// address, class and origin. Returns the number of reference blocks.
+std::size_t expect_classes_match(core::RouterGraph graph,
+                                 const core::InferenceInputs& inputs,
+                                 const std::string& what) {
+  const core::Heuristics h(graph, inputs);
+  std::vector<net::Prefix> want_blocks =
+      reference_vp_extra_blocks(graph.traces(), inputs);
+  std::vector<net::Prefix> got_blocks = h.vp_extra_blocks();
+  std::sort(want_blocks.begin(), want_blocks.end());
+  std::sort(got_blocks.begin(), got_blocks.end());
+  EXPECT_EQ(got_blocks, want_blocks) << what;
+  std::size_t mismatches = 0;
+  for (const auto& trace : graph.traces()) {
+    for (const auto& hop : trace.hops) {
+      if (hop.kind == ReplyKind::kNone) continue;
+      const core::AddrInfo want =
+          reference_classify(inputs, want_blocks, hop.addr);
+      const core::AddrInfo got = h.classify(hop.addr);
+      if ((got.cls != want.cls || got.origin != want.origin) &&
+          ++mismatches <= 3) {
+        ADD_FAILURE() << what << ": " << hop.addr.str() << " class "
+                      << static_cast<int>(got.cls) << "/" << got.origin.str()
+                      << ", reference " << static_cast<int>(want.cls) << "/"
+                      << want.origin.str();
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0u) << what;
+  return want_blocks.size();
+}
+
+TEST(WalkReferenceTest, AddressTableMatchesPerHopReference) {
+  // noisy_inputs corrupts origin, IXP and RIR rows; hidden_ixp puts IXP LAN
+  // addresses on the paths.
+  std::size_t extra_blocks = 0;
+  std::size_t interior_cases = 0;
+  for (const char* family : {"small", "access", "noisy_inputs", "hidden_ixp"}) {
+    auto s = eval::make_scenario(family, 42);
+    const topo::Vp vp = s->vps_in(s->first_of(s->spec().vp_kind)).front();
+    const core::InferenceInputs inputs = s->inputs_for(vp.as);
+    const core::BdrmapResult run = s->run_bdrmap(vp, {}, 0x515);
+
+    // The column after the run's own §5.4.7 merges, and after merging
+    // every other router into its neighbor.
+    EXPECT_EQ(column_mismatches(run.graph, family), 0u) << family;
+    core::RouterGraph merged = run.graph;
+    std::size_t forced = 0;
+    for (std::size_t r = 0; r + 1 < merged.routers().size(); r += 2) {
+      if (merged.merged_away(r) || merged.merged_away(r + 1)) continue;
+      merged.merge(r, r + 1);
+      ++forced;
+    }
+    EXPECT_GT(forced, 0u) << family;
+    EXPECT_EQ(column_mismatches(merged, family), 0u) << family << " merged";
+
+    extra_blocks += expect_classes_match(run.graph, inputs, family);
+
+    // Stale collector views that lost every announcement covering the
+    // VP's gateway (the TTL-1 hop), so the §5.4.1 RIR extension must
+    // recover the VP's space exactly as the per-hop reference does:
+    //  - gateway unrouted: the TTL-1 anchor fires;
+    //  - interior unrouted: the gateway and a later VP hop keep /32
+    //    announcements, so only the walk back from that hop reaches the
+    //    unrouted hop between them.
+    const core::ObservedTrace* probe_trace = nullptr;
+    for (const auto& trace : run.graph.traces()) {
+      if (trace.hops.size() >= 3 &&
+          std::all_of(trace.hops.begin(), trace.hops.begin() + 3,
+                      [](const core::ObservedHop& hop) {
+                        return hop.kind == ReplyKind::kTimeExceeded;
+                      }) &&
+          trace.hops[0].addr != trace.hops[1].addr &&
+          trace.hops[0].addr != trace.hops[2].addr &&
+          trace.hops[1].addr != trace.hops[2].addr) {
+        probe_trace = &trace;
+        break;
+      }
+    }
+    ASSERT_NE(probe_trace, nullptr) << family;
+    const Ipv4Addr gateway = probe_trace->hops[0].addr;
+    const Ipv4Addr later = probe_trace->hops[2].addr;
+    const std::vector<net::AsId>* vp_origins = inputs.origins->origins(gateway);
+    ASSERT_NE(vp_origins, nullptr) << family;
+    auto drop_gateway = [&](asdata::OriginTable& out) {
+      for (const auto& [prefix, origins] : inputs.origins->all_prefixes()) {
+        if (prefix.contains(gateway)) continue;
+        for (net::AsId o : origins) out.add(prefix, o);
+      }
+    };
+    asdata::OriginTable stale;
+    drop_gateway(stale);
+    core::InferenceInputs stale_inputs = inputs;
+    stale_inputs.origins = &stale;
+    extra_blocks += expect_classes_match(
+        run.graph, stale_inputs, std::string(family) + " (gateway unrouted)");
+
+    asdata::OriginTable interior;
+    drop_gateway(interior);
+    for (net::AsId o : *vp_origins) {
+      interior.add(net::Prefix(gateway, 32), o);
+      interior.add(net::Prefix(later, 32), o);
+    }
+    core::InferenceInputs interior_inputs = inputs;
+    interior_inputs.origins = &interior;
+    if (interior.origins(probe_trace->hops[1].addr) == nullptr) {
+      extra_blocks += expect_classes_match(
+          run.graph, interior_inputs,
+          std::string(family) + " (interior unrouted)");
+      ++interior_cases;
+    }
+  }
+  // The oracle must reach the RIR anchor and the walk behind it.
+  EXPECT_GT(extra_blocks, 0u);
+  EXPECT_GT(interior_cases, 0u);
 }
 
 }  // namespace

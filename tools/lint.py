@@ -421,7 +421,8 @@ def pass_concurrency_determinism(ctx: FileContext) -> list[Finding]:
 # `// BDRMAP_HOT_BEGIN(name)` ... `// BDRMAP_HOT_END(name)` comment markers
 # designate the per-trace inner loops of the data-oriented core
 # (DESIGN.md §14). Inside a region, node-based containers
-# (std::unordered_map / std::map / std::list) and naked `new` are banned:
+# (std::unordered_map / std::unordered_set / std::map / std::set and their
+# multi- forms / std::list) and naked `new` are banned:
 # every per-element allocation there belongs in a flat vector.
 # Unbalanced markers are findings too, so a region cannot silently stop
 # being checked.
@@ -430,7 +431,9 @@ def pass_concurrency_determinism(ctx: FileContext) -> list[Finding]:
 HOT_MARKER_RE = re.compile(r"BDRMAP_HOT_(BEGIN|END)\((\w+)\)")
 HOT_BANS = [
     (re.compile(r"\bstd::unordered_map\b"), "std::unordered_map"),
-    (re.compile(r"\bstd::map\b"), "std::map"),
+    (re.compile(r"\bstd::unordered_set\b"), "std::unordered_set"),
+    (re.compile(r"\bstd::(multi)?map\b"), "std::map"),
+    (re.compile(r"\bstd::(multi)?set\b"), "std::set"),
     (re.compile(r"\bstd::list\b"), "std::list"),
     (re.compile(r"(?<![\w.:])new\b"), "naked new"),
 ]
