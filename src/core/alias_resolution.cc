@@ -5,10 +5,59 @@
 
 namespace bdrmap::core {
 
+std::size_t AliasEvidence::drop_moved(std::span<const std::uint64_t> changed) {
+  // Compact the flat footprints in place, collecting the moved addresses.
+  std::vector<Ipv4Addr> moved;
+  std::size_t kept = 0;
+  std::uint32_t kept_keys = 0;
+  for (std::size_t i = 0; i < footprint_addrs.size(); ++i) {
+    const std::uint32_t begin = footprint_offsets[i];
+    const std::uint32_t end = footprint_offsets[i + 1];
+    const std::span<const std::uint64_t> keys(footprint_keys.data() + begin,
+                                              end - begin);
+    if (footprint_meets(keys, changed)) {
+      moved.push_back(footprint_addrs[i]);
+      continue;
+    }
+    footprint_addrs[kept++] = footprint_addrs[i];
+    if (kept_keys != begin) {  // shift left over the dropped runs
+      std::copy(keys.begin(), keys.end(), footprint_keys.begin() + kept_keys);
+    }
+    kept_keys += end - begin;
+    footprint_offsets[kept] = kept_keys;
+  }
+  if (moved.empty()) return 0;
+  footprint_addrs.resize(kept);
+  footprint_offsets.resize(kept + 1);
+  footprint_keys.resize(kept_keys);
+  std::sort(moved.begin(), moved.end());
+  for (Ipv4Addr a : moved) udp_sources.erase(a);
+  auto is_moved = [&](std::uint64_t half) {
+    return std::binary_search(moved.begin(), moved.end(),
+                              Ipv4Addr(static_cast<std::uint32_t>(half)));
+  };
+  std::erase_if(verdicts, [&](const auto& entry) {
+    return is_moved(entry.first >> 32) || is_moved(entry.first & 0xffffffffu);
+  });
+  return moved.size();
+}
+
 AliasVerdict AliasResolver::mercator(Ipv4Addr a, Ipv4Addr b) {
   auto source_of = [&](Ipv4Addr x) -> std::optional<Ipv4Addr> {
     auto it = evidence_->udp_sources.find(x);
     if (it != evidence_->udp_sources.end()) return it->second;
+    if (record_footprints_) {
+      // First: its walk also serves the probes of x that follow.
+      footprint_.clear();
+      services_.addr_footprint(x, footprint_);
+      std::sort(footprint_.begin(), footprint_.end());
+      evidence_->footprint_addrs.push_back(x);
+      evidence_->footprint_keys.insert(
+          evidence_->footprint_keys.end(), footprint_.begin(),
+          std::unique(footprint_.begin(), footprint_.end()));
+      evidence_->footprint_offsets.push_back(
+          static_cast<std::uint32_t>(evidence_->footprint_keys.size()));
+    }
     auto src = services_.udp_probe(x);
     evidence_->udp_sources.emplace(x, src);
     return src;

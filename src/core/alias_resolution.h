@@ -15,6 +15,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -46,6 +47,16 @@ inline std::uint64_t pair_key(Ipv4Addr a, Ipv4Addr b) {
   return (lo << 32) | hi;
 }
 
+// True iff a sorted routing footprint holds one of the sorted `changed`
+// tier keys (route::BgpSimulator::set_relationship): whatever read that
+// footprint may have moved.
+inline bool footprint_meets(std::span<const std::uint64_t> footprint,
+                            std::span<const std::uint64_t> changed) {
+  return std::any_of(changed.begin(), changed.end(), [&](std::uint64_t k) {
+    return std::binary_search(footprint.begin(), footprint.end(), k);
+  });
+}
+
 // What one VP's alias probing measured: pair verdicts by pair_key and
 // Mercator reply sources by address. Each entry is a pure function of the
 // probe stack's seed, its key and the forwarding state, so a resolver that
@@ -54,6 +65,21 @@ inline std::uint64_t pair_key(Ipv4Addr a, Ipv4Addr b) {
 struct AliasEvidence {
   std::unordered_map<std::uint64_t, AliasVerdict> verdicts;
   std::unordered_map<Ipv4Addr, std::optional<Ipv4Addr>> udp_sources;
+  // The routing footprint (probe::ProbeServices::addr_footprint) of every
+  // address in udp_sources, flat and in probe order: address
+  // footprint_addrs[i] read the sorted keys
+  // footprint_keys[footprint_offsets[i], footprint_offsets[i + 1]).
+  // test_pair runs Mercator on both addresses before it stores a verdict,
+  // so these footprints cover every entry. A resolver fills them only for
+  // evidence it was handed.
+  std::vector<Ipv4Addr> footprint_addrs;
+  std::vector<std::uint32_t> footprint_offsets{0};
+  std::vector<std::uint64_t> footprint_keys;
+
+  // Drops the Mercator source, the footprint and every verdict of each
+  // address whose footprint meets `changed` (sorted tier keys). Returns
+  // how many addresses moved.
+  std::size_t drop_moved(std::span<const std::uint64_t> changed);
 };
 
 class AliasResolver {
@@ -65,7 +91,8 @@ class AliasResolver {
                 AliasEvidence* evidence = nullptr)
       : services_(services),
         config_(config),
-        evidence_(evidence ? evidence : &own_evidence_) {}
+        evidence_(evidence ? evidence : &own_evidence_),
+        record_footprints_(evidence != nullptr) {}
   AliasResolver(const AliasResolver&) = delete;
   AliasResolver& operator=(const AliasResolver&) = delete;
 
@@ -120,6 +147,8 @@ class AliasResolver {
   AliasConfig config_;
   AliasEvidence own_evidence_;
   AliasEvidence* evidence_;
+  bool record_footprints_;
+  std::vector<std::uint64_t> footprint_;  // scratch for addr_footprint
   // The verdicts of this run: what groups() closes over.
   std::unordered_map<std::uint64_t, AliasVerdict> cache_;
   std::size_t pairs_reused_ = 0;

@@ -76,8 +76,15 @@ struct CollectedTraces {
   std::size_t blocks = 0;
   std::size_t stopset_hits = 0;
   std::size_t probe_failures = 0;
+  // The slice's routing footprint: sorted, de-duplicated tier keys of
+  // every forwarding decision its probes read (ProbeServices::
+  // record_footprint). runtime::MultiVpExecutor fills it for the slices
+  // it keeps; a relationship flip that reports none of these keys leaves
+  // the slice as it is (docs/serving.md §4).
+  std::vector<std::uint64_t> footprint;
 
-  // Appends `other` (field-wise) onto this slice.
+  // Appends `other` (field-wise) onto this slice. Footprints stay with
+  // their slices: the stitched whole feeds an inference tail, not a store.
   void append(CollectedTraces other) {
     traces.insert(traces.end(),
                   std::make_move_iterator(other.traces.begin()),

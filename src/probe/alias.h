@@ -118,6 +118,13 @@ class LocalProbeServices final : public ProbeServices {
                                       Ipv4Addr candidate) override {
     return tracer_.timestamp_probe(path_dst, candidate);
   }
+  void record_footprint(std::vector<std::uint64_t>* sink) override {
+    tracer_.record_footprint(sink);
+  }
+  void addr_footprint(Ipv4Addr addr,
+                      std::vector<std::uint64_t>& out) override {
+    tracer_.addr_footprint(addr, out);
+  }
   Ipv4Addr vp_addr() const override { return tracer_.vp().addr; }
   std::uint64_t probes_sent() const override {
     return tracer_.probes_sent() + prober_.probes_sent();

@@ -20,6 +20,8 @@ TracerouteEngine::TracerouteEngine(const topo::Internet& net,
 
 std::optional<IfaceId> TracerouteEngine::egress_iface_to_vp(
     RouterId router) const {
+  // A stack outlives a slice, so a memo hit still reads this decision.
+  if (footprint_) note_key(fib_.tier_key(router, vp_query_));
   auto it = vp_egress_cache_.find(router.value);
   if (it == vp_egress_cache_.end()) {
     auto out = fib_.egress_iface(router, vp_query_);
@@ -118,7 +120,22 @@ const std::vector<TracerouteEngine::PathHop>& TracerouteEngine::walk(
     ingress = hop->ingress;
   }
   // BDRMAP_HOT_END(probe_walk)
+  if (footprint_) {
+    for (const PathHop& hop : path_) note_key(fib_.tier_key(hop.router, q));
+  }
   return path_;
+}
+
+void TracerouteEngine::addr_footprint(Ipv4Addr addr,
+                                      std::vector<std::uint64_t>& out) {
+  const auto iface = net_.iface_at(addr);
+  if (!iface) return;
+  const RouterId owner = net_.iface(*iface).router;
+  const route::Fib::RouteQuery q = fib_.query(addr);
+  // The walk reaches_addr would make, memoized for the probes of `addr`.
+  reach_cache_.emplace(addr.value(), reaches(owner, q));
+  for (const PathHop& hop : path_) out.push_back(fib_.tier_key(hop.router, q));
+  out.push_back(fib_.tier_key(owner, vp_query_));
 }
 
 TraceResult TracerouteEngine::trace(Ipv4Addr dst, const StopFn& stop) {
@@ -224,12 +241,12 @@ TraceResult TracerouteEngine::trace(Ipv4Addr dst, const StopFn& stop) {
   return result;
 }
 
-bool TracerouteEngine::reaches(RouterId router, Ipv4Addr probe_dst) const {
+bool TracerouteEngine::reaches(RouterId router,
+                               const route::Fib::RouteQuery& q) const {
   // The probe reaches `router` iff its walk terminates there as an
   // unfirewalled delivery (edge filters still permit traffic to the
   // border's own addresses, which the walk's firewalled flag exempts).
-  const std::vector<PathHop>& path =
-      walk(fib_.query(probe_dst), 0, config_.max_ttl);
+  const std::vector<PathHop>& path = walk(q, 0, config_.max_ttl);
   if (path.empty()) return false;
   const PathHop& last = path.back();
   return last.is_delivery && !last.firewalled && last.router == router;
@@ -240,9 +257,9 @@ bool TracerouteEngine::reaches_addr(Ipv4Addr addr) const {
   if (it != reach_cache_.end()) return it->second;
   bool ok = false;
   if (auto iface = net_.iface_at(addr)) {
-    ok = reaches(net_.iface(*iface).router, addr);
+    ok = reaches(net_.iface(*iface).router, fib_.query(addr));
   } else if (const auto* ap = net_.announced_match(addr)) {
-    ok = reaches(ap->host_router, addr);
+    ok = reaches(ap->host_router, fib_.query(addr));
   }
   reach_cache_.emplace(addr.value(), ok);
   return ok;
@@ -283,7 +300,7 @@ std::optional<ReplyKind> TracerouteEngine::ping(Ipv4Addr addr) {
   auto iface = net_.iface_at(addr);
   if (iface) {
     RouterId owner = net_.iface(*iface).router;
-    if (!reaches(owner, addr)) return std::nullopt;
+    if (!reaches(owner, fib_.query(addr))) return std::nullopt;
     const auto& behavior = net_.router(owner).behavior;
     if (!behavior.responds_echo || rng_.chance(behavior.rate_limit_drop)) {
       return std::nullopt;
@@ -292,7 +309,7 @@ std::optional<ReplyKind> TracerouteEngine::ping(Ipv4Addr addr) {
   }
   const auto* ap = net_.announced_match(addr);
   if (!ap) return std::nullopt;
-  if (!reaches(ap->host_router, addr)) return std::nullopt;
+  if (!reaches(ap->host_router, fib_.query(addr))) return std::nullopt;
   if (!rng_.chance(ap->dest_responsiveness)) return std::nullopt;
   return ReplyKind::kEchoReply;
 }

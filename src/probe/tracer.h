@@ -80,6 +80,23 @@ class TracerouteEngine {
   // this for the same routers over and over with a fixed VP address.
   std::optional<net::IfaceId> egress_iface_to_vp(net::RouterId router) const;
 
+  // Routing footprint (DESIGN.md §13). While `sink` is set, every walked
+  // router appends route::Fib::tier_key(router, walked query), the
+  // delivery router included, and every egress_iface_to_vp read appends
+  // the key of the router's egress toward the VP, on memo hits too.
+  // reaches_addr memo hits append nothing; alias probing records
+  // addr_footprint instead. nullptr stops recording.
+  void record_footprint(std::vector<std::uint64_t>* sink) {
+    footprint_ = sink;
+  }
+
+  // Appends the tier keys that alias probes of `addr` read: the walk that
+  // decides reaches_addr, and the owner's egress toward the VP (Mercator
+  // reply source). Empty for non-interface addresses, which no alias probe
+  // answers. The walk also fills the reach memo, so the probes that follow
+  // do not walk again.
+  void addr_footprint(Ipv4Addr addr, std::vector<std::uint64_t>& out);
+
   std::uint64_t probes_sent() const { return probes_sent_; }
   const topo::Vp& vp() const { return vp_; }
 
@@ -111,7 +128,15 @@ class TracerouteEngine {
                         const route::Fib::RouteQuery& dst_query) const;
   // Applies TracerConfig::spoof_reply_p to a time-exceeded reply source.
   Ipv4Addr maybe_spoof(Ipv4Addr real, Ipv4Addr probe_dst);
-  bool reaches(net::RouterId router, Ipv4Addr probe_dst) const;
+  // Walks toward `q`'s destination, leaving the walk in path_.
+  bool reaches(net::RouterId router, const route::Fib::RouteQuery& q) const;
+  // Appends `key` to the footprint sink, skipping a repeat of the last key
+  // (consecutive hops of one AS share theirs).
+  void note_key(std::uint64_t key) const {
+    if (footprint_->empty() || footprint_->back() != key) {
+      footprint_->push_back(key);
+    }
+  }
 
   const topo::Internet& net_;
   const route::Fib& fib_;
@@ -129,6 +154,7 @@ class TracerouteEngine {
   mutable std::unordered_map<std::uint32_t, bool> reach_cache_;
   // router -> egress interface toward the VP (invalid == no egress).
   mutable std::unordered_map<std::uint32_t, net::IfaceId> vp_egress_cache_;
+  std::vector<std::uint64_t>* footprint_ = nullptr;  // record_footprint
 
   // The last walk's hops, reused across calls. Mutable because reaches()
   // is logically const (same discipline as reach_cache_).

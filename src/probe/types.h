@@ -86,6 +86,19 @@ class ProbeServices {
   // egress toward it, so routing changes under it move those replies.
   virtual Ipv4Addr vp_addr() const = 0;
 
+  // Routing footprints (DESIGN.md §13): the route::Fib::tier_key of every
+  // forwarding decision a probe read. While `sink` is set, each trace()
+  // appends the keys of its walk and of the replies sourced toward the VP;
+  // nullptr stops recording. runtime::MultiVpExecutor records one per
+  // slice it keeps.
+  virtual void record_footprint(std::vector<std::uint64_t>* sink) = 0;
+
+  // Appends the keys every udp_probe / ipid_sample of `addr` reads: the
+  // walk that decides whether probes reach it and its router's egress
+  // toward the VP. core::AliasEvidence keeps one per probed address.
+  virtual void addr_footprint(Ipv4Addr addr,
+                              std::vector<std::uint64_t>& out) = 0;
+
   // Number of probe packets sent so far (run-time accounting, §5.3).
   virtual std::uint64_t probes_sent() const = 0;
 

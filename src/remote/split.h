@@ -62,6 +62,16 @@ class ProberDevice {
 
   std::uint64_t probes_sent() const { return services_.probes_sent(); }
   net::Ipv4Addr vp_addr() const { return services_.vp_addr(); }
+  // Routing footprints of the probes this device runs (probe::
+  // ProbeServices): simulation accounting like probes_sent, not wire
+  // traffic. A retransmitted trace records its walk again, which only
+  // repeats keys.
+  void record_footprint(std::vector<std::uint64_t>* sink) {
+    services_.record_footprint(sink);
+  }
+  void addr_footprint(net::Ipv4Addr addr, std::vector<std::uint64_t>& out) {
+    services_.addr_footprint(addr, out);
+  }
   std::uint32_t restarts() const { return restarts_; }
   std::uint32_t session() const { return session_; }  // 0 = none
 
@@ -127,6 +137,14 @@ class RemoteProbeServices final : public probe::ProbeServices {
   // device, which no request can rewind. The §5.8 split runs
   // core::Bdrmap::run() on one stack and never goes through the executor.
   void reseed(std::uint64_t seed) override;
+  // Read off the device too: the routing its probes read lives there.
+  void record_footprint(std::vector<std::uint64_t>* sink) override {
+    channel_->device().record_footprint(sink);
+  }
+  void addr_footprint(net::Ipv4Addr addr,
+                      std::vector<std::uint64_t>& out) override {
+    channel_->device().addr_footprint(addr, out);
+  }
 
   const ChannelStats& channel_stats() const { return channel_->stats(); }
   bool breaker_open() const { return breaker_open_; }

@@ -205,24 +205,31 @@ void BgpSimulator::apply_leaks(PerDst& t) const {
   }
 }
 
-void BgpSimulator::set_relationship(AsId a, AsId b,
-                                    asdata::Relationship rel_of_b_from_a) {
+std::vector<std::uint64_t> BgpSimulator::set_relationship(
+    AsId a, AsId b, asdata::Relationship rel_of_b_from_a) {
   if (!rels_override_) {
     rels_override_ = std::make_unique<asdata::RelationshipStore>(
         net_.truth_relationships());
   }
   rels_override_->set_rel(a, b, rel_of_b_from_a);
   build_graph();
-  invalidate_all();
-}
-
-void BgpSimulator::invalidate_all() {
   {
     net::MutexLock lk(cache_mu_);
     cache_.clear();
   }
+  // Re-derive every memoized pair; table() refills each destination once.
+  std::vector<std::uint64_t> changed;
   net::MutexLock lk(tiers_mu_);
-  tiers_.clear();
+  for (auto& [key, set] : tiers_) {
+    TierSet fresh = compute_tiers(static_cast<std::uint32_t>(key >> 32),
+                                  static_cast<std::uint32_t>(key));
+    if (fresh.tiers != set->tiers) {
+      set->tiers = std::move(fresh.tiers);
+      changed.push_back(key);
+    }
+  }
+  std::sort(changed.begin(), changed.end());
+  return changed;
 }
 
 RouteInfo BgpSimulator::route(AsId src, AsId dst) const {
@@ -244,7 +251,7 @@ std::vector<std::vector<AsId>> BgpSimulator::candidate_tiers(AsId src,
 const BgpSimulator::TierSet& BgpSimulator::tiers(AsId src, AsId dst) const {
   const std::uint32_t i = dense_index(src), di = dense_index(dst);
   if (i == kNoIndex || di == kNoIndex) return kNoTiers;
-  const std::uint64_t key = (std::uint64_t{i} << 32) | di;
+  const std::uint64_t key = tier_key(i, di);
   {
     net::SharedLock lk(tiers_mu_);
     auto it = tiers_.find(key);

@@ -85,8 +85,9 @@ class BgpSimulator {
 
   // Memoized candidate tiers for one (src, dst) AS pair, for the FIB's
   // egress fills (route::Fib). Each tier is sorted ascending (membership
-  // checks can binary-search). The returned reference is stable until the
-  // next invalidation; fills are pure functions of the relationship graph,
+  // checks can binary-search). The returned reference stays valid for the
+  // simulator's lifetime (set_relationship rewrites the set in place);
+  // fills are pure functions of the relationship graph,
   // so first-writer-wins insertion under tiers_mu_ is value-deterministic at
   // any thread count. One pair's tiers feed the fills of every router of
   // `src`, which is why this stays memoized (DESIGN.md §9 has the timing).
@@ -94,6 +95,13 @@ class BgpSimulator {
     std::vector<std::vector<AsId>> tiers;
   };
   const TierSet& tiers(AsId src, AsId dst) const BDRMAP_EXCLUDES(tiers_mu_);
+
+  // The key the tier memo files one (src, dst) pair under: the packed dense
+  // indices. A routing footprint (DESIGN.md §13) is a set of these keys.
+  static std::uint64_t tier_key(std::uint32_t src_dense,
+                                std::uint32_t dst_dense) {
+    return (std::uint64_t{src_dense} << 32) | dst_dense;
+  }
 
   // The deterministic best AS path from `src` to `dst` using lowest-AS
   // tie-breaking — what a route collector peering with `src` records.
@@ -119,21 +127,21 @@ class BgpSimulator {
   // A long-lived daemon replays relationship churn into the simulator
   // without rebuilding the topology. The first override copies the truth
   // graph into a private store (copy-on-write), and every override rebuilds
-  // the dense adjacency that later fills read. Overrides and invalidation
-  // REQUIRE external quiescence: no concurrent route()/tiers()/as_path()
-  // callers (the serve engine applies churn strictly between inference
-  // epochs, and the thread pool's task hand-off provides the
-  // happens-before edge).
+  // the dense adjacency that later fills read. Overrides REQUIRE external
+  // quiescence: no concurrent route()/tiers()/as_path() callers (the serve
+  // engine applies churn strictly between inference epochs, and the thread
+  // pool's task hand-off provides the happens-before edge).
 
   // Rewrites the relationship between `a` and `b` in both directions
-  // (kNone removes the edge), rebuilds the dense adjacency and invalidates
-  // every cached table/tier.
-  void set_relationship(AsId a, AsId b, asdata::Relationship rel_of_b_from_a)
+  // (kNone removes the edge), rebuilds the dense adjacency, drops the
+  // per-destination tables and re-derives every memoized tier set in place
+  // under the new graph. Returns the sorted tier_key()s whose sets changed.
+  // The memo is never cleared, so it holds every pair a Fib egress fill
+  // ever read: a forwarding decision whose key is not returned is the same
+  // as before the flip. References returned by tiers() stay valid.
+  std::vector<std::uint64_t> set_relationship(
+      AsId a, AsId b, asdata::Relationship rel_of_b_from_a)
       BDRMAP_EXCLUDES(cache_mu_, tiers_mu_);
-
-  // Drops all memoized per-destination tables and candidate-tier sets.
-  // References previously returned by tiers() become dangling.
-  void invalidate_all() BDRMAP_EXCLUDES(cache_mu_, tiers_mu_);
 
   // The relationship graph routes are currently computed over: the truth
   // graph until the first set_relationship, the private overlay after.
@@ -215,16 +223,17 @@ class BgpSimulator {
   obs::Counter tier_hits_;
   obs::Counter tier_fills_;
   // Lazily computed per-destination tables keyed by dense index, kept until
-  // the next invalidation. Guarded by cache_mu_: concurrent multi-VP runs
+  // the next set_relationship. Guarded by cache_mu_: concurrent multi-VP runs
   // share one simulator, and the fill is value-deterministic (a pure
   // function of the graph), so first-writer-wins insertion keeps results
   // independent of thread interleaving.
   mutable net::SharedMutex cache_mu_;
   mutable std::unordered_map<std::uint32_t, std::unique_ptr<PerDst>> cache_
       BDRMAP_GUARDED_BY(cache_mu_);
-  // Candidate-tier cache keyed by packed dense (src, dst) indices. Same
-  // locking and purity discipline as cache_ above; referenced entries live
-  // behind unique_ptr so they survive rehashes.
+  // Candidate-tier cache keyed by tier_key(src, dst). Same locking and
+  // purity discipline as cache_ above; referenced entries live behind
+  // unique_ptr so they survive rehashes. Never cleared: set_relationship
+  // diffs every entry against the new graph.
   mutable net::SharedMutex tiers_mu_;
   mutable std::unordered_map<std::uint64_t, std::unique_ptr<TierSet>> tiers_
       BDRMAP_GUARDED_BY(tiers_mu_);

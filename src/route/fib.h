@@ -143,6 +143,17 @@ class Fib {
   std::optional<IfaceId> egress_iface(RouterId r, const RouteQuery& q) const;
   std::optional<IfaceId> egress_iface(RouterId r, Ipv4Addr dst) const;
 
+  // The BgpSimulator::tier_key of router `r`'s egress decision toward the
+  // query's destination: (r's AS, the destination's routing AS). Every
+  // interdomain choice next_hop makes at `r` for `q` reads exactly that
+  // tier set, so a relationship flip that does not report this key leaves
+  // the hop unchanged. Probes record these keys as their routing footprint
+  // (probe::TracerouteEngine::record_footprint).
+  std::uint64_t tier_key(RouterId r, const RouteQuery& q) const {
+    return BgpSimulator::tier_key(router_as_dense_[r.value],
+                                  bgp_.dense_index(q.res_.dst_as));
+  }
+
   // IGP distance between two routers of the same AS (infinity if
   // disconnected or in different ASes).
   double igp_distance(RouterId a, RouterId b) const;

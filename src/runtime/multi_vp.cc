@@ -46,6 +46,9 @@ core::BdrmapResult run_vp(ThreadPool* pool, const VpJob& job, std::size_t vp,
   parallel_for(
       pool, (missing.size() + chunk - 1) / chunk,
       [&](std::size_t c) {
+        // Declared first: the stack records into it, so it outlives the
+        // stack.
+        std::vector<std::uint64_t> footprint;
         std::unique_ptr<probe::ProbeServices> services;
         const std::size_t end = std::min(missing.size(), (c + 1) * chunk);
         for (std::size_t k = c * chunk; k < end; ++k) {
@@ -57,8 +60,19 @@ core::BdrmapResult run_vp(ThreadPool* pool, const VpJob& job, std::size_t vp,
             services = job.make_services(seed);
           }
           core::Bdrmap pipeline(*services, job.inputs, config);
-          // Exclusive per slot: no two tasks touch the same slice.
+          // Exclusive per slot: no two tasks touch the same slice. A kept
+          // slice records the routing it read, so a relationship flip can
+          // keep it (docs/serving.md §4).
+          footprint.clear();
+          if (evidence) services->record_footprint(&footprint);
           stored[missing[k]] = pipeline.collect(plan.blocks_of(vp, slice));
+          if (evidence) {
+            services->record_footprint(nullptr);
+            std::sort(footprint.begin(), footprint.end());
+            stored[missing[k]]->footprint.assign(
+                footprint.begin(),
+                std::unique(footprint.begin(), footprint.end()));
+          }
         }
       },
       /*chunk=*/1);

@@ -92,7 +92,9 @@ class SlicePlan {
 // run re-collect slice i of VP vp and reuse every other slice verbatim.
 // VP vp's inference tail looks its alias pairs and Mercator sources up in
 // evidence[vp] first and probes only what is missing there; clearing it
-// makes the next tail measure everything again.
+// makes the next tail measure everything again. Every stored slice and
+// every evidence address carries its routing footprint, so a caller can
+// tell what a relationship flip moved (docs/serving.md §4).
 struct SliceStore {
   SlicePlan plan;
   std::vector<std::vector<std::optional<core::CollectedTraces>>> traces;

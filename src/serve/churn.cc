@@ -73,8 +73,9 @@ std::string describe(const ChurnEvent& e) {
   return out;
 }
 
-void apply_event(const ChurnEvent& e, route::BgpSimulator& bgp,
-                 route::Fib& fib) {
+std::vector<std::uint64_t> apply_event(const ChurnEvent& e,
+                                       route::BgpSimulator& bgp,
+                                       route::Fib& fib) {
   switch (e.kind) {
     case ChurnKind::kWithdraw:
       fib.set_prefix_withdrawn(e.prefix, true);
@@ -88,13 +89,16 @@ void apply_event(const ChurnEvent& e, route::BgpSimulator& bgp,
     case ChurnKind::kLinkUp:
       fib.set_link_state(e.link, true);
       break;
-    case ChurnKind::kRelChange:
+    case ChurnKind::kRelChange: {
       // New candidate tiers can reshuffle hot-potato egress choices, so the
       // FIB's memoized decisions go too.
-      bgp.set_relationship(e.as_a, e.as_b, e.new_rel);
+      std::vector<std::uint64_t> changed =
+          bgp.set_relationship(e.as_a, e.as_b, e.new_rel);
       fib.invalidate_egress();
-      break;
+      return changed;
+    }
   }
+  return {};
 }
 
 ChurnStream::ChurnStream(const topo::Internet& net, std::uint64_t seed)

@@ -44,9 +44,12 @@ struct ChurnEvent {
 std::string describe(const ChurnEvent& e);
 
 // Applies one event to the substrate's churn overlays. Requires quiescence
-// (see above): no concurrent forwarding or route queries.
-void apply_event(const ChurnEvent& e, route::BgpSimulator& bgp,
-                 route::Fib& fib);
+// (see above): no concurrent forwarding or route queries. Returns the
+// sorted tier keys a relationship event changed
+// (route::BgpSimulator::set_relationship); other events return none.
+std::vector<std::uint64_t> apply_event(const ChurnEvent& e,
+                                       route::BgpSimulator& bgp,
+                                       route::Fib& fib);
 
 // Deterministic churn generator for the daemon and the tests:
 // walks the ground-truth topology and emits a reproducible, seeded stream

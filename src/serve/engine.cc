@@ -31,6 +31,8 @@ ServeEngine::ServeEngine(const topo::Internet& /*net*/,
     churn_events_ = reg->counter("serve.churn.events");
     dirty_slices_ = reg->counter("serve.churn.dirty_slices");
     clean_slices_ = reg->counter("serve.churn.clean_slices");
+    tier_keys_changed_ = reg->counter("serve.churn.tier_keys_changed");
+    alias_addrs_moved_ = reg->counter("serve.churn.alias_addrs_moved");
     compiles_ = reg->counter("serve.snapshot.compiles");
   }
 }
@@ -62,7 +64,7 @@ ChurnApplyStats ServeEngine::apply(const ChurnEvent& event) {
   obs::Span span(tracer, "serve.apply");
   span.note("event", churn_kind_name(event.kind));
 
-  apply_event(event, bgp_, fib_);
+  const std::vector<std::uint64_t> changed = apply_event(event, bgp_, fib_);
   if (event.kind == ChurnKind::kWithdraw) withdrawn_.insert(event.prefix);
   if (event.kind == ChurnKind::kAnnounce) withdrawn_.erase(event.prefix);
 
@@ -74,20 +76,26 @@ ChurnApplyStats ServeEngine::apply(const ChurnEvent& event) {
   // the dirty slices are those whose planned blocks overlap it — unless
   // it covers the VP's own address: replies sourced toward the VP (the
   // kEgressToSrc hops of every trace, Mercator sources) move with it, and
-  // that VP loses every slice and its alias evidence. A link or
-  // relationship event dirties every slice and all evidence, as
-  // rebuild_full() does: the executor then runs cold, which equals
-  // recompute_reference() by construction.
+  // that VP loses every slice and its alias evidence. A relationship
+  // event moves only the egress decisions whose tier keys it changed: it
+  // dirties the slices whose footprint holds one and drops the evidence
+  // of the addresses whose footprint does. A link event dirties every
+  // slice and all evidence, as rebuild_full() does.
   const bool prefix_event = event.kind == ChurnKind::kWithdraw ||
                             event.kind == ChurnKind::kAnnounce;
-  std::vector<bool> vp_dirty(vps_.size(), !prefix_event);
+  const bool rel_event = event.kind == ChurnKind::kRelChange;
+  std::vector<bool> vp_dirty(vps_.size(), !prefix_event && !rel_event);
   if (prefix_event) {
     for (std::size_t vp = 0; vp < vps_.size(); ++vp) {
       vp_dirty[vp] = event.prefix.contains(vp_addrs_[vp]);
     }
   }
-  auto dirty = [&](std::size_t vp, const runtime::SlicePlan::Slice& slice) {
+  auto dirty = [&](std::size_t vp, std::size_t i) {
     if (vp_dirty[vp]) return true;
+    if (rel_event) {
+      return core::footprint_meets(store_.traces[vp][i]->footprint, changed);
+    }
+    const runtime::SlicePlan::Slice& slice = store_.plan.slices(vp)[i];
     for (const core::ProbeBlock& block : store_.plan.blocks_of(vp, slice)) {
       if (block.prefix.contains(event.prefix) ||
           event.prefix.contains(block.prefix)) {
@@ -99,10 +107,10 @@ ChurnApplyStats ServeEngine::apply(const ChurnEvent& event) {
   std::vector<std::pair<std::size_t, std::size_t>> erase;
   std::size_t total_slices = 0;
   for (std::size_t vp = 0; vp < vps_.size(); ++vp) {
-    const auto& slices = store_.plan.slices(vp);
-    total_slices += slices.size();
-    for (std::size_t i = 0; i < slices.size(); ++i) {
-      if (dirty(vp, slices[i])) erase.emplace_back(vp, i);
+    const std::size_t slices = store_.plan.slices(vp).size();
+    total_slices += slices;
+    for (std::size_t i = 0; i < slices; ++i) {
+      if (dirty(vp, i)) erase.emplace_back(vp, i);
     }
   }
   {
@@ -113,16 +121,23 @@ ChurnApplyStats ServeEngine::apply(const ChurnEvent& event) {
     for (const auto& [vp, i] : erase) store_.traces[vp][i].reset();
   }
 
+  ChurnApplyStats stats;
   for (std::size_t vp = 0; vp < vps_.size(); ++vp) {
-    if (vp_dirty[vp]) store_.evidence[vp] = {};
+    if (vp_dirty[vp]) {
+      store_.evidence[vp] = {};
+    } else if (rel_event) {
+      stats.alias_addrs_moved += store_.evidence[vp].drop_moved(changed);
+    }
   }
 
-  ChurnApplyStats stats;
   stats.dirty_slices = erase.size();
   stats.clean_slices = total_slices - erase.size();
+  stats.tier_keys_changed = changed.size();
   stats.epoch = epoch_;
   dirty_slices_.inc(stats.dirty_slices);
   clean_slices_.inc(stats.clean_slices);
+  tier_keys_changed_.inc(stats.tier_keys_changed);
+  alias_addrs_moved_.inc(stats.alias_addrs_moved);
 
   reinfer_and_publish(tracer);
   for (const core::BdrmapResult& r : last_results_) {

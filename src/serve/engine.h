@@ -8,9 +8,10 @@
 //   1. marks what the event dirtied: for a prefix event (withdraw or
 //      announce), the slices whose planned blocks overlap the prefix, and
 //      every slice and the alias evidence of each VP whose own address the
-//      prefix covers; for a link or relationship event, every slice and
-//      all evidence, as rebuild_full() does (why no narrower bound:
-//      docs/serving.md §4),
+//      prefix covers; for a relationship event, the slices and evidence
+//      addresses whose routing footprint holds a tier key the flip
+//      changed; for a link event, every slice and all evidence, as
+//      rebuild_full() does (docs/serving.md §4),
 //   2. erases exactly that from the store and runs the executor again: it
 //      re-collects the erased slices, reuses every clean slice verbatim,
 //      and re-runs the inference tail (alias resolution onward) for every
@@ -61,6 +62,10 @@ struct ChurnApplyStats {
   // Alias pairs the epoch's tails took from stored evidence / probed.
   std::size_t alias_pairs_reused = 0;
   std::size_t alias_pairs_probed = 0;
+  // Relationship events: tier keys the flip changed, and evidence
+  // addresses whose footprint met them (their verdicts were dropped).
+  std::size_t tier_keys_changed = 0;
+  std::size_t alias_addrs_moved = 0;
   std::uint64_t epoch = 0;        // epoch the resulting snapshot carries
 };
 
@@ -101,6 +106,10 @@ class ServeEngine {
     return last_results_;
   }
 
+  // What the next epoch reuses: the plan, the kept slices with their
+  // routing footprints, and each VP's alias evidence.
+  const runtime::SliceStore& store() const { return store_; }
+
   std::uint64_t epoch() const { return epoch_; }
   std::size_t vp_count() const { return vps_.size(); }
 
@@ -137,6 +146,8 @@ class ServeEngine {
   obs::Counter churn_events_;
   obs::Counter dirty_slices_;
   obs::Counter clean_slices_;
+  obs::Counter tier_keys_changed_;
+  obs::Counter alias_addrs_moved_;
   obs::Counter compiles_;
 };
 

@@ -79,6 +79,12 @@ class RecordingServices final : public probe::ProbeServices {
     key_ = key;
     inner_->begin_alias_test(key);
   }
+  void record_footprint(std::vector<std::uint64_t>* sink) override {
+    inner_->record_footprint(sink);
+  }
+  void addr_footprint(Ipv4Addr addr, std::vector<std::uint64_t>& out) override {
+    inner_->addr_footprint(addr, out);
+  }
   std::optional<bool> timestamp_probe(Ipv4Addr dst, Ipv4Addr c) override {
     return inner_->timestamp_probe(dst, c);
   }

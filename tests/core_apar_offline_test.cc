@@ -30,6 +30,8 @@ class NullServices final : public probe::ProbeServices {
     return std::nullopt;
   }
   void begin_alias_test(std::uint64_t) override {}
+  void record_footprint(std::vector<std::uint64_t>*) override {}
+  void addr_footprint(Ipv4Addr, std::vector<std::uint64_t>&) override {}
   std::optional<bool> timestamp_probe(Ipv4Addr, Ipv4Addr) override {
     return std::nullopt;
   }

@@ -415,6 +415,79 @@ TEST(BgpOracle, SetRelationshipFlipsMatchBruteForce) {
   EXPECT_GT(changed, flips);  // most flips move some route
 }
 
+// set_relationship re-derives the tier memo in place and reports the keys
+// whose sets changed. On the random graphs, with most pairs memoized, each
+// flip (c2p -> p2p -> none -> c2p) must report exactly the memoized pairs
+// whose brute-force candidate_tiers differ before and after, and the memo
+// must then hold the new sets.
+TEST(BgpOracle, RelationshipDiffMatchesBruteForce) {
+  std::size_t flips = 0, reported = 0, remote = 0;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    test::MiniNet m;
+    const std::uint32_t n = build_random_graph(m, seed);
+    AsId customer, provider;
+    for (std::uint32_t a = 1; a <= n && !customer.valid(); ++a) {
+      const auto& providers = m.net().truth_relationships().providers(AsId(a));
+      if (!providers.empty()) {
+        customer = AsId(a);
+        provider = providers.front();
+      }
+    }
+    if (!customer.valid()) continue;
+    BgpSimulator bgp(m.net());
+    // Every pair but a quarter is memoized: unmemoized pairs were never
+    // read, so no decision depends on them and none may be reported.
+    auto memoized = [](std::uint32_t s, std::uint32_t d) {
+      return (s * 7 + d) % 4 != 0;
+    };
+    for (std::uint32_t s = 1; s <= n; ++s) {
+      for (std::uint32_t d = 1; d <= n; ++d) {
+        if (memoized(s, d)) (void)bgp.tiers(AsId(s), AsId(d));
+      }
+    }
+    auto all_tiers = [&] {
+      std::vector<std::vector<std::vector<AsId>>> out;
+      for (std::uint32_t s = 1; s <= n; ++s) {
+        for (std::uint32_t d = 1; d <= n; ++d) {
+          out.push_back(bgp.candidate_tiers(AsId(s), AsId(d)));
+        }
+      }
+      return out;
+    };
+    for (Relationship rel : {Relationship::kPeer, Relationship::kNone,
+                             Relationship::kProvider}) {
+      SCOPED_TRACE("flip to " + std::to_string(static_cast<int>(rel)));
+      const auto before = all_tiers();
+      const std::vector<std::uint64_t> got =
+          bgp.set_relationship(customer, provider, rel);
+      const auto after = all_tiers();
+      std::vector<std::uint64_t> want;
+      for (std::uint32_t s = 1; s <= n; ++s) {
+        for (std::uint32_t d = 1; d <= n; ++d) {
+          const std::size_t k = std::size_t{s - 1} * n + (d - 1);
+          if (memoized(s, d)) {
+            EXPECT_EQ(bgp.tiers(AsId(s), AsId(d)).tiers, after[k]);
+          }
+          if (!memoized(s, d) || before[k] == after[k]) continue;
+          want.push_back(BgpSimulator::tier_key(bgp.dense_index(AsId(s)),
+                                                bgp.dense_index(AsId(d))));
+          remote += AsId(s) != customer && AsId(s) != provider;
+        }
+      }
+      std::sort(want.begin(), want.end());
+      EXPECT_EQ(got, want);
+      reported += got.size();
+      ++flips;
+    }
+  }
+  EXPECT_GT(flips, 90u);
+  EXPECT_GT(reported, flips);
+  // Flips move pairs whose source is far from the flipped edge: a diff
+  // limited to the edge's endpoints would miss them.
+  EXPECT_GT(remote, 0u);
+}
+
 TEST(BgpFastPath, ConcurrentColdFillsMatchSequential) {
   // Eight threads query one cold simulator at once; every answer must equal
   // a sequential simulator's. Table and tier fills are pure and

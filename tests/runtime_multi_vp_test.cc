@@ -155,6 +155,13 @@ TEST_F(MultiVpDeterminism, ReenteringRunningInstanceTrips) {
     void begin_alias_test(std::uint64_t key) override {
       inner_.begin_alias_test(key);
     }
+    void record_footprint(std::vector<std::uint64_t>* sink) override {
+      inner_.record_footprint(sink);
+    }
+    void addr_footprint(net::Ipv4Addr a,
+                        std::vector<std::uint64_t>& out) override {
+      inner_.addr_footprint(a, out);
+    }
     std::optional<bool> timestamp_probe(net::Ipv4Addr d,
                                         net::Ipv4Addr c) override {
       return inner_.timestamp_probe(d, c);
