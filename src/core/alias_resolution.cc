@@ -1,7 +1,8 @@
 #include "core/alias_resolution.h"
 
 #include <algorithm>
-#include <functional>
+#include <limits>
+#include <numeric>
 
 namespace bdrmap::core {
 
@@ -193,15 +194,21 @@ std::vector<AliasResolver::PairVerdict> AliasResolver::all_verdicts() const {
 
 std::vector<std::vector<Ipv4Addr>> AliasResolver::groups(
     const std::vector<Ipv4Addr>& addrs) const {
-  // Union-find over positive verdicts with negative-pair veto.
-  std::unordered_map<Ipv4Addr, std::size_t> index;
-  std::vector<Ipv4Addr> nodes;
-  for (Ipv4Addr a : addrs) {
-    if (index.emplace(a, nodes.size()).second) nodes.push_back(a);
-  }
-  std::vector<std::size_t> parent(nodes.size());
-  for (std::size_t i = 0; i < parent.size(); ++i) parent[i] = i;
-  std::function<std::size_t(std::size_t)> find = [&](std::size_t x) {
+  // Union-find over positive verdicts with negative-pair veto. The nodes
+  // are the distinct addresses, ascending.
+  std::vector<Ipv4Addr> nodes(addrs);
+  std::sort(nodes.begin(), nodes.end());
+  nodes.erase(std::unique(nodes.begin(), nodes.end()), nodes.end());
+  constexpr std::uint32_t kAbsent = std::numeric_limits<std::uint32_t>::max();
+  auto node_of = [&](Ipv4Addr a) {
+    auto it = std::lower_bound(nodes.begin(), nodes.end(), a);
+    return it != nodes.end() && *it == a
+               ? static_cast<std::uint32_t>(it - nodes.begin())
+               : kAbsent;
+  };
+  std::vector<std::uint32_t> parent(nodes.size());
+  std::iota(parent.begin(), parent.end(), 0u);
+  auto find = [&](std::uint32_t x) {
     while (parent[x] != x) {
       parent[x] = parent[parent[x]];
       x = parent[x];
@@ -209,53 +216,82 @@ std::vector<std::vector<Ipv4Addr>> AliasResolver::groups(
     return x;
   };
 
-  // Collect the verdicts that involve known addresses.
-  struct Pair {
-    std::size_t a, b;
-  };
-  std::vector<Pair> positives, negatives;
+  // Collect the verdicts that involve known addresses: the positives in
+  // cache_ order, and each node's negative partners (flat, by node).
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> positives, negatives;
   for (const auto& [k, v] : cache_) {
-    Ipv4Addr a(static_cast<std::uint32_t>(k >> 32));
-    Ipv4Addr b(static_cast<std::uint32_t>(k & 0xffffffffu));
-    auto ia = index.find(a);
-    auto ib = index.find(b);
-    if (ia == index.end() || ib == index.end()) continue;
-    if (v == AliasVerdict::kAlias) {
-      positives.push_back({ia->second, ib->second});
-    } else if (v == AliasVerdict::kNotAlias) {
-      negatives.push_back({ia->second, ib->second});
+    if (v != AliasVerdict::kAlias && v != AliasVerdict::kNotAlias) continue;
+    const std::uint32_t a =
+        node_of(Ipv4Addr(static_cast<std::uint32_t>(k >> 32)));
+    const std::uint32_t b =
+        node_of(Ipv4Addr(static_cast<std::uint32_t>(k & 0xffffffffu)));
+    if (a == kAbsent || b == kAbsent) continue;
+    (v == AliasVerdict::kAlias ? positives : negatives).emplace_back(a, b);
+  }
+  std::vector<std::uint32_t> partner_begin(nodes.size() + 1, 0);
+  for (const auto& [a, b] : negatives) {
+    ++partner_begin[a + 1];
+    ++partner_begin[b + 1];
+  }
+  std::partial_sum(partner_begin.begin(), partner_begin.end(),
+                   partner_begin.begin());
+  std::vector<std::uint32_t> partners(partner_begin.back());
+  {
+    std::vector<std::uint32_t> fill(partner_begin.begin(),
+                                    partner_begin.end() - 1);
+    for (const auto& [a, b] : negatives) {
+      partners[fill[a]++] = b;
+      partners[fill[b]++] = a;
     }
   }
 
   // Union positives, but refuse merges that would join components holding
-  // a negative pair. Order-dependent, as in the real tool; negatives are
-  // re-checked against current components each time.
-  auto components_conflict = [&](std::size_t ra, std::size_t rb) {
-    for (const Pair& n : negatives) {
-      std::size_t na = find(n.a), nb = find(n.b);
-      if ((na == ra && nb == rb) || (na == rb && nb == ra)) return true;
+  // a negative pair. Order-dependent, as in the real tool. Each component
+  // keeps the nodes its members hold a negative verdict against: two
+  // components conflict iff one's list names a node of the other, so the
+  // shorter list is scanned, and the lists merge small into large. A
+  // component that never united is one node; its list is its partners,
+  // copied when it first unites.
+  std::vector<std::vector<std::uint32_t>> vetoed(nodes.size());
+  std::vector<std::uint8_t> listed(nodes.size(), 0);
+  auto vetoed_by = [&](std::uint32_t root) -> std::vector<std::uint32_t>& {
+    if (!listed[root]) {
+      listed[root] = 1;
+      vetoed[root].assign(partners.begin() + partner_begin[root],
+                          partners.begin() + partner_begin[root + 1]);
     }
-    return false;
+    return vetoed[root];
   };
-  for (const Pair& p : positives) {
-    std::size_t ra = find(p.a), rb = find(p.b);
+  for (const auto& [a, b] : positives) {
+    std::uint32_t ra = find(a), rb = find(b);
     if (ra == rb) continue;
-    if (components_conflict(ra, rb)) continue;
+    std::vector<std::uint32_t>* small = &vetoed_by(ra);
+    std::vector<std::uint32_t>* large = &vetoed_by(rb);
+    if (small->size() > large->size()) {
+      std::swap(ra, rb);
+      std::swap(small, large);
+    }
+    if (std::any_of(small->begin(), small->end(),
+                    [&](std::uint32_t n) { return find(n) == rb; })) {
+      continue;
+    }
     parent[ra] = rb;
+    large->insert(large->end(), small->begin(), small->end());
+    *small = {};
   }
 
-  std::unordered_map<std::size_t, std::vector<Ipv4Addr>> by_root;
-  for (std::size_t i = 0; i < nodes.size(); ++i) {
-    by_root[find(i)].push_back(nodes[i]);
-  }
+  // One group per root. Nodes ascend, so each group is met at its lowest
+  // address: the groups come out ordered by first member, each sorted.
+  std::vector<std::uint32_t> group_of(nodes.size(), kAbsent);
   std::vector<std::vector<Ipv4Addr>> out;
-  out.reserve(by_root.size());
-  for (auto& [root, members] : by_root) {
-    std::sort(members.begin(), members.end());
-    out.push_back(std::move(members));
+  for (std::uint32_t i = 0; i < nodes.size(); ++i) {
+    std::uint32_t& g = group_of[find(i)];
+    if (g == kAbsent) {
+      g = static_cast<std::uint32_t>(out.size());
+      out.emplace_back();
+    }
+    out[g].push_back(nodes[i]);
   }
-  std::sort(out.begin(), out.end(),
-            [](const auto& a, const auto& b) { return a.front() < b.front(); });
   return out;
 }
 

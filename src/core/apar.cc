@@ -7,7 +7,7 @@
 
 namespace bdrmap::core {
 
-AparStats run_apar(const std::vector<ObservedTrace>& traces,
+AparStats run_apar(const SharedTraces& traces,
                    AliasResolver& resolver) {
   AparStats stats;
 

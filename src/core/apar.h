@@ -31,7 +31,7 @@ struct AparStats {
 // Runs the analysis over `traces` and records accepted pairs in `resolver`
 // (as kAlias verdicts) without consuming any probe budget. Existing
 // negative verdicts in the resolver are honored (never overwritten).
-AparStats run_apar(const std::vector<ObservedTrace>& traces,
+AparStats run_apar(const SharedTraces& traces,
                    AliasResolver& resolver);
 
 }  // namespace bdrmap::core

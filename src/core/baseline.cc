@@ -5,7 +5,7 @@
 
 namespace bdrmap::core {
 
-BaselineResult naive_ip_as(const std::vector<ObservedTrace>& traces,
+BaselineResult naive_ip_as(const SharedTraces& traces,
                            const asdata::OriginTable& origins,
                            const std::vector<AsId>& vp_ases) {
   BaselineResult result;

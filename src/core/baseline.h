@@ -33,7 +33,7 @@ struct BaselineResult {
   std::vector<BaselineLink> links;
 };
 
-BaselineResult naive_ip_as(const std::vector<ObservedTrace>& traces,
+BaselineResult naive_ip_as(const SharedTraces& traces,
                            const asdata::OriginTable& origins,
                            const std::vector<AsId>& vp_ases);
 

@@ -161,7 +161,7 @@ std::vector<ObservedTrace> Bdrmap::collect_traces(
 }
 
 std::vector<std::vector<Ipv4Addr>> Bdrmap::resolve_aliases(
-    const std::vector<ObservedTrace>& traces, AliasEvidence* evidence) {
+    const SharedTraces& traces, AliasEvidence* evidence) {
   obs::Span alias_span(tracer(), "stage.alias");
   // Every address observed in a time-exceeded reply participates.
   std::vector<Ipv4Addr> ttl_addrs;
@@ -244,7 +244,7 @@ std::vector<std::vector<Ipv4Addr>> Bdrmap::resolve_aliases(
 }
 
 std::unordered_set<Ipv4Addr> Bdrmap::confirm_inbound(
-    const std::vector<ObservedTrace>& traces) {
+    const SharedTraces& traces) {
   std::unordered_set<Ipv4Addr> confirmed;
   if (!config_.enable_timestamp_checks) return confirmed;
   auto is_vp = [&](AsId as) {
@@ -409,7 +409,7 @@ BdrmapResult Bdrmap::run_with(CollectedTraces collected,
   stats_.probe_failures = collected.probe_failures;
   stats_.traces = collected.traces.size();
   failures_ = std::move(collected.failures);
-  std::vector<ObservedTrace> traces = std::move(collected.traces);
+  SharedTraces traces = std::move(collected.traces);
 
   auto groups = resolve_aliases(traces, evidence);
   auto confirmed = confirm_inbound(traces);

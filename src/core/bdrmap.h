@@ -68,9 +68,9 @@ struct BdrmapConfig {
 // detached from the inference tail so runtime::MultiVpExecutor can cache
 // and re-run (VP, target-AS) slices independently. Produced by
 // Bdrmap::collect(), consumed by Bdrmap::run_with(); slices concatenate by
-// appending fields in target-AS order.
+// appending fields in target-AS order, the traces by sharing them.
 struct CollectedTraces {
-  std::vector<ObservedTrace> traces;
+  SharedTraces traces;
   std::vector<ProbeFailure> failures;
   std::uint64_t probes_sent = 0;  // spent by the collecting services
   std::size_t blocks = 0;
@@ -83,15 +83,13 @@ struct CollectedTraces {
   // the slice as it is (docs/serving.md §4).
   std::vector<std::uint64_t> footprint;
 
-  // Appends `other` (field-wise) onto this slice. Footprints stay with
-  // their slices: the stitched whole feeds an inference tail, not a store.
-  void append(CollectedTraces other) {
-    traces.insert(traces.end(),
-                  std::make_move_iterator(other.traces.begin()),
-                  std::make_move_iterator(other.traces.end()));
-    failures.insert(failures.end(),
-                    std::make_move_iterator(other.failures.begin()),
-                    std::make_move_iterator(other.failures.end()));
+  // Appends `other` (field-wise) onto this slice; its traces are shared,
+  // not copied. Footprints stay with their slices: the stitched whole
+  // feeds an inference tail, not a store.
+  void append(const CollectedTraces& other) {
+    traces.append(other.traces);
+    failures.insert(failures.end(), other.failures.begin(),
+                    other.failures.end());
     probes_sent += other.probes_sent;
     blocks += other.blocks;
     stopset_hits += other.stopset_hits;
@@ -178,10 +176,9 @@ class Bdrmap {
   std::vector<ObservedTrace> collect_traces(
       std::span<const ProbeBlock> blocks);
   std::vector<std::vector<Ipv4Addr>> resolve_aliases(
-      const std::vector<ObservedTrace>& traces, AliasEvidence* evidence);
+      const SharedTraces& traces, AliasEvidence* evidence);
   // [26]: timestamp-confirm the first externally-mapped hop of each trace.
-  std::unordered_set<Ipv4Addr> confirm_inbound(
-      const std::vector<ObservedTrace>& traces);
+  std::unordered_set<Ipv4Addr> confirm_inbound(const SharedTraces& traces);
 
   // nullptr when observability is off — Span/handle no-op convention.
   obs::Tracer* tracer() const {

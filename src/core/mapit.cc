@@ -6,7 +6,7 @@
 
 namespace bdrmap::core {
 
-MapItResult run_mapit(const std::vector<ObservedTrace>& traces,
+MapItResult run_mapit(const SharedTraces& traces,
                       const asdata::OriginTable& origins,
                       const std::vector<AsId>& vp_ases,
                       MapItConfig config) {

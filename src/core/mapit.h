@@ -40,7 +40,7 @@ struct MapItResult {
   std::size_t passes_run = 0;
 };
 
-MapItResult run_mapit(const std::vector<ObservedTrace>& traces,
+MapItResult run_mapit(const SharedTraces& traces,
                       const asdata::OriginTable& origins,
                       const std::vector<AsId>& vp_ases,
                       MapItConfig config = {});

@@ -1,19 +1,24 @@
 #include "core/merge.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <numeric>
+#include <tuple>
 
 #include "netbase/contract.h"
 
 namespace bdrmap::core {
 
 std::optional<std::size_t> MergedMap::router_of(Ipv4Addr addr) const {
-  auto it = addr_index_.find(addr);
-  if (it == addr_index_.end()) return std::nullopt;
-  return it->second;
+  auto it = std::lower_bound(index_addrs_.begin(), index_addrs_.end(), addr);
+  if (it == index_addrs_.end() || *it != addr) return std::nullopt;
+  return index_routers_[static_cast<std::size_t>(it - index_addrs_.begin())];
 }
 
 namespace {
+
+constexpr std::uint32_t kNone = std::numeric_limits<std::uint32_t>::max();
 
 // Union-find over (run, router) pairs keyed by shared addresses.
 class Partition {
@@ -34,6 +39,18 @@ class Partition {
   std::vector<std::size_t> parent_;
 };
 
+// One occurrence of a per-run link, keyed by the merged link identity:
+// (near merged router, far merged router or, for router-less placements,
+// the neighbor AS). `seq` is its position in run order, then link order.
+struct LinkSeen {
+  std::size_t near;
+  std::size_t far;
+  std::uint32_t as;
+  std::uint32_t seq;
+  std::uint32_t run;
+  std::uint32_t link;  // index into runs[run]->links
+};
+
 }  // namespace
 
 MergedMap merge_results(const std::vector<const BdrmapResult*>& runs) {
@@ -42,53 +59,77 @@ MergedMap merge_results(const std::vector<const BdrmapResult*>& runs) {
   }
   MergedMap merged;
 
-  // Flatten per-run routers into a global index space.
+  // Flatten the live per-run routers into one source index space, run by
+  // run: every source of run r precedes every source of run r + 1.
+  // source_of[flat_base[r] + i] is router i of run r's source, or kNone
+  // for a merged-away router.
   struct Source {
-    std::size_t run;
-    std::size_t router;  // index into runs[run]->graph.routers()
+    std::uint32_t run;
+    std::uint32_t router;  // index into runs[run]->graph.routers()
   };
   std::vector<Source> sources;
-  std::vector<std::vector<std::size_t>> run_offsets(runs.size());
+  std::vector<std::size_t> flat_base(runs.size());
+  std::vector<std::uint32_t> source_of;
+  std::size_t key_count = 0;
   for (std::size_t r = 0; r < runs.size(); ++r) {
     const auto& routers = runs[r]->graph.routers();
-    run_offsets[r].resize(routers.size(),
-                          std::numeric_limits<std::size_t>::max());
+    flat_base[r] = source_of.size();
     for (std::size_t i = 0; i < routers.size(); ++i) {
-      if (routers[i].addrs.empty()) continue;
-      run_offsets[r][i] = sources.size();
-      sources.push_back({r, i});
+      if (routers[i].addrs.empty()) {
+        source_of.push_back(kNone);
+        continue;
+      }
+      source_of.push_back(static_cast<std::uint32_t>(sources.size()));
+      sources.push_back(
+          {static_cast<std::uint32_t>(r), static_cast<std::uint32_t>(i)});
+      key_count += routers[i].addrs.size();
     }
   }
+  BDRMAP_EXPECTS(sources.size() < kNone, "too many routers to merge");
+  auto router_at = [&](std::size_t s) -> const GraphRouter& {
+    return runs[sources[s].run]->graph.routers()[sources[s].router];
+  };
 
-  // Shared address => same physical router.
+  // BDRMAP_HOT_BEGIN(merge)
+  // Shared address => same physical router. Sorting (address, source)
+  // keys puts every holder of an address next to each other.
+  std::vector<std::uint64_t> keys;
+  keys.reserve(key_count);
+  for (std::size_t s = 0; s < sources.size(); ++s) {
+    for (Ipv4Addr a : router_at(s).addrs) {
+      keys.push_back((std::uint64_t{a.value()} << 32) | s);
+    }
+  }
+  std::sort(keys.begin(), keys.end());
   Partition partition(sources.size());
-  std::map<Ipv4Addr, std::size_t> first_holder;
-  for (std::size_t s = 0; s < sources.size(); ++s) {
-    const auto& router =
-        runs[sources[s].run]->graph.routers()[sources[s].router];
-    for (Ipv4Addr a : router.addrs) {
-      auto [it, inserted] = first_holder.emplace(a, s);
-      if (!inserted) partition.unite(s, it->second);
+  for (std::size_t k = 1; k < keys.size(); ++k) {
+    if ((keys[k] >> 32) == (keys[k - 1] >> 32)) {
+      partition.unite(static_cast<std::uint32_t>(keys[k]),
+                      static_cast<std::uint32_t>(keys[k - 1]));
     }
   }
 
-  // Build merged routers per component.
-  std::map<std::size_t, std::size_t> component_index;
-  std::vector<std::map<AsId, int>> owner_votes;
+  // Merged routers are numbered by their first source.
+  std::vector<std::uint32_t> component(sources.size());
+  std::vector<std::uint32_t> index_of_root(sources.size(), kNone);
   for (std::size_t s = 0; s < sources.size(); ++s) {
-    std::size_t root = partition.find(s);
-    auto [it, inserted] =
-        component_index.emplace(root, merged.routers.size());
-    if (inserted) {
+    std::uint32_t& index = index_of_root[partition.find(s)];
+    if (index == kNone) {
+      index = static_cast<std::uint32_t>(merged.routers.size());
       merged.routers.emplace_back();
-      owner_votes.emplace_back();
     }
-    MergedRouter& out = merged.routers[it->second];
-    const auto& router =
-        runs[sources[s].run]->graph.routers()[sources[s].router];
-    out.addrs.insert(out.addrs.end(), router.addrs.begin(),
-                     router.addrs.end());
-    out.seen_by.insert(sources[s].run);
+    component[s] = index;
+  }
+
+  // Sources ascend with runs, so each seen_by list comes out sorted.
+  // Owner votes are (router, AS) keys.
+  std::vector<std::uint64_t> votes;
+  for (std::size_t s = 0; s < sources.size(); ++s) {
+    MergedRouter& out = merged.routers[component[s]];
+    const GraphRouter& router = router_at(s);
+    if (out.seen_by.empty() || out.seen_by.back() != sources[s].run) {
+      out.seen_by.push_back(sources[s].run);
+    }
     out.vp_side |= router.vp_side;
     if (router.how != Heuristic::kNone) {
       if (out.how == Heuristic::kNone ||
@@ -96,65 +137,129 @@ MergedMap merge_results(const std::vector<const BdrmapResult*>& runs) {
         out.how = router.how;
       }
       if (router.owner.valid()) {
-        ++owner_votes[it->second][router.owner];
+        votes.push_back((std::uint64_t{component[s]} << 32) |
+                        router.owner.value);
       }
     }
-  }
-  for (std::size_t i = 0; i < merged.routers.size(); ++i) {
-    MergedRouter& out = merged.routers[i];
-    std::sort(out.addrs.begin(), out.addrs.end());
-    out.addrs.erase(std::unique(out.addrs.begin(), out.addrs.end()),
-                    out.addrs.end());
-    int best = 0;
-    for (const auto& [as, votes] : owner_votes[i]) {
-      if (votes > best) {
-        out.owner = as;
-        best = votes;
-      }
-    }
-    if (out.vp_side) out.how = Heuristic::kVpNetwork;
-    for (Ipv4Addr a : out.addrs) merged.addr_index_.emplace(a, i);
   }
 
-  // Merge links: identity = (near merged router, far merged router or the
-  // neighbor AS for router-less placements).
+  // The keys ascend by address, so each router's address set comes out
+  // sorted and the address index in address order.
+  merged.index_addrs_.reserve(keys.size());
+  merged.index_routers_.reserve(keys.size());
+  for (std::uint64_t key : keys) {
+    const Ipv4Addr a(static_cast<std::uint32_t>(key >> 32));
+    const std::uint32_t c = component[static_cast<std::uint32_t>(key)];
+    std::vector<Ipv4Addr>& addrs = merged.routers[c].addrs;
+    if (!addrs.empty() && addrs.back() == a) continue;
+    addrs.push_back(a);
+    merged.index_addrs_.push_back(a);
+    merged.index_routers_.push_back(c);
+  }
+
+  // Majority owner: votes sorted by (router, AS); a strictly larger count
+  // wins, so ties go to the lowest AS.
+  std::sort(votes.begin(), votes.end());
+  std::size_t best = 0;
+  for (std::size_t v = 0; v < votes.size();) {
+    std::size_t end = v;
+    while (end < votes.size() && votes[end] == votes[v]) ++end;
+    const auto c = static_cast<std::uint32_t>(votes[v] >> 32);
+    if (v == 0 || (votes[v - 1] >> 32) != c) best = 0;
+    if (end - v > best) {
+      merged.routers[c].owner = AsId(static_cast<std::uint32_t>(votes[v]));
+      best = end - v;
+    }
+    v = end;
+  }
+  for (MergedRouter& out : merged.routers) {
+    if (out.vp_side) out.how = Heuristic::kVpNetwork;
+  }
+
+  // Links: group the occurrences by identity; a merged link takes the
+  // fields of its first occurrence, and links keep first-occurrence order.
   auto merged_of = [&](std::size_t run, std::size_t router) {
     if (router == InferredLink::kNoRouter) return MergedLink::kNoRouter;
-    std::size_t flat = run_offsets[run][router];
-    if (flat == std::numeric_limits<std::size_t>::max()) {
-      return MergedLink::kNoRouter;
-    }
-    return component_index.at(partition.find(flat));
+    const std::uint32_t s = source_of[flat_base[run] + router];
+    if (s == kNone) return MergedLink::kNoRouter;
+    return std::size_t{component[s]};
   };
-
-  std::map<std::tuple<std::size_t, std::size_t, std::uint32_t>, std::size_t>
-      link_index;
-  merged.cumulative_links.resize(runs.size(), 0);
+  std::vector<LinkSeen> seen;
   for (std::size_t r = 0; r < runs.size(); ++r) {
-    for (const auto& link : runs[r]->links) {
-      std::size_t near = merged_of(r, link.vp_router);
-      std::size_t far = merged_of(r, link.neighbor_router);
-      auto key = std::make_tuple(near, far,
-                                 far == MergedLink::kNoRouter
-                                     ? link.neighbor_as.value
-                                     : 0u);
-      auto [it, inserted] = link_index.emplace(key, merged.links.size());
-      if (inserted) {
-        MergedLink out;
-        out.near_router = near;
-        out.far_router = far;
-        out.neighbor_as = link.neighbor_as;
-        out.how = link.how;
-        out.first_seen_by = r;
-        merged.links.push_back(out);
-      }
-      merged.links[it->second].seen_by.insert(r);
+    const std::vector<InferredLink>& links = runs[r]->links;
+    for (std::size_t l = 0; l < links.size(); ++l) {
+      const std::size_t far = merged_of(r, links[l].neighbor_router);
+      seen.push_back({merged_of(r, links[l].vp_router), far,
+                      far == MergedLink::kNoRouter
+                          ? links[l].neighbor_as.value
+                          : 0u,
+                      static_cast<std::uint32_t>(seen.size()),
+                      static_cast<std::uint32_t>(r),
+                      static_cast<std::uint32_t>(l)});
     }
-    merged.cumulative_links[r] = merged.links.size();
   }
+  auto identity = [](const LinkSeen& x) {
+    return std::tie(x.near, x.far, x.as);
+  };
+  std::sort(seen.begin(), seen.end(),
+            [&](const LinkSeen& x, const LinkSeen& y) {
+              return std::tie(x.near, x.far, x.as, x.seq) <
+                     std::tie(y.near, y.far, y.as, y.seq);
+            });
+  // Each group's [begin, end) in `seen`, in first-occurrence order.
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> groups;
+  for (std::size_t g = 0; g < seen.size();) {
+    std::size_t end = g + 1;
+    while (end < seen.size() && identity(seen[end]) == identity(seen[g])) {
+      ++end;
+    }
+    groups.emplace_back(static_cast<std::uint32_t>(g),
+                        static_cast<std::uint32_t>(end));
+    g = end;
+  }
+  std::sort(groups.begin(), groups.end(), [&](const auto& x, const auto& y) {
+    return seen[x.first].seq < seen[y.first].seq;
+  });
+  merged.links.reserve(groups.size());
+  merged.cumulative_links.assign(runs.size(), 0);
+  for (const auto& [begin, end] : groups) {
+    const LinkSeen& first = seen[begin];
+    const InferredLink& link = runs[first.run]->links[first.link];
+    MergedLink out;
+    out.near_router = first.near;
+    out.far_router = first.far;
+    out.neighbor_as = link.neighbor_as;
+    out.how = link.how;
+    out.first_seen_by = first.run;
+    for (std::uint32_t k = begin; k < end; ++k) {
+      if (out.seen_by.empty() || out.seen_by.back() != seen[k].run) {
+        out.seen_by.push_back(seen[k].run);
+      }
+    }
+    ++merged.cumulative_links[first.run];
+    merged.links.push_back(std::move(out));
+  }
+  std::partial_sum(merged.cumulative_links.begin(),
+                   merged.cumulative_links.end(),
+                   merged.cumulative_links.begin());
 
+  // The per-AS index: (AS, link) pairs in AS order, then link order.
+  std::vector<std::pair<AsId, std::size_t>> by_as;
+  by_as.reserve(merged.links.size());
   for (std::size_t i = 0; i < merged.links.size(); ++i) {
-    merged.links_by_as[merged.links[i].neighbor_as].push_back(i);
+    by_as.emplace_back(merged.links[i].neighbor_as, i);
+  }
+  std::sort(by_as.begin(), by_as.end());
+  // BDRMAP_HOT_END(merge)
+  for (std::size_t i = 0; i < by_as.size();) {
+    std::vector<std::size_t> indices;
+    std::size_t j = i;
+    for (; j < by_as.size() && by_as[j].first == by_as[i].first; ++j) {
+      indices.push_back(by_as[j].second);
+    }
+    merged.links_by_as.emplace_hint(merged.links_by_as.end(), by_as[i].first,
+                                    std::move(indices));
+    i = j;
   }
   // The cumulative curve is monotone and ends at the final link count —
   // Fig. 14's convergence plot is read straight off this vector.

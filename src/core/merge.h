@@ -7,10 +7,17 @@
 // routers observed with a common address are the same physical router, so
 // alias sets union transitively. Ownership conflicts resolve by majority
 // across VPs (ties to the lowest AS), with VP-side status taking priority.
+//
+// The merge is built from sorts over flat vectors (DESIGN.md §14): one sort
+// of (address, router) keys joins routers and yields every merged router's
+// sorted address set, one sort of (component, AS) votes picks the owners,
+// one sort of link identities groups the links. No map or set node is
+// allocated per address, router or link; only links_by_as, one entry per
+// neighbor AS, is a map.
 #pragma once
 
 #include <map>
-#include <set>
+#include <optional>
 #include <vector>
 
 #include "core/bdrmap.h"
@@ -22,7 +29,8 @@ struct MergedRouter {
   AsId owner;                   // majority owner across observing VPs
   Heuristic how = Heuristic::kNone;  // earliest-stage heuristic observed
   bool vp_side = false;
-  std::set<std::size_t> seen_by;  // indices into the merged run list
+  // Indices into the merged run list: ascending, no duplicates.
+  std::vector<std::size_t> seen_by;
 };
 
 struct MergedLink {
@@ -32,7 +40,7 @@ struct MergedLink {
   AsId neighbor_as;
   Heuristic how = Heuristic::kNone;
   std::size_t first_seen_by = 0;  // VP index that first revealed the link
-  std::set<std::size_t> seen_by;
+  std::vector<std::size_t> seen_by;  // ascending, no duplicates
 };
 
 struct MergedMap {
@@ -47,7 +55,10 @@ struct MergedMap {
 
  private:
   friend MergedMap merge_results(const std::vector<const BdrmapResult*>&);
-  std::map<Ipv4Addr, std::size_t> addr_index_;
+  // Every address of a merged router, ascending, and the router holding
+  // it (parallel to index_addrs_).
+  std::vector<Ipv4Addr> index_addrs_;
+  std::vector<std::size_t> index_routers_;
 };
 
 // Merges per-VP results in order (the order defines the marginal-utility

@@ -34,7 +34,7 @@ class NullProbeServices final : public probe::ProbeServices {
 
 }  // namespace
 
-BdrmapResult analyze_offline(std::vector<ObservedTrace> traces,
+BdrmapResult analyze_offline(SharedTraces traces,
                              const InferenceInputs& inputs,
                              OfflineConfig config) {
   NullProbeServices null_services;

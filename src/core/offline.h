@@ -21,7 +21,7 @@ struct OfflineConfig {
 
 // Rebuilds the border map from archived traces. `inputs` are the same §5.2
 // datasets the original run used (or newer editions of them).
-BdrmapResult analyze_offline(std::vector<ObservedTrace> traces,
+BdrmapResult analyze_offline(SharedTraces traces,
                              const InferenceInputs& inputs,
                              OfflineConfig config = {});
 

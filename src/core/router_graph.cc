@@ -93,7 +93,7 @@ const char* heuristic_name(Heuristic h) { return label(h).name; }
 const char* heuristic_tag(Heuristic h) { return label(h).tag; }
 
 RouterGraph::RouterGraph(
-    std::vector<ObservedTrace> traces,
+    SharedTraces traces,
     const std::vector<std::vector<Ipv4Addr>>& alias_groups)
     : traces_(std::move(traces)) {
   // Address table: one radix sort of (address, hop slot) keys numbers

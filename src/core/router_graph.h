@@ -11,6 +11,12 @@
 // is interned once into a dense id (DESIGN.md §14): per-hop scans over the
 // traces read the hop-id arrays and the id -> router column instead of
 // hashing addresses.
+//
+// The graph references the traces it was built from (core::SharedTraces)
+// instead of owning a stitched copy: on the serving path they are the
+// slices runtime::SliceStore keeps, so building a VP's graph copies no
+// kept trace and dropping the graph frees only traces no store or other
+// result still holds.
 #pragma once
 
 #include <cstdint>
@@ -80,9 +86,12 @@ class RouterGraph {
   static constexpr std::uint32_t kNoRouter =
       std::numeric_limits<std::uint32_t>::max();
 
-  // Builds the graph from traces and alias groups (taking ownership of the
-  // traces). Addresses not covered by any group become singleton routers.
-  RouterGraph(std::vector<ObservedTrace> traces,
+  // An empty graph: no traces, no routers.
+  RouterGraph() = default;
+  // Builds the graph from traces and alias groups, sharing the traces (a
+  // std::vector<ObservedTrace> converts, moved in as one part). Addresses
+  // not covered by any group become singleton routers.
+  RouterGraph(SharedTraces traces,
               const std::vector<std::vector<Ipv4Addr>>& alias_groups);
 
   std::vector<GraphRouter>& routers() { return routers_; }
@@ -112,14 +121,14 @@ class RouterGraph {
   // collapse). Adjacency, addresses and annotations are unioned.
   void merge(std::size_t into, std::size_t from);
 
-  const std::vector<ObservedTrace>& traces() const { return traces_; }
+  const SharedTraces& traces() const { return traces_; }
 
   std::size_t live_router_count() const;
   bool merged_away(std::size_t i) const { return routers_[i].addrs.empty(); }
 
  private:
   std::vector<GraphRouter> routers_;
-  std::vector<ObservedTrace> traces_;
+  SharedTraces traces_;
   std::vector<Ipv4Addr> addrs_;            // id -> address, ascending
   std::vector<std::uint32_t> router_col_;  // id -> router, or kNoRouter
   std::vector<std::uint32_t> hop_ids_;     // every hop of every trace

@@ -56,6 +56,7 @@ Fib::Fib(const topo::Internet& net, const BgpSimulator& bgp,
   for (std::size_t i = 0; i < net.announced().size(); ++i) {
     if (!net.announced()[i].only_via_links.empty()) {
       pinned_column_[i] = row_width_++;
+      pinned_dst_.push_back(bgp.dense_index(net.announced()[i].origin));
     }
   }
   // Row pointers start null; rows are allocated on the first egress
@@ -104,7 +105,8 @@ void Fib::set_link_state(LinkId link, bool up) {
                           std::memory_order_release);
   }
   // Cached egress decisions were computed against the previous down set.
-  invalidate_egress();
+  net::MutexLock lk(egress_mu_);
+  clear_egress();
 }
 
 void Fib::set_prefix_withdrawn(const net::Prefix& p, bool withdrawn) {
@@ -121,16 +123,44 @@ void Fib::set_prefix_withdrawn(const net::Prefix& p, bool withdrawn) {
                         std::memory_order_release);
 }
 
-void Fib::invalidate_egress() {
+void Fib::clear_egress() {
   // Mutators run under the serve layer's quiescence contract (no
   // concurrent forwarding), so relaxed stores suffice to null the rows.
-  net::MutexLock lk(egress_mu_);
   for (auto& storage : egress_row_storage_) {
     for (std::size_t j = 0; j < row_width_; ++j) {
       storage[j].store(nullptr, std::memory_order_relaxed);
     }
   }
   egress_pool_.clear();
+  egress_dropped_ = 0;
+}
+
+void Fib::invalidate_egress(std::span<const std::uint64_t> changed) {
+  BDRMAP_EXPECTS(std::is_sorted(changed.begin(), changed.end()),
+                 "changed tier keys must be sorted");
+  if (changed.empty()) return;
+  net::MutexLock lk(egress_mu_);
+  const auto as_count = static_cast<std::uint32_t>(sessions_.size());
+  auto unpublish = [](std::atomic<const EgressEntry*>& slot) {
+    return slot.exchange(nullptr, std::memory_order_relaxed) != nullptr;
+  };
+  for (std::size_t k = 0; k < egress_row_storage_.size(); ++k) {
+    std::atomic<const EgressEntry*>* row = egress_row_storage_[k].get();
+    // The keys of this router's AS are one run of the sorted keys.
+    const std::uint32_t src = router_as_dense_[egress_row_router_[k].value];
+    for (auto it = std::lower_bound(changed.begin(), changed.end(),
+                                    BgpSimulator::tier_key(src, 0));
+         it != changed.end() && (*it >> 32) == src; ++it) {
+      const auto dst = static_cast<std::uint32_t>(*it);
+      if (dst < as_count) egress_dropped_ += unpublish(row[dst]);
+      for (std::uint32_t j = 0; j < pinned_dst_.size(); ++j) {
+        if (pinned_dst_[j] == dst) {
+          egress_dropped_ += unpublish(row[as_count + j]);
+        }
+      }
+    }
+  }
+  if (2 * egress_dropped_ > egress_pool_.size()) clear_egress();
 }
 
 bool Fib::link_is_down(LinkId link) const {
@@ -405,6 +435,7 @@ const Fib::EgressEntry* Fib::egress_fill(
         row_width_);  // value-initialized: every slot starts null
     row = storage.get();
     egress_row_storage_.push_back(std::move(storage));
+    egress_row_router_.push_back(r);
     egress_rows_[r.value].store(row, std::memory_order_release);
   }
   // First writer wins; a racing fill computed the identical entry.

@@ -33,6 +33,7 @@
 #include <deque>
 #include <memory>
 #include <optional>
+#include <span>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -172,8 +173,9 @@ class Fib {
   // of an unchanging overlay are safe (overlay_mu_). With no churn ever
   // applied the hot path pays one relaxed atomic load.
 
-  // Marks an interdomain link down (up=false) or restores it. Invalidates
-  // the egress-decision cache.
+  // Marks an interdomain link down (up=false) or restores it. Clears the
+  // egress-decision cache: any decision may have chosen among sessions
+  // over the link.
   void set_link_state(LinkId link, bool up)
       BDRMAP_EXCLUDES(overlay_mu_, egress_mu_);
 
@@ -181,9 +183,16 @@ class Fib {
   void set_prefix_withdrawn(const net::Prefix& p, bool withdrawn)
       BDRMAP_EXCLUDES(overlay_mu_);
 
-  // Drops all memoized egress decisions (e.g. after the BGP simulator's
-  // relationship overlay changed candidate tiers).
-  void invalidate_egress() BDRMAP_EXCLUDES(egress_mu_);
+  // Drops only the memoized egress decisions whose tier_key(router, query)
+  // is in `changed` (sorted ascending, as BgpSimulator::set_relationship
+  // returns the keys a relationship flip changed): on the routers of each
+  // key's source AS, the AS column of its destination and every pinned
+  // column routed toward that AS. Every other decision stands, since it
+  // reads no tier set the flip changed. Dropped entries stay allocated
+  // until they outnumber the live ones; then the memo is cleared
+  // wholesale, so memory stays bounded over any number of flips.
+  void invalidate_egress(std::span<const std::uint64_t> changed)
+      BDRMAP_EXCLUDES(egress_mu_);
 
   bool link_is_down(LinkId link) const BDRMAP_EXCLUDES(overlay_mu_);
 
@@ -238,6 +247,8 @@ class Fib {
       BDRMAP_EXCLUDES(egress_mu_);
   std::optional<Hop> internal_step(RouterId r, RouterId target, Ipv4Addr dst,
                                    std::uint32_t flow_salt) const;
+  // Nulls every published egress entry and frees the entries.
+  void clear_egress() BDRMAP_REQUIRES(egress_mu_);
 
   const topo::Internet& net_;
   const BgpSimulator& bgp_;
@@ -273,6 +284,9 @@ class Fib {
   // pinned columns follow the AS columns, so a row is row_width_ wide.
   std::vector<std::uint32_t> pinned_column_;
   std::uint32_t row_width_ = 0;
+  // Destination AS (dense) of each pinned column, in column order: pinned
+  // column as_count + j routes toward pinned_dst_[j].
+  std::vector<std::uint32_t> pinned_dst_;
 
   // Egress decision memo, same purity discipline as routing_: per-router
   // arrays of published entry pointers, one column per destination AS and
@@ -286,6 +300,11 @@ class Fib {
   mutable std::vector<std::unique_ptr<std::atomic<const EgressEntry*>[]>>
       egress_row_storage_ BDRMAP_GUARDED_BY(egress_mu_);
   mutable std::deque<EgressEntry> egress_pool_ BDRMAP_GUARDED_BY(egress_mu_);
+  // The router of each egress_row_storage_ row, and how many pool entries
+  // a selective invalidation unpublished since the last clear.
+  mutable std::vector<RouterId> egress_row_router_
+      BDRMAP_GUARDED_BY(egress_mu_);
+  std::size_t egress_dropped_ BDRMAP_GUARDED_BY(egress_mu_) = 0;
 
   // Churn overlay state (see the public churn section). overlay_active_
   // fast-gates the overlay_mu_ acquisitions out of the zero-churn hot path.

@@ -5,8 +5,9 @@
 // paper's own unit of work. SlicePlan runs core::build_probe_blocks once
 // per VP and cuts its sorted output into slices, each a contiguous block
 // range. MultiVpExecutor::run collects every slice a SliceStore is
-// missing, stitches each VP's slices in plan order, runs that VP's
-// inference tail, and reduces the per-VP results in VP order. A cold map
+// missing, stitches each VP's slices in plan order (sharing their traces,
+// never copying them), runs that VP's inference tail, and reduces the
+// per-VP results in VP order. A cold map
 // (Scenario::run_bdrmap_parallel, Scenario::run_bdrmap) is that run
 // without a store to keep; serve::ServeEngine keeps its store across
 // epochs and erases only the slices and alias evidence a churn event
@@ -30,7 +31,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <optional>
 #include <span>
 #include <utility>
 #include <vector>
@@ -90,14 +90,20 @@ class SlicePlan {
 // evidence, kept across executor runs. The executor plans an empty store
 // and collects every slice into it; resetting traces[vp][i] makes the next
 // run re-collect slice i of VP vp and reuse every other slice verbatim.
-// VP vp's inference tail looks its alias pairs and Mercator sources up in
-// evidence[vp] first and probes only what is missing there; clearing it
-// makes the next tail measure everything again. Every stored slice and
-// every evidence address carries its routing footprint, so a caller can
-// tell what a relationship flip moved (docs/serving.md §4).
+// A stored slice is immutable and shared: VP vp's inference tail stitches
+// its slices by sharing their traces (core::SharedTraces), so the tail,
+// its RouterGraph and the BdrmapResult read the very traces stored here,
+// and a slice's traces are freed with the last of the store and the
+// results that hold them (DESIGN.md §13). VP vp's inference tail looks its
+// alias pairs and Mercator sources up in evidence[vp] first and probes
+// only what is missing there; clearing it makes the next tail measure
+// everything again. Every stored slice and every evidence address carries
+// its routing footprint, so a caller can tell what a relationship flip
+// moved (docs/serving.md §4).
 struct SliceStore {
   SlicePlan plan;
-  std::vector<std::vector<std::optional<core::CollectedTraces>>> traces;
+  std::vector<std::vector<std::shared_ptr<const core::CollectedTraces>>>
+      traces;
   std::vector<core::AliasEvidence> evidence;
 };
 
@@ -137,6 +143,16 @@ class MultiVpExecutor {
   MultiVpResult run(const std::vector<VpJob>& jobs,
                     const core::BdrmapConfig& config, std::uint64_t base_seed,
                     SliceStore* store = nullptr) const;
+
+  // run() without the ordered reduction, into the caller's results: VP
+  // vp's new result replaces per_vp[vp], and whatever per_vp held before
+  // is freed on the pool after the tails join, in parallel rather than
+  // serially on the calling thread. per_vp is resized to the job count
+  // first. Returns the wall-clock of the run.
+  double run_into(const std::vector<VpJob>& jobs,
+                  const core::BdrmapConfig& config, std::uint64_t base_seed,
+                  SliceStore* store,
+                  std::vector<core::BdrmapResult>& per_vp) const;
 
  private:
   ThreadPool* pool_;

@@ -90,11 +90,11 @@ std::vector<std::uint64_t> apply_event(const ChurnEvent& e,
       fib.set_link_state(e.link, true);
       break;
     case ChurnKind::kRelChange: {
-      // New candidate tiers can reshuffle hot-potato egress choices, so the
-      // FIB's memoized decisions go too.
+      // New candidate tiers can reshuffle hot-potato egress choices: the
+      // FIB drops the memoized decisions that read a changed tier set.
       std::vector<std::uint64_t> changed =
           bgp.set_relationship(e.as_a, e.as_b, e.new_rel);
-      fib.invalidate_egress();
+      fib.invalidate_egress(changed);
       return changed;
     }
   }

@@ -149,24 +149,23 @@ ChurnApplyStats ServeEngine::apply(const ChurnEvent& event) {
 }
 
 void ServeEngine::reinfer_and_publish(obs::Tracer* tracer) {
-  std::vector<core::BdrmapResult> results;
   {
+    // The new results replace the old ones in place; the executor frees
+    // the old ones on the pool, not on this thread.
     obs::Span span(tracer, "serve.infer");
-    results = executor_
-                  .run(vps_, options_.config, options_.base_seed, &store_)
-                  .per_vp;
+    executor_.run_into(vps_, options_.config, options_.base_seed, &store_,
+                       last_results_);
   }
   std::shared_ptr<const BorderMapSnapshot> snap;
   {
     obs::Span span(tracer, "serve.compile");
-    snap = compile_snapshot(results, epoch_);
+    snap = compile_snapshot(last_results_, epoch_);
     span.note("prefixes", static_cast<std::int64_t>(snap->prefix_count()));
     span.note("borders",
               static_cast<std::int64_t>(snap->borders().size()));
   }
   handle_.publish(snap);
   compiles_.inc();
-  last_results_ = std::move(results);
 }
 
 std::shared_ptr<const BorderMapSnapshot> ServeEngine::compile_snapshot(

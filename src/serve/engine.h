@@ -115,7 +115,8 @@ class ServeEngine {
 
  private:
   std::vector<OwnedPrefix> owned_prefixes() const;
-  // Runs the executor over the store (collecting what it misses),
+  // Runs the executor over the store (collecting what it misses) into
+  // last_results_, which frees the previous results on the pool;
   // compiles, publishes.
   void reinfer_and_publish(obs::Tracer* tracer);
   std::shared_ptr<const BorderMapSnapshot> compile_snapshot(

@@ -39,7 +39,7 @@ std::uint32_t get_u32(std::istream& in) {
 }  // namespace
 
 void write_traces(std::ostream& out,
-                  const std::vector<core::ObservedTrace>& traces) {
+                  const core::SharedTraces& traces) {
   out.write(kMagic, sizeof(kMagic));
   put_u16(out, kVersion);
   put_u32(out, static_cast<std::uint32_t>(traces.size()));
@@ -99,7 +99,7 @@ std::vector<core::ObservedTrace> read_traces(std::istream& in) {
 }
 
 void save_traces(const std::string& path,
-                 const std::vector<core::ObservedTrace>& traces) {
+                 const core::SharedTraces& traces) {
   std::ofstream out(path, std::ios::binary);
   if (!out) throw std::runtime_error("warts: cannot open " + path);
   write_traces(out, traces);
@@ -111,7 +111,7 @@ std::vector<core::ObservedTrace> load_traces(const std::string& path) {
   return read_traces(in);
 }
 
-std::string dump_text(const std::vector<core::ObservedTrace>& traces) {
+std::string dump_text(const core::SharedTraces& traces) {
   std::string out;
   for (const auto& trace : traces) {
     out += trace.dst.str();

@@ -23,7 +23,7 @@ inline constexpr std::uint16_t kVersion = 1;
 
 // Serializes traces to the stream. Throws std::runtime_error on I/O error.
 void write_traces(std::ostream& out,
-                  const std::vector<core::ObservedTrace>& traces);
+                  const core::SharedTraces& traces);
 
 // Parses a container written by write_traces. Throws std::runtime_error on
 // bad magic, unsupported version, or truncation.
@@ -31,11 +31,11 @@ std::vector<core::ObservedTrace> read_traces(std::istream& in);
 
 // Convenience file wrappers.
 void save_traces(const std::string& path,
-                 const std::vector<core::ObservedTrace>& traces);
+                 const core::SharedTraces& traces);
 std::vector<core::ObservedTrace> load_traces(const std::string& path);
 
 // One line per trace: "dst target_as flags: hop hop ...". '*' marks lost
 // hops, '!' suffixes echo replies.
-std::string dump_text(const std::vector<core::ObservedTrace>& traces);
+std::string dump_text(const core::SharedTraces& traces);
 
 }  // namespace bdrmap::warts

@@ -13,8 +13,10 @@
 #include <limits>
 #include <map>
 #include <optional>
+#include <set>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -147,8 +149,11 @@ std::optional<Target> target_of(const topo::Internet& net, Ipv4Addr dst) {
 
 // One topology, one BGP simulator, one forwarding plane.
 struct Plane {
-  explicit Plane(const topo::GeneratorConfig& config)
-      : gen(topo::generate(config)), bgp(gen.net), fib(gen.net, bgp) {}
+  explicit Plane(const topo::GeneratorConfig& config,
+                 obs::MetricsRegistry* metrics = nullptr)
+      : gen(topo::generate(config)),
+        bgp(gen.net, metrics),
+        fib(gen.net, bgp, FibOptions{metrics}) {}
   topo::GeneratedInternet gen;
   BgpSimulator bgp;
   Fib fib;
@@ -373,13 +378,12 @@ TEST(RouteFastPath, ChurnWalksMatchReference) {
   ASSERT_TRUE(flipped.has_value()) << "the walks cross no transit link";
   const auto [a, b] = ends.at(*flipped);
   const asdata::Relationship original = p.bgp.relationships().rel(a, b);
-  p.bgp.set_relationship(a, b, asdata::Relationship::kPeer);
-  p.fib.invalidate_egress();
+  p.fib.invalidate_egress(
+      p.bgp.set_relationship(a, b, asdata::Relationship::kPeer));
   expect_walks_match_reference(p, work);
 
   // Restoring every step restores every walk.
-  p.bgp.set_relationship(a, b, original);
-  p.fib.invalidate_egress();
+  p.fib.invalidate_egress(p.bgp.set_relationship(a, b, original));
   p.fib.set_link_state(*transit, true);
   p.fib.set_link_state(*access, true);
   std::size_t changed = 0;
@@ -387,6 +391,115 @@ TEST(RouteFastPath, ChurnWalksMatchReference) {
     changed += walk(p.fib, work[i]) != warm[i];
   }
   EXPECT_EQ(changed, 0u);
+}
+
+// A relationship flip drops exactly the egress decisions whose tier key
+// it changed, pinned-prefix columns included, and keeps every other one:
+// each memo lookup the warm walks made is repeated after the flip and must
+// miss iff its key changed (egress cache hit/miss counters). The flip is
+// the first provider edge of a pinned prefix's origin whose changed keys
+// reach a pinned decision, so a pinned column the invalidation forgets
+// shows up as a hit. The walks then still match the reference.
+TEST(RouteFastPath, RelationshipFlipDropsOnlyChangedEgress) {
+  obs::MetricsRegistry metrics;
+  Plane p(eval::small_access_config(7), &metrics);
+  const topo::Internet& net = p.gen.net;
+  std::vector<Probe> work = build_workload(net, 0xF11B);
+  for (const auto& ap : net.announced()) {
+    if (ap.only_via_links.empty()) continue;
+    for (const auto& router : net.routers()) {
+      if (router.id.value % 7 == 0) {
+        work.push_back({router.id, Ipv4Addr(ap.prefix.network().value() + 1)});
+      }
+    }
+  }
+  auto lookups = [&] {
+    const obs::MetricsSnapshot m = metrics.snapshot();
+    return std::make_pair(m.counter("route.fib.egress_cache_hits"),
+                          m.counter("route.fib.egress_cache_misses"));
+  };
+
+  // Every distinct memo entry the warm walks read: (router, destination
+  // AS key, pinned prefix), with one destination that reads it.
+  struct Lookup {
+    RouterId router;
+    Ipv4Addr dst;
+    std::uint64_t key;
+    bool pinned;
+  };
+  std::vector<Lookup> warm;
+  std::set<std::tuple<std::uint32_t, std::uint64_t, const void*>> seen;
+  for (const Probe& probe : work) {
+    const Fib::RouteQuery q = p.fib.query(probe.dst);
+    const std::optional<Target> target = target_of(net, probe.dst);
+    RouterId r = probe.start;
+    for (std::size_t hop = 0; hop < kMaxWalkHops; ++hop) {
+      const auto before = lookups();
+      const auto next = p.fib.next_hop(r, q, probe.salt);
+      const auto after = lookups();
+      if (after != before && target) {
+        const std::uint64_t key = p.fib.tier_key(r, q);
+        if (seen.insert({r.value, key, target->pinned}).second) {
+          warm.push_back({r, probe.dst, key, target->pinned != nullptr});
+        }
+      }
+      if (!next) break;
+      r = next->router;
+    }
+  }
+
+  // The flip: a provider edge of a pinned prefix's origin whose changed
+  // keys include a pinned lookup's.
+  std::vector<std::uint64_t> changed;
+  for (const auto& ap : net.announced()) {
+    if (ap.only_via_links.empty() || !changed.empty()) continue;
+    for (const auto& info : net.interdomain_links()) {
+      const AsId other = info.as_a == ap.origin   ? info.as_b
+                         : info.as_b == ap.origin ? info.as_a
+                                                  : AsId{};
+      if (!other.valid() || p.bgp.relationships().rel(ap.origin, other) !=
+                                asdata::Relationship::kProvider) {
+        continue;
+      }
+      changed = p.bgp.set_relationship(ap.origin, other,
+                                        asdata::Relationship::kPeer);
+      const bool reaches_pinned =
+          std::any_of(warm.begin(), warm.end(), [&](const Lookup& l) {
+            return l.pinned && std::binary_search(changed.begin(),
+                                                  changed.end(), l.key);
+          });
+      if (reaches_pinned) break;
+      p.fib.invalidate_egress(changed);
+      p.fib.invalidate_egress(p.bgp.set_relationship(
+          ap.origin, other, asdata::Relationship::kProvider));
+      changed.clear();
+    }
+  }
+  ASSERT_FALSE(changed.empty()) << "no flip reaches a pinned decision";
+  p.fib.invalidate_egress(changed);
+
+  std::size_t kept = 0, dropped = 0, dropped_pinned = 0;
+  for (const Lookup& l : warm) {
+    const auto before = lookups();
+    p.fib.next_hop(l.router, p.fib.query(l.dst));
+    const auto after = lookups();
+    const bool moved =
+        std::binary_search(changed.begin(), changed.end(), l.key);
+    if (moved) {
+      ++dropped;
+      dropped_pinned += l.pinned;
+      EXPECT_EQ(after.second, before.second + 1)
+          << "stale entry at " << l.router.str() << " toward " << l.dst.str();
+    } else {
+      ++kept;
+      EXPECT_EQ(after.first, before.first + 1)
+          << "lost entry at " << l.router.str() << " toward " << l.dst.str();
+    }
+  }
+  EXPECT_GT(kept, 0u);
+  EXPECT_GT(dropped, 0u);
+  EXPECT_GT(dropped_pinned, 0u);
+  expect_walks_match_reference(p, work);
 }
 
 TEST(RouteFastPath, QueryAgreesWithAddressForms) {

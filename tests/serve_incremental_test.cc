@@ -227,6 +227,62 @@ TEST(ServeIncrementalTest, PrefixCoveringVpAddressMatchesReference) {
   }
 }
 
+// Kept slices are read in place (DESIGN.md §13): after a prefix epoch
+// each VP's graph reads the very trace objects of the slices the store
+// kept, in plan order, and every re-collected slice is a new object. The
+// old slices stay held here, so a new object cannot reuse an old address.
+TEST(ServeIncrementalTest, KeptSlicesAreReadInPlace) {
+  EngineFixture fx = make_engine("access", 42, nullptr, kAllVps);
+  fx.engine->rebuild_full();
+  const runtime::SliceStore& store = fx.engine->store();
+  const auto before = store.traces;
+  // Withdraw the prefix of a block VP 0 probes, one that covers no VP.
+  serve::ChurnEvent event;
+  event.kind = serve::ChurnKind::kWithdraw;
+  const auto& slices = store.plan.slices(0);
+  ASSERT_FALSE(slices.empty());
+  event.prefix =
+      store.plan.blocks_of(0, slices[slices.size() / 2]).front().prefix;
+  for (const topo::Vp& vp : fx.vps) {
+    ASSERT_FALSE(event.prefix.contains(vp.addr));
+  }
+  const serve::ChurnApplyStats stats = fx.engine->apply(event);
+  expect_identical(*fx.engine, serve::describe(event));
+
+  std::size_t kept = 0, recollected = 0;
+  for (std::size_t vp = 0; vp < fx.vps.size(); ++vp) {
+    const core::SharedTraces& read =
+        fx.engine->last_results()[vp].graph.traces();
+    ASSERT_EQ(store.traces[vp].size(), before[vp].size());
+    std::size_t t = 0;
+    for (std::size_t i = 0; i < store.traces[vp].size(); ++i) {
+      const std::shared_ptr<const core::CollectedTraces>& slice =
+          store.traces[vp][i];
+      ASSERT_NE(slice, nullptr);
+      if (slice == before[vp][i]) {
+        ++kept;
+      } else {
+        ++recollected;
+        for (const core::ObservedTrace& old : before[vp][i]->traces) {
+          for (const core::ObservedTrace& now : slice->traces) {
+            ASSERT_NE(&old, &now) << "VP " << vp << " slice " << i;
+          }
+        }
+      }
+      for (const core::ObservedTrace& trace : slice->traces) {
+        ASSERT_LT(t, read.size()) << "VP " << vp;
+        ASSERT_EQ(&read[t], &trace) << "VP " << vp << " slice " << i;
+        ++t;
+      }
+    }
+    EXPECT_EQ(t, read.size()) << "VP " << vp;
+  }
+  EXPECT_EQ(recollected, stats.dirty_slices);
+  EXPECT_EQ(kept, stats.clean_slices);
+  EXPECT_GT(kept, 0u);
+  EXPECT_GT(recollected, 0u);
+}
+
 // The dirty-set contract: a prefix event re-collects only the slices whose
 // planned blocks overlap the prefix, and a relationship event only the
 // slices whose routing footprint meets the tier keys it changed, so some

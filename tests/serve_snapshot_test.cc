@@ -192,7 +192,7 @@ TEST(ServeSnapshotTest, FingerprintIsStructural) {
   EXPECT_NE(a->fingerprint(), c->fingerprint());
 
   auto map = catchment_fixture();
-  map.links[0].seen_by.insert(7);  // a catchment change alone must show
+  map.links[0].seen_by.push_back(7);  // a catchment change alone must show
   auto d = BorderMapSnapshot::compile(nested_fixture(), map, 1);
   EXPECT_NE(a->fingerprint(), d->fingerprint());
 }

@@ -277,7 +277,7 @@ bool reference_is_vp(const core::InferenceInputs& in, net::AsId as) {
 }
 
 std::vector<net::Prefix> reference_vp_extra_blocks(
-    const std::vector<core::ObservedTrace>& traces,
+    const core::SharedTraces& traces,
     const core::InferenceInputs& in) {
   std::vector<net::Prefix> blocks;
   if (!in.rir) return blocks;

@@ -138,8 +138,7 @@ TEST(Warts, PipelineTracesRoundTripThroughDisk) {
   ASSERT_EQ(loaded.size(), result.graph.traces().size());
   // Rebuilding the router graph from reloaded traces gives the same nodes.
   core::RouterGraph rebuilt(std::move(loaded), {});
-  core::RouterGraph original(
-      std::vector<core::ObservedTrace>(result.graph.traces()), {});
+  core::RouterGraph original(result.graph.traces(), {});
   EXPECT_EQ(rebuilt.live_router_count(), original.live_router_count());
 }
 
