@@ -71,9 +71,17 @@ AliasVerdict AliasResolver::mercator(Ipv4Addr a, Ipv4Addr b) {
 
 namespace {
 
+// Ally (§5.3): five rounds, five (virtual) minutes apart, each
+// interleaving a,b,a,b,a,b samples half a second apart.
+constexpr int kAllyRounds = 5;
+constexpr double kAllyRoundInterval = 300.0;
+constexpr int kAllySamples = 6;
+constexpr double kAllySampleGap = 0.5;
+constexpr std::uint16_t kAllyMaxGap = 2000;  // max believable id jump/step
+
 // MIDAR-style monotonicity over an interleaved sample sequence: strictly
 // increasing with at most one 16-bit wrap, and no implausibly large jump.
-bool monotone(const std::vector<std::uint16_t>& ids, std::uint16_t max_gap) {
+bool monotone(const std::vector<std::uint16_t>& ids) {
   int wraps = 0;
   for (std::size_t i = 1; i < ids.size(); ++i) {
     std::uint32_t prev = ids[i - 1];
@@ -83,7 +91,7 @@ bool monotone(const std::vector<std::uint16_t>& ids, std::uint16_t max_gap) {
       if (++wraps > 1) return false;
       cur += 0x10000;
     }
-    if (cur - prev > max_gap) return false;
+    if (cur - prev > kAllyMaxGap) return false;
   }
   return true;
 }
@@ -96,20 +104,20 @@ AliasVerdict AliasResolver::ally(Ipv4Addr a, Ipv4Addr b) {
   if (b < a) std::swap(a, b);
   double clock = 0.0;  // pair-local virtual measurement time
   bool ever_sampled = false;
-  for (int round = 0; round < config_.ally_rounds; ++round) {
+  for (int round = 0; round < kAllyRounds; ++round) {
     std::vector<std::uint16_t> ids;
     bool missing = false;
-    for (int i = 0; i < config_.ally_samples; ++i) {
+    for (int i = 0; i < kAllySamples; ++i) {
       Ipv4Addr target = (i % 2 == 0) ? a : b;
       auto id = services_.ipid_sample(target, clock);
-      clock += config_.ally_sample_gap;
+      clock += kAllySampleGap;
       if (!id) {
         missing = true;
         break;
       }
       ids.push_back(*id);
     }
-    clock += config_.ally_round_interval;
+    clock += kAllyRoundInterval;
     if (missing) {
       // Unresponsive to this probe type: no evidence either way.
       if (!ever_sampled && round == 0) return AliasVerdict::kUnknown;
@@ -120,7 +128,7 @@ AliasVerdict AliasResolver::ally(Ipv4Addr a, Ipv4Addr b) {
     bool all_zero = std::all_of(ids.begin(), ids.end(),
                                 [](std::uint16_t v) { return v == 0; });
     if (all_zero) return AliasVerdict::kUnknown;
-    if (!monotone(ids, config_.ally_max_gap)) {
+    if (!monotone(ids)) {
       // One rejecting round kills the shared-counter hypothesis (§5.3).
       return AliasVerdict::kNotAlias;
     }

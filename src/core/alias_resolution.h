@@ -28,14 +28,6 @@ namespace bdrmap::core {
 
 using net::Ipv4Addr;
 
-struct AliasConfig {
-  int ally_rounds = 5;             // repeated measurements (§5.3)
-  double ally_round_interval = 300.0;  // five minutes apart
-  int ally_samples = 6;            // interleaved a,b,a,b,a,b per round
-  double ally_sample_gap = 0.5;    // seconds between samples in a round
-  std::uint16_t ally_max_gap = 2000;  // max believable id jump per step
-};
-
 enum class AliasVerdict : std::uint8_t { kUnknown, kAlias, kNotAlias };
 
 // The key of an unordered address pair: (low << 32) | high. A pair test
@@ -87,10 +79,9 @@ class AliasResolver {
   // `evidence`, when set, is consulted before probing and receives every
   // new measurement; it must outlive the resolver. Without it the resolver
   // measures into evidence of its own.
-  AliasResolver(probe::ProbeServices& services, AliasConfig config = {},
-                AliasEvidence* evidence = nullptr)
+  explicit AliasResolver(probe::ProbeServices& services,
+                         AliasEvidence* evidence = nullptr)
       : services_(services),
-        config_(config),
         evidence_(evidence ? evidence : &own_evidence_),
         record_footprints_(evidence != nullptr) {}
   AliasResolver(const AliasResolver&) = delete;
@@ -144,7 +135,6 @@ class AliasResolver {
 
  private:
   probe::ProbeServices& services_;
-  AliasConfig config_;
   AliasEvidence own_evidence_;
   AliasEvidence* evidence_;
   bool record_footprints_;

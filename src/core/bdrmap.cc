@@ -12,6 +12,12 @@ namespace bdrmap::core {
 
 namespace {
 
+// §5.3: up to five addresses per block when earlier probes see nothing
+// external (guards against third-party misinterpretation).
+constexpr std::uint64_t kMaxAddrsPerBlock = 5;
+// Cap on the number of pair tests within one candidate fan-out group.
+constexpr std::size_t kMaxCandidateGroup = 12;
+
 // Publishes the finished run to the registry: pipeline stats, the
 // confidence of every placement and each §5.4 rule's fires and skips.
 // Post-hoc over the result — the metrics can never perturb it.
@@ -103,9 +109,8 @@ std::vector<ObservedTrace> Bdrmap::collect_traces(
   };
 
   for (const ProbeBlock& block : blocks) {
-    int attempts = static_cast<int>(std::min<std::uint64_t>(
-        static_cast<std::uint64_t>(config_.max_addrs_per_block),
-        block.prefix.size()));
+    int attempts = static_cast<int>(
+        std::min<std::uint64_t>(kMaxAddrsPerBlock, block.prefix.size()));
     // First destination probed in a block (§5.3): skip the network address
     // of real prefixes, probe tiny ones from their first address.
     Ipv4Addr dst = block.prefix.size() >= 4
@@ -204,7 +209,7 @@ std::vector<std::vector<Ipv4Addr>> Bdrmap::resolve_aliases(
     return singletons;
   }
 
-  AliasResolver resolver(services_, config_.alias, evidence);
+  AliasResolver resolver(services_, evidence);
 
   // Prefixscan over observed point-to-point hops (§5.3): confirms inbound
   // interfaces and yields near-side aliases.
@@ -214,7 +219,7 @@ std::vector<std::vector<Ipv4Addr>> Bdrmap::resolve_aliases(
 
   // Pairwise tests within candidate groups (capped for probe economy).
   auto test_group = [&](const std::vector<Ipv4Addr>& group) {
-    std::size_t limit = std::min(group.size(), config_.max_candidate_group);
+    std::size_t limit = std::min(group.size(), kMaxCandidateGroup);
     for (std::size_t i = 0; i < limit; ++i) {
       for (std::size_t j = i + 1; j < limit; ++j) {
         resolver.test_pair(group[i], group[j]);
@@ -241,35 +246,6 @@ std::vector<std::vector<Ipv4Addr>> Bdrmap::resolve_aliases(
   alias_span.note("pairs_reused",
                   static_cast<std::int64_t>(stats_.alias_pairs_reused));
   return resolver.groups(ttl_addrs);
-}
-
-std::unordered_set<Ipv4Addr> Bdrmap::confirm_inbound(
-    const SharedTraces& traces) {
-  std::unordered_set<Ipv4Addr> confirmed;
-  if (!config_.enable_timestamp_checks) return confirmed;
-  auto is_vp = [&](AsId as) {
-    return std::find(inputs_.vp_ases.begin(), inputs_.vp_ases.end(), as) !=
-           inputs_.vp_ases.end();
-  };
-  std::unordered_set<Ipv4Addr> tested;
-  for (const auto& trace : traces) {
-    // First externally-mapped hop: the address third-party detection would
-    // reason about (§5.4.5); one timestamp probe settles it when honored.
-    for (const auto& hop : trace.hops) {
-      if (hop.kind != probe::ReplyKind::kTimeExceeded) continue;
-      const auto* set = inputs_.origins->origins(hop.addr);
-      if (!set || set->empty()) continue;
-      bool vp_originated = false;
-      for (AsId o : *set) vp_originated |= is_vp(o);
-      if (vp_originated) continue;
-      if (tested.insert(hop.addr).second) {
-        auto verdict = services_.timestamp_probe(trace.dst, hop.addr);
-        if (verdict && *verdict) confirmed.insert(hop.addr);
-      }
-      break;
-    }
-  }
-  return confirmed;
 }
 
 BdrmapResult infer_borders(RouterGraph graph, const InferenceInputs& inputs,
@@ -412,12 +388,6 @@ BdrmapResult Bdrmap::run_with(CollectedTraces collected,
   SharedTraces traces = std::move(collected.traces);
 
   auto groups = resolve_aliases(traces, evidence);
-  auto confirmed = confirm_inbound(traces);
-
-  HeuristicsConfig heuristics_config = config_.heuristics;
-  if (config_.enable_timestamp_checks) {
-    heuristics_config.confirmed_inbound = &confirmed;
-  }
   // Collection counted its own probes (possibly on other stacks); the
   // tail adds only what this stack spent since it started.
   stats_.probes_sent =
@@ -429,7 +399,7 @@ BdrmapResult Bdrmap::run_with(CollectedTraces collected,
 
   obs::Span heuristics_span(tracer(), "stage.heuristics");
   BdrmapResult result =
-      infer_borders(std::move(graph), inputs_, heuristics_config, stats_);
+      infer_borders(std::move(graph), inputs_, config_.heuristics, stats_);
   heuristics_span.note("links", static_cast<std::int64_t>(result.links.size()));
   heuristics_span.close();
 

@@ -23,7 +23,6 @@
 #include <map>
 #include <memory>
 #include <span>
-#include <unordered_set>
 #include <vector>
 
 #include "core/alias_resolution.h"
@@ -38,23 +37,12 @@
 namespace bdrmap::core {
 
 struct BdrmapConfig {
-  // §5.3: up to five addresses per block when earlier probes see nothing
-  // external (guards against third-party misinterpretation).
-  int max_addrs_per_block = 5;
   bool enable_stop_set = true;          // ablation: doubletree stop set
   bool enable_alias_resolution = true;  // ablation: Figure 13's failure mode
-  // Extension: IP prespecified-timestamp probing ([26]) to confirm that an
-  // externally-mapped hop address really is the inbound interface, sparing
-  // it from third-party reclassification. Off by default (the paper's
-  // bdrmap used prefixscan only; [26] is the follow-on technique).
-  bool enable_timestamp_checks = false;
-  // Cap on the number of pair tests within one candidate fan-out group.
-  std::size_t max_candidate_group = 12;
   // Extension: MIDAR-style estimation/discovery/corroboration scheduling
   // over ALL observed addresses (finds aliases the topology-driven
   // candidate fans miss, at extra probing cost).
   bool enable_midar_discovery = false;
-  AliasConfig alias;
   HeuristicsConfig heuristics;
   // Observability bundle (DESIGN.md §11). When set and enabled, run()
   // emits one span per pipeline stage (schedule → trace → alias → merge →
@@ -161,12 +149,12 @@ class Bdrmap {
   // Split pipeline: collect() runs only the probing stages and packages
   // their output, over the whole §5.3 schedule or over a given run of its
   // blocks (one slice of runtime::SlicePlan); run_with() runs the
-  // inference tail (alias resolution, inbound confirmation, graph build,
-  // §5.4 heuristics) over previously collected traces, using this
-  // instance's services for the alias/timestamp probing. Each counts only
-  // the probes its own stage spends. With `evidence`, alias resolution
-  // reuses the verdicts and Mercator sources stored there and adds what it
-  // measures; the evidence must come from stacks seeded as this one.
+  // inference tail (alias resolution, graph build, §5.4 heuristics) over
+  // previously collected traces, using this instance's services for the
+  // alias probing. Each counts only the probes its own stage spends. With
+  // `evidence`, alias resolution reuses the verdicts and Mercator sources
+  // stored there and adds what it measures; the evidence must come from
+  // stacks seeded as this one.
   CollectedTraces collect();
   CollectedTraces collect(std::span<const ProbeBlock> blocks);
   BdrmapResult run_with(CollectedTraces collected,
@@ -177,8 +165,6 @@ class Bdrmap {
       std::span<const ProbeBlock> blocks);
   std::vector<std::vector<Ipv4Addr>> resolve_aliases(
       const SharedTraces& traces, AliasEvidence* evidence);
-  // [26]: timestamp-confirm the first externally-mapped hop of each trace.
-  std::unordered_set<Ipv4Addr> confirm_inbound(const SharedTraces& traces);
 
   // nullptr when observability is off — Span/handle no-op convention.
   obs::Tracer* tracer() const {

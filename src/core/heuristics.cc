@@ -5,6 +5,7 @@
 #include <map>
 #include <optional>
 #include <span>
+#include <unordered_set>
 #include <utility>
 
 #include "core/confidence.h"
@@ -653,16 +654,6 @@ void Heuristics::phase5_relationships() {
     auto externals = external_origins(router);
     if (externals.size() != 1) continue;
     AsId a = externals.front();
-    // Timestamp-confirmed inbound interfaces are genuinely on the
-    // forward path; the reply source is not a third-party address, so
-    // the IP-AS mapping stands ([26]).
-    if (config_.confirmed_inbound) {
-      bool all_confirmed = !router.ttl_addrs.empty();
-      for (Ipv4Addr addr : router.ttl_addrs) {
-        all_confirmed &= config_.confirmed_inbound->count(addr) > 0;
-      }
-      if (all_confirmed) continue;
-    }
     // Only observed on paths toward a single organization B != A?
     std::vector<AsId> dest_orgs;
     AsId b;

@@ -15,7 +15,6 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "asdata/as_relationships.h"
@@ -52,10 +51,6 @@ struct HeuristicRuleStats {
 std::vector<std::string_view> heuristic_rule_slugs();
 
 struct HeuristicsConfig {
-  // Addresses confirmed as inbound interfaces by timestamp probing [26]:
-  // routers whose external addresses are all confirmed are exempt from
-  // third-party reclassification. Not owned; may be null.
-  const std::unordered_set<Ipv4Addr>* confirmed_inbound = nullptr;
   // Rules run() skips (counted in rule_stats()), by heuristic_rule_slugs()
   // name; a name that is no rule contract-fails. Ablations only.
   std::vector<std::string> disabled_rules;

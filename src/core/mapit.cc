@@ -6,10 +6,18 @@
 
 namespace bdrmap::core {
 
+namespace {
+
+constexpr int kMaxPasses = 8;
+// Fraction of a candidate's neighbor labels that must agree before the
+// interface is relabeled.
+constexpr double kMajority = 0.66;
+
+}  // namespace
+
 MapItResult run_mapit(const SharedTraces& traces,
                       const asdata::OriginTable& origins,
-                      const std::vector<AsId>& vp_ases,
-                      MapItConfig config) {
+                      const std::vector<AsId>& vp_ases) {
   MapItResult result;
   (void)vp_ases;  // kept for interface parity with the other baselines
 
@@ -39,7 +47,7 @@ MapItResult run_mapit(const SharedTraces& traces,
   // Multipass relabeling: an interface is the far side of a border link
   // when the dominant label among its successors differs from its own and
   // its predecessors side with its current (near) mapping.
-  for (int pass = 0; pass < config.max_passes; ++pass) {
+  for (int pass = 0; pass < kMaxPasses; ++pass) {
     ++result.passes_run;
     bool changed = false;
     OwnerTable next = result.owners;
@@ -66,7 +74,7 @@ MapItResult run_mapit(const SharedTraces& traces,
       }
       if (!dominant.valid() || dominant == label) continue;
       if (static_cast<double>(best) <
-          config.majority * static_cast<double>(total)) {
+          kMajority * static_cast<double>(total)) {
         continue;
       }
       // The border moves by exactly one interface: an address is the far

@@ -20,13 +20,6 @@
 
 namespace bdrmap::core {
 
-struct MapItConfig {
-  int max_passes = 8;
-  // Fraction of a candidate's neighbor labels that must agree before the
-  // interface is relabeled.
-  double majority = 0.66;
-};
-
 struct MapItResult {
   // Final owner label per observed (time-exceeded) interface address.
   // Sorted flat vector with std::map-identical contents and iteration
@@ -42,7 +35,6 @@ struct MapItResult {
 
 MapItResult run_mapit(const SharedTraces& traces,
                       const asdata::OriginTable& origins,
-                      const std::vector<AsId>& vp_ases,
-                      MapItConfig config = {});
+                      const std::vector<AsId>& vp_ases);
 
 }  // namespace bdrmap::core

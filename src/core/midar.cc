@@ -7,6 +7,12 @@ namespace bdrmap::core {
 
 namespace {
 
+constexpr int kEstimationSamples = 3;        // velocity samples per address
+constexpr double kEstimationGap = 10.0;      // seconds between samples
+constexpr double kMaxVelocity = 1500.0;      // ids/s; faster is noise
+constexpr double kWindowTolerance = 800.0;   // projected-ID proximity
+constexpr std::size_t kMaxWindowPairs = 64;  // corroboration per window
+
 // Unwraps b relative to a on the 16-bit counter circle, assuming the
 // counter moved forward by less than half the space.
 double forward_delta(std::uint16_t a, std::uint16_t b) {
@@ -30,17 +36,17 @@ void MidarResolver::resolve(const std::vector<Ipv4Addr>& addrs) {
   };
   std::vector<Track> tracks;
   const double reference_time =
-      clock_ + config_.estimation_samples * config_.estimation_gap + 60.0;
+      clock_ + kEstimationSamples * kEstimationGap + 60.0;
 
   for (Ipv4Addr addr : addrs) {
     // Each address's estimation is its own measurement, like a pair test.
     services_.begin_alias_test(pair_key(addr, addr));
     std::vector<std::pair<double, std::uint16_t>> samples;
     double t = clock_;
-    for (int i = 0; i < config_.estimation_samples; ++i) {
+    for (int i = 0; i < kEstimationSamples; ++i) {
       auto id = services_.ipid_sample(addr, t);
       if (id) samples.emplace_back(t, *id);
-      t += config_.estimation_gap;
+      t += kEstimationGap;
     }
     if (samples.empty()) continue;
     ++stats_.responsive;
@@ -61,7 +67,7 @@ void MidarResolver::resolve(const std::vector<Ipv4Addr>& addrs) {
     double span = samples.back().first - samples.front().first;
     if (!sane || all_zero || span <= 0.0) continue;
     double velocity = total / span;
-    if (velocity > config_.max_velocity) continue;
+    if (velocity > kMaxVelocity) continue;
     ++stats_.monotonic;
 
     Track track;
@@ -84,16 +90,15 @@ void MidarResolver::resolve(const std::vector<Ipv4Addr>& addrs) {
             });
   std::vector<std::pair<Ipv4Addr, Ipv4Addr>> candidates;
   for (std::size_t i = 0; i < tracks.size(); ++i) {
-    std::size_t budget = config_.max_window_pairs;
+    std::size_t budget = kMaxWindowPairs;
     for (std::size_t j = i + 1; j < tracks.size() && budget > 0; ++j) {
       double gap = tracks[j].projected - tracks[i].projected;
-      if (gap > config_.window_tolerance) {
+      if (gap > kWindowTolerance) {
         // Wrap-around window: the circle's seam needs one extra check.
-        if (tracks[i].projected >
-            65536.0 - config_.window_tolerance) {
+        if (tracks[i].projected > 65536.0 - kWindowTolerance) {
           double wrapped = tracks[j].projected + 65536.0 -
                            tracks[i].projected;
-          if (wrapped > 65536.0 + config_.window_tolerance) break;
+          if (wrapped > 65536.0 + kWindowTolerance) break;
         } else {
           break;
         }

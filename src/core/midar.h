@@ -20,19 +20,10 @@
 
 namespace bdrmap::core {
 
-struct MidarConfig {
-  int estimation_samples = 3;        // velocity samples per address
-  double estimation_gap = 10.0;      // seconds between estimation samples
-  double max_velocity = 1500.0;      // ids/s beyond which projection is noise
-  double window_tolerance = 800.0;   // projected-ID proximity for candidacy
-  std::size_t max_window_pairs = 64; // corroboration budget per window
-};
-
 class MidarResolver {
  public:
-  MidarResolver(probe::ProbeServices& services, AliasResolver& resolver,
-                MidarConfig config = {})
-      : services_(services), resolver_(resolver), config_(config) {}
+  MidarResolver(probe::ProbeServices& services, AliasResolver& resolver)
+      : services_(services), resolver_(resolver) {}
 
   // Runs the three stages over `addrs`. Verdicts are recorded in the
   // shared resolver; call resolver.groups(...) afterwards as usual.
@@ -50,7 +41,6 @@ class MidarResolver {
  private:
   probe::ProbeServices& services_;
   AliasResolver& resolver_;
-  MidarConfig config_;
   Stats stats_;
   double clock_ = 1000.0;  // distinct virtual epoch from the resolver's
 };

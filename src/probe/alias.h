@@ -114,10 +114,6 @@ class LocalProbeServices final : public ProbeServices {
   void begin_alias_test(std::uint64_t key) override {
     prober_.begin_test(key);
   }
-  std::optional<bool> timestamp_probe(Ipv4Addr path_dst,
-                                      Ipv4Addr candidate) override {
-    return tracer_.timestamp_probe(path_dst, candidate);
-  }
   void record_footprint(std::vector<std::uint64_t>* sink) override {
     tracer_.record_footprint(sink);
   }

@@ -13,8 +13,6 @@ TracerouteEngine::TracerouteEngine(const topo::Internet& net,
   if (config_.metrics) {
     traces_ = config_.metrics->counter("probe.traces");
     trace_packets_ = config_.metrics->counter("probe.trace_packets");
-    pings_ = config_.metrics->counter("probe.pings");
-    timestamp_probes_ = config_.metrics->counter("probe.timestamp_probes");
   }
 }
 
@@ -263,55 +261,6 @@ bool TracerouteEngine::reaches_addr(Ipv4Addr addr) const {
   }
   reach_cache_.emplace(addr.value(), ok);
   return ok;
-}
-
-std::optional<bool> TracerouteEngine::timestamp_probe(Ipv4Addr path_dst,
-                                                      Ipv4Addr candidate) {
-  ++probes_sent_;
-  timestamp_probes_.inc();
-  auto cand_iface = net_.iface_at(candidate);
-  if (!cand_iface) return std::nullopt;  // not a router interface at all
-  const auto& cand_router = net_.router(net_.iface(*cand_iface).router);
-  if (!cand_router.behavior.honors_timestamp) return std::nullopt;
-
-  // Walk the forward path; the candidate stamps iff it is the ingress
-  // interface of some hop (the semantics [26] exploits: a router stamps
-  // with the address of the interface the packet arrived on).
-  bool delivered = false;
-  bool stamped = false;
-  for (const PathHop& node : walk(fib_.query(path_dst), 0, config_.max_ttl)) {
-    if (node.ingress.valid() && net_.iface(node.ingress).addr == candidate) {
-      stamped = true;
-    }
-    if (node.is_delivery) {
-      delivered = true;
-      break;
-    }
-  }
-  if (stamped) return true;
-  // Negative evidence only if the probe actually completed its journey.
-  if (delivered) return false;
-  return std::nullopt;
-}
-
-std::optional<ReplyKind> TracerouteEngine::ping(Ipv4Addr addr) {
-  ++probes_sent_;
-  pings_.inc();
-  auto iface = net_.iface_at(addr);
-  if (iface) {
-    RouterId owner = net_.iface(*iface).router;
-    if (!reaches(owner, fib_.query(addr))) return std::nullopt;
-    const auto& behavior = net_.router(owner).behavior;
-    if (!behavior.responds_echo || rng_.chance(behavior.rate_limit_drop)) {
-      return std::nullopt;
-    }
-    return ReplyKind::kEchoReply;
-  }
-  const auto* ap = net_.announced_match(addr);
-  if (!ap) return std::nullopt;
-  if (!reaches(ap->host_router, fib_.query(addr))) return std::nullopt;
-  if (!rng_.chance(ap->dest_responsiveness)) return std::nullopt;
-  return ReplyKind::kEchoReply;
 }
 
 }  // namespace bdrmap::probe

@@ -14,7 +14,7 @@
 // Every forward path is one walk over the FIB (walk(), DESIGN.md §14): a
 // pure function of routing that consumes no RNG and never consults the
 // stop set. trace() generates replies along the walked path afterwards;
-// reaches() and timestamp_probe() read the same walk.
+// reaches() reads the same walk.
 #pragma once
 
 #include <cstdint>
@@ -60,20 +60,9 @@ class TracerouteEngine {
 
   TraceResult trace(Ipv4Addr dst, const StopFn& stop = nullptr);
 
-  // ICMP echo probe to `addr` itself (used for alias resolution / §5.4.8
-  // evidence). Returns the reply source, which for echo replies is the
-  // probed address.
-  std::optional<ReplyKind> ping(Ipv4Addr addr);
-
   // True iff a probe to `addr` is delivered to the router or host owning
   // it (considers routing and edge firewalls). Cached per address.
   bool reaches_addr(Ipv4Addr addr) const;
-
-  // IP prespecified-timestamp probe ([26]): does `candidate` stamp probes
-  // toward `path_dst`? true = stamped (inbound interface on the path),
-  // false = probe delivered unstamped, nullopt = no evidence (the
-  // candidate's router ignores the option or the probe was lost).
-  std::optional<bool> timestamp_probe(Ipv4Addr path_dst, Ipv4Addr candidate);
 
   // The interface `router` transmits packets toward this VP from.
   // Memoized: the kEgressToSrc reply policy and Mercator UDP probing ask
@@ -147,8 +136,6 @@ class TracerouteEngine {
   // No-op handles unless TracerConfig::metrics was set.
   obs::Counter traces_;
   obs::Counter trace_packets_;
-  obs::Counter pings_;
-  obs::Counter timestamp_probes_;
   // The VP's own address resolved once for the engine's lifetime.
   route::Fib::RouteQuery vp_query_;
   mutable std::unordered_map<std::uint32_t, bool> reach_cache_;

@@ -73,14 +73,6 @@ class ProbeServices {
   // not on what the stack measured before (DESIGN.md §8).
   virtual void begin_alias_test(std::uint64_t key) = 0;
 
-  // IP prespecified-timestamp probe ([26]): a probe toward `path_dst`
-  // carrying a timestamp slot prespecified for `candidate`. Returns true
-  // if `candidate` stamped it (it is an inbound interface on the forward
-  // path), false if the probe completed without a stamp, nullopt when no
-  // evidence could be gathered (option stripped / router ignores it).
-  virtual std::optional<bool> timestamp_probe(Ipv4Addr path_dst,
-                                              Ipv4Addr candidate) = 0;
-
   // The address this stack probes from (its VP's). Routers source
   // kEgressToSrc time-exceeded replies and Mercator replies from their
   // egress toward it, so routing changes under it move those replies.

@@ -206,33 +206,6 @@ std::optional<std::uint16_t> decode_ipid_resp(
   return id;
 }
 
-std::vector<std::uint8_t> encode_ts_req(net::Ipv4Addr path_dst,
-                                        net::Ipv4Addr candidate) {
-  Writer w;
-  w.u8(static_cast<std::uint8_t>(MsgType::kTsReq));
-  w.addr(path_dst);
-  w.addr(candidate);
-  return w.take();
-}
-
-std::vector<std::uint8_t> encode_ts_resp(std::optional<bool> stamped) {
-  Writer w;
-  w.u8(static_cast<std::uint8_t>(MsgType::kTsResp));
-  w.u8(stamped ? 1 : 0);
-  w.u8(stamped.value_or(false) ? 1 : 0);
-  return w.take();
-}
-
-std::optional<bool> decode_ts_resp(const std::vector<std::uint8_t>& buf) {
-  Reader r(buf);
-  expect_type(r, MsgType::kTsResp);
-  bool has = r.u8() != 0;
-  bool stamped = r.u8() != 0;
-  r.expect_done();
-  if (!has) return std::nullopt;
-  return stamped;
-}
-
 std::vector<std::uint8_t> encode_alias_test_req(std::uint64_t key) {
   Writer w;
   w.u8(static_cast<std::uint8_t>(MsgType::kAliasTestReq));

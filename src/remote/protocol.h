@@ -34,8 +34,8 @@ enum class MsgType : std::uint8_t {
   kUdpResp = 4,
   kIpidReq = 5,
   kIpidResp = 6,
-  kTsReq = 7,
-  kTsResp = 8,
+  // 7 and 8 are retired (never reassigned): a device answers them
+  // kError(kUnknownRequest).
   kHelloReq = 9,    // (re-)establish a device session
   kHelloResp = 10,  // carries the granted session id
   kError = 11,      // negative acknowledgement, carries an ErrCode
@@ -181,11 +181,6 @@ std::vector<std::uint8_t> encode_ipid_req(net::Ipv4Addr a, double t);
 std::vector<std::uint8_t> encode_ipid_resp(std::optional<std::uint16_t> id);
 std::optional<std::uint16_t> decode_ipid_resp(
     const std::vector<std::uint8_t>& buf);
-
-std::vector<std::uint8_t> encode_ts_req(net::Ipv4Addr path_dst,
-                                        net::Ipv4Addr candidate);
-std::vector<std::uint8_t> encode_ts_resp(std::optional<bool> stamped);
-std::optional<bool> decode_ts_resp(const std::vector<std::uint8_t>& buf);
 
 std::vector<std::uint8_t> encode_alias_test_req(std::uint64_t key);
 std::uint64_t decode_alias_test_req(const std::vector<std::uint8_t>& buf);

@@ -76,12 +76,6 @@ std::vector<std::uint8_t> ProberDevice::handle(
         services_.begin_alias_test(decode_alias_test_req(request));
         return encode_alias_test_resp();
       }
-      case MsgType::kTsReq: {
-        net::Ipv4Addr path_dst = r.addr();
-        net::Ipv4Addr candidate = r.addr();
-        r.expect_done();
-        return encode_ts_resp(services_.timestamp_probe(path_dst, candidate));
-      }
       default:
         return encode_error(ErrCode::kUnknownRequest);
     }
@@ -311,19 +305,6 @@ void RemoteProbeServices::begin_alias_test(std::uint64_t key) {
   } catch (const ProtocolError&) {
     ++channel_->stats().corrupt_frames_detected;
     corrupt_frames_.inc();
-  }
-}
-
-std::optional<bool> RemoteProbeServices::timestamp_probe(
-    net::Ipv4Addr path_dst, net::Ipv4Addr candidate) {
-  auto payload = request(encode_ts_req(path_dst, candidate));
-  if (!payload) return std::nullopt;
-  try {
-    return decode_ts_resp(*payload);
-  } catch (const ProtocolError&) {
-    ++channel_->stats().corrupt_frames_detected;
-    corrupt_frames_.inc();
-    return std::nullopt;
   }
 }
 

@@ -124,8 +124,6 @@ class RemoteProbeServices final : public probe::ProbeServices {
   // request leaves the device on its previous key: a degraded run's
   // verdicts may then differ, like its other lost probes.
   void begin_alias_test(std::uint64_t key) override;
-  std::optional<bool> timestamp_probe(net::Ipv4Addr path_dst,
-                                      net::Ipv4Addr candidate) override;
   // Read off the device, like its probe count (run-time accounting).
   net::Ipv4Addr vp_addr() const override {
     return channel_->device().vp_addr();

@@ -93,16 +93,10 @@ core::BdrmapResult run_vp(
 }
 
 // Ordered reduction over out.per_vp, VP by VP on the joining thread: the
-// merged output is a pure function of the per-VP results, independent of
-// which worker finished first.
+// totals are a pure function of the per-VP results, independent of which
+// worker finished first.
 void reduce_ordered(MultiVpResult& out) {
-  for (std::size_t vp = 0; vp < out.per_vp.size(); ++vp) {
-    const core::BdrmapResult& r = out.per_vp[vp];
-    for (const core::InferredLink& link : r.links) {
-      out.merged_links_by_as[link.neighbor_as].push_back(
-          out.merged_links.size());
-      out.merged_links.emplace_back(vp, link);
-    }
+  for (const core::BdrmapResult& r : out.per_vp) {
     out.total.probes_sent += r.stats.probes_sent;
     out.total.blocks += r.stats.blocks;
     out.total.traces += r.stats.traces;

@@ -29,10 +29,8 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "core/bdrmap.h"
@@ -116,11 +114,8 @@ struct MultiVpTimes {
 struct MultiVpResult {
   // Per-VP results, in job order (index i == job i).
   std::vector<core::BdrmapResult> per_vp;
-  // Ordered reduction: every inferred link tagged with its VP index,
-  // concatenated in VP order, plus the rebuilt per-AS index into it and
-  // the summed stats.
-  std::vector<std::pair<std::size_t, core::InferredLink>> merged_links;
-  std::map<net::AsId, std::vector<std::size_t>> merged_links_by_as;
+  // Ordered reduction: the per-VP stats summed in VP order. The
+  // network-wide border map is core::merge_results over per_vp.
   core::BdrmapStats total;
   MultiVpTimes times;
 };

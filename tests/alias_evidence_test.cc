@@ -85,9 +85,6 @@ class RecordingServices final : public probe::ProbeServices {
   void addr_footprint(Ipv4Addr addr, std::vector<std::uint64_t>& out) override {
     inner_->addr_footprint(addr, out);
   }
-  std::optional<bool> timestamp_probe(Ipv4Addr dst, Ipv4Addr c) override {
-    return inner_->timestamp_probe(dst, c);
-  }
   Ipv4Addr vp_addr() const override { return inner_->vp_addr(); }
   std::uint64_t probes_sent() const override { return inner_->probes_sent(); }
   void reseed(std::uint64_t seed) override { inner_->reseed(seed); }
@@ -142,7 +139,7 @@ TEST(AliasEvidenceTest, PairVerdictsIgnoreTestOrder) {
     rng.shuffle(pairs);
     RecordingServices services(scenario->services_for(vp, kTailSeed));
     AliasEvidence evidence;
-    AliasResolver resolver(services, {}, &evidence);
+    AliasResolver resolver(services, &evidence);
     for (const auto& [a, b] : pairs) {
       // Swapping the pair's sides must not matter either.
       if (order % 2 == 0) {

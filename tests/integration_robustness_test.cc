@@ -1,13 +1,12 @@
-// Cross-cutting integration properties: remote timestamp plumbing, MOAS
-// forwarding, pinned-prefix fallback, link emission after response gaps,
-// validation robustness across seeds at access-network scale, and the
-// adversarial scenario families (accuracy floor + clean invariant audit).
+// Cross-cutting integration properties: MOAS forwarding, pinned-prefix
+// fallback, link emission after response gaps, validation robustness
+// across seeds at access-network scale, and the adversarial scenario
+// families (accuracy floor + clean invariant audit).
 #include <gtest/gtest.h>
 
 #include "check/check.h"
 #include "eval/ground_truth.h"
 #include "eval/scenario_registry.h"
-#include "remote/split.h"
 #include "route/fib.h"
 #include "test_support.h"
 
@@ -16,30 +15,6 @@ namespace {
 
 using net::AsId;
 using test::ip;
-
-TEST(RemoteTimestamp, RoundTripsThroughDevice) {
-  eval::Scenario s(eval::small_access_config(11));
-  net::AsId vp_as = s.first_of(topo::AsKind::kAccess);
-  auto vp = s.vps_in(vp_as).front();
-  auto local = s.services_for(vp, 5);
-  auto device_backend = s.services_for(vp, 5);
-  remote::ProberDevice device(*device_backend);
-  remote::RemoteProbeServices remote_services(device);
-
-  // Compare verdicts for a handful of (path_dst, candidate) pairs.
-  std::size_t compared = 0;
-  for (const auto& session : s.fib().sessions_of(vp_as)) {
-    net::Ipv4Addr far = s.net().iface(session.far_iface).addr;
-    auto a = local->timestamp_probe(far, far);
-    auto b = remote_services.timestamp_probe(far, far);
-    EXPECT_EQ(a.has_value(), b.has_value());
-    if (a && b) {
-      EXPECT_EQ(*a, *b);
-    }
-    if (++compared == 10) break;
-  }
-  EXPECT_GE(compared, 5u);
-}
 
 TEST(MoasForwarding, CoOriginatedPrefixStillDelivered) {
   // Generated MOAS prefixes (sibling co-origination) must be reachable.

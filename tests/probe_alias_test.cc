@@ -170,7 +170,6 @@ TEST_F(AliasProbeFixture, ReseedMatchesFreshStack) {
         const auto udp = s.udp_probe(ip(addr));
         out.push_back(udp ? static_cast<std::int64_t>(udp->value()) : -1);
         put(s.ipid_sample(ip(addr), t += 0.5));
-        put(s.timestamp_probe(ip(addr), ip("10.0.0.2")));
       }
     }
     out.push_back(static_cast<std::int64_t>(s.probes_sent()));

@@ -193,8 +193,6 @@ std::vector<CorpusEntry> build_corpus() {
        [](const std::vector<std::uint8_t>& b) { decode_udp_resp(b); }},
       {"ipid_resp", encode_ipid_resp(std::uint16_t{0x1234}),
        [](const std::vector<std::uint8_t>& b) { decode_ipid_resp(b); }},
-      {"ts_resp", encode_ts_resp(true),
-       [](const std::vector<std::uint8_t>& b) { decode_ts_resp(b); }},
       {"alias_test_req", encode_alias_test_req(0x0A000001'0A000102ULL),
        [](const std::vector<std::uint8_t>& b) { decode_alias_test_req(b); }},
       {"hello_resp", encode_hello_resp(3),

@@ -85,7 +85,7 @@ TEST_F(SplitFixture, RemoteMatchesLocalAliasVerdicts) {
 
   auto run = [&](probe::ProbeServices& services) {
     core::AliasEvidence evidence;
-    core::AliasResolver resolver(services, {}, &evidence);
+    core::AliasResolver resolver(services, &evidence);
     std::vector<std::pair<std::uint64_t, core::AliasVerdict>> verdicts;
     for (std::uint64_t key : keys) {
       const net::Ipv4Addr a(static_cast<std::uint32_t>(key >> 32));
@@ -179,6 +179,20 @@ TEST_F(SplitFixture, DeviceAnswersGarbageWithErrorFrameNotException) {
             ErrCode::kMalformedRequest);
   // Empty payload.
   EXPECT_EQ(decode_error(device.handle({})), ErrCode::kMalformedRequest);
+
+  // Retired types 7 and 8 (the IP-timestamp request and response), in
+  // their old shapes and bare: unknown requests, never misparsed, and no
+  // probe is spent on them.
+  Writer ts_req;
+  ts_req.u8(7);
+  ts_req.addr(net::Ipv4Addr(0x14000009u));
+  ts_req.addr(net::Ipv4Addr(0x0A000102u));
+  for (const std::vector<std::uint8_t>& retired :
+       {ts_req.take(), std::vector<std::uint8_t>{8, 1, 1},
+        std::vector<std::uint8_t>{7}, std::vector<std::uint8_t>{8}}) {
+    EXPECT_EQ(decode_error(device.handle(retired)), ErrCode::kUnknownRequest);
+  }
+  EXPECT_EQ(device.probes_sent(), 0u);
 }
 
 TEST_F(SplitFixture, DeviceRequiresSessionAndServesReplayCache) {

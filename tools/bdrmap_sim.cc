@@ -18,13 +18,14 @@
 #include <thread>
 
 #include "check/check.h"
-#include "cli_number.h"
+#include "core/merge.h"
 #include "core/offline.h"
 #include "eval/ground_truth.h"
 #include "eval/scenario_registry.h"
 #include "eval/table1.h"
 #include "obs/export.h"
 #include "obs/obs.h"
+#include "runtime/flags.h"
 #include "runtime/multi_vp.h"
 #include "runtime/thread_pool.h"
 #include "warts/dot.h"
@@ -85,7 +86,7 @@ bool parse_args(int argc, char** argv, Options* opts) {
       return (i + 1 < argc) ? argv[++i] : nullptr;
     };
     auto number = [&](auto* out) {
-      return tools::parse_number(arg.c_str(), next(), out);
+      return runtime::parse_number(arg.c_str(), next(), out);
     };
     if (arg == "--scenario") {
       const char* v = next();
@@ -210,9 +211,12 @@ int main(int argc, char** argv) {
                   r.stats.traces, r.stats.routers, r.links.size(),
                   r.links_by_as.size());
     }
+    std::vector<const core::BdrmapResult*> run_ptrs;
+    for (const auto& r : runs.per_vp) run_ptrs.push_back(&r);
+    const core::MergedMap merged = core::merge_results(run_ptrs);
     std::printf("merged: %zu links (%zu distinct neighbor ASes), "
                 "%llu probes, %zu traces total\n",
-                runs.merged_links.size(), runs.merged_links_by_as.size(),
+                merged.links.size(), merged.links_by_as.size(),
                 static_cast<unsigned long long>(runs.total.probes_sent),
                 runs.total.traces);
 

@@ -20,11 +20,11 @@
 #include <thread>
 #include <vector>
 
-#include "cli_number.h"
 #include "eval/degradation.h"
 #include "eval/scenario_registry.h"
 #include "obs/export.h"
 #include "obs/obs.h"
+#include "runtime/flags.h"
 #include "runtime/thread_pool.h"
 #include "serve/churn.h"
 #include "serve/engine.h"
@@ -61,7 +61,7 @@ bool parse_args(int argc, char** argv, Options* opts) {
       return (i + 1 < argc) ? argv[++i] : nullptr;
     };
     auto number = [&](auto* out) {
-      return tools::parse_number(arg.c_str(), next(), out);
+      return runtime::parse_number(arg.c_str(), next(), out);
     };
     if (arg == "--scenario") {
       const char* v = next();

@@ -33,7 +33,10 @@ are required instead of the batch pipeline stages.
 
 Every counter, gauge, histogram and span name in the export must also
 match the name column of the inventory tables in docs/observability.md;
-a <placeholder> there matches one dotted segment.
+a <placeholder> there matches one dotted segment. In reverse, every
+inventory name without a placeholder must appear as a string literal in
+the C++ sources under src/ or tools/, so a deleted metric or span cannot
+leave a stale row behind.
 
 Usage: tools/check_obs.py EXPORT.json [--schema PATH] [--schema-only]
                                       [--serve]
@@ -225,22 +228,42 @@ def check_run(doc, serve: bool = False) -> list[str]:
     return findings
 
 
-def inventory_patterns(doc_path: Path) -> list[re.Pattern]:
-    """Name patterns from the first column of every table in DOC.
-
-    Each backticked name in a row's first cell is one pattern; a
-    <placeholder> matches exactly one dotted segment.
-    """
-    patterns = []
+def inventory_names(doc_path: Path) -> list[str]:
+    """Every backticked name in the first column of every table in DOC."""
+    names = []
     for line in doc_path.read_text().splitlines():
         if not line.startswith("|"):
             continue
         first_cell = line.split("|")[1]
-        for name in re.findall(r"`([^`]+)`", first_cell):
-            parts = re.split(r"<[^>]+>", name)
-            patterns.append(re.compile(
-                "[^.]+".join(re.escape(p) for p in parts) + r"\Z"))
+        names += re.findall(r"`([^`]+)`", first_cell)
+    return names
+
+
+def inventory_patterns(names: list[str]) -> list[re.Pattern]:
+    """One pattern per inventory name; a <placeholder> matches exactly one
+    dotted segment."""
+    patterns = []
+    for name in names:
+        parts = re.split(r"<[^>]+>", name)
+        patterns.append(re.compile(
+            "[^.]+".join(re.escape(p) for p in parts) + r"\Z"))
     return patterns
+
+
+def check_stale_rows(names: list[str]) -> list[str]:
+    """Every placeholder-free inventory name must be a string literal in
+    the C++ sources under src/ or tools/."""
+    sources = "".join(
+        path.read_text()
+        for root in ("src", "tools")
+        for path in sorted((REPO / root).rglob("*"))
+        if path.suffix in (".cc", ".h"))
+    return [
+        f"inventory row '{name}' names no string literal under src/ or "
+        f"tools/"
+        for name in names
+        if "<" not in name and f'"{name}"' not in sources
+    ]
 
 
 def check_inventory(doc, patterns: list[re.Pattern]) -> list[str]:
@@ -272,7 +295,7 @@ def main(argv: list[str]) -> int:
     try:
         schema = json.loads(Path(args.schema).read_text())
         doc = json.loads(Path(args.export).read_text())
-        patterns = inventory_patterns(REPO / "docs" / "observability.md")
+        inventory = inventory_names(REPO / "docs" / "observability.md")
     except (OSError, json.JSONDecodeError) as e:
         print(f"check_obs: {e}", file=sys.stderr)
         return 1
@@ -284,7 +307,8 @@ def main(argv: list[str]) -> int:
         return 1
 
     findings = [] if args.schema_only else check_run(doc, serve=args.serve)
-    findings += check_inventory(doc, patterns)
+    findings += check_inventory(doc, inventory_patterns(inventory))
+    findings += check_stale_rows(inventory)
     if findings:
         for f in findings:
             print(f"check_obs: {args.export}: {f}", file=sys.stderr)

@@ -14,8 +14,8 @@
 #include <vector>
 
 #include "check/check.h"
-#include "cli_number.h"
 #include "eval/scenario.h"
+#include "runtime/flags.h"
 
 using namespace bdrmap;
 
@@ -61,7 +61,7 @@ bool parse_args(int argc, char** argv, Options* opts) {
       return (i + 1 < argc) ? argv[++i] : nullptr;
     };
     auto number = [&](auto* out) {
-      return tools::parse_number(arg.c_str(), next(), out);
+      return runtime::parse_number(arg.c_str(), next(), out);
     };
     if (arg == "--scenario") {
       const char* v = next();

@@ -15,10 +15,10 @@
 #include <thread>
 #include <vector>
 
-#include "cli_number.h"
 #include "eval/fuzzer.h"
 #include "obs/export.h"
 #include "obs/obs.h"
+#include "runtime/flags.h"
 #include "runtime/thread_pool.h"
 
 using namespace bdrmap;
@@ -51,7 +51,7 @@ bool parse_args(int argc, char** argv, Options* opts) {
       return (i + 1 < argc) ? argv[++i] : nullptr;
     };
     auto number = [&](auto* out) {
-      return tools::parse_number(arg.c_str(), next(), out);
+      return runtime::parse_number(arg.c_str(), next(), out);
     };
     if (arg == "--seeds") {
       if (!number(&opts->seeds)) return false;

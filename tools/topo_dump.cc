@@ -9,8 +9,8 @@
 #include <map>
 #include <string>
 
-#include "cli_number.h"
 #include "eval/scenario.h"
+#include "runtime/flags.h"
 
 using namespace bdrmap;
 
@@ -49,7 +49,7 @@ int main(int argc, char** argv) {
       scenario_name = argv[++i];
     } else if (arg == "--seed") {
       const char* v = i + 1 < argc ? argv[++i] : nullptr;
-      if (!tools::parse_number(arg.c_str(), v, &seed)) return usage(argv[0]);
+      if (!runtime::parse_number(arg.c_str(), v, &seed)) return usage(argv[0]);
     } else if (arg == "--links") {
       list_links = true;
     } else {
