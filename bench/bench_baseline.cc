@@ -55,8 +55,7 @@ Row compare(const char* name, const topo::GeneratorConfig& config,
   row.baseline_acc = eval::pct(correct, total);
 
   // MAP-IT-style multipass interface relabeling on the same traces.
-  auto mapit = core::run_mapit(result.graph.traces(), *inputs.origins,
-                               inputs.vp_ases);
+  auto mapit = core::run_mapit(result.graph.traces(), *inputs.origins);
   std::size_t mtotal = 0, mcorrect = 0;
   for (const auto& [addr, as] : mapit.owners) {
     auto r = scenario.net().router_at(addr);

@@ -41,9 +41,9 @@ void BM_FibNextHop(benchmark::State& state) {
   std::size_t i = 0;
   for (auto _ : state) {
     const auto& ap = announced[i++ % announced.size()];
-    benchmark::DoNotOptimize(
-        s.fib().next_hop(vp.attach_router,
-                         net::Ipv4Addr(ap.prefix.first().value() + 1)));
+    const route::Fib::RouteQuery q =
+        s.fib().query(net::Ipv4Addr(ap.prefix.first().value() + 1));
+    benchmark::DoNotOptimize(s.fib().next_hop(vp.attach_router, q));
   }
 }
 BENCHMARK(BM_FibNextHop);

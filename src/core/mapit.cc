@@ -16,10 +16,8 @@ constexpr double kMajority = 0.66;
 }  // namespace
 
 MapItResult run_mapit(const SharedTraces& traces,
-                      const asdata::OriginTable& origins,
-                      const std::vector<AsId>& vp_ases) {
+                      const asdata::OriginTable& origins) {
   MapItResult result;
-  (void)vp_ases;  // kept for interface parity with the other baselines
 
   // Interface graph: successors and predecessors per address.
   std::map<Ipv4Addr, std::set<Ipv4Addr>> successors, predecessors;

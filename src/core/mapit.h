@@ -12,8 +12,6 @@
 // (frequently wrong) IP-AS label.
 #pragma once
 
-#include <vector>
-
 #include "asdata/bgp_origins.h"
 #include "core/observations.h"
 #include "core/owner_table.h"
@@ -34,7 +32,6 @@ struct MapItResult {
 };
 
 MapItResult run_mapit(const SharedTraces& traces,
-                      const asdata::OriginTable& origins,
-                      const std::vector<AsId>& vp_ases);
+                      const asdata::OriginTable& origins);
 
 }  // namespace bdrmap::core

@@ -145,8 +145,8 @@ topo::GeneratorConfig large_access_config(std::uint64_t seed = 1);
 topo::GeneratorConfig tier1_config(std::uint64_t seed = 1);
 topo::GeneratorConfig small_access_config(std::uint64_t seed = 1);
 // The scale topology (DESIGN.md §14): thousands of ASes, so the §5.3
-// schedule is wide enough for probe-wave batching and (VP, target-AS)
-// slicing to show up in wall-clock rather than drown in setup cost.
+// schedule is wide enough for (VP, target-AS) slicing and substrate
+// construction to show up in wall-clock rather than drown in setup cost.
 topo::GeneratorConfig scale_config(std::uint64_t seed = 1);
 
 }  // namespace bdrmap::eval

@@ -91,15 +91,14 @@ void TracerouteEngine::reseed(std::uint64_t seed) {
 }
 
 const std::vector<TracerouteEngine::PathHop>& TracerouteEngine::walk(
-    const route::Fib::RouteQuery& q, std::uint32_t flow_salt,
-    int limit) const {
+    const route::Fib::RouteQuery& q) const {
   path_.clear();
   RouterId cur = vp_.attach_router;
   IfaceId ingress;
   bool entered = false;  // the last hop crossed an interdomain link
   // BDRMAP_HOT_BEGIN(probe_walk) — BDR104: one hop per pass; pure FIB
   // reads into the reused path_, no node containers.
-  for (int step = 0; step < limit; ++step) {
+  for (int step = 0; step < kMaxTtl; ++step) {
     PathHop node;
     node.router = cur;
     node.ingress = ingress;
@@ -110,8 +109,8 @@ const std::vector<TracerouteEngine::PathHop>& TracerouteEngine::walk(
     node.firewalled = entered && net_.router(cur).behavior.firewall_edge &&
                       !node.dst_is_own_addr;
     path_.push_back(node);
-    if (node.is_delivery || node.firewalled || step + 1 >= limit) break;
-    auto hop = fib_.next_hop(cur, q, flow_salt);
+    if (node.is_delivery || node.firewalled || step + 1 >= kMaxTtl) break;
+    auto hop = fib_.next_hop(cur, q);
     if (!hop) break;  // no route
     entered = hop->crossed_interdomain;
     cur = hop->router;
@@ -144,32 +143,11 @@ TraceResult TracerouteEngine::trace(Ipv4Addr dst, const StopFn& stop) {
   // The forward path is walked before any reply is generated; all
   // RNG/stop-set consumption happens in the reply loop below.
   const route::Fib::RouteQuery q = fib_.query(dst);
-  const std::vector<PathHop>* path = &classic_path_;
-  if (config_.paris) {
-    path = &walk(q, 0, config_.max_ttl);
-  } else {
-    // Classic traceroute: each TTL's probe hashes to its own ECMP choice;
-    // the recorded "path" is hop k of the salt-k walk — which may splice
-    // different true paths together (the [2] artifact). Every per-TTL
-    // walk shares the one RouteQuery resolution.
-    classic_path_.clear();
-    for (int ttl = 1; ttl <= config_.max_ttl; ++ttl) {
-      const std::vector<PathHop>& probe_path =
-          walk(q, static_cast<std::uint32_t>(ttl), ttl);
-      const PathHop& last = probe_path.back();
-      classic_path_.push_back(last);
-      if (static_cast<int>(probe_path.size()) < ttl) {
-        // The salt-ttl walk ended early (delivery/firewall/no route):
-        // its terminal node is recorded and probing stops.
-        break;
-      }
-      if (last.is_delivery || last.firewalled) break;
-    }
-  }
+  const std::vector<PathHop>& path = walk(q);
 
   // Generate per-TTL replies along the walked path.
   int gap = 0;
-  for (const PathHop& node : *path) {
+  for (const PathHop& node : path) {
     ++probes_sent_;
     trace_packets_.inc();
     const auto& router = net_.router(node.router);
@@ -244,7 +222,7 @@ bool TracerouteEngine::reaches(RouterId router,
   // The probe reaches `router` iff its walk terminates there as an
   // unfirewalled delivery (edge filters still permit traffic to the
   // border's own addresses, which the walk's firewalled flag exempts).
-  const std::vector<PathHop>& path = walk(q, 0, config_.max_ttl);
+  const std::vector<PathHop>& path = walk(q);
   if (path.empty()) return false;
   const PathHop& last = path.back();
   return last.is_delivery && !last.firewalled && last.router == router;

@@ -8,8 +8,9 @@
 // borders answer for themselves but firewall probes that would transit into
 // their network; silent routers never answer; rate-limited routers answer
 // probabilistically; echo replies carry the probed address as their source.
-// Paris probing is implicit: the FIB is deterministic per flow, so every
-// TTL of a trace follows the same path.
+// Probing is Paris traceroute, as in the paper [2]: forwarding is a pure
+// function of (router, destination), so every TTL of a trace follows the
+// same path.
 //
 // Every forward path is one walk over the FIB (walk(), DESIGN.md §14): a
 // pure function of routing that consumes no RNG and never consults the
@@ -30,16 +31,12 @@
 
 namespace bdrmap::probe {
 
+// TTL budget of every trace and reachability walk.
+inline constexpr int kMaxTtl = 48;
+
 struct TracerConfig {
-  int max_ttl = 48;
   // scamper-style gap limit: stop after this many consecutive non-replies.
   int gap_limit = 5;
-  // Paris traceroute (the default, as in the paper [2]): every probe of a
-  // trace carries the same flow tuple, so ECMP hashing keeps the path
-  // stable. false = classic traceroute: each TTL's probe hashes
-  // differently and equal-cost paths interleave, manufacturing false
-  // adjacencies.
-  bool paris = true;
   // Adversarial reply spoofing (eval scenario families): with this
   // probability a time-exceeded reply's source address is forged to a host
   // address inside the probed destination's covering prefix — the
@@ -106,11 +103,9 @@ class TracerouteEngine {
     bool firewalled = false;        // edge filter blocks onward delivery
   };
 
-  // Walks one flow from the VP's attach router toward `q`'s destination:
-  // at most `limit` hops, ECMP choices hashed with `flow_salt`. The hops
-  // land in path_, which the next walk overwrites.
-  const std::vector<PathHop>& walk(const route::Fib::RouteQuery& q,
-                                   std::uint32_t flow_salt, int limit) const;
+  // Walks from the VP's attach router toward `q`'s destination, at most
+  // kMaxTtl hops. The hops land in path_, which the next walk overwrites.
+  const std::vector<PathHop>& walk(const route::Fib::RouteQuery& q) const;
 
   // The reply source address a router uses for a time-exceeded message.
   Ipv4Addr reply_source(net::RouterId router, net::IfaceId ingress,
@@ -146,7 +141,6 @@ class TracerouteEngine {
   // The last walk's hops, reused across calls. Mutable because reaches()
   // is logically const (same discipline as reach_cache_).
   mutable std::vector<PathHop> path_;
-  std::vector<PathHop> classic_path_;  // classic mode's spliced path
 };
 
 }  // namespace bdrmap::probe

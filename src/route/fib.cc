@@ -346,8 +346,7 @@ double Fib::igp_distance(RouterId a, RouterId b) const {
 // BDRMAP_HOT_BEGIN(fib_internal_step) — BDR104: the intra-AS hop. Dense
 // table loads and one flow hash; nothing may allocate here.
 std::optional<Fib::Hop> Fib::internal_step(RouterId r, RouterId target,
-                                           Ipv4Addr dst,
-                                           std::uint32_t flow_salt) const {
+                                           Ipv4Addr dst) const {
   std::uint32_t as_dense = router_as_dense_[r.value];
   if (as_dense == kNoIndex ||
       router_as_dense_[target.value] != as_dense) {
@@ -360,10 +359,8 @@ std::optional<Fib::Hop> Fib::internal_step(RouterId r, RouterId target,
   IfaceId out = rt.next_iface[ir * n + it];
   IfaceId alt = rt.alt_iface[ir * n + it];
   if (alt.valid()) {
-    // ECMP: hash the flow (destination + salt). Salt 0 == Paris (stable
-    // per destination); per-probe salts flap between the two paths.
-    std::uint64_t h = (std::uint64_t{dst.value()} << 32) |
-                      (std::uint64_t{flow_salt} ^ r.value);
+    // ECMP: hash the flow (destination, router), stable per destination.
+    std::uint64_t h = (std::uint64_t{dst.value()} << 32) | r.value;
     h ^= h >> 33;
     h *= 0xff51afd7ed558ccdULL;
     h ^= h >> 29;
@@ -466,16 +463,16 @@ const Fib::EgressEntry* Fib::egress_entry(
   return egress_fill(r, res);
 }
 
-std::optional<Fib::Hop> Fib::next_hop_resolved(
-    RouterId r, const RouteQuery::Resolved& res, Ipv4Addr dst,
-    std::uint32_t flow_salt) const {
+std::optional<Fib::Hop> Fib::next_hop(RouterId r, const RouteQuery& q) const {
+  const RouteQuery::Resolved& res = q.res_;
+  const Ipv4Addr dst = q.dst_;
   if (!res.ok) return std::nullopt;
   AsId x = owner_of(r);
 
   // Already inside the AS that ultimately owns the address.
   if (res.final_router.valid() && owner_of(res.final_router) == x) {
     if (r == res.final_router) return std::nullopt;  // delivered
-    return internal_step(r, res.final_router, dst, flow_salt);
+    return internal_step(r, res.final_router, dst);
   }
 
   if (x == res.dst_as) {
@@ -495,7 +492,7 @@ std::optional<Fib::Hop> Fib::next_hop_resolved(
       }
       return std::nullopt;  // delivered (host prefix attachment point)
     }
-    return internal_step(r, res.target, dst, flow_salt);
+    return internal_step(r, res.target, dst);
   }
 
   // Interdomain: pick an egress session by preference tier + hot potato.
@@ -520,17 +517,7 @@ std::optional<Fib::Hop> Fib::next_hop_resolved(
     return Hop{egress->far_router, egress->far_iface, egress->near_iface,
                egress->link, true};
   }
-  return internal_step(r, egress->near_router, dst, flow_salt);
-}
-
-std::optional<Fib::Hop> Fib::next_hop(RouterId r, const RouteQuery& q,
-                                      std::uint32_t flow_salt) const {
-  return next_hop_resolved(r, q.res_, q.dst_, flow_salt);
-}
-
-std::optional<Fib::Hop> Fib::next_hop(RouterId r, Ipv4Addr dst,
-                                      std::uint32_t flow_salt) const {
-  return next_hop_resolved(r, resolve(dst), dst, flow_salt);
+  return internal_step(r, egress->near_router, dst);
 }
 
 bool Fib::delivered_at(RouterId r, const RouteQuery& q) const {
@@ -542,10 +529,6 @@ bool Fib::delivered_at(RouterId r, const RouteQuery& q) const {
 
 // BDRMAP_HOT_END(fib_walk)
 
-bool Fib::delivered_at(RouterId r, Ipv4Addr dst) const {
-  return delivered_at(r, query(dst));
-}
-
 bool Fib::addr_owned_by(RouterId r, const RouteQuery& q) const {
   return q.res_.is_iface_addr && q.res_.final_router == r;
 }
@@ -555,10 +538,6 @@ std::optional<IfaceId> Fib::egress_iface(RouterId r,
   auto hop = next_hop(r, q);
   if (!hop || !hop->egress.valid()) return std::nullopt;
   return hop->egress;
-}
-
-std::optional<IfaceId> Fib::egress_iface(RouterId r, Ipv4Addr dst) const {
-  return egress_iface(r, query(dst));
 }
 
 }  // namespace bdrmap::route

@@ -116,33 +116,25 @@ class Fib {
   // Resolves `dst` once for reuse across a trace.
   RouteQuery query(Ipv4Addr dst) const;
 
-  // Where the packet at router `r` goes next on its way to `dst`.
-  // nullopt means: either `r` is the delivery point for `dst` (use
-  // `delivered_at` to distinguish) or there is no route.
-  //
-  // `flow_salt` selects among equal-cost internal paths (ECMP): real
-  // routers hash the flow tuple, so Paris traceroute (constant tuple,
-  // salt 0) sees one stable path while classic traceroute (varying probe
-  // headers) flaps between them — the [2] artifact the paper's collection
-  // avoids.
-  std::optional<Hop> next_hop(RouterId r, const RouteQuery& q,
-                              std::uint32_t flow_salt = 0) const;
-  std::optional<Hop> next_hop(RouterId r, Ipv4Addr dst,
-                              std::uint32_t flow_salt = 0) const;
+  // Where the packet at router `r` goes next on its way to `q`'s
+  // destination. nullopt means: either `r` is the delivery point (use
+  // `delivered_at` to distinguish) or there is no route. Equal-cost
+  // internal paths (ECMP) are chosen by a hash of the destination, so
+  // every probe toward one destination follows one path.
+  std::optional<Hop> next_hop(RouterId r, const RouteQuery& q) const;
 
-  // True iff a packet for `dst` terminates at router `r`: `dst` is one of
-  // r's interface addresses, or r hosts the announced prefix covering dst.
+  // True iff a packet for `q`'s destination terminates at router `r`: the
+  // destination is one of r's interface addresses, or r hosts the
+  // announced prefix covering it.
   bool delivered_at(RouterId r, const RouteQuery& q) const;
-  bool delivered_at(RouterId r, Ipv4Addr dst) const;
 
   // True iff the query's destination is one of r's own interface addresses
   // (the firewall-exemption test the tracer and congestion model repeat).
   bool addr_owned_by(RouterId r, const RouteQuery& q) const;
 
-  // The interface router `r` would transmit a packet to `dst` from
-  // (drives the kEgressToSrc / kVirtualRouter reply-address policies).
+  // The interface router `r` would transmit a packet to `q`'s destination
+  // from (drives the kEgressToSrc / kVirtualRouter reply-address policies).
   std::optional<IfaceId> egress_iface(RouterId r, const RouteQuery& q) const;
-  std::optional<IfaceId> egress_iface(RouterId r, Ipv4Addr dst) const;
 
   // The BgpSimulator::tier_key of router `r`'s egress decision toward the
   // query's destination: (r's AS, the destination's routing AS). Every
@@ -226,10 +218,6 @@ class Fib {
   // mutated truth instead of crashing halfway between two views).
   AsId owner_of(RouterId r) const;
   RouteQuery::Resolved resolve(Ipv4Addr dst) const;
-  std::optional<Hop> next_hop_resolved(RouterId r,
-                                       const RouteQuery::Resolved& res,
-                                       Ipv4Addr dst,
-                                       std::uint32_t flow_salt) const;
   const AsRouting& routing_for(std::uint32_t as_dense) const
       BDRMAP_EXCLUDES(routing_mu_);
   // The shared fill: first satisfiable tier, sessions tied at minimal IGP
@@ -245,8 +233,8 @@ class Fib {
   const EgressEntry* egress_fill(RouterId r,
                                  const RouteQuery::Resolved& res) const
       BDRMAP_EXCLUDES(egress_mu_);
-  std::optional<Hop> internal_step(RouterId r, RouterId target, Ipv4Addr dst,
-                                   std::uint32_t flow_salt) const;
+  std::optional<Hop> internal_step(RouterId r, RouterId target,
+                                   Ipv4Addr dst) const;
   // Nulls every published egress entry and frees the entries.
   void clear_egress() BDRMAP_REQUIRES(egress_mu_);
 

@@ -30,7 +30,7 @@ TEST_F(MapItFixture, RelabelsFarSideOfProviderAssignedLink) {
   auto result = run_mapit(
       {make_trace(AsId(2), "20.0.9.9",
                   {{"10.0.0.1"}, {"10.0.1.2"}, {"20.0.0.1"}, {"20.0.1.1"}})},
-      origins_, {AsId(1)});
+      origins_);
   EXPECT_EQ(result.owners.at(ip("10.0.1.2")), AsId(2));
   EXPECT_EQ(result.owners.at(ip("10.0.0.1")), AsId(1));
   EXPECT_GE(result.relabeled, 1u);
@@ -43,7 +43,7 @@ TEST_F(MapItFixture, TerminalInterfacesKeepTheirMapping) {
   auto result = run_mapit(
       {make_trace(AsId(2), "20.0.9.9",
                   {{"10.0.0.1"}, {"10.0.1.2"}, {nullptr}, {nullptr}})},
-      origins_, {AsId(1)});
+      origins_);
   EXPECT_EQ(result.owners.at(ip("10.0.1.2")), AsId(1));
   EXPECT_GE(result.terminal_interfaces, 1u);
 }
@@ -55,7 +55,7 @@ TEST_F(MapItFixture, MajorityRequiredToRelabel) {
                   {{"10.0.0.1"}, {"10.0.1.2"}, {"20.0.0.1"}}),
        make_trace(AsId(3), "30.0.9.9",
                   {{"10.0.0.1"}, {"10.0.1.2"}, {"30.0.0.1"}})},
-      origins_, {AsId(1)});
+      origins_);
   EXPECT_EQ(result.owners.at(ip("10.0.1.2")), AsId(1));
 }
 
@@ -65,7 +65,7 @@ TEST_F(MapItFixture, ConvergesWithinPassBudget) {
       {make_trace(AsId(2), "20.0.9.9",
                   {{"10.0.0.1"}, {"10.0.1.2"}, {"20.0.0.1"}, {"20.0.1.1"},
                    {"20.0.2.1"}})},
-      origins_, {AsId(1)});
+      origins_);
   EXPECT_LE(result.passes_run, 8u);
   EXPECT_EQ(result.owners.at(ip("10.0.1.2")), AsId(2));
 }
@@ -75,8 +75,7 @@ TEST(MapItPipeline, UnderperformsBdrmapOnFirewalledCustomers) {
   net::AsId vp_as = s.first_of(topo::AsKind::kAccess);
   auto result = s.run_bdrmap(s.vps_in(vp_as).front());
   auto inputs = s.inputs_for(vp_as);
-  auto mapit =
-      run_mapit(result.graph.traces(), *inputs.origins, inputs.vp_ases);
+  auto mapit = run_mapit(result.graph.traces(), *inputs.origins);
   eval::GroundTruth truth(s.net(), vp_as);
 
   // Score both on far-side interfaces.

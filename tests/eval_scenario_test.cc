@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include "eval/scenario_registry.h"
+#include "obs/metrics.h"
+#include "probe/tracer.h"
 
 namespace bdrmap::eval {
 namespace {
@@ -125,10 +127,15 @@ TEST(Scenario, TracerConfigReachesTheEngine) {
   Scenario s(small_access_config(9));
   net::AsId vp_as = s.first_of(topo::AsKind::kAccess);
   auto vp = s.vps_in(vp_as).front();
-  probe::TracerConfig classic;
-  classic.paris = false;
-  auto result = s.run_bdrmap(vp, {}, 77, classic);
-  EXPECT_GT(result.stats.traces, 0u);  // pipeline still completes
+  // A caller-owned registry reaches the probe engines only through the
+  // tracer config (no BdrmapConfig::obs), so every trace the run counts
+  // must show up in it.
+  obs::MetricsRegistry metrics;
+  probe::TracerConfig tracer;
+  tracer.metrics = &metrics;
+  auto result = s.run_bdrmap(vp, {}, 77, tracer);
+  EXPECT_GT(result.stats.traces, 0u);
+  EXPECT_EQ(metrics.snapshot().counter("probe.traces"), result.stats.traces);
 }
 
 }  // namespace

@@ -2,14 +2,15 @@
 // every forwarding and inference change is checked against.
 //
 // Each row pins serve::BorderMapSnapshot::fingerprint(), a structural hash
-// of the compiled border map, for one scenario family at ECMP probe salts
-// 0-3, plus the two-VP "small" run at 1, 2 and 8 pool workers. The rows
-// were first blessed on the commit that retired the alternative planes,
-// where each of them reproduced every row: the uncached and the
+// of the compiled border map, for one scenario family at probe seed
+// offsets 0-3, plus the two-VP "small" run at 1, 2 and 8 pool workers.
+// The rows were first blessed on the commit that retired the alternative
+// planes, where each of them reproduced every row: the uncached and the
 // keyed-egress FIB, the per-call heuristics scans, the hard-coded legacy
 // ladder, and probe waves off or 7 wide. All are since deleted; the FIB's
 // last keyed map, for pinned prefixes, became columns of its flat rows
-// with every row unchanged.
+// with every row unchanged, and so did deleting classic traceroute and
+// the FIB's ECMP flow salt.
 // They were re-blessed once when every run moved onto the (VP, target-AS)
 // slice plan, which re-keys the probe RNG streams per slice, and once when
 // alias pair tests moved onto keyed draws with a pair-local clock and
@@ -48,7 +49,7 @@ using Row = std::vector<std::string>;
 
 constexpr std::uint64_t kScenarioSeed = 42;
 constexpr std::uint64_t kProbeSeed = 0x515;
-constexpr std::uint32_t kSalts = 4;
+constexpr std::uint32_t kProbeSeeds = 4;  // probe seeds kProbeSeed + 0..3
 
 std::string fingerprint(const std::vector<const core::BdrmapResult*>& runs) {
   const std::uint64_t fp =
@@ -97,14 +98,17 @@ topo::Vp featured_vp(const Scenario& s) {
 
 class HeuristicParityTest : public ::testing::TestWithParam<std::string> {};
 
+// Each family's featured-VP map must match its golden row. The name is
+// kept from when each row was also checked against the legacy ladder
+// (deleted): renaming would change the ctest ID of every family instance.
 TEST_P(HeuristicParityTest, RegistryMatchesLegacyLadder) {
   auto s = make_scenario(GetParam(), kScenarioSeed);
   ASSERT_NE(s, nullptr);
   const topo::Vp vp = featured_vp(*s);
   Row row;
-  for (std::uint32_t salt = 0; salt < kSalts; ++salt) {
-    core::BdrmapResult r = s->run_bdrmap(vp, {}, kProbeSeed + salt);
-    EXPECT_FALSE(r.links.empty()) << "salt " << salt;
+  for (std::uint32_t offset = 0; offset < kProbeSeeds; ++offset) {
+    core::BdrmapResult r = s->run_bdrmap(vp, {}, kProbeSeed + offset);
+    EXPECT_FALSE(r.links.empty()) << "probe seed offset " << offset;
     row.push_back(fingerprint({&r}));
   }
   expect_row(GetParam(), row);
@@ -116,10 +120,9 @@ INSTANTIATE_TEST_SUITE_P(Families, HeuristicParityTest,
                            return param_info.param;
                          });
 
-TEST(HeuristicParityTest, EcmpSaltsAndProbeWaves) {
+TEST(HeuristicParityTest, HandBuiltJobMatchesGoldenRow) {
   // A job built by hand over the scenario's own services, run straight on
-  // the executor, must land on the family's row at every salt. The name
-  // is kept from when the row was also checked with probe waves off;
+  // the executor, must land on the family's row at every probe seed.
   // WalkReferenceTest.TraceHopsFollowReferenceWalk checks the walks.
   auto s = make_scenario("small", kScenarioSeed);
   const topo::Vp vp = featured_vp(*s);
@@ -129,9 +132,9 @@ TEST(HeuristicParityTest, EcmpSaltsAndProbeWaves) {
   };
   job.inputs = s->inputs_for(vp.as);
   Row row;
-  for (std::uint32_t salt = 0; salt < kSalts; ++salt) {
+  for (std::uint32_t offset = 0; offset < kProbeSeeds; ++offset) {
     const runtime::MultiVpResult m =
-        runtime::MultiVpExecutor(nullptr).run({job}, {}, kProbeSeed + salt);
+        runtime::MultiVpExecutor(nullptr).run({job}, {}, kProbeSeed + offset);
     row.push_back(fingerprint({&m.per_vp.front()}));
   }
   expect_row("small", row);

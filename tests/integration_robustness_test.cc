@@ -32,14 +32,15 @@ TEST(MoasForwarding, CoOriginatedPrefixStillDelivered) {
   for (const auto& [prefix, origins] : gen.net.truth_origins().all_prefixes()) {
     if (origins.size() < 2) continue;
     ++moas;
-    net::Ipv4Addr dst(prefix.first().value() + 1);
+    const route::Fib::RouteQuery q =
+        fib.query(net::Ipv4Addr(prefix.first().value() + 1));
     net::RouterId cur = vp.attach_router;
     for (int i = 0; i < 64; ++i) {
-      if (fib.delivered_at(cur, dst)) {
+      if (fib.delivered_at(cur, q)) {
         ++delivered;
         break;
       }
-      auto hop = fib.next_hop(cur, dst);
+      auto hop = fib.next_hop(cur, q);
       if (!hop) break;
       cur = hop->router;
     }
@@ -60,14 +61,15 @@ TEST(PinnedPrefixes, OtherNetworksFallBackToTransit) {
   for (const auto& ap : s.net().announced()) {
     if (ap.only_via_links.empty()) continue;
     net::Ipv4Addr dst(ap.prefix.first().value() + 1);
+    const route::Fib::RouteQuery q = s.fib().query(dst);
     net::RouterId cur = routers.front();
     bool delivered = false;
     for (int i = 0; i < 64; ++i) {
-      if (s.fib().delivered_at(cur, dst)) {
+      if (s.fib().delivered_at(cur, q)) {
         delivered = true;
         break;
       }
-      auto hop = s.fib().next_hop(cur, dst);
+      auto hop = s.fib().next_hop(cur, q);
       if (!hop) break;
       cur = hop->router;
     }

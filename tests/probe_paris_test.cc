@@ -1,5 +1,7 @@
-// Paris vs classic traceroute over ECMP (the [2] artifact the paper's
-// collection avoids).
+// Paris traceroute over ECMP [2]: equal-cost paths are chosen per
+// destination, so every probe of a trace follows one path.
+#include <set>
+
 #include <gtest/gtest.h>
 
 #include "probe/tracer.h"
@@ -44,11 +46,9 @@ class ParisFixture : public ::testing::Test {
     fib_ = std::make_unique<route::Fib>(m_.net(), *bgp_);
   }
 
-  TraceResult trace(bool paris, const char* dst) {
-    TracerConfig config;
-    config.paris = paris;
+  TraceResult trace(const char* dst) {
     topo::Vp vp{as1_, r1_, ip("10.0.255.1"), 0};
-    TracerouteEngine engine(m_.net(), *fib_, vp, 5, config);
+    TracerouteEngine engine(m_.net(), *fib_, vp, 5);
     return engine.trace(ip(dst));
   }
 
@@ -60,21 +60,22 @@ class ParisFixture : public ::testing::Test {
 };
 
 TEST_F(ParisFixture, EcmpAlternativesExist) {
-  // The FIB records an equal-cost alternative from r1 toward r4.
-  auto h1 = fib_->next_hop(r1_, ip("20.0.5.5"), 0);
-  ASSERT_TRUE(h1.has_value());
-  bool seen_other = false;
-  for (std::uint32_t salt = 1; salt < 32; ++salt) {
-    auto h = fib_->next_hop(r1_, ip("20.0.5.5"), salt);
+  // The FIB records an equal-cost alternative from r1 toward r4, and the
+  // per-destination hash takes it: across the diamond's destinations, r1
+  // forwards via both r2 and r3.
+  std::set<std::uint32_t> next;
+  for (std::uint32_t d = 1; d < 32; ++d) {
+    const net::Ipv4Addr dst(ip("20.0.5.0").value() + d);
+    auto h = fib_->next_hop(r1_, fib_->query(dst));
     ASSERT_TRUE(h.has_value());
-    seen_other |= h->router != h1->router;
+    next.insert(h->router.value);
   }
-  EXPECT_TRUE(seen_other);
+  EXPECT_EQ(next, (std::set<std::uint32_t>{r2_.value, r3_.value}));
 }
 
 TEST_F(ParisFixture, ParisPathIsFlowStable) {
-  auto a = trace(true, "20.0.5.5");
-  auto b = trace(true, "20.0.5.5");
+  auto a = trace("20.0.5.5");
+  auto b = trace("20.0.5.5");
   ASSERT_EQ(a.hops.size(), b.hops.size());
   for (std::size_t i = 0; i < a.hops.size(); ++i) {
     EXPECT_EQ(a.hops[i].truth_router, b.hops[i].truth_router) << i;
@@ -87,33 +88,6 @@ TEST_F(ParisFixture, ParisPathIsFlowStable) {
     }
   }
   EXPECT_EQ(mids.size(), 1u);
-}
-
-TEST_F(ParisFixture, ClassicTraceroutesSpliceAcrossSalts) {
-  // Across many destinations, classic mode must sometimes produce a path
-  // recording r2 at one TTL while the next TTL's probe went via r3 —
-  // visible as a splice the Paris trace never shows.
-  bool spliced = false;
-  for (std::uint32_t d = 1; d < 120 && !spliced; ++d) {
-    net::Ipv4Addr dst(ip("20.0.2.0").value() + d);
-    TracerConfig config;
-    config.paris = false;
-    topo::Vp vp{as1_, r1_, ip("10.0.255.1"), 0};
-    TracerouteEngine engine(m_.net(), *fib_, vp, 5, config);
-    auto t = engine.trace(dst);
-    // Compare with the Paris view of the same destination.
-    TracerConfig pconfig;
-    TracerouteEngine pengine(m_.net(), *fib_, vp, 5, pconfig);
-    auto p = pengine.trace(dst);
-    if (t.hops.size() == p.hops.size()) {
-      for (std::size_t i = 0; i < t.hops.size(); ++i) {
-        if (t.hops[i].truth_router != p.hops[i].truth_router) spliced = true;
-      }
-    } else {
-      spliced = true;
-    }
-  }
-  EXPECT_TRUE(spliced);
 }
 
 }  // namespace

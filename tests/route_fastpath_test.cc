@@ -5,8 +5,7 @@
 // hop by hop against a reference tier scan written here from the Fib's and
 // the BGP simulator's public calls: the per-hop recomputation the caches
 // replaced. Covers randomized destinations, interface addresses,
-// selectively-announced (pinned) prefixes, nonzero ECMP salts, link and
-// relationship churn, and concurrent cache fills from many threads (the
+// selectively-announced (pinned) prefixes, link and relationship churn, and concurrent cache fills from many threads (the
 // MultiVpExecutor determinism contract). Suite name carries "FastPath" so
 // check.sh's tsan pass picks these tests up.
 #include <algorithm>
@@ -41,7 +40,6 @@ constexpr double kInfDist = std::numeric_limits<double>::infinity();
 struct Probe {
   RouterId start;
   Ipv4Addr dst;
-  std::uint32_t salt = 0;
 };
 
 // Encodes a full FIB walk (every hop's router, link, interfaces, crossing
@@ -51,7 +49,7 @@ std::vector<std::uint64_t> walk(const Fib& fib, const Probe& p) {
   const Fib::RouteQuery q = fib.query(p.dst);
   RouterId r = p.start;
   for (std::size_t hop = 0; hop < kMaxWalkHops; ++hop) {
-    auto next = fib.next_hop(r, q, p.salt);
+    auto next = fib.next_hop(r, q);
     if (!next.has_value()) {
       trail.push_back(fib.delivered_at(r, q) ? 0xD0D0D0D0ull : 0xDEADull);
       auto eg = fib.egress_iface(r, q);
@@ -175,7 +173,7 @@ std::string check_walk(const Plane& p, const Probe& probe,
   const Fib::RouteQuery q = p.fib.query(probe.dst);
   RouterId r = probe.start;
   for (std::size_t hop = 0; hop < kMaxWalkHops; ++hop) {
-    const auto next = p.fib.next_hop(r, q, probe.salt);
+    const auto next = p.fib.next_hop(r, q);
     const AsId x = p.gen.net.router(r).owner;
     if (target && x != target->dst_as && x != target->final_as) {
       const std::string at = "hop " + std::to_string(hop) + " at " + r.str();
@@ -207,7 +205,8 @@ std::string check_walk(const Plane& p, const Probe& probe,
 }
 
 // Deterministic mixed workload over a generated topology: announced-prefix
-// interiors (random offsets), interface addresses, ECMP salts 0-3.
+// interiors (four random offsets each), interface addresses (two start
+// routers each).
 std::vector<Probe> build_workload(const topo::Internet& net,
                                   std::uint64_t seed) {
   std::vector<Probe> work;
@@ -219,18 +218,18 @@ std::vector<Probe> build_workload(const topo::Internet& net,
         .id;
   };
   for (const auto& ap : net.announced()) {
-    for (std::uint32_t salt = 0; salt < 4; ++salt) {
+    for (int i = 0; i < 4; ++i) {
       std::uint32_t span = ~std::uint32_t{0} >> ap.prefix.length();
       Ipv4Addr dst(ap.prefix.network().value() +
                    (span > 0 ? rng.uniform(1, span) : 0));
       if (!ap.prefix.contains(dst)) dst = ap.prefix.network();
-      work.push_back({any_router(), dst, salt});
+      work.push_back({any_router(), dst});
     }
   }
   const auto& ifaces = net.ifaces();
   for (std::size_t i = 0; i < ifaces.size(); i += 5) {
-    work.push_back({any_router(), ifaces[i].addr, 0});
-    work.push_back({any_router(), ifaces[i].addr, 1});
+    work.push_back({any_router(), ifaces[i].addr});
+    work.push_back({any_router(), ifaces[i].addr});
   }
   return work;
 }
@@ -245,8 +244,7 @@ void expect_walks_match_reference(const Plane& p,
     if (!why.empty()) {
       ++mismatches;
       ADD_FAILURE() << "start=" << probe.start.str()
-                    << " dst=" << probe.dst.str() << " salt=" << probe.salt
-                    << ": " << why;
+                    << " dst=" << probe.dst.str() << ": " << why;
       if (mismatches >= 5) break;  // enough to diagnose
     }
   }
@@ -275,12 +273,12 @@ TEST(RouteFastPath, PinnedPrefixWalksMatch) {
   const auto& routers = p.gen.net.routers();
   for (const auto& ap : p.gen.net.announced()) {
     if (ap.only_via_links.empty()) continue;
-    for (std::uint32_t salt = 0; salt < 4; ++salt) {
+    for (int i = 0; i < 4; ++i) {
       RouterId start =
           routers[rng.uniform(0,
                               static_cast<std::uint32_t>(routers.size() - 1))]
               .id;
-      work.push_back({start, Ipv4Addr(ap.prefix.network().value() + 1), salt});
+      work.push_back({start, Ipv4Addr(ap.prefix.network().value() + 1)});
     }
   }
   ASSERT_FALSE(work.empty())
@@ -296,7 +294,7 @@ std::map<topo::LinkId, std::size_t> link_crossings(
     const Fib::RouteQuery q = fib.query(probe.dst);
     RouterId r = probe.start;
     for (std::size_t hop = 0; hop < kMaxWalkHops; ++hop) {
-      const auto next = fib.next_hop(r, q, probe.salt);
+      const auto next = fib.next_hop(r, q);
       if (!next) break;
       if (next->crossed_interdomain) ++crossings[next->link];
       r = next->router;
@@ -435,7 +433,7 @@ TEST(RouteFastPath, RelationshipFlipDropsOnlyChangedEgress) {
     RouterId r = probe.start;
     for (std::size_t hop = 0; hop < kMaxWalkHops; ++hop) {
       const auto before = lookups();
-      const auto next = p.fib.next_hop(r, q, probe.salt);
+      const auto next = p.fib.next_hop(r, q);
       const auto after = lookups();
       if (after != before && target) {
         const std::uint64_t key = p.fib.tier_key(r, q);
@@ -500,28 +498,6 @@ TEST(RouteFastPath, RelationshipFlipDropsOnlyChangedEgress) {
   EXPECT_GT(dropped, 0u);
   EXPECT_GT(dropped_pinned, 0u);
   expect_walks_match_reference(p, work);
-}
-
-TEST(RouteFastPath, QueryAgreesWithAddressForms) {
-  // The RouteQuery overloads and the plain-address overloads must agree.
-  Plane p(eval::small_access_config(7));
-  std::vector<Probe> work = build_workload(p.gen.net, 0xF00);
-  for (const Probe& probe : work) {
-    const Fib::RouteQuery q = p.fib.query(probe.dst);
-    auto via_query = p.fib.next_hop(probe.start, q, probe.salt);
-    auto via_addr = p.fib.next_hop(probe.start, probe.dst, probe.salt);
-    ASSERT_EQ(via_query.has_value(), via_addr.has_value());
-    if (via_query) {
-      EXPECT_EQ(via_query->router, via_addr->router);
-      EXPECT_EQ(via_query->ingress, via_addr->ingress);
-      EXPECT_EQ(via_query->egress, via_addr->egress);
-      EXPECT_EQ(via_query->link, via_addr->link);
-      EXPECT_EQ(via_query->crossed_interdomain,
-                via_addr->crossed_interdomain);
-    }
-    EXPECT_EQ(p.fib.delivered_at(probe.start, q),
-              p.fib.delivered_at(probe.start, probe.dst));
-  }
 }
 
 TEST(RouteFastPath, ConcurrentFillIsDeterministic) {

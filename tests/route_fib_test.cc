@@ -36,6 +36,8 @@ class FibFixture : public ::testing::Test {
     fib_ = std::make_unique<Fib>(m_.net(), *bgp_);
   }
 
+  Fib::RouteQuery q(const char* dst) const { return fib_->query(ip(dst)); }
+
   test::MiniNet m_;
   AsId as1_, as2_;
   RouterId r1a_, r1b_, r2_;
@@ -44,54 +46,54 @@ class FibFixture : public ::testing::Test {
 };
 
 TEST_F(FibFixture, InternalStepTowardHostPrefix) {
-  auto hop = fib_->next_hop(r1b_, ip("10.0.5.5"));
+  auto hop = fib_->next_hop(r1b_, q("10.0.5.5"));
   ASSERT_TRUE(hop.has_value());
   EXPECT_EQ(hop->router, r1a_);
   EXPECT_FALSE(hop->crossed_interdomain);
-  EXPECT_TRUE(fib_->delivered_at(r1a_, ip("10.0.5.5")));
+  EXPECT_TRUE(fib_->delivered_at(r1a_, q("10.0.5.5")));
 }
 
 TEST_F(FibFixture, CrossesInterdomainTowardCustomer) {
-  auto hop1 = fib_->next_hop(r1a_, ip("20.0.1.1"));
+  auto hop1 = fib_->next_hop(r1a_, q("20.0.1.1"));
   ASSERT_TRUE(hop1.has_value());
   EXPECT_EQ(hop1->router, r1b_);
-  auto hop2 = fib_->next_hop(r1b_, ip("20.0.1.1"));
+  auto hop2 = fib_->next_hop(r1b_, q("20.0.1.1"));
   ASSERT_TRUE(hop2.has_value());
   EXPECT_EQ(hop2->router, r2_);
   EXPECT_TRUE(hop2->crossed_interdomain);
   // Ingress interface on the far router is its side of the /30.
   EXPECT_EQ(m_.net().iface(hop2->ingress).addr, ip("10.0.1.2"));
-  EXPECT_TRUE(fib_->delivered_at(r2_, ip("20.0.1.1")));
+  EXPECT_TRUE(fib_->delivered_at(r2_, q("20.0.1.1")));
 }
 
 TEST_F(FibFixture, FarSideLinkAddressRoutesViaSupplier) {
   // 10.0.1.2 sits on r2 (customer) but is provider-supplied: from r1a the
   // packet routes internally to r1b and crosses.
-  auto hop1 = fib_->next_hop(r1a_, ip("10.0.1.2"));
+  auto hop1 = fib_->next_hop(r1a_, q("10.0.1.2"));
   ASSERT_TRUE(hop1.has_value());
   EXPECT_EQ(hop1->router, r1b_);
-  auto hop2 = fib_->next_hop(r1b_, ip("10.0.1.2"));
+  auto hop2 = fib_->next_hop(r1b_, q("10.0.1.2"));
   ASSERT_TRUE(hop2.has_value());
   EXPECT_EQ(hop2->router, r2_);
   EXPECT_TRUE(hop2->crossed_interdomain);
-  EXPECT_TRUE(fib_->delivered_at(r2_, ip("10.0.1.2")));
-  EXPECT_FALSE(fib_->delivered_at(r1b_, ip("10.0.1.2")));
+  EXPECT_TRUE(fib_->delivered_at(r2_, q("10.0.1.2")));
+  EXPECT_FALSE(fib_->delivered_at(r1b_, q("10.0.1.2")));
 }
 
 TEST_F(FibFixture, CustomerRoutesUpToProvider) {
-  auto hop = fib_->next_hop(r2_, ip("10.0.5.5"));
+  auto hop = fib_->next_hop(r2_, q("10.0.5.5"));
   ASSERT_TRUE(hop.has_value());
   EXPECT_EQ(hop->router, r1b_);
   EXPECT_TRUE(hop->crossed_interdomain);
 }
 
 TEST_F(FibFixture, NoRouteForUnannouncedSpace) {
-  EXPECT_FALSE(fib_->next_hop(r1a_, ip("99.0.0.1")).has_value());
-  EXPECT_FALSE(fib_->delivered_at(r1a_, ip("99.0.0.1")));
+  EXPECT_FALSE(fib_->next_hop(r1a_, q("99.0.0.1")).has_value());
+  EXPECT_FALSE(fib_->delivered_at(r1a_, q("99.0.0.1")));
 }
 
 TEST_F(FibFixture, EgressIfaceReported) {
-  auto out = fib_->egress_iface(r1b_, ip("20.0.1.1"));
+  auto out = fib_->egress_iface(r1b_, q("20.0.1.1"));
   ASSERT_TRUE(out.has_value());
   EXPECT_EQ(m_.net().iface(*out).addr, ip("10.0.1.1"));
 }
@@ -127,14 +129,15 @@ TEST_P(FibProperty, EveryAnnouncedPrefixReachableFromVpsWithoutLoops) {
       continue;
     }
     net::Ipv4Addr dst(ap.prefix.first().value() + 1);
+    const Fib::RouteQuery q = fib.query(dst);
     RouterId cur = vp.attach_router;
     bool delivered = false;
     for (int i = 0; i < 64; ++i) {
-      if (fib.delivered_at(cur, dst)) {
+      if (fib.delivered_at(cur, q)) {
         delivered = true;
         break;
       }
-      auto hop = fib.next_hop(cur, dst);
+      auto hop = fib.next_hop(cur, q);
       if (!hop) break;
       cur = hop->router;
     }
@@ -166,14 +169,15 @@ TEST_P(FibProperty, HotPotatoPicksNearestEgress) {
   }
   auto t1_prefixes = gen.net.truth_origins().prefixes_of(tier1);
   ASSERT_FALSE(t1_prefixes.empty());
-  net::Ipv4Addr dst(t1_prefixes.front().first().value() + 1);
+  const Fib::RouteQuery q =
+      fib.query(net::Ipv4Addr(t1_prefixes.front().first().value() + 1));
 
   for (const auto& vp : gen.vps) {
     if (vp.as != access) continue;
     RouterId cur = vp.attach_router;
     RouterId egress;
     for (int i = 0; i < 64; ++i) {
-      auto hop = fib.next_hop(cur, dst);
+      auto hop = fib.next_hop(cur, q);
       if (!hop) break;
       if (hop->crossed_interdomain) {
         egress = cur;

@@ -1,9 +1,8 @@
 // Forward-path and pipeline identity checks (DESIGN.md §14).
 //
 // Every trace() hop must land on the router a reference walk over the
-// public FIB calls predicts, in Paris and classic mode, for every
-// announced prefix (pinned ones included) and across an ECMP diamond
-// where classic mode splices paths. At the pipeline level, a
+// public FIB calls predicts, for every announced prefix (pinned ones
+// included) and across an ECMP diamond. At the pipeline level, a
 // sharded plan must be byte-identical at 1, 2 and 8 pool workers filling
 // cold caches concurrently, the heuristics' compiled first-external table
 // must equal a per-router rescan, and the per-address table (classes,
@@ -39,38 +38,32 @@ namespace {
 
 using net::Ipv4Addr;
 
-// Reference forward path of one flow, written against the public FIB
-// calls only: the routers a probe with TTL budget `limit` and ECMP salt
-// `flow_salt` visits from `start` toward `dst`. Enterprise borders drop
+// Reference forward path toward one destination, written against the
+// public FIB calls only: the routers a probe with TTL budget kMaxTtl
+// visits from `start` toward `dst`. Enterprise borders drop
 // probes that entered over an interdomain link unless dst is their own
 // interface address.
 struct RefPath {
   std::vector<std::uint32_t> routers;
-  bool stopped = false;  // delivered or filtered at the last router
   bool host = false;     // delivered to a host prefix behind the last router
 };
 
 RefPath reference_walk(const topo::Internet& net, const route::Fib& fib,
-                       net::RouterId start, Ipv4Addr dst,
-                       std::uint32_t flow_salt, int limit) {
+                       net::RouterId start, Ipv4Addr dst) {
   const route::Fib::RouteQuery q = fib.query(dst);
   const auto own = net.iface_at(dst);
   RefPath path;
   net::RouterId cur = start;
   bool entered = false;
-  while (static_cast<int>(path.routers.size()) < limit) {
+  while (static_cast<int>(path.routers.size()) < kMaxTtl) {
     path.routers.push_back(cur.value);
     const bool own_addr = own && net.iface(*own).router == cur;
     if (fib.delivered_at(cur, q)) {
-      path.stopped = true;
       path.host = !own_addr;
       break;
     }
-    if (entered && net.router(cur).behavior.firewall_edge) {
-      path.stopped = true;
-      break;
-    }
-    auto hop = fib.next_hop(cur, q, flow_salt);
+    if (entered && net.router(cur).behavior.firewall_edge) break;
+    auto hop = fib.next_hop(cur, q);
     if (!hop) break;
     entered = hop->crossed_interdomain;
     cur = hop->router;
@@ -78,58 +71,40 @@ RefPath reference_walk(const topo::Internet& net, const route::Fib& fib,
   return path;
 }
 
-// The truth routers a trace() toward `dst` must report. Paris: one salt-0
-// walk. Classic: hop k of the salt-k walk, up to the first walk that ends
-// short of its TTL or stops at its last router. A host prefix costs one
-// more probe, answered behind the delivery router.
+// The truth routers a trace() toward `dst` must report: the reference
+// walk, plus one more probe answered behind the delivery router when
+// `dst` is in a host prefix.
 std::vector<std::uint32_t> expected_routers(const topo::Internet& net,
                                             const route::Fib& fib,
-                                            net::RouterId start, Ipv4Addr dst,
-                                            const TracerConfig& config) {
-  RefPath path;
-  if (config.paris) {
-    path = reference_walk(net, fib, start, dst, 0, config.max_ttl);
-  } else {
-    std::vector<std::uint32_t> spliced;
-    for (int ttl = 1; ttl <= config.max_ttl; ++ttl) {
-      path = reference_walk(net, fib, start, dst,
-                            static_cast<std::uint32_t>(ttl), ttl);
-      spliced.push_back(path.routers.back());
-      if (static_cast<int>(path.routers.size()) < ttl || path.stopped) break;
-    }
-    path.routers = std::move(spliced);
-  }
+                                            net::RouterId start,
+                                            Ipv4Addr dst) {
+  RefPath path = reference_walk(net, fib, start, dst);
   if (path.host) path.routers.push_back(path.routers.back());
   return path.routers;
 }
 
-// Traces every destination from `vp` under probe salts 0-3, in Paris and
-// classic mode. The gap limit exceeds the TTL budget, so every trace
-// covers its whole forward path. Returns the traces whose truth routers
-// differ from the reference.
+// Traces every destination from `vp` under probe seeds 0-3. The gap
+// limit exceeds the TTL budget, so every trace covers its whole forward
+// path. Returns the traces whose truth routers differ from the reference.
 std::size_t reference_mismatches(const topo::Internet& net,
                                  const route::Fib& fib, const topo::Vp& vp,
                                  const std::vector<Ipv4Addr>& dsts) {
   std::size_t mismatches = 0;
-  for (bool paris : {true, false}) {
-    TracerConfig config;
-    config.paris = paris;
-    config.gap_limit = config.max_ttl + 1;
-    for (std::uint64_t salt = 0; salt < 4; ++salt) {
-      TracerouteEngine engine(net, fib, vp, 0x515 + salt, config);
-      for (Ipv4Addr dst : dsts) {
-        std::vector<std::uint32_t> got;
-        for (const TraceHop& hop : engine.trace(dst).hops) {
-          got.push_back(hop.truth_router.value);
-        }
-        const std::vector<std::uint32_t> want =
-            expected_routers(net, fib, vp.attach_router, dst, config);
-        if (got != want && ++mismatches <= 3) {
-          ADD_FAILURE() << (paris ? "paris" : "classic") << " salt " << salt
-                        << " dst " << dst.str() << ": "
-                        << ::testing::PrintToString(got) << " != reference "
-                        << ::testing::PrintToString(want);
-        }
+  TracerConfig config;
+  config.gap_limit = kMaxTtl + 1;
+  for (std::uint64_t seed = 0; seed < 4; ++seed) {
+    TracerouteEngine engine(net, fib, vp, 0x515 + seed, config);
+    for (Ipv4Addr dst : dsts) {
+      std::vector<std::uint32_t> got;
+      for (const TraceHop& hop : engine.trace(dst).hops) {
+        got.push_back(hop.truth_router.value);
+      }
+      const std::vector<std::uint32_t> want =
+          expected_routers(net, fib, vp.attach_router, dst);
+      if (got != want && ++mismatches <= 3) {
+        ADD_FAILURE() << "seed " << seed << " dst " << dst.str() << ": "
+                      << ::testing::PrintToString(got) << " != reference "
+                      << ::testing::PrintToString(want);
       }
     }
   }
@@ -152,8 +127,8 @@ TEST(WalkReferenceTest, TraceHopsFollowReferenceWalk) {
             0u);
 
   // The generator's IGP costs leave no equal-cost ties on those paths, so
-  // an ECMP diamond r1 -> {r2, r3} -> r4 -> r5 (AS 2) supplies the
-  // destinations where classic mode's per-TTL salts splice paths.
+  // an ECMP diamond r1 -> {r2, r3} -> r4 -> r5 (AS 2) supplies
+  // destinations whose paths split across the two arms.
   test::MiniNet m;
   const net::AsId as1 = m.add_as();
   const net::AsId as2 = m.add_as();
