@@ -220,18 +220,38 @@ void run_alias_consistency(const CheckContext& ctx, ViolationSink& sink) {
   }
 
   if (ctx.aliases == nullptr) return;
-  for (const auto& pv : ctx.aliases->all_verdicts()) {
+  const auto verdicts = ctx.aliases->all_verdicts();
+  // The groups of a pair, when both addresses have one.
+  auto groups_of = [&](const core::AliasResolver::PairVerdict& pv)
+      -> std::optional<std::pair<std::size_t, std::size_t>> {
     auto ga = group_of.find(pv.a);
     auto gb = group_of.find(pv.b);
-    bool both = ga != group_of.end() && gb != group_of.end();
+    if (ga == group_of.end() || gb == group_of.end()) return std::nullopt;
+    return std::minmax(ga->second, gb->second);
+  };
+  // Group pairs a negative verdict joins: the closure refuses to unite
+  // them, so a positive pair split across them is its veto, not a break.
+  std::vector<std::pair<std::size_t, std::size_t>> vetoed;
+  for (const auto& pv : verdicts) {
+    if (pv.verdict != core::AliasVerdict::kNotAlias) continue;
+    if (auto g = groups_of(pv); g && g->first != g->second) {
+      vetoed.push_back(*g);
+    }
+  }
+  std::sort(vetoed.begin(), vetoed.end());
+  for (const auto& pv : verdicts) {
+    const auto g = groups_of(pv);
+    if (!g) continue;
     std::string ent = pv.a.str() + "/" + pv.b.str();
     if (pv.verdict == core::AliasVerdict::kAlias) {
-      if (both && ga->second != gb->second) {
+      if (g->first != g->second &&
+          !std::binary_search(vetoed.begin(), vetoed.end(), *g)) {
         sink.error(ent, "pair measured as aliases but split across groups "
+                        "that no negative verdict keeps apart "
                         "(symmetry/transitivity break)");
       }
     } else if (pv.verdict == core::AliasVerdict::kNotAlias) {
-      if (both && ga->second == gb->second) {
+      if (g->first == g->second) {
         // The §5.4.7 analytic collapse may legitimately override probe-level
         // negative evidence, so graph-derived sets only warn.
         if (explicit_groups) {

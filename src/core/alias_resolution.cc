@@ -6,6 +6,19 @@
 
 namespace bdrmap::core {
 
+namespace {
+
+// The slot of `key` in verdicts sorted by pair key: its entry, or where it
+// would go.
+template <typename Verdicts>
+auto slot(Verdicts& verdicts, std::uint64_t key) {
+  return std::lower_bound(
+      verdicts.begin(), verdicts.end(), key,
+      [](const auto& entry, std::uint64_t k) { return entry.first < k; });
+}
+
+}  // namespace
+
 std::size_t AliasEvidence::drop_moved(std::span<const std::uint64_t> changed) {
   // Compact the flat footprints in place, collecting the moved addresses.
   std::vector<Ipv4Addr> moved;
@@ -139,8 +152,8 @@ AliasVerdict AliasResolver::ally(Ipv4Addr a, Ipv4Addr b) {
 AliasVerdict AliasResolver::test_pair(Ipv4Addr a, Ipv4Addr b) {
   if (a == b) return AliasVerdict::kAlias;
   const std::uint64_t key = pair_key(a, b);
-  auto it = cache_.find(key);
-  if (it != cache_.end()) return it->second;
+  auto it = slot(verdicts_, key);
+  if (it != verdicts_.end() && it->first == key) return it->second;
 
   AliasVerdict v = AliasVerdict::kUnknown;
   auto known = evidence_->verdicts.find(key);
@@ -159,7 +172,7 @@ AliasVerdict AliasResolver::test_pair(Ipv4Addr a, Ipv4Addr b) {
     }
     evidence_->verdicts.emplace(key, v);
   }
-  cache_.emplace(key, v);
+  verdicts_.emplace(it, key, v);  // probing leaves verdicts_ untouched
   return v;
 }
 
@@ -181,19 +194,27 @@ std::optional<Ipv4Addr> AliasResolver::prefixscan(Ipv4Addr prev_hop,
 
 void AliasResolver::declare(Ipv4Addr a, Ipv4Addr b, AliasVerdict v) {
   if (a == b) return;
-  cache_[pair_key(a, b)] = v;
+  const std::uint64_t key = pair_key(a, b);
+  auto it = slot(verdicts_, key);
+  if (it != verdicts_.end() && it->first == key) {
+    it->second = v;
+  } else {
+    verdicts_.emplace(it, key, v);
+  }
 }
 
 AliasVerdict AliasResolver::verdict_of(Ipv4Addr a, Ipv4Addr b) const {
   if (a == b) return AliasVerdict::kAlias;
-  auto it = cache_.find(pair_key(a, b));
-  return it == cache_.end() ? AliasVerdict::kUnknown : it->second;
+  const std::uint64_t key = pair_key(a, b);
+  auto it = slot(verdicts_, key);
+  return it != verdicts_.end() && it->first == key ? it->second
+                                                   : AliasVerdict::kUnknown;
 }
 
 std::vector<AliasResolver::PairVerdict> AliasResolver::all_verdicts() const {
   std::vector<PairVerdict> out;
-  out.reserve(cache_.size());
-  for (const auto& [k, v] : cache_) {
+  out.reserve(verdicts_.size());
+  for (const auto& [k, v] : verdicts_) {
     out.push_back({Ipv4Addr(static_cast<std::uint32_t>(k >> 32)),
                    Ipv4Addr(static_cast<std::uint32_t>(k)), v});
   }
@@ -202,6 +223,7 @@ std::vector<AliasResolver::PairVerdict> AliasResolver::all_verdicts() const {
 
 std::vector<std::vector<Ipv4Addr>> AliasResolver::groups(
     const std::vector<Ipv4Addr>& addrs) const {
+  // BDRMAP_HOT_BEGIN(alias_closure)
   // Union-find over positive verdicts with negative-pair veto. The nodes
   // are the distinct addresses, ascending.
   std::vector<Ipv4Addr> nodes(addrs);
@@ -225,9 +247,10 @@ std::vector<std::vector<Ipv4Addr>> AliasResolver::groups(
   };
 
   // Collect the verdicts that involve known addresses: the positives in
-  // cache_ order, and each node's negative partners (flat, by node).
+  // ascending pair_key order, and each node's negative partners (flat, by
+  // node).
   std::vector<std::pair<std::uint32_t, std::uint32_t>> positives, negatives;
-  for (const auto& [k, v] : cache_) {
+  for (const auto& [k, v] : verdicts_) {
     if (v != AliasVerdict::kAlias && v != AliasVerdict::kNotAlias) continue;
     const std::uint32_t a =
         node_of(Ipv4Addr(static_cast<std::uint32_t>(k >> 32)));
@@ -253,8 +276,10 @@ std::vector<std::vector<Ipv4Addr>> AliasResolver::groups(
     }
   }
 
-  // Union positives, but refuse merges that would join components holding
-  // a negative pair. Order-dependent, as in the real tool. Each component
+  // Union positives in ascending pair_key order, but refuse merges that
+  // would join components holding a negative pair. Which of two competing
+  // unions a veto refuses depends on that order, and a fixed order makes
+  // the groups a function of the verdicts alone. Each component
   // keeps the nodes its members hold a negative verdict against: two
   // components conflict iff one's list names a node of the other, so the
   // shorter list is scanned, and the lists merge small into large. A
@@ -300,6 +325,7 @@ std::vector<std::vector<Ipv4Addr>> AliasResolver::groups(
     }
     out[g].push_back(nodes[i]);
   }
+  // BDRMAP_HOT_END(alias_closure)
   return out;
 }
 

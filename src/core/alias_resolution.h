@@ -9,7 +9,10 @@
 // Mercator compares the source address of UDP port-unreachable replies.
 // Prefixscan tests whether a traceroute hop is the inbound interface of a
 // /30 or /31 point-to-point subnet by checking its subnet mate against the
-// previous hop. The closure only merges pairs with no negative evidence.
+// previous hop. The closure only merges pairs with no negative evidence,
+// and it unites the positive pairs in ascending pair_key order, so the
+// groups are a function of the verdicts alone: neither the order pairs were
+// tested or declared in nor any container's iteration order moves them.
 #pragma once
 
 #include <algorithm>
@@ -17,7 +20,7 @@
 #include <optional>
 #include <span>
 #include <unordered_map>
-#include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "netbase/ipv4.h"
@@ -31,8 +34,8 @@ using net::Ipv4Addr;
 enum class AliasVerdict : std::uint8_t { kUnknown, kAlias, kNotAlias };
 
 // The key of an unordered address pair: (low << 32) | high. A pair test
-// keys its probe draws on it, and pair_key(a, a) keys one address's MIDAR
-// estimation.
+// keys its probe draws on it, and the closure unites positive pairs in
+// ascending key order.
 inline std::uint64_t pair_key(Ipv4Addr a, Ipv4Addr b) {
   const std::uint64_t lo = std::min(a.value(), b.value());
   const std::uint64_t hi = std::max(a.value(), b.value());
@@ -113,24 +116,26 @@ class AliasResolver {
   // Cached verdict for a pair (kUnknown when untested). Never probes.
   AliasVerdict verdict_of(Ipv4Addr a, Ipv4Addr b) const;
 
-  // Every recorded pair verdict, for the alias-consistency invariant pass
-  // (check::pass_id::kAliasConsistency). Order is unspecified.
+  // Every recorded pair verdict in ascending pair_key order, for the
+  // alias-consistency invariant pass (check::pass_id::kAliasConsistency).
   struct PairVerdict {
     Ipv4Addr a, b;
     AliasVerdict verdict;
   };
   std::vector<PairVerdict> all_verdicts() const;
 
-  // Partitions `addrs` into alias groups: transitive closure over positive
-  // pairs, refusing any union between components that contain a negative
-  // pair (§5.3 "only used pairs where none of the measurements suggested a
-  // pair of IP addresses were not aliases").
+  // Partitions the distinct `addrs` into alias groups: transitive closure
+  // over positive pairs, refusing any union between components that
+  // contain a negative pair (§5.3 "only used pairs where none of the
+  // measurements suggested a pair of IP addresses were not aliases").
+  // Positives unite in ascending pair_key order. The groups come out
+  // ordered by first member, each sorted.
   std::vector<std::vector<Ipv4Addr>> groups(
       const std::vector<Ipv4Addr>& addrs) const;
 
   // Pairs this resolver consulted (tested, reused or declared), and how
   // many of the tested ones came from the evidence without probing.
-  std::size_t pair_tests() const { return cache_.size(); }
+  std::size_t pair_tests() const { return verdicts_.size(); }
   std::size_t pairs_reused() const { return pairs_reused_; }
 
  private:
@@ -139,8 +144,9 @@ class AliasResolver {
   AliasEvidence* evidence_;
   bool record_footprints_;
   std::vector<std::uint64_t> footprint_;  // scratch for addr_footprint
-  // The verdicts of this run: what groups() closes over.
-  std::unordered_map<std::uint64_t, AliasVerdict> cache_;
+  // The verdicts of this run, sorted by pair_key: what groups() closes
+  // over.
+  std::vector<std::pair<std::uint64_t, AliasVerdict>> verdicts_;
   std::size_t pairs_reused_ = 0;
 };
 

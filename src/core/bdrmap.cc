@@ -2,11 +2,10 @@
 
 #include <algorithm>
 #include <span>
-#include <unordered_map>
 #include <unordered_set>
 
-#include "core/midar.h"
 #include "netbase/contract.h"
+#include "netbase/radix_sort.h"
 
 namespace bdrmap::core {
 
@@ -168,76 +167,118 @@ std::vector<ObservedTrace> Bdrmap::collect_traces(
 std::vector<std::vector<Ipv4Addr>> Bdrmap::resolve_aliases(
     const SharedTraces& traces, AliasEvidence* evidence) {
   obs::Span alias_span(tracer(), "stage.alias");
-  // Every address observed in a time-exceeded reply participates.
-  std::vector<Ipv4Addr> ttl_addrs;
-  std::unordered_set<Ipv4Addr> seen;
-  // Fan-out/fan-in candidate groups: addresses sharing a predecessor may be
-  // per-destination reply addresses of one router (Figure 13 / virtual
-  // routers); addresses sharing a successor may be parallel interfaces.
-  std::unordered_map<Ipv4Addr, std::vector<Ipv4Addr>> successors;
-  std::unordered_map<Ipv4Addr, std::vector<Ipv4Addr>> predecessors;
-  // Consecutive hop pairs for prefixscan.
-  std::vector<std::pair<Ipv4Addr, Ipv4Addr>> adjacent;
+  if (!config_.enable_alias_resolution) {
+    // No groups: RouterGraph makes each hop address a router of its own.
+    stats_.alias_pair_tests = 0;
+    return {};
+  }
 
+  // BDRMAP_HOT_BEGIN(alias_candidates)
+  // Every address observed in a time-exceeded reply participates. Each
+  // distinct edge between consecutive ones is a fan-out/fan-in candidate:
+  // addresses sharing a predecessor may be per-destination reply addresses
+  // of one router (Figure 13 / virtual routers); addresses sharing a
+  // successor may be parallel interfaces. `seen` numbers the edges in trace
+  // order.
+  struct Edge {
+    Ipv4Addr prev, hop;
+    std::uint32_t seen;
+  };
+  std::vector<Ipv4Addr> ttl_addrs;
+  std::vector<Edge> edges;
+  const ObservedTrace* last = nullptr;
   for (const auto& trace : traces) {
-    Ipv4Addr prev;
-    bool prev_valid = false;
-    for (const auto& hop : trace.hops) {
+    // Consecutive traces mostly share a path prefix, whose hops and edges
+    // the trace before has already listed.
+    std::size_t shared = 0;
+    if (last) {
+      const std::size_t n = std::min(last->hops.size(), trace.hops.size());
+      while (shared < n && last->hops[shared].addr == trace.hops[shared].addr &&
+             last->hops[shared].kind == trace.hops[shared].kind) {
+        ++shared;
+      }
+    }
+    last = &trace;
+    const ObservedHop* prev = nullptr;
+    for (std::size_t i = 0; i < trace.hops.size(); ++i) {
+      const ObservedHop& hop = trace.hops[i];
       if (hop.kind != probe::ReplyKind::kTimeExceeded) {
-        prev_valid = false;
+        prev = nullptr;
         continue;
       }
-      if (seen.insert(hop.addr).second) ttl_addrs.push_back(hop.addr);
-      if (prev_valid && prev != hop.addr) {
-        auto& succ = successors[prev];
-        if (std::find(succ.begin(), succ.end(), hop.addr) == succ.end()) {
-          succ.push_back(hop.addr);
-          predecessors[hop.addr].push_back(prev);
-          adjacent.emplace_back(prev, hop.addr);
+      if (i >= shared) {
+        ttl_addrs.push_back(hop.addr);
+        if (prev && prev->addr != hop.addr) {
+          edges.push_back({prev->addr, hop.addr,
+                           static_cast<std::uint32_t>(edges.size())});
         }
       }
-      prev = hop.addr;
-      prev_valid = true;
+      prev = &hop;
     }
   }
+  net::radix_sort(ttl_addrs, 32, [](Ipv4Addr a) { return a.value(); });
+  ttl_addrs.erase(std::unique(ttl_addrs.begin(), ttl_addrs.end()),
+                  ttl_addrs.end());
+  // The distinct edges at their first sighting, back in first-seen order.
+  net::radix_sort(edges, 64, [](const Edge& e) {
+    return (std::uint64_t{e.prev.value()} << 32) | e.hop.value();
+  });
+  edges.erase(std::unique(edges.begin(), edges.end(),
+                          [](const Edge& x, const Edge& y) {
+                            return x.prev == y.prev && x.hop == y.hop;
+                          }),
+              edges.end());
+  net::radix_sort(edges, 32, [](const Edge& e) { return e.seen; });
 
-  if (!config_.enable_alias_resolution) {
-    std::vector<std::vector<Ipv4Addr>> singletons;
-    singletons.reserve(ttl_addrs.size());
-    for (Ipv4Addr a : ttl_addrs) singletons.push_back({a});
-    stats_.alias_pair_tests = 0;
-    return singletons;
+  // The pairs to test, as pair keys: prefixscan's /31 mates (§5.3), and
+  // every pair among the first kMaxCandidateGroup members, in trace order,
+  // of each successor and predecessor group (capped for probe economy).
+  // A group is the first-seen list stably sorted by its shared address.
+  std::vector<std::uint64_t> pairs;
+  for (const Edge& e : edges) {
+    const Ipv4Addr m31 = net::mate31(e.hop);
+    if (m31 != e.prev) pairs.push_back(pair_key(e.prev, m31));
   }
-
-  AliasResolver resolver(services_, evidence);
-
-  // Prefixscan over observed point-to-point hops (§5.3): confirms inbound
-  // interfaces and yields near-side aliases.
-  for (const auto& [prev, hop] : adjacent) {
-    resolver.prefixscan(prev, hop);
-  }
-
-  // Pairwise tests within candidate groups (capped for probe economy).
-  auto test_group = [&](const std::vector<Ipv4Addr>& group) {
-    std::size_t limit = std::min(group.size(), kMaxCandidateGroup);
-    for (std::size_t i = 0; i < limit; ++i) {
-      for (std::size_t j = i + 1; j < limit; ++j) {
-        resolver.test_pair(group[i], group[j]);
+  std::vector<Edge> grouped;
+  auto add_groups = [&](auto group_of, auto member_of) {
+    grouped = edges;
+    net::radix_sort(grouped, 32,
+                    [&](const Edge& e) { return group_of(e).value(); });
+    for (std::size_t begin = 0, end; begin < grouped.size(); begin = end) {
+      end = begin + 1;
+      while (end < grouped.size() &&
+             group_of(grouped[end]) == group_of(grouped[begin])) {
+        ++end;
+      }
+      const std::size_t limit =
+          begin + std::min(end - begin, kMaxCandidateGroup);
+      for (std::size_t i = begin; i < limit; ++i) {
+        for (std::size_t j = i + 1; j < limit; ++j) {
+          pairs.push_back(
+              pair_key(member_of(grouped[i]), member_of(grouped[j])));
+        }
       }
     }
   };
-  for (const auto& [addr, group] : successors) {
-    if (group.size() > 1) test_group(group);
-  }
-  for (const auto& [addr, group] : predecessors) {
-    if (group.size() > 1) test_group(group);
-  }
+  add_groups([](const Edge& e) { return e.prev; },  // successors of prev
+             [](const Edge& e) { return e.hop; });
+  add_groups([](const Edge& e) { return e.hop; },  // predecessors of hop
+             [](const Edge& e) { return e.prev; });
+  // BDRMAP_HOT_END(alias_candidates)
 
-  if (config_.enable_midar_discovery) {
-    obs::Span midar_span(tracer(), "stage.midar");
-    MidarResolver midar(services_, resolver);
-    midar.resolve(ttl_addrs);
+  // Each distinct pair is tested once, in ascending key order, so each
+  // verdict appends to the resolver's sorted list. A verdict does not
+  // depend on the pairs tested before it.
+  std::sort(pairs.begin(), pairs.end());
+  pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
+  AliasResolver resolver(services_, evidence);
+  for (std::uint64_t key : pairs) {
+    resolver.test_pair(Ipv4Addr(static_cast<std::uint32_t>(key >> 32)),
+                       Ipv4Addr(static_cast<std::uint32_t>(key)));
   }
+  // Prefixscan finds its /31 verdicts in hand, and tests the /30 mate
+  // where the /31 mate is no alias of the previous hop.
+  for (const Edge& e : edges) resolver.prefixscan(e.prev, e.hop);
 
   stats_.alias_pair_tests = resolver.pair_tests();
   stats_.alias_pairs_reused = resolver.pairs_reused();

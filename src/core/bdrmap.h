@@ -1,7 +1,7 @@
 // bdrmap: the complete border-mapping pipeline (Figure 2 of the paper).
 //
 // Drives targeted traceroutes toward every routed block (§5.3), resolves
-// aliases (Ally / Mercator / MIDAR / prefixscan), builds the router-level
+// aliases (Ally / Mercator / prefixscan), builds the router-level
 // graph, applies the §5.4 ownership heuristics, and reports the interdomain
 // links of the network hosting the vantage point.
 //
@@ -39,10 +39,6 @@ namespace bdrmap::core {
 struct BdrmapConfig {
   bool enable_stop_set = true;          // ablation: doubletree stop set
   bool enable_alias_resolution = true;  // ablation: Figure 13's failure mode
-  // Extension: MIDAR-style estimation/discovery/corroboration scheduling
-  // over ALL observed addresses (finds aliases the topology-driven
-  // candidate fans miss, at extra probing cost).
-  bool enable_midar_discovery = false;
   HeuristicsConfig heuristics;
   // Observability bundle (DESIGN.md §11). When set and enabled, run()
   // emits one span per pipeline stage (schedule → trace → alias → merge →

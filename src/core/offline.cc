@@ -1,7 +1,5 @@
 #include "core/offline.h"
 
-#include <unordered_set>
-
 namespace bdrmap::core {
 
 namespace {
@@ -40,13 +38,13 @@ BdrmapResult analyze_offline(SharedTraces traces,
     run_apar(traces, resolver);
   }
 
-  // Collect the time-exceeded addresses for the closure.
+  // The time-exceeded addresses for the closure, which drops repeats.
   std::vector<Ipv4Addr> addrs;
-  std::unordered_set<Ipv4Addr> seen;
   for (const auto& trace : traces) {
     for (const auto& hop : trace.hops) {
-      if (hop.kind != probe::ReplyKind::kTimeExceeded) continue;
-      if (seen.insert(hop.addr).second) addrs.push_back(hop.addr);
+      if (hop.kind == probe::ReplyKind::kTimeExceeded) {
+        addrs.push_back(hop.addr);
+      }
     }
   }
   auto groups = resolver.groups(addrs);

@@ -1,10 +1,10 @@
 #include "core/router_graph.h"
 
 #include <algorithm>
-#include <array>
 #include <iterator>
 
 #include "netbase/contract.h"
+#include "netbase/radix_sort.h"
 
 namespace bdrmap::core {
 
@@ -69,23 +69,6 @@ void push_new(std::vector<T>& v, T x) {
   if (v.empty() || v.back() != x) v.push_back(x);
 }
 
-// Stable LSD radix sort of (address << 32 | slot) keys by address: three
-// passes of 11 bits, linear in the hop count.
-void sort_by_address(std::vector<std::uint64_t>& keys) {
-  constexpr int kBits = 11;
-  constexpr std::size_t kBuckets = std::size_t{1} << kBits;
-  std::vector<std::uint64_t> out(keys.size());
-  for (int shift = 32; shift < 64; shift += kBits) {
-    std::array<std::size_t, kBuckets + 1> start{};
-    for (std::uint64_t k : keys) ++start[((k >> shift) & (kBuckets - 1)) + 1];
-    for (std::size_t b = 0; b < kBuckets; ++b) start[b + 1] += start[b];
-    for (std::uint64_t k : keys) {
-      out[start[(k >> shift) & (kBuckets - 1)]++] = k;
-    }
-    keys.swap(out);
-  }
-}
-
 }  // namespace
 
 const char* heuristic_name(Heuristic h) { return label(h).name; }
@@ -126,7 +109,7 @@ RouterGraph::RouterGraph(
   for (const auto& group : alias_groups) {
     for (Ipv4Addr a : group) keys.push_back(key(a, kGroupSlot));
   }
-  sort_by_address(keys);
+  net::radix_sort(keys, 32, [](std::uint64_t k) { return k >> 32; });
   for (std::uint64_t k : keys) {
     const Ipv4Addr a(static_cast<std::uint32_t>(k >> 32));
     if (addrs_.empty() || addrs_.back() != a) addrs_.push_back(a);

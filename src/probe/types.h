@@ -61,14 +61,13 @@ class ProbeServices {
   virtual std::optional<Ipv4Addr> udp_probe(Ipv4Addr addr) = 0;
 
   // ICMP echo probe reading the IP-ID of the reply at virtual time `t`
-  // seconds (Ally / MIDAR velocity sampling).
+  // seconds (Ally sampling).
   virtual std::optional<std::uint16_t> ipid_sample(Ipv4Addr addr,
                                                    double t) = 0;
 
-  // Starts one alias measurement — one pair test, or one address's MIDAR
-  // estimation — keyed by `key`: the IP-ID counters restart with no
-  // replies sent, and the ipid_sample calls that follow draw from
-  // (stack seed, key). A measurement's replies then depend only on the
+  // Starts one alias measurement (one pair test) keyed by `key`: the
+  // IP-ID counters restart with no replies sent, and the ipid_sample calls
+  // that follow draw from (stack seed, key). A measurement's replies then depend only on the
   // seed, the key, its own (addr, t) sequence and the forwarding state,
   // not on what the stack measured before (DESIGN.md §8).
   virtual void begin_alias_test(std::uint64_t key) = 0;

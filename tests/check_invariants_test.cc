@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -406,6 +407,54 @@ TEST_F(InferenceCorruption, AliasAsymmetryIsCaughtByConsistencyPass) {
                           ctx2, one(pass_id::kAliasConsistency)),
                       pass_id::kAliasConsistency),
             0u);
+}
+
+// The closure's own output is consistent: a positive pair it leaves split is
+// one a negative verdict keeps apart, so the pass must stay silent on every
+// groups() result. The triangle is the smallest veto: .2-.5 and .5-.6 are
+// aliases, .2-.6 is not.
+TEST_F(InferenceCorruption, ClosureOutputPassesConsistencyPass) {
+  auto services = scenario_->services_for(*vp_);
+  auto check_groups_of = [&](const core::AliasResolver& resolver,
+                             const std::vector<Ipv4Addr>& addrs) {
+    const std::vector<std::vector<Ipv4Addr>> groups = resolver.groups(addrs);
+    CheckContext ctx;
+    ctx.aliases = &resolver;
+    ctx.alias_groups = &groups;
+    CheckReport report =
+        InvariantChecker().run(ctx, one(pass_id::kAliasConsistency));
+    EXPECT_EQ(errors_of(report, pass_id::kAliasConsistency), 0u)
+        << report.summary();
+  };
+
+  core::AliasResolver triangle(*services);
+  triangle.declare(ip("10.0.0.2"), ip("10.0.0.5"), core::AliasVerdict::kAlias);
+  triangle.declare(ip("10.0.0.5"), ip("10.0.0.6"), core::AliasVerdict::kAlias);
+  triangle.declare(ip("10.0.0.2"), ip("10.0.0.6"),
+                   core::AliasVerdict::kNotAlias);
+  check_groups_of(triangle, {ip("10.0.0.2"), ip("10.0.0.5"), ip("10.0.0.6")});
+
+  // Seeded random verdict sets over ten addresses, mostly positive so that
+  // vetoes compete.
+  std::mt19937_64 rng(20161114);
+  for (int round = 0; round < 50; ++round) {
+    core::AliasResolver resolver(*services);
+    std::vector<Ipv4Addr> addrs;
+    for (std::uint32_t i = 0; i < 10; ++i) {
+      addrs.push_back(Ipv4Addr(ip("10.9.2.0").value() + i));
+    }
+    for (std::size_t i = 0; i < addrs.size(); ++i) {
+      for (std::size_t j = i + 1; j < addrs.size(); ++j) {
+        const std::uint64_t r = rng() % 8;
+        if (r < 3) {
+          resolver.declare(addrs[i], addrs[j], core::AliasVerdict::kAlias);
+        } else if (r == 3) {
+          resolver.declare(addrs[i], addrs[j], core::AliasVerdict::kNotAlias);
+        }
+      }
+    }
+    check_groups_of(resolver, addrs);
+  }
 }
 
 // ---------------------------------------------------------------------------

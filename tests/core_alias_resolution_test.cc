@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+#include <vector>
+
 #include "probe/alias.h"
 #include "route/bgp_sim.h"
 #include "route/fib.h"
@@ -139,17 +143,73 @@ TEST_F(AliasResolutionFixture, PrefixscanNoMateForDistinctRouter) {
 
 TEST_F(AliasResolutionFixture, GroupsHonorNegativeEvidence) {
   build();
-  AliasResolver r(*services_);
-  r.declare(ip("10.0.0.2"), ip("10.0.0.5"), AliasVerdict::kAlias);
-  r.declare(ip("10.0.0.5"), ip("10.0.0.6"), AliasVerdict::kAlias);
-  // Negative evidence between the transitive endpoints vetoes the merge.
-  r.declare(ip("10.0.0.2"), ip("10.0.0.6"), AliasVerdict::kNotAlias);
-  auto groups = r.groups({ip("10.0.0.2"), ip("10.0.0.5"), ip("10.0.0.6")});
-  // No group may contain both 10.0.0.2 and 10.0.0.6.
-  for (const auto& g : groups) {
-    bool has_2 = std::find(g.begin(), g.end(), ip("10.0.0.2")) != g.end();
-    bool has_6 = std::find(g.begin(), g.end(), ip("10.0.0.6")) != g.end();
-    EXPECT_FALSE(has_2 && has_6);
+  // .2-.5 and .5-.6 are aliases, but negative evidence between the
+  // transitive endpoints vetoes the second union. Positives unite in
+  // ascending pair_key order, so .2-.5 unites first in every declare order.
+  struct Declared {
+    Ipv4Addr a, b;
+    AliasVerdict v;
+  };
+  std::vector<Declared> triangle = {
+      {ip("10.0.0.2"), ip("10.0.0.5"), AliasVerdict::kAlias},
+      {ip("10.0.0.5"), ip("10.0.0.6"), AliasVerdict::kAlias},
+      {ip("10.0.0.2"), ip("10.0.0.6"), AliasVerdict::kNotAlias},
+  };
+  const std::vector<std::vector<Ipv4Addr>> want = {
+      {ip("10.0.0.2"), ip("10.0.0.5")}, {ip("10.0.0.6")}};
+  std::vector<std::size_t> order = {0, 1, 2};
+  do {
+    AliasResolver r(*services_);
+    for (std::size_t i : order) {
+      r.declare(triangle[i].a, triangle[i].b, triangle[i].v);
+    }
+    EXPECT_EQ(r.groups({ip("10.0.0.6"), ip("10.0.0.5"), ip("10.0.0.2")}),
+              want)
+        << "declare order " << order[0] << order[1] << order[2];
+  } while (std::next_permutation(order.begin(), order.end()));
+
+  // Seeded random verdict sets over twelve addresses, mostly positive so
+  // that vetoes compete, declared in shuffled orders: the groups depend on
+  // the verdicts alone.
+  std::mt19937_64 rng(20161114);
+  for (int round = 0; round < 40; ++round) {
+    std::vector<Ipv4Addr> addrs;
+    for (std::uint32_t i = 0; i < 12; ++i) {
+      addrs.push_back(Ipv4Addr(ip("10.1.0.0").value() + i));
+    }
+    std::vector<Declared> verdicts;
+    for (std::size_t i = 0; i < addrs.size(); ++i) {
+      for (std::size_t j = i + 1; j < addrs.size(); ++j) {
+        const std::uint64_t roll = rng() % 8;
+        if (roll < 4) {
+          verdicts.push_back({addrs[i], addrs[j],
+                              roll < 3 ? AliasVerdict::kAlias
+                                       : AliasVerdict::kNotAlias});
+        }
+      }
+    }
+    std::vector<std::vector<Ipv4Addr>> first;
+    for (int shuffle = 0; shuffle < 6; ++shuffle) {
+      std::shuffle(verdicts.begin(), verdicts.end(), rng);
+      std::vector<Ipv4Addr> listed = addrs;
+      std::shuffle(listed.begin(), listed.end(), rng);
+      AliasResolver r(*services_);
+      for (const Declared& d : verdicts) {
+        // Either address order names the same pair.
+        if (rng() & 1) {
+          r.declare(d.a, d.b, d.v);
+        } else {
+          r.declare(d.b, d.a, d.v);
+        }
+      }
+      auto groups = r.groups(listed);
+      if (shuffle == 0) {
+        first = std::move(groups);
+      } else {
+        ASSERT_EQ(groups, first) << "round " << round << ", shuffle "
+                                 << shuffle;
+      }
+    }
   }
 }
 

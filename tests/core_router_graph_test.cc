@@ -66,6 +66,31 @@ TEST(RouterGraph, SelfLoopsFromAliasesAreSkipped) {
   EXPECT_TRUE(g.routers()[r].prev.empty());
 }
 
+// Without alias groups every time-exceeded address is a router of its own,
+// numbered in trace order: the same graph as singleton groups listed in
+// first-seen order (what Bdrmap passes when alias resolution is off).
+TEST(RouterGraph, NoGroupsEqualsFirstSeenSingletons) {
+  std::vector<ObservedTrace> traces{
+      make_trace(AsId(5), "20.0.0.1",
+                 {{"10.0.0.9"}, {"10.0.0.3"}, {nullptr}, {"10.0.0.7"}}),
+      make_trace(AsId(6), "30.0.0.1",
+                 {{"10.0.0.9"}, {"10.0.0.1"}, {"10.0.0.3"},
+                  {"30.0.0.1", ReplyKind::kEchoReply}}, true)};
+  RouterGraph ungrouped(traces, {});
+  RouterGraph singletons(traces, {{ip("10.0.0.9")}, {ip("10.0.0.3")},
+                                  {ip("10.0.0.7")}, {ip("10.0.0.1")}});
+  ASSERT_EQ(ungrouped.routers().size(), singletons.routers().size());
+  for (std::size_t i = 0; i < ungrouped.routers().size(); ++i) {
+    const GraphRouter& a = ungrouped.routers()[i];
+    const GraphRouter& b = singletons.routers()[i];
+    EXPECT_EQ(a.addrs, b.addrs) << "router " << i;
+    EXPECT_EQ(a.prev, b.prev) << "router " << i;
+    EXPECT_EQ(a.next, b.next) << "router " << i;
+    EXPECT_EQ(a.dest_ases, b.dest_ases) << "router " << i;
+    EXPECT_EQ(a.min_hop, b.min_hop) << "router " << i;
+  }
+}
+
 TEST(RouterGraph, EchoRepliesCreateNoRoutersOrAdjacency) {
   std::vector<ObservedTrace> traces{make_trace(
       AsId(5), "20.0.0.1",

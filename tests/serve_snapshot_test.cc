@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
 #include "eval/scenario_registry.h"
@@ -67,26 +68,72 @@ TEST(ServeSnapshotTest, NestedPrefixBoundaries) {
   EXPECT_EQ(snap->lookup(Ipv4Addr::of(203, 0, 113, 7)).owner, AsId(8));
 }
 
-TEST(ServeSnapshotTest, LpmMatchesBruteForce) {
-  std::vector<OwnedPrefix> prefixes = nested_fixture();
-  prefixes.pop_back();  // drop the /0 so unrouted addresses exist
+// Checks the compiled trie against brute force on `samples` addresses drawn
+// from `state`: half anywhere, half inside a prefix of the set, plus each
+// prefix's first and last address and the addresses just outside it.
+void expect_lpm_matches_brute_force(const std::vector<OwnedPrefix>& prefixes,
+                                    std::uint64_t state, int samples) {
   auto snap = BorderMapSnapshot::compile(prefixes, core::MergedMap{}, 1);
-  std::uint64_t state = 0xfeed;
-  for (int i = 0; i < 20000; ++i) {
+  std::vector<Ipv4Addr> addrs;
+  for (const OwnedPrefix& p : prefixes) {
+    const std::uint32_t first = p.prefix.network().value();
+    const std::uint32_t last = p.prefix.last().value();
+    addrs.insert(addrs.end(), {Ipv4Addr(first), Ipv4Addr(last),
+                               Ipv4Addr(first - 1), Ipv4Addr(last + 1)});
+  }
+  for (int i = 0; i < samples; ++i) {
     const std::uint64_t r = splitmix64(state);
-    // Half the samples land inside a fixture prefix, half anywhere.
     Ipv4Addr addr(static_cast<std::uint32_t>(r));
     if (r & 1) {
       const OwnedPrefix& p = prefixes[(r >> 32) % prefixes.size()];
       addr = Ipv4Addr(p.prefix.network().value() +
                       static_cast<std::uint32_t>((r >> 8) % p.prefix.size()));
     }
+    addrs.push_back(addr);
+  }
+  for (Ipv4Addr addr : addrs) {
     const OwnedPrefix* want = brute_force(prefixes, addr);
     const BorderMapSnapshot::Lookup got = snap->lookup(addr);
     ASSERT_EQ(got.routed, want != nullptr) << "addr " << addr.value();
     if (want) {
-      EXPECT_EQ(got.owner, want->owner) << "addr " << addr.value();
+      ASSERT_EQ(got.owner, want->owner) << "addr " << addr.value();
     }
+  }
+}
+
+// A seeded random set of nested prefixes: a few roots, and prefixes carved
+// out of earlier ones at random depths, down to /32.
+std::vector<OwnedPrefix> random_nested_prefixes(std::uint64_t state) {
+  std::vector<OwnedPrefix> out;
+  const std::uint64_t roots = 1 + splitmix64(state) % 4;
+  const std::uint64_t total = roots + 10 + splitmix64(state) % 40;
+  while (out.size() < total) {
+    const std::uint64_t r = splitmix64(state);
+    Prefix p;
+    if (out.size() < roots) {
+      const auto len = static_cast<std::uint8_t>(1 + r % 24);
+      p = Prefix(Ipv4Addr(static_cast<std::uint32_t>(r >> 32)), len);
+    } else {
+      const Prefix& parent = out[(r >> 8) % out.size()].prefix;
+      if (parent.length() == 32) continue;
+      const auto len = static_cast<std::uint8_t>(
+          parent.length() + 1 + (r >> 16) % (32 - parent.length()));
+      const std::uint32_t offset =
+          static_cast<std::uint32_t>(splitmix64(state) % parent.size());
+      p = Prefix(Ipv4Addr(parent.network().value() + offset), len);
+    }
+    out.push_back({p, AsId(static_cast<std::uint32_t>(out.size() + 1))});
+  }
+  return out;
+}
+
+TEST(ServeSnapshotTest, LpmMatchesBruteForce) {
+  std::vector<OwnedPrefix> prefixes = nested_fixture();
+  prefixes.pop_back();  // drop the /0 so unrouted addresses exist
+  expect_lpm_matches_brute_force(prefixes, 0xfeed, 20000);
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    SCOPED_TRACE("random nested prefix set " + std::to_string(seed));
+    expect_lpm_matches_brute_force(random_nested_prefixes(seed), seed, 500);
   }
 }
 
