@@ -43,7 +43,7 @@ inline std::uint64_t pair_key(Ipv4Addr a, Ipv4Addr b) {
 }
 
 // True iff a sorted routing footprint holds one of the sorted `changed`
-// tier keys (route::BgpSimulator::set_relationship): whatever read that
+// keys a churn event moved (serve::apply_event): whatever read that
 // footprint may have moved.
 inline bool footprint_meets(std::span<const std::uint64_t> footprint,
                             std::span<const std::uint64_t> changed) {
@@ -72,7 +72,7 @@ struct AliasEvidence {
   std::vector<std::uint64_t> footprint_keys;
 
   // Drops the Mercator source, the footprint and every verdict of each
-  // address whose footprint meets `changed` (sorted tier keys). Returns
+  // address whose footprint meets `changed` (sorted routing keys). Returns
   // how many addresses moved.
   std::size_t drop_moved(std::span<const std::uint64_t> changed);
 };

@@ -60,11 +60,11 @@ struct CollectedTraces {
   std::size_t blocks = 0;
   std::size_t stopset_hits = 0;
   std::size_t probe_failures = 0;
-  // The slice's routing footprint: sorted, de-duplicated tier keys of
-  // every forwarding decision its probes read (ProbeServices::
+  // The slice's routing footprint: sorted, de-duplicated keys of every
+  // forwarding decision and resolution its probes read (ProbeServices::
   // record_footprint). runtime::MultiVpExecutor fills it for the slices
-  // it keeps; a relationship flip that reports none of these keys leaves
-  // the slice as it is (docs/serving.md §4).
+  // it keeps; a churn event that reports none of these keys leaves the
+  // slice as it is (docs/serving.md §4).
   std::vector<std::uint64_t> footprint;
 
   // Appends `other` (field-wise) onto this slice; its traces are shared,

@@ -22,7 +22,6 @@ class NullProbeServices final : public probe::ProbeServices {
   // Its probes read no forwarding state.
   void record_footprint(std::vector<std::uint64_t>*) override {}
   void addr_footprint(Ipv4Addr, std::vector<std::uint64_t>&) override {}
-  Ipv4Addr vp_addr() const override { return {}; }
   std::uint64_t probes_sent() const override { return 0; }
   void reseed(std::uint64_t) override {}
 };

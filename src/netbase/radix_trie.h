@@ -49,10 +49,6 @@ class RadixTrie {
     const Node* n = const_cast<RadixTrie*>(this)->descend(p, /*create=*/false);
     return (n && n->has_value) ? &n->value : nullptr;
   }
-  T* exact_mutable(const Prefix& p) {
-    Node* n = descend(p, /*create=*/false);
-    return (n && n->has_value) ? &n->value : nullptr;
-  }
 
   // Longest-prefix match for a single address. Returns nullptr if nothing
   // covers `a`. If `matched` is non-null, receives the matching prefix.

@@ -41,10 +41,6 @@ class Rng {
     return std::uniform_int_distribution<std::uint32_t>(lo, hi)(engine_);
   }
 
-  std::uint64_t uniform64(std::uint64_t lo, std::uint64_t hi) {
-    return std::uniform_int_distribution<std::uint64_t>(lo, hi)(engine_);
-  }
-
   // True with probability p (clamped to [0,1]).
   bool chance(double p) {
     if (p <= 0.0) return false;

@@ -121,7 +121,6 @@ class LocalProbeServices final : public ProbeServices {
                       std::vector<std::uint64_t>& out) override {
     tracer_.addr_footprint(addr, out);
   }
-  Ipv4Addr vp_addr() const override { return tracer_.vp().addr; }
   std::uint64_t probes_sent() const override {
     return tracer_.probes_sent() + prober_.probes_sent();
   }

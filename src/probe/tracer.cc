@@ -19,7 +19,10 @@ TracerouteEngine::TracerouteEngine(const topo::Internet& net,
 std::optional<IfaceId> TracerouteEngine::egress_iface_to_vp(
     RouterId router) const {
   // A stack outlives a slice, so a memo hit still reads this decision.
-  if (footprint_) note_key(fib_.tier_key(router, vp_query_));
+  if (footprint_) {
+    note_key(fib_.tier_key(router, vp_query_));
+    if (const auto key = fib_.query_key(vp_query_)) note_key(*key);
+  }
   auto it = vp_egress_cache_.find(router.value);
   if (it == vp_egress_cache_.end()) {
     auto out = fib_.egress_iface(router, vp_query_);
@@ -119,6 +122,7 @@ const std::vector<TracerouteEngine::PathHop>& TracerouteEngine::walk(
   // BDRMAP_HOT_END(probe_walk)
   if (footprint_) {
     for (const PathHop& hop : path_) note_key(fib_.tier_key(hop.router, q));
+    if (const auto key = fib_.query_key(q)) note_key(*key);
   }
   return path_;
 }
@@ -133,6 +137,8 @@ void TracerouteEngine::addr_footprint(Ipv4Addr addr,
   reach_cache_.emplace(addr.value(), reaches(owner, q));
   for (const PathHop& hop : path_) out.push_back(fib_.tier_key(hop.router, q));
   out.push_back(fib_.tier_key(owner, vp_query_));
+  if (const auto key = fib_.query_key(q)) out.push_back(*key);
+  if (const auto key = fib_.query_key(vp_query_)) out.push_back(*key);
 }
 
 TraceResult TracerouteEngine::trace(Ipv4Addr dst, const StopFn& stop) {

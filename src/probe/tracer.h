@@ -68,23 +68,22 @@ class TracerouteEngine {
 
   // Routing footprint (DESIGN.md §13). While `sink` is set, every walked
   // router appends route::Fib::tier_key(router, walked query), the
-  // delivery router included, and every egress_iface_to_vp read appends
-  // the key of the router's egress toward the VP, on memo hits too.
-  // reaches_addr memo hits append nothing; alias probing records
+  // delivery router included, and every walk its query's Fib::query_key;
+  // every egress_iface_to_vp read appends both keys toward the VP, on memo
+  // hits too. reaches_addr memo hits append nothing; alias probing records
   // addr_footprint instead. nullptr stops recording.
   void record_footprint(std::vector<std::uint64_t>* sink) {
     footprint_ = sink;
   }
 
-  // Appends the tier keys that alias probes of `addr` read: the walk that
+  // Appends the keys that alias probes of `addr` read: the walk that
   // decides reaches_addr, and the owner's egress toward the VP (Mercator
-  // reply source). Empty for non-interface addresses, which no alias probe
-  // answers. The walk also fills the reach memo, so the probes that follow
-  // do not walk again.
+  // reply source), each with its query key. Empty for non-interface
+  // addresses, which no alias probe answers. The walk also fills the
+  // reach memo, so the probes that follow do not walk again.
   void addr_footprint(Ipv4Addr addr, std::vector<std::uint64_t>& out);
 
   std::uint64_t probes_sent() const { return probes_sent_; }
-  const topo::Vp& vp() const { return vp_; }
 
   // Back to the state of an engine constructed with `seed`: RNG and probe
   // count. The reach and VP-egress memos stay; they are pure functions of

@@ -72,16 +72,11 @@ class ProbeServices {
   // not on what the stack measured before (DESIGN.md §8).
   virtual void begin_alias_test(std::uint64_t key) = 0;
 
-  // The address this stack probes from (its VP's). Routers source
-  // kEgressToSrc time-exceeded replies and Mercator replies from their
-  // egress toward it, so routing changes under it move those replies.
-  virtual Ipv4Addr vp_addr() const = 0;
-
-  // Routing footprints (DESIGN.md §13): the route::Fib::tier_key of every
-  // forwarding decision a probe read. While `sink` is set, each trace()
-  // appends the keys of its walk and of the replies sourced toward the VP;
-  // nullptr stops recording. runtime::MultiVpExecutor records one per
-  // slice it keeps.
+  // Routing footprints (DESIGN.md §13): the route::Fib keys of every
+  // forwarding decision and resolution a probe read. While `sink` is set,
+  // each trace() appends the keys of its walk and of the replies sourced
+  // toward the VP; nullptr stops recording. runtime::MultiVpExecutor
+  // records one per slice it keeps.
   virtual void record_footprint(std::vector<std::uint64_t>* sink) = 0;
 
   // Appends the keys every udp_probe / ipid_sample of `addr` reads: the

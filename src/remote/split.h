@@ -61,7 +61,6 @@ class ProberDevice {
   void crash();
 
   std::uint64_t probes_sent() const { return services_.probes_sent(); }
-  net::Ipv4Addr vp_addr() const { return services_.vp_addr(); }
   // Routing footprints of the probes this device runs (probe::
   // ProbeServices): simulation accounting like probes_sent, not wire
   // traffic. A retransmitted trace records its walk again, which only
@@ -124,10 +123,7 @@ class RemoteProbeServices final : public probe::ProbeServices {
   // request leaves the device on its previous key: a degraded run's
   // verdicts may then differ, like its other lost probes.
   void begin_alias_test(std::uint64_t key) override;
-  // Read off the device, like its probe count (run-time accounting).
-  net::Ipv4Addr vp_addr() const override {
-    return channel_->device().vp_addr();
-  }
+  // Read off the device (run-time accounting).
   std::uint64_t probes_sent() const override {
     return channel_->device().probes_sent();
   }

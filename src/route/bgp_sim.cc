@@ -65,7 +65,6 @@ const BgpSimulator::PerDst& BgpSimulator::table(std::uint32_t dst) const {
     auto it = cache_.find(dst);
     if (it != cache_.end()) return *it->second;
   }
-  table_fills_.inc();
 
   auto t = std::make_unique<PerDst>();
   const std::size_t n = as_ids_.size();
@@ -103,10 +102,11 @@ const BgpSimulator::PerDst& BgpSimulator::table(std::uint32_t dst) const {
                  "destination must sit at distance zero in its own cone");
   // The computation above is pure, so two threads racing to fill the same
   // destination produced identical tables: first writer wins, the loser's
-  // copy is discarded. References stay valid across rehashes because the
-  // table lives behind a unique_ptr.
+  // copy is discarded and only the winner counts. References stay valid
+  // across rehashes because the table lives behind a unique_ptr.
   net::MutexLock lk(cache_mu_);
-  auto it = cache_.emplace(dst, std::move(t)).first;
+  const auto [it, filled] = cache_.emplace(dst, std::move(t));
+  if (filled) table_fills_.inc();
   return *it->second;
 }
 
@@ -260,11 +260,31 @@ const BgpSimulator::TierSet& BgpSimulator::tiers(AsId src, AsId dst) const {
       return *it->second;
     }
   }
-  tier_fills_.inc();
   auto t = std::make_unique<TierSet>(compute_tiers(i, di));
   net::MutexLock lk(tiers_mu_);
-  auto it = tiers_.emplace(key, std::move(t)).first;
+  const auto [it, filled] = tiers_.emplace(key, std::move(t));
+  if (filled) tier_fills_.inc();  // the first writer's fill
   return *it->second;
+}
+
+std::vector<std::uint64_t> BgpSimulator::keys_listing(
+    std::span<const std::pair<std::uint32_t, AsId>> sessions) const {
+  std::vector<std::uint64_t> keys;
+  net::SharedLock lk(tiers_mu_);
+  for (const auto& [key, set] : tiers_) {
+    const std::vector<std::vector<AsId>>& tiers = set->tiers;
+    for (const auto& [near, far] : sessions) {
+      if (near == key >> 32 &&
+          std::any_of(tiers.begin(), tiers.end(), [far = far](const auto& t) {
+            return std::binary_search(t.begin(), t.end(), far);
+          })) {
+        keys.push_back(key);
+        break;
+      }
+    }
+  }
+  std::sort(keys.begin(), keys.end());
+  return keys;
 }
 
 template <typename Emit>

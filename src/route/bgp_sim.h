@@ -15,6 +15,7 @@
 #include <memory>
 #include <span>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "netbase/ids.h"
@@ -64,8 +65,6 @@ class BgpSimulator {
   // policy is empty, making this constructor equivalent to the one above.
   BgpSimulator(const topo::Internet& net, BgpPolicy policy,
                obs::MetricsRegistry* metrics = nullptr);
-
-  const BgpPolicy& policy() const { return policy_; }
 
   // Best route class/length from `src` toward `dst` (an AS). Every AS
   // advertises its shortest valley-free route to its customers, so a
@@ -142,6 +141,12 @@ class BgpSimulator {
   std::vector<std::uint64_t> set_relationship(
       AsId a, AsId b, asdata::Relationship rel_of_b_from_a)
       BDRMAP_EXCLUDES(cache_mu_, tiers_mu_);
+
+  // The sorted memoized tier keys (src, dst) whose set lists `far`, for any
+  // (src dense index, far) in `sessions` (route::Fib::set_link_state).
+  std::vector<std::uint64_t> keys_listing(
+      std::span<const std::pair<std::uint32_t, AsId>> sessions) const
+      BDRMAP_EXCLUDES(tiers_mu_);
 
   // The relationship graph routes are currently computed over: the truth
   // graph until the first set_relationship, the private overlay after.

@@ -93,7 +93,7 @@ Fib::Fib(const topo::Internet& net, const BgpSimulator& bgp,
   }
 }
 
-void Fib::set_link_state(LinkId link, bool up) {
+std::vector<std::uint64_t> Fib::set_link_state(LinkId link, bool up) {
   {
     net::MutexLock lk(overlay_mu_);
     if (up) {
@@ -104,35 +104,37 @@ void Fib::set_link_state(LinkId link, bool up) {
     overlay_active_.store(!down_links_.empty() || !withdrawn_.empty(),
                           std::memory_order_release);
   }
-  // Cached egress decisions were computed against the previous down set.
-  net::MutexLock lk(egress_mu_);
-  clear_egress();
+  // An egress decision reads the link's state iff it weighs a session over
+  // it: its near AS decides toward a destination whose tiers list the far
+  // AS. An IXP LAN carries one session per member pair.
+  std::vector<std::pair<std::uint32_t, AsId>> sessions;
+  for (std::uint32_t d = 0; d < sessions_.size(); ++d) {
+    for (const Session& s : sessions_[d]) {
+      if (s.link == link) sessions.emplace_back(d, s.far_as);
+    }
+  }
+  std::vector<std::uint64_t> keys = bgp_.keys_listing(sessions);
+  invalidate_egress(keys);
+  keys.push_back(link_key(link));  // tagged, so it sorts last
+  return keys;
 }
 
-void Fib::set_prefix_withdrawn(const net::Prefix& p, bool withdrawn) {
+std::vector<std::uint64_t> Fib::set_prefix_withdrawn(const net::Prefix& p,
+                                                     bool withdrawn) {
   net::MutexLock lk(overlay_mu_);
-  for (const auto& ap : net_.announced()) {
-    if (ap.prefix != p) continue;
-    if (withdrawn) {
-      withdrawn_.insert(&ap);
-    } else {
-      withdrawn_.erase(&ap);
-    }
+  if (withdrawn) {
+    withdrawn_.insert(p);
+  } else {
+    withdrawn_.erase(p);
   }
   overlay_active_.store(!down_links_.empty() || !withdrawn_.empty(),
                         std::memory_order_release);
+  return {prefix_key(p)};
 }
 
-void Fib::clear_egress() {
-  // Mutators run under the serve layer's quiescence contract (no
-  // concurrent forwarding), so relaxed stores suffice to null the rows.
-  for (auto& storage : egress_row_storage_) {
-    for (std::size_t j = 0; j < row_width_; ++j) {
-      storage[j].store(nullptr, std::memory_order_relaxed);
-    }
-  }
-  egress_pool_.clear();
-  egress_dropped_ = 0;
+std::vector<net::Prefix> Fib::withdrawn_prefixes() const {
+  net::SharedLock lk(overlay_mu_);
+  return {withdrawn_.begin(), withdrawn_.end()};
 }
 
 void Fib::invalidate_egress(std::span<const std::uint64_t> changed) {
@@ -160,7 +162,16 @@ void Fib::invalidate_egress(std::span<const std::uint64_t> changed) {
       }
     }
   }
-  if (2 * egress_dropped_ > egress_pool_.size()) clear_egress();
+  if (2 * egress_dropped_ <= egress_pool_.size()) return;
+  // Dropped entries outnumber live ones: clear the memo wholesale. Under
+  // the quiescence contract relaxed stores suffice to null the rows.
+  for (auto& storage : egress_row_storage_) {
+    for (std::size_t j = 0; j < row_width_; ++j) {
+      storage[j].store(nullptr, std::memory_order_relaxed);
+    }
+  }
+  egress_pool_.clear();
+  egress_dropped_ = 0;
 }
 
 bool Fib::link_is_down(LinkId link) const {
@@ -172,7 +183,7 @@ bool Fib::link_is_down(LinkId link) const {
 bool Fib::prefix_withdrawn(const topo::AnnouncedPrefix* ap) const {
   if (!overlay_active_.load(std::memory_order_acquire)) return false;
   net::SharedLock lk(overlay_mu_);
-  return withdrawn_.count(ap) > 0;
+  return withdrawn_.count(ap->prefix) > 0;
 }
 
 const std::vector<Session>& Fib::sessions_of(AsId as) const {
@@ -211,6 +222,7 @@ Fib::RouteQuery::Resolved Fib::resolve(Ipv4Addr dst) const {
           r.target = oi.router;
           r.cross_link = link.id;
           r.cross_egress = other;
+          r.key = link_key(link.id);
           return r;
         }
       }
@@ -224,6 +236,7 @@ Fib::RouteQuery::Resolved Fib::resolve(Ipv4Addr dst) const {
     // A withdrawn prefix has no route; there is deliberately no
     // less-specific fallback (matching announced_match's exact-trie
     // semantics — see docs/serving.md).
+    r.key = prefix_key(ap->prefix);
     if (prefix_withdrawn(ap)) return r;
     r.ok = true;
     r.dst_as = ap->origin;
@@ -256,7 +269,6 @@ const Fib::AsRouting& Fib::routing_for(std::uint32_t as_dense) const {
     net::SharedLock lk(routing_mu_);
     if (routing_[as_dense]) return *routing_[as_dense];
   }
-  routing_fills_.inc();
 
   const AsId as = net_.ases()[as_dense].id;
   auto r = std::make_unique<AsRouting>();
@@ -324,8 +336,12 @@ const Fib::AsRouting& Fib::routing_for(std::uint32_t as_dense) const {
   // Pure computation: racing fills for the same AS produced identical
   // tables, so first writer wins and the duplicate is discarded. The
   // returned reference survives because the slot vector never resizes.
+  // Only the published fill counts.
   net::MutexLock lk(routing_mu_);
-  if (!routing_[as_dense]) routing_[as_dense] = std::move(r);
+  if (!routing_[as_dense]) {
+    routing_[as_dense] = std::move(r);
+    routing_fills_.inc();
+  }
   return *routing_[as_dense];
 }
 
@@ -415,13 +431,11 @@ Fib::EgressEntry Fib::compute_egress_entry(
       if (!entry.tied.empty()) break;  // tier satisfied
     }
   }
-  egress_tied_.observe(entry.tied.size());
   return entry;
 }
 
 const Fib::EgressEntry* Fib::egress_fill(
     RouterId r, const RouteQuery::Resolved& res) const {
-  egress_misses_.inc();
   EgressEntry filled = compute_egress_entry(r, res.dst_as, res.pinned);
 
   net::MutexLock lk(egress_mu_);
@@ -435,10 +449,13 @@ const Fib::EgressEntry* Fib::egress_fill(
     egress_row_router_.push_back(r);
     egress_rows_[r.value].store(row, std::memory_order_release);
   }
-  // First writer wins; a racing fill computed the identical entry.
+  // First writer wins; a racing fill computed the identical entry. Only
+  // the published fill counts.
   if (const EgressEntry* e = row[res.column].load(std::memory_order_relaxed)) {
     return e;
   }
+  egress_misses_.inc();
+  egress_tied_.observe(filled.tied.size());
   egress_pool_.push_back(std::move(filled));
   const EgressEntry* e = &egress_pool_.back();
   row[res.column].store(e, std::memory_order_release);

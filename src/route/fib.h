@@ -33,6 +33,7 @@
 #include <deque>
 #include <memory>
 #include <optional>
+#include <set>
 #include <span>
 #include <unordered_map>
 #include <unordered_set>
@@ -108,6 +109,7 @@ class Fib {
       // column, else dst_as's dense index; kNoIndex when dst_as is outside
       // the construction snapshot, which has no route.
       std::uint32_t column = BgpSimulator::kNoIndex;
+      std::optional<std::uint64_t> key;  // Fib::query_key
     };
     Ipv4Addr dst_;
     Resolved res_;
@@ -147,6 +149,25 @@ class Fib {
                                   bgp_.dense_index(q.res_.dst_as));
   }
 
+  // The routing key space (DESIGN.md §13) holds three kinds of keys. Tier
+  // keys pack dense AS indices (< 2^30), so their top two bits are clear;
+  // prefix keys set them to 0b10 and link keys to 0b11.
+  static std::uint64_t prefix_key(const net::Prefix& p) {
+    return (std::uint64_t{2} << 62) |
+           (std::uint64_t{p.network().value()} << 6) | p.length();
+  }
+  static std::uint64_t link_key(LinkId l) {
+    return (std::uint64_t{3} << 62) | l.value;
+  }
+
+  // What resolving the query read besides tier sets: the prefix_key of its
+  // longest announced match, withdrawn or not (there is no less-specific
+  // fallback), or the link_key of the link a far-side point-to-point
+  // address is delivered across; nullopt when it read neither.
+  std::optional<std::uint64_t> query_key(const RouteQuery& q) const {
+    return q.res_.key;
+  }
+
   // IGP distance between two routers of the same AS (infinity if
   // disconnected or in different ASes).
   double igp_distance(RouterId a, RouterId b) const;
@@ -163,28 +184,37 @@ class Fib {
   // no concurrent forwarding calls — which the serve engine guarantees by
   // applying churn strictly between inference epochs; concurrent readers
   // of an unchanging overlay are safe (overlay_mu_). With no churn ever
-  // applied the hot path pays one relaxed atomic load.
+  // applied the hot path pays one relaxed atomic load. Each mutator
+  // returns the sorted keys it moved: a forwarding decision or resolution
+  // that read none of them is the same as before.
 
-  // Marks an interdomain link down (up=false) or restores it. Clears the
-  // egress-decision cache: any decision may have chosen among sessions
-  // over the link.
-  void set_link_state(LinkId link, bool up)
+  // Marks an interdomain link down (up=false) or restores it. Reports its
+  // link_key and, for every session over it (each IXP LAN member pair),
+  // the memoized tier keys (near AS, dst) whose set lists the far AS, and
+  // drops the egress decisions under those (invalidate_egress).
+  std::vector<std::uint64_t> set_link_state(LinkId link, bool up)
       BDRMAP_EXCLUDES(overlay_mu_, egress_mu_);
 
   // Withdraws (or re-announces) every announced prefix equal to `p`.
-  void set_prefix_withdrawn(const net::Prefix& p, bool withdrawn)
+  // Reports prefix_key(p); no egress decision reads the withdrawn set.
+  std::vector<std::uint64_t> set_prefix_withdrawn(const net::Prefix& p,
+                                                  bool withdrawn)
       BDRMAP_EXCLUDES(overlay_mu_);
 
   // Drops only the memoized egress decisions whose tier_key(router, query)
-  // is in `changed` (sorted ascending, as BgpSimulator::set_relationship
-  // returns the keys a relationship flip changed): on the routers of each
-  // key's source AS, the AS column of its destination and every pinned
-  // column routed toward that AS. Every other decision stands, since it
-  // reads no tier set the flip changed. Dropped entries stay allocated
-  // until they outnumber the live ones; then the memo is cleared
-  // wholesale, so memory stays bounded over any number of flips.
+  // is in `changed` (sorted ascending; keys of other kinds are ignored):
+  // on the routers of each key's source AS, the AS column of its
+  // destination and every pinned column routed toward that AS. Every
+  // other decision stands, since it reads no tier set in `changed`.
+  // Dropped entries stay allocated until they outnumber the live ones;
+  // then the memo is cleared wholesale, so memory stays bounded over any
+  // number of churn events.
   void invalidate_egress(std::span<const std::uint64_t> changed)
       BDRMAP_EXCLUDES(egress_mu_);
+
+  // The announced prefixes currently withdrawn, sorted ascending.
+  std::vector<net::Prefix> withdrawn_prefixes() const
+      BDRMAP_EXCLUDES(overlay_mu_);
 
   bool link_is_down(LinkId link) const BDRMAP_EXCLUDES(overlay_mu_);
 
@@ -235,8 +265,6 @@ class Fib {
       BDRMAP_EXCLUDES(egress_mu_);
   std::optional<Hop> internal_step(RouterId r, RouterId target,
                                    Ipv4Addr dst) const;
-  // Nulls every published egress entry and frees the entries.
-  void clear_egress() BDRMAP_REQUIRES(egress_mu_);
 
   const topo::Internet& net_;
   const BgpSimulator& bgp_;
@@ -301,8 +329,7 @@ class Fib {
   std::atomic<bool> overlay_active_{false};
   mutable net::SharedMutex overlay_mu_;
   std::unordered_set<std::uint32_t> down_links_ BDRMAP_GUARDED_BY(overlay_mu_);
-  std::unordered_set<const topo::AnnouncedPrefix*> withdrawn_
-      BDRMAP_GUARDED_BY(overlay_mu_);
+  std::set<net::Prefix> withdrawn_ BDRMAP_GUARDED_BY(overlay_mu_);
 
   static const std::vector<Session> kNoSessions;
 };

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "netbase/contract.h"
-#include "netbase/rng.h"
 #include "runtime/parallel_for.h"
 
 namespace bdrmap::runtime {
@@ -15,13 +14,6 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
       .count();
 }
-
-// The one seed function (net::mix, a splitmix64 finalizer). Slice
-// (vp, as) draws from mix(base, vp, as); VP vp's tail from
-// mix(base, vp, kInferSalt). Neither depends on the worker or the epoch.
-using net::mix;
-
-constexpr std::uint64_t kInferSalt = 0x1f3a9;
 
 // One VP: collect its missing slices as nested tasks, stitch every slice
 // in plan order by sharing its traces, run the inference tail over the
@@ -53,15 +45,15 @@ core::BdrmapResult run_vp(
         const std::size_t end = std::min(missing.size(), (c + 1) * chunk);
         for (std::size_t k = c * chunk; k < end; ++k) {
           const SlicePlan::Slice& slice = slices[missing[k]];
-          const std::uint64_t seed = mix(base_seed, vp, slice.target_as.value);
+          const std::uint64_t seed = slice_seed(base_seed, vp, slice.target_as);
           if (services) {
             services->reseed(seed);
           } else {
             services = job.make_services(seed);
           }
           core::Bdrmap pipeline(*services, job.inputs, config);
-          // A kept slice records the routing it read, so a relationship
-          // flip can keep it (docs/serving.md §4).
+          // A kept slice records the routing it read, so a churn event
+          // can keep it (docs/serving.md §4).
           footprint.clear();
           if (evidence) services->record_footprint(&footprint);
           core::CollectedTraces collected =
@@ -87,7 +79,7 @@ core::BdrmapResult run_vp(
   }
   obs::Span vp_span(config.obs ? config.obs->tracer() : nullptr, "vp.run");
   vp_span.note("vp", static_cast<std::int64_t>(vp));
-  auto services = job.make_services(mix(base_seed, vp, kInferSalt));
+  auto services = job.make_services(tail_seed(base_seed, vp));
   core::Bdrmap pipeline(*services, job.inputs, config);
   return pipeline.run_with(std::move(all), evidence);
 }

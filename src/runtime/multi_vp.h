@@ -34,10 +34,22 @@
 #include <vector>
 
 #include "core/bdrmap.h"
+#include "netbase/rng.h"
 #include "probe/types.h"
 #include "runtime/thread_pool.h"
 
 namespace bdrmap::runtime {
+
+// The one seed function (net::mix, a splitmix64 finalizer): slice (vp, as)
+// draws its probe stack from slice_seed, VP vp's inference tail from
+// tail_seed. Neither depends on the worker or the epoch.
+inline std::uint64_t slice_seed(std::uint64_t base_seed, std::size_t vp,
+                                net::AsId as) {
+  return net::mix(base_seed, vp, as.value);
+}
+inline std::uint64_t tail_seed(std::uint64_t base_seed, std::size_t vp) {
+  return net::mix(base_seed, vp, 0x1f3a9);
+}
 
 // One vantage point: a factory for its probe stacks (invoked on the
 // executing worker with the slice or tail seed) and its read-only
@@ -96,8 +108,8 @@ class SlicePlan {
 // alias pairs and Mercator sources up in evidence[vp] first and probes
 // only what is missing there; clearing it makes the next tail measure
 // everything again. Every stored slice and every evidence address carries
-// its routing footprint, so a caller can tell what a relationship flip
-// moved (docs/serving.md §4).
+// its routing footprint, so a caller can tell what a churn event moved
+// (docs/serving.md §4).
 struct SliceStore {
   SlicePlan plan;
   std::vector<std::vector<std::shared_ptr<const core::CollectedTraces>>>

@@ -78,17 +78,13 @@ std::vector<std::uint64_t> apply_event(const ChurnEvent& e,
                                        route::Fib& fib) {
   switch (e.kind) {
     case ChurnKind::kWithdraw:
-      fib.set_prefix_withdrawn(e.prefix, true);
-      break;
+      return fib.set_prefix_withdrawn(e.prefix, true);
     case ChurnKind::kAnnounce:
-      fib.set_prefix_withdrawn(e.prefix, false);
-      break;
+      return fib.set_prefix_withdrawn(e.prefix, false);
     case ChurnKind::kLinkDown:
-      fib.set_link_state(e.link, false);
-      break;
+      return fib.set_link_state(e.link, false);
     case ChurnKind::kLinkUp:
-      fib.set_link_state(e.link, true);
-      break;
+      return fib.set_link_state(e.link, true);
     case ChurnKind::kRelChange: {
       // New candidate tiers can reshuffle hot-potato egress choices: the
       // FIB drops the memoized decisions that read a changed tier set.

@@ -5,10 +5,9 @@
 // epochs: a BGP announcement or withdrawal, an interdomain link failing or
 // recovering, or a business-relationship change (e.g. a customer depeering
 // to settlement-free). apply_event() pushes the event into the
-// route::BgpSimulator / route::Fib churn overlays. Which cached slices an
-// event dirties is the serve engine's decision (engine.h); the
-// bit-identity gate against full recomputation is
-// tests/serve_incremental_test.cc.
+// route::BgpSimulator / route::Fib churn overlays and reports the keys the
+// event moved; the serve engine dirties what read them (engine.h). The
+// bit-identity gates are tests/serve_{incremental,churn_fuzz}_test.cc.
 //
 // Quiescence contract: events are applied strictly between epochs, never
 // while probes are in flight (the executor's fork/join provides the
@@ -45,8 +44,9 @@ std::string describe(const ChurnEvent& e);
 
 // Applies one event to the substrate's churn overlays. Requires quiescence
 // (see above): no concurrent forwarding or route queries. Returns the
-// sorted tier keys a relationship event changed
-// (route::BgpSimulator::set_relationship); other events return none.
+// sorted keys the event moved (route::Fib's key space): see
+// BgpSimulator::set_relationship, Fib::set_link_state and
+// Fib::set_prefix_withdrawn.
 std::vector<std::uint64_t> apply_event(const ChurnEvent& e,
                                        route::BgpSimulator& bgp,
                                        route::Fib& fib);

@@ -5,13 +5,11 @@
 // collected traces of every (VP, target-AS) slice and each VP's alias
 // evidence — across epochs. When a ChurnEvent arrives it
 //
-//   1. marks what the event dirtied: for a prefix event (withdraw or
-//      announce), the slices whose planned blocks overlap the prefix, and
-//      every slice and the alias evidence of each VP whose own address the
-//      prefix covers; for a relationship event, the slices and evidence
-//      addresses whose routing footprint holds a tier key the flip
-//      changed; for a link event, every slice and all evidence, as
-//      rebuild_full() does (docs/serving.md §4),
+//   1. applies it to the substrate, which reports the sorted keys it moved
+//      (apply_event), and keeps one rule for every event kind: a slice or
+//      evidence address is dirty iff its routing footprint meets those
+//      keys (core::footprint_meets, AliasEvidence::drop_moved; the key
+//      space is route::Fib's, docs/serving.md §4),
 //   2. erases exactly that from the store and runs the executor again: it
 //      re-collects the erased slices, reuses every clean slice verbatim,
 //      and re-runs the inference tail (alias resolution onward) for every
@@ -31,7 +29,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <set>
 #include <vector>
 
 #include "core/bdrmap.h"
@@ -62,9 +59,9 @@ struct ChurnApplyStats {
   // Alias pairs the epoch's tails took from stored evidence / probed.
   std::size_t alias_pairs_reused = 0;
   std::size_t alias_pairs_probed = 0;
-  // Relationship events: tier keys the flip changed, and evidence
-  // addresses whose footprint met them (their verdicts were dropped).
-  std::size_t tier_keys_changed = 0;
+  // Keys the event moved, and evidence addresses whose footprint met them
+  // (their verdicts were dropped).
+  std::size_t keys_changed = 0;
   std::size_t alias_addrs_moved = 0;
   std::uint64_t epoch = 0;        // epoch the resulting snapshot carries
 };
@@ -114,6 +111,7 @@ class ServeEngine {
   std::size_t vp_count() const { return vps_.size(); }
 
  private:
+  // The public origin table's prefixes the FIB has not withdrawn.
   std::vector<OwnedPrefix> owned_prefixes() const;
   // Runs the executor over the store (collecting what it misses) into
   // last_results_, which frees the previous results on the pool;
@@ -132,12 +130,6 @@ class ServeEngine {
   // The slice plan (built once, at construction), the slice cache and the
   // per-VP alias evidence.
   runtime::SliceStore store_;
-  // Each VP's own address (ProbeServices::vp_addr), read once at
-  // construction: a prefix event that covers it dirties the VP entirely.
-  std::vector<net::Ipv4Addr> vp_addrs_;
-  // Prefixes currently withdrawn by churn; excluded from the snapshot's
-  // routed view (and from recompute_reference's, identically).
-  std::set<net::Prefix> withdrawn_;
 
   SnapshotHandle handle_;
   std::vector<core::BdrmapResult> last_results_;
@@ -147,7 +139,7 @@ class ServeEngine {
   obs::Counter churn_events_;
   obs::Counter dirty_slices_;
   obs::Counter clean_slices_;
-  obs::Counter tier_keys_changed_;
+  obs::Counter keys_changed_;
   obs::Counter alias_addrs_moved_;
   obs::Counter compiles_;
 };

@@ -1067,8 +1067,6 @@ void Generator::create_vps() {
 
 }  // namespace
 
-const std::vector<Pop>& us_pops() { return pops_impl(); }
-
 GeneratedInternet generate(const GeneratorConfig& config) {
   Generator g(config);
   return g.run();

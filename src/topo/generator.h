@@ -102,7 +102,4 @@ struct GeneratedInternet {
 // Builds the Internet described by `config`.
 GeneratedInternet generate(const GeneratorConfig& config);
 
-// The named US PoP locations the generator places routers at.
-const std::vector<Pop>& us_pops();
-
 }  // namespace bdrmap::topo

@@ -85,7 +85,6 @@ class RecordingServices final : public probe::ProbeServices {
   void addr_footprint(Ipv4Addr addr, std::vector<std::uint64_t>& out) override {
     inner_->addr_footprint(addr, out);
   }
-  Ipv4Addr vp_addr() const override { return inner_->vp_addr(); }
   std::uint64_t probes_sent() const override { return inner_->probes_sent(); }
   void reseed(std::uint64_t seed) override { inner_->reseed(seed); }
 

@@ -32,7 +32,6 @@ class NullServices final : public probe::ProbeServices {
   void begin_alias_test(std::uint64_t) override {}
   void record_footprint(std::vector<std::uint64_t>*) override {}
   void addr_footprint(Ipv4Addr, std::vector<std::uint64_t>&) override {}
-  Ipv4Addr vp_addr() const override { return {}; }
   std::uint64_t probes_sent() const override { return 0; }
   void reseed(std::uint64_t) override {}
 };

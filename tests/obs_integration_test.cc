@@ -14,8 +14,11 @@
 #include "core/heuristics.h"
 #include "eval/degradation.h"
 #include "eval/scenario.h"
+#include "eval/scenario_registry.h"
 #include "obs/obs.h"
 #include "runtime/thread_pool.h"
+#include "serve/churn.h"
+#include "serve/engine.h"
 
 namespace bdrmap::core {
 namespace {
@@ -157,6 +160,57 @@ TEST(ObsIntegration, MultiVpInstrumentedRunIsBitIdentical) {
   EXPECT_GT(snap.counter("runtime.tasks_executed"), 0u);
   EXPECT_LE(snap.counter("runtime.tasks_executed"),
             snap.counter("runtime.tasks_submitted"));
+}
+
+// The memo fill counters count the fill that publishes (the first writer
+// of a race), so for one seed they are a function of the work, not of the
+// workers: a 19-VP access build and six churn epochs (relationship flips
+// and link events) read the same fills and the same tie histogram
+// sequentially and on 4 workers. Hit counters depend on scheduling and
+// are not compared.
+TEST(ObsIntegration, MemoFillCountersIgnoreWorkerCount) {
+  auto fills = [](unsigned threads) {
+    obs::MetricsRegistry registry;
+    route::FibOptions fib_options;
+    fib_options.metrics = &registry;
+    const auto spec = eval::scenario_spec("access", 3);
+    eval::Scenario scenario(*spec, fib_options);
+    const net::AsId vp_as = scenario.first_of(spec->vp_kind);
+    std::vector<serve::VpContext> contexts;
+    for (const topo::Vp& vp : scenario.vps_in(vp_as)) {
+      serve::VpContext ctx;
+      ctx.make_services = [&scenario, vp](std::uint64_t seed) {
+        return std::unique_ptr<probe::ProbeServices>(
+            scenario.services_for(vp, seed));
+      };
+      ctx.inputs = scenario.inputs_for(vp_as);
+      contexts.push_back(std::move(ctx));
+    }
+    auto pool = runtime::make_pool(threads);
+    serve::EngineOptions options;
+    options.base_seed = 3 ^ 0x515;
+    options.pool = pool.get();
+    serve::ServeEngine engine(scenario.net(), scenario.bgp_mutable(),
+                              scenario.fib_mutable(), std::move(contexts),
+                              options);
+    engine.rebuild_full();
+    serve::ChurnStream stream(scenario.net(), 3);
+    for (int i = 0; i < 6; ++i) engine.apply(stream.next());
+    const obs::MetricsSnapshot m = registry.snapshot();
+    const obs::HistogramSample* tied =
+        m.histogram("route.fib.egress_tied_sessions");
+    return std::vector<std::uint64_t>{
+        m.counter("route.fib.routing_fills"),
+        m.counter("route.bgp.tier_cache_fills"),
+        m.counter("route.bgp.table_fills"),
+        m.counter("route.fib.egress_cache_misses"),
+        tied ? tied->count : 0,
+        tied ? tied->sum : 0};
+  };
+  const std::vector<std::uint64_t> sequential = fills(1);
+  EXPECT_GT(sequential[0], 0u);
+  EXPECT_GT(sequential[3], 0u);
+  EXPECT_EQ(fills(4), sequential);
 }
 
 }  // namespace

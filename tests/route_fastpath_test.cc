@@ -397,7 +397,11 @@ TEST(RouteFastPath, ChurnWalksMatchReference) {
 // miss iff its key changed (egress cache hit/miss counters). The flip is
 // the first provider edge of a pinned prefix's origin whose changed keys
 // reach a pinned decision, so a pinned column the invalidation forgets
-// shows up as a hit. The walks then still match the reference.
+// shows up as a hit. The walks then still match the reference. Link
+// events drop decisions by the same rule (the tier keys set_link_state
+// reports): after every step of a seeded down/up sequence that includes
+// IXP LANs, every walk must equal the walk of a freshly built Fib with
+// the same down links, whose memo never saw the sequence.
 TEST(RouteFastPath, RelationshipFlipDropsOnlyChangedEgress) {
   obs::MetricsRegistry metrics;
   Plane p(eval::small_access_config(7), &metrics);
@@ -498,6 +502,53 @@ TEST(RouteFastPath, RelationshipFlipDropsOnlyChangedEgress) {
   EXPECT_GT(dropped, 0u);
   EXPECT_GT(dropped_pinned, 0u);
   expect_walks_match_reference(p, work);
+
+  std::vector<topo::LinkId> links, ixp_links;
+  for (const auto& info : net.interdomain_links()) {
+    if (std::find(links.begin(), links.end(), info.link) != links.end()) {
+      continue;
+    }
+    links.push_back(info.link);
+    if (info.via_ixp) ixp_links.push_back(info.link);
+  }
+  ASSERT_FALSE(ixp_links.empty()) << "the topology has no IXP LAN";
+  net::Rng rng(0x11F7);
+  auto pick = [&rng](const std::vector<topo::LinkId>& from) {
+    return from[rng.uniform(0, static_cast<std::uint32_t>(from.size() - 1))];
+  };
+  std::vector<std::vector<std::uint64_t>> all_up;
+  for (const Probe& probe : work) all_up.push_back(walk(p.fib, probe));
+  std::vector<topo::LinkId> down;
+  std::size_t ixp_steps = 0, moved_walks = 0;
+  for (int step = 0; step < 16; ++step) {
+    if (!down.empty() && rng.chance(0.4)) {
+      const std::size_t i = rng.uniform(
+          0, static_cast<std::uint32_t>(down.size() - 1));
+      p.fib.set_link_state(down[i], true);
+      down.erase(down.begin() + static_cast<std::ptrdiff_t>(i));
+    } else {
+      const topo::LinkId link = rng.chance(0.5) ? pick(ixp_links) : pick(links);
+      if (std::find(down.begin(), down.end(), link) != down.end()) continue;
+      const std::vector<std::uint64_t> keys = p.fib.set_link_state(link, false);
+      EXPECT_EQ(keys.back(), Fib::link_key(link));
+      ixp_steps += std::find(ixp_links.begin(), ixp_links.end(), link) !=
+                   ixp_links.end();
+      down.push_back(link);
+    }
+    Fib fresh(net, p.bgp);
+    for (topo::LinkId link : down) fresh.set_link_state(link, false);
+    std::size_t differ = 0;
+    for (std::size_t i = 0; i < work.size(); ++i) {
+      const std::vector<std::uint64_t> trail = walk(p.fib, work[i]);
+      differ += trail != walk(fresh, work[i]);
+      moved_walks += trail != all_up[i];
+    }
+    EXPECT_EQ(differ, 0u) << "step " << step;
+  }
+  // The sequence must take IXP LANs down and move walks, or it tests
+  // nothing.
+  EXPECT_GT(ixp_steps, 0u);
+  EXPECT_GT(moved_walks, 0u);
 }
 
 TEST(RouteFastPath, ConcurrentFillIsDeterministic) {

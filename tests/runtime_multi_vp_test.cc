@@ -145,7 +145,6 @@ TEST_F(MultiVpDeterminism, ReenteringRunningInstanceTrips) {
                         std::vector<std::uint64_t>& out) override {
       inner_.addr_footprint(a, out);
     }
-    net::Ipv4Addr vp_addr() const override { return inner_.vp_addr(); }
     std::uint64_t probes_sent() const override {
       return inner_.probes_sent();
     }

@@ -234,14 +234,14 @@ int main(int argc, char** argv) {
     snap = engine.handle().current();
     if (!opts.quiet) {
       std::printf("epoch %llu: %-28s %zu/%zu slices re-collected, "
-                  "%zu/%zu alias pairs probed, %zu tier keys changed, "
+                  "%zu/%zu alias pairs probed, %zu keys changed, "
                   "%zu alias addrs moved, fingerprint %016llx (%.3fs)\n",
                   static_cast<unsigned long long>(stats.epoch),
                   serve::describe(event).c_str(), stats.dirty_slices,
                   stats.dirty_slices + stats.clean_slices,
                   stats.alias_pairs_probed,
                   stats.alias_pairs_probed + stats.alias_pairs_reused,
-                  stats.tier_keys_changed, stats.alias_addrs_moved,
+                  stats.keys_changed, stats.alias_addrs_moved,
                   static_cast<unsigned long long>(snap->fingerprint()), c_s);
     }
   }
