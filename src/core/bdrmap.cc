@@ -167,12 +167,6 @@ std::vector<ObservedTrace> Bdrmap::collect_traces(
 std::vector<std::vector<Ipv4Addr>> Bdrmap::resolve_aliases(
     const SharedTraces& traces, AliasEvidence* evidence) {
   obs::Span alias_span(tracer(), "stage.alias");
-  if (!config_.enable_alias_resolution) {
-    // No groups: RouterGraph makes each hop address a router of its own.
-    stats_.alias_pair_tests = 0;
-    return {};
-  }
-
   // BDRMAP_HOT_BEGIN(alias_candidates)
   // Every address observed in a time-exceeded reply participates. Each
   // distinct edge between consecutive ones is a fan-out/fan-in candidate:

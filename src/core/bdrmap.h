@@ -38,7 +38,6 @@ namespace bdrmap::core {
 
 struct BdrmapConfig {
   bool enable_stop_set = true;          // ablation: doubletree stop set
-  bool enable_alias_resolution = true;  // ablation: Figure 13's failure mode
   HeuristicsConfig heuristics;
   // Observability bundle (DESIGN.md §11). When set and enabled, run()
   // emits one span per pipeline stage (schedule → trace → alias → merge →

@@ -23,19 +23,15 @@ class NullProbeServices final : public probe::ProbeServices {
   void record_footprint(std::vector<std::uint64_t>*) override {}
   void addr_footprint(Ipv4Addr, std::vector<std::uint64_t>&) override {}
   std::uint64_t probes_sent() const override { return 0; }
-  void reseed(std::uint64_t) override {}
 };
 
 }  // namespace
 
 BdrmapResult analyze_offline(SharedTraces traces,
-                             const InferenceInputs& inputs,
-                             OfflineConfig config) {
+                             const InferenceInputs& inputs) {
   NullProbeServices null_services;
   AliasResolver resolver(null_services);
-  if (config.analytic_aliases) {
-    run_apar(traces, resolver);
-  }
+  run_apar(traces, resolver);
 
   // The time-exceeded addresses for the closure, which drops repeats.
   std::vector<Ipv4Addr> addrs;
@@ -51,8 +47,8 @@ BdrmapResult analyze_offline(SharedTraces traces,
   BdrmapStats stats;
   stats.traces = traces.size();
   stats.alias_pair_tests = resolver.pair_tests();
-  return infer_borders(RouterGraph(std::move(traces), groups), inputs,
-                       config.heuristics, stats);
+  return infer_borders(RouterGraph(std::move(traces), groups), inputs, {},
+                       stats);
 }
 
 }  // namespace bdrmap::core

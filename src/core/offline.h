@@ -14,15 +14,10 @@
 
 namespace bdrmap::core {
 
-struct OfflineConfig {
-  bool analytic_aliases = true;  // run APAR over the archive
-  HeuristicsConfig heuristics;
-};
-
-// Rebuilds the border map from archived traces. `inputs` are the same §5.2
-// datasets the original run used (or newer editions of them).
+// Rebuilds the border map from archived traces: APAR over the archive,
+// then the default §5.4 heuristics. `inputs` are the same §5.2 datasets
+// the original run used (or newer editions of them).
 BdrmapResult analyze_offline(SharedTraces traces,
-                             const InferenceInputs& inputs,
-                             OfflineConfig config = {});
+                             const InferenceInputs& inputs);
 
 }  // namespace bdrmap::core

@@ -58,13 +58,6 @@ class AliasProber {
 
   std::uint64_t probes_sent() const { return probes_sent_; }
 
-  // Back to the state of a prober constructed with `seed`.
-  void reseed(std::uint64_t seed) {
-    seed_ = seed;
-    begin_test(0);
-    probes_sent_ = 0;
-  }
-
  private:
   static constexpr std::uint64_t kUdpSalt = 0x0d9;
   static constexpr std::uint64_t kIpidSalt = 0x1d1d;
@@ -77,7 +70,7 @@ class AliasProber {
   const topo::Internet& net_;
   const route::Fib& fib_;
   TracerouteEngine& tracer_;
-  std::uint64_t seed_;
+  const std::uint64_t seed_;
   std::uint64_t test_stream_ = 0;
   std::uint64_t test_samples_ = 0;
   // Replies sent per counter (router id, or iface id for per-interface
@@ -123,10 +116,6 @@ class LocalProbeServices final : public ProbeServices {
   }
   std::uint64_t probes_sent() const override {
     return tracer_.probes_sent() + prober_.probes_sent();
-  }
-  void reseed(std::uint64_t seed) override {
-    tracer_.reseed(seed);
-    prober_.reseed(prober_seed(seed));
   }
 
   TracerouteEngine& tracer() { return tracer_; }

@@ -18,13 +18,12 @@ TracerouteEngine::TracerouteEngine(const topo::Internet& net,
 
 std::optional<IfaceId> TracerouteEngine::egress_iface_to_vp(
     RouterId router) const {
-  // A stack outlives a slice, so a memo hit still reads this decision.
-  if (footprint_) {
-    note_key(fib_.tier_key(router, vp_query_));
-    if (const auto key = fib_.query_key(vp_query_)) note_key(*key);
-  }
   auto it = vp_egress_cache_.find(router.value);
   if (it == vp_egress_cache_.end()) {
+    if (footprint_) {
+      note_key(fib_.tier_key(router, vp_query_));
+      if (const auto key = fib_.query_key(vp_query_)) note_key(*key);
+    }
     auto out = fib_.egress_iface(router, vp_query_);
     it = vp_egress_cache_.emplace(router.value, out.value_or(IfaceId{}))
              .first;
@@ -86,11 +85,6 @@ Ipv4Addr TracerouteEngine::maybe_spoof(Ipv4Addr real, Ipv4Addr probe_dst) {
   // sits mid-path (TraceHop::truth_router still records reality).
   std::uint32_t host = rng_.uniform(1, 254);
   return Ipv4Addr((probe_dst.value() & 0xffffff00u) | host);
-}
-
-void TracerouteEngine::reseed(std::uint64_t seed) {
-  rng_ = net::Rng(seed);
-  probes_sent_ = 0;
 }
 
 const std::vector<TracerouteEngine::PathHop>& TracerouteEngine::walk(

@@ -69,9 +69,11 @@ class TracerouteEngine {
   // Routing footprint (DESIGN.md §13). While `sink` is set, every walked
   // router appends route::Fib::tier_key(router, walked query), the
   // delivery router included, and every walk its query's Fib::query_key;
-  // every egress_iface_to_vp read appends both keys toward the VP, on memo
-  // hits too. reaches_addr memo hits append nothing; alias probing records
-  // addr_footprint instead. nullptr stops recording.
+  // every egress_iface_to_vp memo fill appends both keys toward the VP.
+  // Memo hits append nothing: an engine lives for one slice, so a hit
+  // reads what its fill recorded, provided the sink was set before the
+  // first probe. Alias probing records addr_footprint instead. nullptr
+  // stops recording.
   void record_footprint(std::vector<std::uint64_t>* sink) {
     footprint_ = sink;
   }
@@ -84,11 +86,6 @@ class TracerouteEngine {
   void addr_footprint(Ipv4Addr addr, std::vector<std::uint64_t>& out);
 
   std::uint64_t probes_sent() const { return probes_sent_; }
-
-  // Back to the state of an engine constructed with `seed`: RNG and probe
-  // count. The reach and VP-egress memos stay; they are pure functions of
-  // the forwarding state.
-  void reseed(std::uint64_t seed);
 
  private:
   // One forward-path hop: the router the probe's TTL expires at, the

@@ -47,7 +47,9 @@ using StopFn = std::function<bool(Ipv4Addr)>;
 // The probing capabilities a measurement device exposes. core::Bdrmap is
 // written against this interface so the same inference code runs on a
 // monolithic prober (probe::LocalProbeServices) or the split low-resource
-// deployment of §5.8 (remote::RemoteProbeServices).
+// deployment of §5.8 (remote::RemoteProbeServices). A stack's state is
+// never rewound: runtime::MultiVpExecutor builds one probe stack per
+// (VP, target-AS) slice with that slice's seed, and one per inference tail.
 class ProbeServices {
  public:
   virtual ~ProbeServices() = default;
@@ -75,8 +77,9 @@ class ProbeServices {
   // Routing footprints (DESIGN.md §13): the route::Fib keys of every
   // forwarding decision and resolution a probe read. While `sink` is set,
   // each trace() appends the keys of its walk and of the replies sourced
-  // toward the VP; nullptr stops recording. runtime::MultiVpExecutor
-  // records one per slice it keeps.
+  // toward the VP; nullptr stops recording. A memoized read records when it
+  // fills the memo, so set the sink before the stack's first probe.
+  // runtime::MultiVpExecutor records one per slice it keeps.
   virtual void record_footprint(std::vector<std::uint64_t>* sink) = 0;
 
   // Appends the keys every udp_probe / ipid_sample of `addr` reads: the
@@ -87,13 +90,6 @@ class ProbeServices {
 
   // Number of probe packets sent so far (run-time accounting, §5.3).
   virtual std::uint64_t probes_sent() const = 0;
-
-  // Restores exactly the state of a stack freshly built with `seed`: RNG
-  // streams, probe counts and any per-run reply state. Only memos of pure
-  // functions of the forwarding state may survive. runtime::MultiVpExecutor
-  // reuses one stack across the (VP, target-AS) slices of a task this way.
-  // A stack that cannot honour this must fail its contract.
-  virtual void reseed(std::uint64_t seed) = 0;
 };
 
 }  // namespace bdrmap::probe

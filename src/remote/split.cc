@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "netbase/contract.h"
-
 namespace bdrmap::remote {
 
 // --- ProberDevice ---
@@ -306,13 +304,6 @@ void RemoteProbeServices::begin_alias_test(std::uint64_t key) {
     ++channel_->stats().corrupt_frames_detected;
     corrupt_frames_.inc();
   }
-}
-
-void RemoteProbeServices::reseed(std::uint64_t seed) {
-  (void)seed;
-  BDRMAP_EXPECTS(false,
-                 "RemoteProbeServices cannot reseed: the prober state lives "
-                 "on the device");
 }
 
 }  // namespace bdrmap::remote

@@ -127,10 +127,6 @@ class RemoteProbeServices final : public probe::ProbeServices {
   std::uint64_t probes_sent() const override {
     return channel_->device().probes_sent();
   }
-  // Fails its contract: the prober's RNG and IP-ID state live on the
-  // device, which no request can rewind. The §5.8 split runs
-  // core::Bdrmap::run() on one stack and never goes through the executor.
-  void reseed(std::uint64_t seed) override;
   // Read off the device too: the routing its probes read lives there.
   void record_footprint(std::vector<std::uint64_t>* sink) override {
     channel_->device().record_footprint(sink);

@@ -32,46 +32,26 @@ core::BdrmapResult run_vp(
   for (std::size_t i = 0; i < slices.size(); ++i) {
     if (!stored[i]) missing.push_back(i);
   }
-  // A stack per chunk, reseeded per slice: reseed restores the fresh
-  // state, so the chunking never shows in the output.
-  const std::size_t chunk = default_chunk(pool, missing.size());
-  parallel_for(
-      pool, (missing.size() + chunk - 1) / chunk,
-      [&](std::size_t c) {
-        // Declared first: the stack records into it, so it outlives the
-        // stack.
-        std::vector<std::uint64_t> footprint;
-        std::unique_ptr<probe::ProbeServices> services;
-        const std::size_t end = std::min(missing.size(), (c + 1) * chunk);
-        for (std::size_t k = c * chunk; k < end; ++k) {
-          const SlicePlan::Slice& slice = slices[missing[k]];
-          const std::uint64_t seed = slice_seed(base_seed, vp, slice.target_as);
-          if (services) {
-            services->reseed(seed);
-          } else {
-            services = job.make_services(seed);
-          }
-          core::Bdrmap pipeline(*services, job.inputs, config);
-          // A kept slice records the routing it read, so a churn event
-          // can keep it (docs/serving.md §4).
-          footprint.clear();
-          if (evidence) services->record_footprint(&footprint);
-          core::CollectedTraces collected =
-              pipeline.collect(plan.blocks_of(vp, slice));
-          if (evidence) {
-            services->record_footprint(nullptr);
-            std::sort(footprint.begin(), footprint.end());
-            collected.footprint.assign(
-                footprint.begin(),
-                std::unique(footprint.begin(), footprint.end()));
-          }
-          // Exclusive per slot: no two tasks touch the same slice.
-          stored[missing[k]] =
-              std::make_shared<const core::CollectedTraces>(
-                  std::move(collected));
-        }
-      },
-      /*chunk=*/1);
+  // One probe stack per slice, built with that slice's seed.
+  parallel_for(pool, missing.size(), [&](std::size_t k) {
+    const SlicePlan::Slice& slice = slices[missing[k]];
+    // Declared first: the stack records into it, so it outlives the stack.
+    std::vector<std::uint64_t> footprint;
+    auto services =
+        job.make_services(slice_seed(base_seed, vp, slice.target_as));
+    // A kept slice records the routing it read, so a churn event can keep
+    // it (docs/serving.md §4).
+    if (evidence) services->record_footprint(&footprint);
+    core::CollectedTraces collected =
+        core::Bdrmap(*services, job.inputs, config)
+            .collect(plan.blocks_of(vp, slice));
+    std::sort(footprint.begin(), footprint.end());
+    collected.footprint.assign(
+        footprint.begin(), std::unique(footprint.begin(), footprint.end()));
+    // Exclusive per slot: no two tasks touch the same slice.
+    stored[missing[k]] =
+        std::make_shared<const core::CollectedTraces>(std::move(collected));
+  });
 
   core::CollectedTraces all;
   for (const std::shared_ptr<const core::CollectedTraces>& slice : stored) {

@@ -139,10 +139,10 @@ class MultiVpExecutor {
   explicit MultiVpExecutor(ThreadPool* pool) : pool_(pool) {}
 
   // Plans `store` if it is empty, collects the slices it is missing, and
-  // runs every VP's inference tail over the store's alias evidence. One pool task per VP fans its missing
-  // slices out as nested tasks, one probe stack per chunk of slices,
-  // reseeded per slice; there is no barrier between VPs, so workers idle
-  // in one VP's join steal slices of another. A stored slice stands for
+  // runs every VP's inference tail over the store's alias evidence. One
+  // pool task per VP fans its missing slices out as nested tasks, one probe
+  // stack per slice; there is no barrier between VPs, so workers idle in
+  // one VP's join steal slices of another. A stored slice stands for
   // exactly what collecting it would give, so over a cold store the output
   // is a pure function of (jobs, config, base_seed). A null store is a
   // cold map that keeps nothing: its slices move straight into the tails.

@@ -43,11 +43,6 @@ struct RouterBehavior {
   // source is a canonical address — the Mercator alias technique (§5.3).
   bool responds_udp = true;
 
-  // Honors the IP prespecified-timestamp option (most routers strip or
-  // ignore it; [26] measured a minority honoring it) — fuel for the
-  // timestamp-based third-party detection extension.
-  bool honors_timestamp = false;
-
   // Enterprise edge filtering: the router itself answers probes whose TTL
   // expires at it, but silently discards packets that would transit onward
   // into its network (§4 challenge 3, router R5 in Figure 1).

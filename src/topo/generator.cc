@@ -518,7 +518,9 @@ RouterBehavior Generator::draw_behavior(AsKind kind, bool border) {
   b.ipid_velocity = r.uniform_real(2.0, 120.0);
   b.ipid_init = static_cast<std::uint16_t>(r.uniform(0, 0xffff));
   b.responds_udp = r.chance(config_.p_udp_responsive);
-  b.honors_timestamp = r.chance(config_.p_timestamp_honored);
+  // The draw a retired IP-timestamp behaviour took: kept so every seed's
+  // behaviour stream, and with it every generated topology, stays as it was.
+  (void)r.chance(0.2);
 
   // CDN edge routers answer traceroute reliably (they are measurement
   // infrastructure themselves); only enterprise and R&E gear goes silent.

@@ -68,7 +68,6 @@ struct GeneratorConfig {
   double p_egress_reply = 0.07;         // reply from iface toward probe src
   double p_virtual_router = 0.03;       // per-neighbor reply addresses
   double p_udp_responsive = 0.6;        // Mercator works
-  double p_timestamp_honored = 0.2;     // IP timestamp option honored [26]
   double ipid_shared = 0.5;             // Ally/MIDAR resolvable
   double ipid_per_iface = 0.2;
   double ipid_random = 0.15;            // remainder: zero IP-ID

@@ -86,7 +86,6 @@ class RecordingServices final : public probe::ProbeServices {
     inner_->addr_footprint(addr, out);
   }
   std::uint64_t probes_sent() const override { return inner_->probes_sent(); }
-  void reseed(std::uint64_t seed) override { inner_->reseed(seed); }
 
   const std::map<std::uint64_t, std::vector<Sample>>& samples() const {
     return samples_;

@@ -138,14 +138,14 @@ TEST_P(Pipeline, VpSideRoutersAreTrulyVpOperated) {
 TEST_P(Pipeline, AliasResolutionImprovesOverDisabled) {
   net::AsId vp_as = scenario_.first_of(topo::AsKind::kResearchEdu);
   auto vp = scenario_.vps_in(vp_as).front();
-  BdrmapConfig with, without;
-  without.enable_alias_resolution = false;
-  auto a = scenario_.run_bdrmap(vp, with);
-  auto b = scenario_.run_bdrmap(vp, without);
+  auto a = scenario_.run_bdrmap(vp);
+  // Alias resolution disabled: no groups, so RouterGraph makes each hop
+  // address a router of its own.
+  auto b = infer_borders(RouterGraph(a.graph.traces(), {}),
+                         scenario_.inputs_for(vp_as), {}, {});
   // Collapsing aliases can only reduce (or keep) the router count.
   EXPECT_LE(a.stats.routers, b.stats.routers);
   EXPECT_GT(a.stats.alias_pair_tests, 0u);
-  EXPECT_EQ(b.stats.alias_pair_tests, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, Pipeline, ::testing::Values(42, 7, 2024));

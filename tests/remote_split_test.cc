@@ -10,7 +10,6 @@
 
 #include "core/bdrmap.h"
 #include "eval/scenario.h"
-#include "netbase/contract.h"
 #include "netbase/rng.h"
 
 namespace bdrmap::remote {
@@ -107,16 +106,6 @@ TEST_F(SplitFixture, RemoteMatchesLocalAliasVerdicts) {
   const auto remote = run(remote_services);
   EXPECT_EQ(remote.first, local.first);
   EXPECT_EQ(remote.second, local.second);
-}
-
-// The prober's RNG and IP-ID state live on the device: the remote stack
-// cannot honour reseed()'s fresh-stack contract, so it refuses.
-TEST_F(SplitFixture, RemoteReseedFailsContract) {
-  net::ScopedContractMode scoped(net::ContractMode::kThrow);
-  auto device_services = scenario_.services_for(vp_, 123);
-  ProberDevice device(*device_services);
-  RemoteProbeServices remote_services(device);
-  EXPECT_THROW(remote_services.reseed(7), net::ContractViolation);
 }
 
 TEST_F(SplitFixture, ChannelStatsAccumulate) {

@@ -6,11 +6,15 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+
 #include "core/blocks.h"
 #include "eval/degradation.h"
 #include "eval/scenario.h"
 #include "netbase/contract.h"
 #include "runtime/thread_pool.h"
+#include "serve/churn.h"
+#include "serve/engine.h"
 
 namespace bdrmap {
 namespace {
@@ -108,6 +112,50 @@ TEST_F(MultiVpDeterminism, PlanSlicesConcatenateToSchedule) {
   }
 }
 
+// One probe stack per collected slice and one per VP tail, whatever the
+// worker count: a cold run builds Σ slices + #VPs stacks, and a churn
+// epoch builds one per re-collected slice plus one per tail.
+TEST_F(MultiVpDeterminism, OneProbeStackPerCollectedSlice) {
+  std::atomic<std::size_t> built{0};
+  std::vector<runtime::VpJob> jobs;
+  for (const topo::Vp& vp : vps_) {
+    runtime::VpJob job;
+    job.make_services = [this, vp, &built](std::uint64_t seed) {
+      built.fetch_add(1, std::memory_order_relaxed);
+      return std::unique_ptr<probe::ProbeServices>(
+          scenario_.services_for(vp, seed));
+    };
+    job.inputs = scenario_.inputs_for(vp_as_);
+    jobs.push_back(std::move(job));
+  }
+  const runtime::SlicePlan plan(jobs, nullptr);
+  std::size_t slices = 0;
+  for (std::size_t vp = 0; vp < plan.vp_count(); ++vp) {
+    slices += plan.slices(vp).size();
+  }
+  runtime::ThreadPool pool(4);
+  (void)runtime::MultiVpExecutor(&pool).run(jobs, {}, 0x1000);
+  EXPECT_EQ(built.load(), slices + jobs.size());
+
+  serve::EngineOptions options;
+  options.pool = &pool;
+  serve::ServeEngine engine(scenario_.net(), scenario_.bgp_mutable(),
+                            scenario_.fib_mutable(), jobs, options);
+  built = 0;
+  engine.rebuild_full();
+  EXPECT_EQ(built.load(), slices + jobs.size());
+  // Epochs of every size: 0 to 370 slices re-collected.
+  serve::ChurnStream stream(scenario_.net(), 5);
+  std::size_t dirty = 0;
+  for (int epoch = 0; epoch < 15; ++epoch) {
+    built = 0;
+    const serve::ChurnApplyStats stats = engine.apply(stream.next());
+    EXPECT_EQ(built.load(), stats.dirty_slices + jobs.size()) << epoch;
+    dirty += stats.dirty_slices;
+  }
+  EXPECT_GT(dirty, 0u);
+}
+
 // Satellite audit: one Bdrmap instance must not be entered twice — the
 // stop set, stats and failure log are instance state. The contract fires
 // (kThrow here) instead of corrupting them silently: re-enter run() of
@@ -148,7 +196,6 @@ TEST_F(MultiVpDeterminism, ReenteringRunningInstanceTrips) {
     std::uint64_t probes_sent() const override {
       return inner_.probes_sent();
     }
-    void reseed(std::uint64_t seed) override { inner_.reseed(seed); }
     bool fired() const { return fired_; }
 
    private:

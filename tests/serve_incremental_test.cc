@@ -333,8 +333,8 @@ TEST(ServeIncrementalTest, DirtySetIsActuallyPartial) {
 
 // Every kept slice must carry the footprint its own probes read: the one
 // a fresh stack records collecting that slice alone, with the executor's
-// slice seed (runtime/multi_vp.h). The executor reuses a stack across
-// slices, so this fails if a memoized read stops recording.
+// slice seed (runtime/multi_vp.h). This fails if a stack reads routing
+// it does not record, memoized reads included.
 void expect_solo_footprints(const EngineFixture& fx, std::uint64_t base_seed,
                             const std::string& label) {
   const runtime::SliceStore& store = fx.engine->store();

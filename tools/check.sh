@@ -10,7 +10,8 @@
 #                  suites (runtime pool/executor + contract tests + the
 #                  fast-path concurrent cache-fill suite + the walk
 #                  reference + the alias-evidence store tests + the
-#                  obs integration suite + the golden border-map table)
+#                  obs integration suite + the serve suites and churn
+#                  fuzzer + the golden border-map table)
 #   --bench        benchmark smoke: python3 perfbench/test_smoke.py runs
 #                  every perfbench workload at toy size and checks that it
 #                  reports every metric BENCHMARK.json names
@@ -75,8 +76,9 @@ run_tsan() {
     runtime_thread_pool_test runtime_multi_vp_test netbase_contract_test \
     route_bgp_test route_fastpath_test walk_reference_test obs_metrics_test \
     obs_trace_test obs_integration_test eval_fuzzer_test serve_handle_test \
-    serve_snapshot_test serve_incremental_test golden_border_map_test \
-    heuristic_confidence_test alias_evidence_test bdrmap_sim bdrmapd
+    serve_snapshot_test serve_incremental_test serve_churn_fuzz_test \
+    golden_border_map_test heuristic_confidence_test alias_evidence_test \
+    bdrmap_sim bdrmapd
   ctest --test-dir build-tsan -j "$JOBS" --output-on-failure \
     -R 'ThreadPool|TaskGroup|ParallelFor|ParallelMap|MultiVp|Contract|FastPath|WalkReference|AliasEvidence|Obs|Fuzzer|Serve|Heuristic'
 }
