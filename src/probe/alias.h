@@ -15,7 +15,7 @@
 #include <utility>
 #include <vector>
 
-#include "netbase/rng.h"
+#include "netbase/mix.h"
 #include "probe/tracer.h"
 #include "probe/types.h"
 #include "route/fib.h"

@@ -8,7 +8,7 @@ using net::RouterId;
 TracerouteEngine::TracerouteEngine(const topo::Internet& net,
                                    const route::Fib& fib, topo::Vp vp,
                                    std::uint64_t seed, TracerConfig config)
-    : net_(net), fib_(fib), vp_(vp), rng_(seed), config_(config),
+    : net_(net), fib_(fib), vp_(vp), seed_(seed), config_(config),
       vp_query_(fib.query(vp.addr)) {
   if (config_.metrics) {
     traces_ = config_.metrics->counter("probe.traces");
@@ -74,17 +74,20 @@ Ipv4Addr TracerouteEngine::reply_source(
   return found ? best : net_.canonical_addr(router);
 }
 
-Ipv4Addr TracerouteEngine::maybe_spoof(Ipv4Addr real, Ipv4Addr probe_dst) {
-  // Guard on p > 0 before drawing so the honest configuration consumes no
-  // RNG state (bit-identical traces for every pre-existing seed).
-  if (config_.spoof_reply_p <= 0.0 || !rng_.chance(config_.spoof_reply_p)) {
+Ipv4Addr TracerouteEngine::maybe_spoof(Ipv4Addr real, Ipv4Addr probe_dst,
+                                       int ttl) const {
+  if (config_.spoof_reply_p <= 0.0 ||
+      net::unit_draw(draw(probe_dst, ttl, Draw::kSpoof)) >=
+          config_.spoof_reply_p) {
     return real;
   }
-  // Forge a host address inside the destination's /24: the reply appears
-  // to originate in the destination network even though the true replier
-  // sits mid-path (TraceHop::truth_router still records reality).
-  std::uint32_t host = rng_.uniform(1, 254);
-  return Ipv4Addr((probe_dst.value() & 0xffffff00u) | host);
+  // Forge a host address inside the destination's /24 (.1 to .254): the
+  // reply appears to originate in the destination network even though the
+  // true replier sits mid-path (TraceHop::truth_router still records
+  // reality).
+  const std::uint64_t host = 1 + draw(probe_dst, ttl, Draw::kSpoofHost) % 254;
+  return Ipv4Addr((probe_dst.value() & 0xffffff00u) |
+                  static_cast<std::uint32_t>(host));
 }
 
 const std::vector<TracerouteEngine::PathHop>& TracerouteEngine::walk(
@@ -140,14 +143,16 @@ TraceResult TracerouteEngine::trace(Ipv4Addr dst, const StopFn& stop) {
   TraceResult result;
   result.dst = dst;
 
-  // The forward path is walked before any reply is generated; all
-  // RNG/stop-set consumption happens in the reply loop below.
+  // The forward path is walked before any reply is generated; the draws
+  // and the stop set act in the reply loop below.
   const route::Fib::RouteQuery q = fib_.query(dst);
   const std::vector<PathHop>& path = walk(q);
 
   // Generate per-TTL replies along the walked path.
   int gap = 0;
-  for (const PathHop& node : path) {
+  for (std::size_t i = 0; i < path.size(); ++i) {
+    const PathHop& node = path[i];
+    const int ttl = static_cast<int>(i) + 1;
     ++probes_sent_;
     trace_packets_.inc();
     const auto& router = net_.router(node.router);
@@ -158,7 +163,7 @@ TraceResult TracerouteEngine::trace(Ipv4Addr dst, const StopFn& stop) {
       // The destination is the router itself: an echo reply whose source is
       // the probed address (§4: useless for ownership inference).
       if (router.behavior.responds_echo &&
-          !rng_.chance(router.behavior.rate_limit_drop)) {
+          !chance(dst, ttl, router.behavior.rate_limit_drop)) {
         hop.addr = dst;
         hop.kind = ReplyKind::kEchoReply;
         result.reached_dst = true;
@@ -173,8 +178,9 @@ TraceResult TracerouteEngine::trace(Ipv4Addr dst, const StopFn& stop) {
       // customer's border appears in traceroute at all); the next TTL
       // reaches the end host, which may answer.
       if (router.behavior.sends_ttl_expired &&
-          !rng_.chance(router.behavior.rate_limit_drop)) {
-        hop.addr = maybe_spoof(reply_source(node.router, node.ingress, q), dst);
+          !chance(dst, ttl, router.behavior.rate_limit_drop)) {
+        hop.addr =
+            maybe_spoof(reply_source(node.router, node.ingress, q), dst, ttl);
         hop.kind = ReplyKind::kTimeExceeded;
       }
       ++probes_sent_;  // the extra host-directed probe
@@ -187,7 +193,9 @@ TraceResult TracerouteEngine::trace(Ipv4Addr dst, const StopFn& stop) {
       TraceHop host_hop;
       host_hop.truth_router = node.router;
       const auto* ap = net_.announced_match(dst);
-      if (!node.firewalled && ap && rng_.chance(ap->dest_responsiveness)) {
+      // The end host answers the next TTL's probe.
+      if (!node.firewalled && ap &&
+          chance(dst, ttl + 1, ap->dest_responsiveness)) {
         host_hop.addr = dst;
         host_hop.kind = ReplyKind::kEchoReply;
         result.reached_dst = true;
@@ -198,8 +206,9 @@ TraceResult TracerouteEngine::trace(Ipv4Addr dst, const StopFn& stop) {
 
     // Intermediate hop: ICMP time exceeded, maybe.
     if (router.behavior.sends_ttl_expired &&
-        !rng_.chance(router.behavior.rate_limit_drop)) {
-      hop.addr = maybe_spoof(reply_source(node.router, node.ingress, q), dst);
+        !chance(dst, ttl, router.behavior.rate_limit_drop)) {
+      hop.addr =
+          maybe_spoof(reply_source(node.router, node.ingress, q), dst, ttl);
       hop.kind = ReplyKind::kTimeExceeded;
     }
     result.hops.push_back(hop);

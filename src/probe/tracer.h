@@ -13,16 +13,18 @@
 // same path.
 //
 // Every forward path is one walk over the FIB (walk(), DESIGN.md §14): a
-// pure function of routing that consumes no RNG and never consults the
-// stop set. trace() generates replies along the walked path afterwards;
-// reaches() reads the same walk.
+// pure function of routing that draws nothing and never consults the stop
+// set. trace() generates replies along the walked path afterwards, each
+// random draw keyed on (seed, destination, TTL slot) (DESIGN.md §8), so a
+// trace is a pure function of the seed, the destination and the
+// forwarding state; reaches() reads the same walk.
 #pragma once
 
 #include <cstdint>
 #include <unordered_map>
 #include <vector>
 
-#include "netbase/rng.h"
+#include "netbase/mix.h"
 #include "obs/metrics.h"
 #include "probe/types.h"
 #include "route/fib.h"
@@ -41,8 +43,7 @@ struct TracerConfig {
   // probability a time-exceeded reply's source address is forged to a host
   // address inside the probed destination's covering prefix — the
   // spoofed/NATed-middlebox pathology that makes a transit hop look like
-  // the destination network. 0 (default) leaves the reply plane honest and
-  // consumes no RNG draws, so existing seeds stay bit-identical.
+  // the destination network. 0 (default) leaves the reply plane honest.
   double spoof_reply_p = 0.0;
   // When set, per-type probe counters (probe.*) report here; nullptr
   // (default) keeps them no-ops. Shared by every engine of a run — the
@@ -106,8 +107,22 @@ class TracerouteEngine {
   // The reply source address a router uses for a time-exceeded message.
   Ipv4Addr reply_source(net::RouterId router, net::IfaceId ingress,
                         const route::Fib::RouteQuery& dst_query) const;
+  // The draws of one probe: keyed on (seed, destination, TTL slot), one
+  // per kind of draw.
+  enum class Draw : std::uint64_t { kReply, kSpoof, kSpoofHost };
+  std::uint64_t draw(Ipv4Addr dst, int ttl, Draw kind) const {
+    return net::mix(seed_, dst.value(),
+                    static_cast<std::uint64_t>(ttl) * 3 +
+                        static_cast<std::uint64_t>(kind));
+  }
+  // True with probability p, once per probe: the draw that decides whether
+  // the probe with TTL `ttl` toward `dst` is answered (a router's rate
+  // limit, the destination's responsiveness).
+  bool chance(Ipv4Addr dst, int ttl, double p) const {
+    return net::unit_draw(draw(dst, ttl, Draw::kReply)) < p;
+  }
   // Applies TracerConfig::spoof_reply_p to a time-exceeded reply source.
-  Ipv4Addr maybe_spoof(Ipv4Addr real, Ipv4Addr probe_dst);
+  Ipv4Addr maybe_spoof(Ipv4Addr real, Ipv4Addr probe_dst, int ttl) const;
   // Walks toward `q`'s destination, leaving the walk in path_.
   bool reaches(net::RouterId router, const route::Fib::RouteQuery& q) const;
   // Appends `key` to the footprint sink, skipping a repeat of the last key
@@ -121,7 +136,7 @@ class TracerouteEngine {
   const topo::Internet& net_;
   const route::Fib& fib_;
   topo::Vp vp_;
-  net::Rng rng_;
+  const std::uint64_t seed_;
   TracerConfig config_;
   std::uint64_t probes_sent_ = 0;
   // No-op handles unless TracerConfig::metrics was set.

@@ -37,8 +37,7 @@ core::BdrmapResult run_vp(
     const SlicePlan::Slice& slice = slices[missing[k]];
     // Declared first: the stack records into it, so it outlives the stack.
     std::vector<std::uint64_t> footprint;
-    auto services =
-        job.make_services(slice_seed(base_seed, vp, slice.target_as));
+    auto services = job.make_services(vp_seed(base_seed, vp));
     // A kept slice records the routing it read, so a churn event can keep
     // it (docs/serving.md §4).
     if (evidence) services->record_footprint(&footprint);
@@ -59,7 +58,7 @@ core::BdrmapResult run_vp(
   }
   obs::Span vp_span(config.obs ? config.obs->tracer() : nullptr, "vp.run");
   vp_span.note("vp", static_cast<std::int64_t>(vp));
-  auto services = job.make_services(tail_seed(base_seed, vp));
+  auto services = job.make_services(vp_seed(base_seed, vp));
   core::Bdrmap pipeline(*services, job.inputs, config);
   return pipeline.run_with(std::move(all), evidence);
 }

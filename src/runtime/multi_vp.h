@@ -14,17 +14,19 @@
 // dirtied.
 //
 // Determinism strategy (DESIGN.md §8): parallelism never reorders any
-// observable. A slice's probe stack is seeded from (base seed, VP index,
-// target AS) and the tail's from (base seed, VP index) — never from the
-// worker, the epoch, or which slices were already stored — so a stored
-// slice is bit-identical to a fresh one and the output is byte-identical
-// at 1 or 64 workers. Within the tail, each alias pair test is keyed on
-// (tail seed, pair) and each Mercator probe on (tail seed, address), so a
-// stored verdict or source equals a fresh measurement under the same
-// forwarding state, whatever the tail tested before it. Nothing a slice
-// mutates is shared (the substrate's lazy route caches are
-// value-deterministic and internally locked), and the reduction walks VPs
-// in index order on the joining thread.
+// observable. Every probe stack of a VP, a slice's or the tail's, is
+// seeded from (base seed, VP index) — never from the worker, the epoch,
+// or which slices were already stored — and every draw it makes is keyed
+// on what it probes: each trace hop on (VP seed, destination, TTL), each
+// alias pair test on (VP seed, pair) and each Mercator probe on (VP seed,
+// address). A trace, a verdict or a source is then a pure function of the
+// VP seed, its key and the forwarding state, whatever the stack probed
+// before it, so any two stacks of a VP are interchangeable, a stored
+// slice or verdict equals a fresh measurement, and the output is
+// byte-identical at 1 or 64 workers. Nothing a slice mutates is shared
+// (the substrate's lazy route caches are value-deterministic and
+// internally locked), and the reduction walks VPs in index order on the
+// joining thread.
 #pragma once
 
 #include <cstdint>
@@ -34,20 +36,16 @@
 #include <vector>
 
 #include "core/bdrmap.h"
-#include "netbase/rng.h"
+#include "netbase/mix.h"
 #include "probe/types.h"
 #include "runtime/thread_pool.h"
 
 namespace bdrmap::runtime {
 
-// The one seed function (net::mix, a splitmix64 finalizer): slice (vp, as)
-// draws its probe stack from slice_seed, VP vp's inference tail from
-// tail_seed. Neither depends on the worker or the epoch.
-inline std::uint64_t slice_seed(std::uint64_t base_seed, std::size_t vp,
-                                net::AsId as) {
-  return net::mix(base_seed, vp, as.value);
-}
-inline std::uint64_t tail_seed(std::uint64_t base_seed, std::size_t vp) {
+// The one seed function (net::mix, a splitmix64 finalizer): every probe
+// stack of VP vp, for each of its slices and for its inference tail, is
+// seeded with vp_seed. It depends on neither the worker nor the epoch.
+inline std::uint64_t vp_seed(std::uint64_t base_seed, std::size_t vp) {
   return net::mix(base_seed, vp, 0x1f3a9);
 }
 

@@ -12,9 +12,11 @@
 // with every row unchanged, and so did deleting classic traceroute and
 // the FIB's ECMP flow salt.
 // They were re-blessed once when every run moved onto the (VP, target-AS)
-// slice plan, which re-keys the probe RNG streams per slice, and once when
+// slice plan, which re-keys the probe RNG streams per slice, once when
 // alias pair tests moved onto keyed draws with a pair-local clock and
-// IP-ID counts, which made a verdict independent of test order. The suite
+// IP-ID counts, which made a verdict independent of test order, and once
+// when every trace draw was keyed on (VP seed, destination, TTL), which
+// made a trace independent of the stack and the order it runs in. The suite
 // keeps the name of the cross-engine parity suite it replaced, because a
 // row is the legacy ladder's map; "Heuristic" in the name also puts it in
 // the tsan stage's ctest filter.

@@ -144,14 +144,24 @@ TEST_F(TracerFixture, StopSetTruncatesTrace) {
   EXPECT_EQ(t.hops.size(), 3u);
 }
 
+// The rate-limit draw is keyed on (seed, destination, TTL): across 60
+// destinations a router dropping half its replies answers some probes, and
+// a destination traced again gets the same answer at every hop.
 TEST_F(TracerFixture, RateLimitedRouterAnswersSometimes) {
   behavior(r2_).rate_limit_drop = 0.5;
   build();
   int answered = 0;
-  for (int i = 0; i < 60; ++i) {
-    auto t = engine_->trace(ip("20.0.5.5"));
+  for (std::uint32_t i = 0; i < 60; ++i) {
+    const net::Ipv4Addr dst(ip("20.0.5.1").value() + i);
+    auto t = engine_->trace(dst);
     if (t.hops.size() > 1 && t.hops[1].kind == ReplyKind::kTimeExceeded) {
       ++answered;
+    }
+    auto again = engine_->trace(dst);
+    ASSERT_EQ(again.hops.size(), t.hops.size());
+    for (std::size_t h = 0; h < t.hops.size(); ++h) {
+      EXPECT_EQ(again.hops[h].kind, t.hops[h].kind) << dst.str() << " " << h;
+      EXPECT_EQ(again.hops[h].addr, t.hops[h].addr) << dst.str() << " " << h;
     }
   }
   EXPECT_GT(answered, 5);

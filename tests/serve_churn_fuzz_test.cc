@@ -122,7 +122,7 @@ std::string evidence_difference(const Deployment& current,
                                 const runtime::SliceStore& kept) {
   for (std::size_t vp = 0; vp < kept.evidence.size(); ++vp) {
     const auto services =
-        current.contexts[vp].make_services(runtime::tail_seed(kBaseSeed, vp));
+        current.contexts[vp].make_services(runtime::vp_seed(kBaseSeed, vp));
     core::AliasEvidence measured;
     core::AliasResolver resolver(*services, &measured);
     const core::AliasEvidence& e = kept.evidence[vp];

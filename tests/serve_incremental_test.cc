@@ -333,7 +333,7 @@ TEST(ServeIncrementalTest, DirtySetIsActuallyPartial) {
 
 // Every kept slice must carry the footprint its own probes read: the one
 // a fresh stack records collecting that slice alone, with the executor's
-// slice seed (runtime/multi_vp.h). This fails if a stack reads routing
+// VP seed (runtime/multi_vp.h). This fails if a stack reads routing
 // it does not record, memoized reads included.
 void expect_solo_footprints(const EngineFixture& fx, std::uint64_t base_seed,
                             const std::string& label) {
@@ -344,7 +344,7 @@ void expect_solo_footprints(const EngineFixture& fx, std::uint64_t base_seed,
     const auto& slices = store.plan.slices(vp);
     for (std::size_t i = 0; i < slices.size(); ++i) {
       auto services = fx.scenario->services_for(
-          fx.vps[vp], net::mix(base_seed, vp, slices[i].target_as.value));
+          fx.vps[vp], runtime::vp_seed(base_seed, vp));
       std::vector<std::uint64_t> footprint;
       services->record_footprint(&footprint);
       core::Bdrmap(*services, inputs)
@@ -369,7 +369,7 @@ void expect_fresh_evidence(const EngineFixture& fx, std::uint64_t base_seed,
   for (std::size_t vp = 0; vp < fx.vps.size(); ++vp) {
     const core::AliasEvidence& kept = fx.engine->store().evidence[vp];
     const auto services = fx.scenario->services_for(
-        fx.vps[vp], runtime::tail_seed(base_seed, vp));
+        fx.vps[vp], runtime::vp_seed(base_seed, vp));
     core::AliasEvidence fresh;
     core::AliasResolver resolver(*services, &fresh);
     for (const auto& [key, verdict] : kept.verdicts) {
