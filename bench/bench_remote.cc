@@ -11,7 +11,13 @@
 //     (plus corruption, duplication, reordering and a mid-run device
 //     crash), reporting Table-1-style coverage and ground-truth PPV per
 //     fault rate — graceful degradation, quantified.
+//
+// Every run goes through runtime::MultiVpExecutor: the split hands its one
+// remote stack to every slice and the tail (runtime::shared_stack_job).
+// Exits 1 unless the lossless split map equals the local map and the
+// 0%-fault run equals the lossless split run (eval::same_border_map).
 #include <cstdio>
+#include <memory>
 
 #include "core/bdrmap.h"
 #include "eval/degradation.h"
@@ -21,11 +27,23 @@
 #include "remote/channel.h"
 #include "remote/split.h"
 #include "runtime/flags.h"
+#include "runtime/multi_vp.h"
 #include "runtime/parallel_for.h"
 
 using namespace bdrmap;
 
 namespace {
+
+constexpr std::uint64_t kProbeSeed = 99;
+
+// One VP's map with every slice and the tail on `services`.
+core::BdrmapResult run_split(std::shared_ptr<probe::ProbeServices> services,
+                             const core::InferenceInputs& inputs) {
+  return runtime::MultiVpExecutor(nullptr)
+      .run({runtime::shared_stack_job(std::move(services), inputs)}, {},
+           kProbeSeed)
+      .per_vp.front();
+}
 
 remote::FaultConfig faults_at(double rate) {
   remote::FaultConfig f;
@@ -54,17 +72,17 @@ int main(int argc, char** argv) {
               "3.5MB, <=3%% CPU\n\n");
 
   // Monolithic run.
-  auto local_services = scenario.services_for(vp, 99);
-  core::Bdrmap local(*local_services, inputs);
-  auto local_result = local.run();
+  const core::BdrmapResult local_result =
+      scenario.run_bdrmap(vp, {}, kProbeSeed);
 
-  // Split run: same inference code, device behind the wire protocol.
-  auto device_services = scenario.services_for(vp, 99);
+  // Split run: same inference code, device behind the wire protocol. The
+  // device's prober has the VP's seed, as every local stack of the VP has.
+  const std::uint64_t device_seed = runtime::vp_seed(kProbeSeed, 0);
+  auto device_services = scenario.services_for(vp, device_seed);
   remote::ProberDevice device(*device_services);
-  remote::RemoteProbeServices remote_services(device);
-  core::Bdrmap remote(remote_services, inputs);
-  auto remote_result = remote.run();
-  const remote::ChannelStats& ch = remote_services.channel_stats();
+  auto remote_services = std::make_shared<remote::RemoteProbeServices>(device);
+  const core::BdrmapResult remote_result = run_split(remote_services, inputs);
+  const remote::ChannelStats& ch = remote_services->channel_stats();
 
   // Controller-side state footprint (what the device does NOT hold):
   // origin table entries, relationship edges, collected trace hops.
@@ -109,23 +127,23 @@ int main(int argc, char** argv) {
               threads);
 
   // Each sweep point is an independent full pipeline (its own device,
-  // channel and Bdrmap instance over the shared read-only scenario), so
-  // the points run concurrently; the rendered table stays in rate order
+  // channel and executor run over the shared read-only scenario), so the
+  // points run concurrently; the rendered table stays in rate order
   // because parallel_map returns results by index.
   const std::vector<double> rates = {0.0, 0.02, 0.05, 0.10};
   std::vector<eval::DegradationRow> rows =
       runtime::parallel_map<eval::DegradationRow>(
           pool.get(), rates.size(), [&](std::size_t i) {
             const double rate = rates[i];
-            auto backend = scenario.services_for(vp, 99);
+            auto backend = scenario.services_for(vp, device_seed);
             remote::ProberDevice dev(*backend);
             remote::FaultConfig faults = faults_at(rate);
             if (rate >= 0.10) faults.crash_at_message = 2000;
             remote::FaultyChannel channel(dev, faults);
-            remote::RemoteProbeServices services(channel);
-            core::Bdrmap run(services, inputs);
-            auto result = run.run();
-            const remote::ChannelStats& stats = services.channel_stats();
+            auto services =
+                std::make_shared<remote::RemoteProbeServices>(channel);
+            const core::BdrmapResult result = run_split(services, inputs);
+            const remote::ChannelStats& stats = services->channel_stats();
 
             eval::DegradationRow row = eval::score_degraded_run(
                 rate, result, truth, *inputs.rels, inputs.vp_ases);
@@ -145,7 +163,11 @@ int main(int argc, char** argv) {
               "router PPV %.1f%%\n",
               baseline.links, baseline.bgp_coverage * 100.0,
               baseline.router_ppv * 100.0);
+  const bool split_identical =
+      eval::same_border_map(remote_result, local_result);
+  std::printf("lossless split map identical to the local map: %s\n",
+              split_identical ? "yes" : "NO (bug)");
   std::printf("0%%-fault run bit-identical to the lossless split run: %s\n",
               rows.front().identical_to_baseline ? "yes" : "NO (bug)");
-  return 0;
+  return split_identical && rows.front().identical_to_baseline ? 0 : 1;
 }

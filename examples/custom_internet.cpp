@@ -12,6 +12,7 @@
 #include "route/bgp_sim.h"
 #include "route/collectors.h"
 #include "route/fib.h"
+#include "runtime/multi_vp.h"
 #include "topo/internet.h"
 
 using namespace bdrmap;
@@ -69,7 +70,7 @@ int main() {
   net.add_announced({pfx("30.0.0.0/16"), b, rb, {}, 1.0});
   net.add_announced({pfx("40.0.0.0/16"), d, rd, {}, 1.0});
 
-  // Routing, the public BGP view, and the probe stack.
+  // Routing and the public BGP view.
   route::BgpSimulator bgp(net);
   route::Fib fib(net, bgp);
   route::CollectorConfig cc;
@@ -81,19 +82,22 @@ int main() {
   ric.clique_seed_size = 2;  // A and B are the "top" of this lab Internet
   auto inferred_rels = collectors.infer_relationships(ric);
 
-  topo::Vp vp{x, rx1, ip("10.0.200.1"), pop};
-  probe::LocalProbeServices services(net, fib, vp, 1);
+  // One VP: a factory for its probe stacks and its §5.2 inputs, run by
+  // the executor that every bdrmap run goes through.
+  const topo::Vp vp{x, rx1, ip("10.0.200.1"), pop};
+  runtime::VpJob job;
+  job.make_services = [&](std::uint64_t seed) {
+    return std::make_shared<probe::LocalProbeServices>(net, fib, vp, seed);
+  };
+  job.inputs.origins = &collectors.public_origins();
+  job.inputs.rels = &inferred_rels;
+  job.inputs.ixps = &net.ixp_directory();
+  job.inputs.rir = &net.rir();
+  job.inputs.siblings = &net.sibling_table();
+  job.inputs.vp_ases = {x};
 
-  core::InferenceInputs inputs;
-  inputs.origins = &collectors.public_origins();
-  inputs.rels = &inferred_rels;
-  inputs.ixps = &net.ixp_directory();
-  inputs.rir = &net.rir();
-  inputs.siblings = &net.sibling_table();
-  inputs.vp_ases = {x};
-
-  core::Bdrmap bdrmap(services, inputs);
-  auto result = bdrmap.run();
+  const core::BdrmapResult result =
+      runtime::MultiVpExecutor(nullptr).run({job}, {}, 1).per_vp.front();
 
   std::printf("inferred routers:\n");
   for (const auto& r : result.graph.routers()) {

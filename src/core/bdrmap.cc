@@ -4,7 +4,7 @@
 #include <span>
 #include <unordered_set>
 
-#include "netbase/contract.h"
+#include "core/stopset.h"
 #include "netbase/radix_sort.h"
 
 namespace bdrmap::core {
@@ -74,99 +74,16 @@ void publish_result(const BdrmapResult& result,
   }
 }
 
-}  // namespace
-
-std::vector<AsId> BdrmapResult::neighbor_ases() const {
-  std::vector<AsId> out;
-  out.reserve(links_by_as.size());
-  for (const auto& [as, indices] : links_by_as) out.push_back(as);
-  return out;
+obs::Tracer* tracer_of(const BdrmapConfig& config) {
+  return config.obs ? config.obs->tracer() : nullptr;
 }
 
-Bdrmap::Bdrmap(probe::ProbeServices& services, const InferenceInputs& inputs,
-               BdrmapConfig config)
-    : services_(services), inputs_(inputs), config_(config) {}
-
-std::vector<ObservedTrace> Bdrmap::collect_traces(
-    std::span<const ProbeBlock> blocks) {
-  std::vector<ObservedTrace> traces;
-  stats_.blocks = blocks.size();
-  obs::Span trace_span(tracer(), "stage.trace");
-
-  auto is_vp = [&](AsId as) {
-    return std::find(inputs_.vp_ases.begin(), inputs_.vp_ases.end(), as) !=
-           inputs_.vp_ases.end();
-  };
-  // "External" for retry/stop-set purposes: routed and not the VP network.
-  auto external_origin = [&](Ipv4Addr addr) -> AsId {
-    const auto* set = inputs_.origins->origins(addr);
-    if (!set || set->empty()) return AsId{};
-    for (AsId o : *set) {
-      if (is_vp(o)) return AsId{};
-    }
-    return set->front();
-  };
-
-  for (const ProbeBlock& block : blocks) {
-    int attempts = static_cast<int>(
-        std::min<std::uint64_t>(kMaxAddrsPerBlock, block.prefix.size()));
-    // First destination probed in a block (§5.3): skip the network address
-    // of real prefixes, probe tiny ones from their first address.
-    Ipv4Addr dst = block.prefix.size() >= 4
-                       ? Ipv4Addr(block.prefix.first().value() + 1)
-                       : block.prefix.first();
-    for (int attempt = 0; attempt < attempts; ++attempt, dst = dst.next()) {
-      if (!block.prefix.contains(dst)) break;
-      probe::StopFn stop = nullptr;
-      if (config_.enable_stop_set) {
-        stop = [&](Ipv4Addr a) { return stopset_.contains(block.target_as, a); };
-      }
-      probe::TraceResult raw = services_.trace(dst, stop);
-      if (raw.failed) {
-        // The channel abandoned this probe. Record the unmeasured target
-        // and fall through to the next address of the block (§5.3's retry
-        // discipline) instead of aborting the run.
-        ++stats_.probe_failures;
-        failures_.push_back({dst, block.target_as});
-        continue;
-      }
-      ObservedTrace trace = observe(raw, block.target_as);
-      if (trace.stopped_by_stopset) ++stats_.stopset_hits;
-
-      // Record the first externally-originated address for the stop set,
-      // and decide whether this block needs another address (§5.3: retry
-      // when nothing external was observed, or when the only external
-      // address was the probed address itself).
-      bool saw_external = false;
-      for (std::size_t i = 0; i < trace.hops.size(); ++i) {
-        const auto& hop = trace.hops[i];
-        if (hop.kind != probe::ReplyKind::kTimeExceeded) continue;
-        AsId origin = external_origin(hop.addr);
-        if (origin.valid()) {
-          // Never stop on the first hop: a gateway answering with
-          // provider-assigned space would otherwise blind every
-          // subsequent trace toward this AS.
-          if (!saw_external && i > 0) {
-            stopset_.add(block.target_as, hop.addr);
-          }
-          saw_external = true;
-          break;
-        }
-      }
-      traces.push_back(std::move(trace));
-      if (saw_external) break;
-    }
-  }
-  stats_.traces = traces.size();
-  trace_span.note("traces", static_cast<std::int64_t>(traces.size()));
-  trace_span.note("stopset_hits",
-                  static_cast<std::int64_t>(stats_.stopset_hits));
-  return traces;
-}
-
-std::vector<std::vector<Ipv4Addr>> Bdrmap::resolve_aliases(
-    const SharedTraces& traces, AliasEvidence* evidence) {
-  obs::Span alias_span(tracer(), "stage.alias");
+// Tests the alias candidates of `traces` on `services` and returns the
+// router groups over every time-exceeded address.
+std::vector<std::vector<Ipv4Addr>> resolve_aliases(
+    probe::ProbeServices& services, const BdrmapConfig& config,
+    const SharedTraces& traces, AliasEvidence* evidence, BdrmapStats& stats) {
+  obs::Span alias_span(tracer_of(config), "stage.alias");
   // BDRMAP_HOT_BEGIN(alias_candidates)
   // Every address observed in a time-exceeded reply participates. Each
   // distinct edge between consecutive ones is a fan-out/fan-in candidate:
@@ -265,7 +182,7 @@ std::vector<std::vector<Ipv4Addr>> Bdrmap::resolve_aliases(
   // depend on the pairs tested before it.
   std::sort(pairs.begin(), pairs.end());
   pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
-  AliasResolver resolver(services_, evidence);
+  AliasResolver resolver(services, evidence);
   for (std::uint64_t key : pairs) {
     resolver.test_pair(Ipv4Addr(static_cast<std::uint32_t>(key >> 32)),
                        Ipv4Addr(static_cast<std::uint32_t>(key)));
@@ -274,13 +191,22 @@ std::vector<std::vector<Ipv4Addr>> Bdrmap::resolve_aliases(
   // where the /31 mate is no alias of the previous hop.
   for (const Edge& e : edges) resolver.prefixscan(e.prev, e.hop);
 
-  stats_.alias_pair_tests = resolver.pair_tests();
-  stats_.alias_pairs_reused = resolver.pairs_reused();
+  stats.alias_pair_tests = resolver.pair_tests();
+  stats.alias_pairs_reused = resolver.pairs_reused();
   alias_span.note("pair_tests",
-                  static_cast<std::int64_t>(stats_.alias_pair_tests));
+                  static_cast<std::int64_t>(stats.alias_pair_tests));
   alias_span.note("pairs_reused",
-                  static_cast<std::int64_t>(stats_.alias_pairs_reused));
+                  static_cast<std::int64_t>(stats.alias_pairs_reused));
   return resolver.groups(ttl_addrs);
+}
+
+}  // namespace
+
+std::vector<AsId> BdrmapResult::neighbor_ases() const {
+  std::vector<AsId> out;
+  out.reserve(links_by_as.size());
+  for (const auto& [as, indices] : links_by_as) out.push_back(as);
+  return out;
 }
 
 BdrmapResult infer_borders(RouterGraph graph, const InferenceInputs& inputs,
@@ -362,86 +288,126 @@ BdrmapResult infer_borders(RouterGraph graph, const InferenceInputs& inputs,
   return result;
 }
 
-BdrmapResult Bdrmap::run() { return run_with(collect()); }
-
-CollectedTraces Bdrmap::collect() {
-  obs::Span schedule_span(tracer(), "stage.schedule");
-  const std::vector<ProbeBlock> blocks =
-      build_probe_blocks(*inputs_.origins, inputs_.vp_ases);
-  schedule_span.note("blocks", static_cast<std::int64_t>(blocks.size()));
-  schedule_span.close();
-  return collect(blocks);
-}
-
-CollectedTraces Bdrmap::collect(std::span<const ProbeBlock> blocks) {
-  // Each instance is single-threaded INTERNALLY: the stop set, stats and
-  // failure log mutate without locks, and services_ is stateful (RNG,
-  // probe counters). runtime::MultiVpExecutor gives every slice and every
-  // tail its own instance; a second thread entering the same instance is
-  // a bug we fail loudly on rather than corrupt silently.
-  const bool reentered = running_.exchange(true, std::memory_order_acq_rel);
-  BDRMAP_EXPECTS(!reentered,
-                 "core::Bdrmap is single-threaded per instance; collect() "
-                 "re-entered concurrently");
-  struct RunGuard {
-    std::atomic<bool>& flag;
-    ~RunGuard() { flag.store(false, std::memory_order_release); }
-  } guard{running_};
-
-  obs::Span collect_span(tracer(), "bdrmap.collect");
-  const std::uint64_t probes_before = services_.probes_sent();
+CollectedTraces collect_blocks(probe::ProbeServices& services,
+                               const InferenceInputs& inputs,
+                               const BdrmapConfig& config,
+                               std::span<const ProbeBlock> blocks) {
+  obs::Span collect_span(tracer_of(config), "bdrmap.collect");
+  const std::uint64_t probes_before = services.probes_sent();
   CollectedTraces out;
-  out.traces = collect_traces(blocks);
-  out.failures = std::move(failures_);
-  out.probes_sent = services_.probes_sent() - probes_before;
-  out.blocks = stats_.blocks;
-  out.stopset_hits = stats_.stopset_hits;
-  out.probe_failures = stats_.probe_failures;
+  out.blocks = blocks.size();
+  std::vector<ObservedTrace> traces;
+  StopSet stopset;  // this call's alone, never shared across VPs
+  obs::Span trace_span(tracer_of(config), "stage.trace");
+
+  auto is_vp = [&](AsId as) {
+    return std::find(inputs.vp_ases.begin(), inputs.vp_ases.end(), as) !=
+           inputs.vp_ases.end();
+  };
+  // "External" for retry/stop-set purposes: routed and not the VP network.
+  auto external_origin = [&](Ipv4Addr addr) -> AsId {
+    const auto* set = inputs.origins->origins(addr);
+    if (!set || set->empty()) return AsId{};
+    for (AsId o : *set) {
+      if (is_vp(o)) return AsId{};
+    }
+    return set->front();
+  };
+
+  for (const ProbeBlock& block : blocks) {
+    int attempts = static_cast<int>(
+        std::min<std::uint64_t>(kMaxAddrsPerBlock, block.prefix.size()));
+    // First destination probed in a block (§5.3): skip the network address
+    // of real prefixes, probe tiny ones from their first address.
+    Ipv4Addr dst = block.prefix.size() >= 4
+                       ? Ipv4Addr(block.prefix.first().value() + 1)
+                       : block.prefix.first();
+    for (int attempt = 0; attempt < attempts; ++attempt, dst = dst.next()) {
+      if (!block.prefix.contains(dst)) break;
+      probe::StopFn stop = nullptr;
+      if (config.enable_stop_set) {
+        stop = [&](Ipv4Addr a) { return stopset.contains(block.target_as, a); };
+      }
+      probe::TraceResult raw = services.trace(dst, stop);
+      if (raw.failed) {
+        // The channel abandoned this probe. Record the unmeasured target
+        // and fall through to the next address of the block (§5.3's retry
+        // discipline) instead of aborting the run.
+        ++out.probe_failures;
+        out.failures.push_back({dst, block.target_as});
+        continue;
+      }
+      ObservedTrace trace = observe(raw, block.target_as);
+      if (trace.stopped_by_stopset) ++out.stopset_hits;
+
+      // Record the first externally-originated address for the stop set,
+      // and decide whether this block needs another address (§5.3: retry
+      // when nothing external was observed, or when the only external
+      // address was the probed address itself).
+      bool saw_external = false;
+      for (std::size_t i = 0; i < trace.hops.size(); ++i) {
+        const auto& hop = trace.hops[i];
+        if (hop.kind != probe::ReplyKind::kTimeExceeded) continue;
+        AsId origin = external_origin(hop.addr);
+        if (origin.valid()) {
+          // Never stop on the first hop: a gateway answering with
+          // provider-assigned space would otherwise blind every
+          // subsequent trace toward this AS.
+          if (!saw_external && i > 0) {
+            stopset.add(block.target_as, hop.addr);
+          }
+          saw_external = true;
+          break;
+        }
+      }
+      traces.push_back(std::move(trace));
+      if (saw_external) break;
+    }
+  }
+  trace_span.note("traces", static_cast<std::int64_t>(traces.size()));
+  trace_span.note("stopset_hits",
+                  static_cast<std::int64_t>(out.stopset_hits));
+  trace_span.close();
+  out.traces = std::move(traces);
+  out.probes_sent = services.probes_sent() - probes_before;
   collect_span.note("traces", static_cast<std::int64_t>(out.traces.size()));
   return out;
 }
 
-BdrmapResult Bdrmap::run_with(CollectedTraces collected,
-                              AliasEvidence* evidence) {
-  const bool reentered = running_.exchange(true, std::memory_order_acq_rel);
-  BDRMAP_EXPECTS(!reentered,
-                 "core::Bdrmap is single-threaded per instance; run_with() "
-                 "re-entered concurrently");
-  struct RunGuard {
-    std::atomic<bool>& flag;
-    ~RunGuard() { flag.store(false, std::memory_order_release); }
-  } guard{running_};
+BdrmapResult run_tail(probe::ProbeServices& services,
+                      const InferenceInputs& inputs, const BdrmapConfig& config,
+                      CollectedTraces collected, AliasEvidence* evidence) {
+  obs::Tracer* tracer = tracer_of(config);
+  obs::Span run_span(tracer, "bdrmap.run");
+  const std::uint64_t probes_before = services.probes_sent();
 
-  obs::Span run_span(tracer(), "bdrmap.run");
-  const std::uint64_t probes_before = services_.probes_sent();
-
-  stats_.blocks = collected.blocks;
-  stats_.stopset_hits = collected.stopset_hits;
-  stats_.probe_failures = collected.probe_failures;
-  stats_.traces = collected.traces.size();
-  failures_ = std::move(collected.failures);
+  BdrmapStats stats;
+  stats.blocks = collected.blocks;
+  stats.stopset_hits = collected.stopset_hits;
+  stats.probe_failures = collected.probe_failures;
+  stats.traces = collected.traces.size();
   SharedTraces traces = std::move(collected.traces);
 
-  auto groups = resolve_aliases(traces, evidence);
+  auto groups = resolve_aliases(services, config, traces, evidence, stats);
   // Collection counted its own probes (possibly on other stacks); the
   // tail adds only what this stack spent since it started.
-  stats_.probes_sent =
-      collected.probes_sent + services_.probes_sent() - probes_before;
+  stats.probes_sent =
+      collected.probes_sent + services.probes_sent() - probes_before;
 
-  obs::Span merge_span(tracer(), "stage.merge");
+  obs::Span merge_span(tracer, "stage.merge");
   RouterGraph graph(std::move(traces), groups);
   merge_span.close();
 
-  obs::Span heuristics_span(tracer(), "stage.heuristics");
+  obs::Span heuristics_span(tracer, "stage.heuristics");
   BdrmapResult result =
-      infer_borders(std::move(graph), inputs_, config_.heuristics, stats_);
+      infer_borders(std::move(graph), inputs, config.heuristics, stats);
   heuristics_span.note("links", static_cast<std::int64_t>(result.links.size()));
   heuristics_span.close();
 
-  result.failed_targets = std::move(failures_);
+  result.failed_targets = std::move(collected.failures);
   run_span.note("probes_sent",
                 static_cast<std::int64_t>(result.stats.probes_sent));
-  publish_result(result, registry());
+  publish_result(result, config.obs ? config.obs->registry() : nullptr);
   return result;
 }
 

@@ -5,20 +5,19 @@
 // graph, applies the §5.4 ownership heuristics, and reports the interdomain
 // links of the network hosting the vantage point.
 //
-// The class is written against probe::ProbeServices, so the identical
-// inference runs on a local prober or on the §5.8 split deployment.
-//
-// Threading model: one Bdrmap instance == one thread. The instance
-// mutates its stop set, stats, failure log and (through services_) the
-// probe RNG without any locks, and every stage contracts against
-// concurrent re-entry. Parallelism happens one level up:
-// runtime::MultiVpExecutor constructs an instance per (VP, target-AS)
-// slice and per VP inference tail, and only shares the read-only
-// InferenceInputs, which must stay unmutated (and alive) for the duration
-// of every run that references it.
+// The pipeline is two stages, each a free function written against
+// probe::ProbeServices, so the identical inference runs on a local prober
+// or on the §5.8 split deployment: collect_blocks() traces one run of
+// blocks, and run_tail() infers the border map from collected traces. All
+// their state (stop set, stats, failure log) lives in the call; a call
+// mutates only the probe stack it is given. runtime::MultiVpExecutor is
+// the one driver: it cuts each VP's §5.3 schedule into (VP, target-AS)
+// slices, collects each on a stack of its own, and runs each VP's tail.
+// Calls share only the read-only InferenceInputs, which must stay
+// unmutated (and alive) for the duration of every call that references
+// it.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -30,7 +29,6 @@
 #include "core/heuristics.h"
 #include "core/observations.h"
 #include "core/router_graph.h"
-#include "core/stopset.h"
 #include "obs/obs.h"
 #include "probe/types.h"
 
@@ -39,19 +37,19 @@ namespace bdrmap::core {
 struct BdrmapConfig {
   bool enable_stop_set = true;          // ablation: doubletree stop set
   HeuristicsConfig heuristics;
-  // Observability bundle (DESIGN.md §11). When set and enabled, run()
-  // emits one span per pipeline stage (schedule → trace → alias → merge →
-  // heuristics) and publishes stats + per-heuristic fire counts to the
+  // Observability bundle (DESIGN.md §11). When set and enabled, each
+  // stage emits its spans (trace → alias → merge → heuristics) and
+  // run_tail() publishes stats + per-heuristic fire counts to the
   // registry. Metrics never feed inference: the border map is
   // bit-identical with obs on, off, or null.
   obs::Observability* obs = nullptr;
 };
 
-// The output of the collection stage (stage.schedule + stage.trace),
-// detached from the inference tail so runtime::MultiVpExecutor can cache
-// and re-run (VP, target-AS) slices independently. Produced by
-// Bdrmap::collect(), consumed by Bdrmap::run_with(); slices concatenate by
-// appending fields in target-AS order, the traces by sharing them.
+// The output of the collection stage (stage.trace), detached from the
+// inference tail so runtime::MultiVpExecutor can cache and re-run
+// (VP, target-AS) slices independently. Produced by collect_blocks(),
+// consumed by run_tail(); slices concatenate by appending fields in
+// target-AS order, the traces by sharing them.
 struct CollectedTraces {
   SharedTraces traces;
   std::vector<ProbeFailure> failures;
@@ -127,55 +125,28 @@ struct BdrmapResult {
 
 // Runs the §5.4 heuristics over an already-built router graph and emits
 // the final border map (links, per-AS index, stats). Shared by the online
-// pipeline (Bdrmap::run) and offline re-analysis of archived traces.
+// pipeline (run_tail) and offline re-analysis of archived traces.
 BdrmapResult infer_borders(RouterGraph graph, const InferenceInputs& inputs,
                            const HeuristicsConfig& config, BdrmapStats stats);
 
-class Bdrmap {
- public:
-  Bdrmap(probe::ProbeServices& services, const InferenceInputs& inputs,
-         BdrmapConfig config = {});
+// The collection stage over one run of the §5.3 schedule's blocks (one
+// slice of runtime::SlicePlan): traces each block with its own stop set,
+// retrying up to five addresses per block, and counts the probes
+// `services` spent.
+CollectedTraces collect_blocks(probe::ProbeServices& services,
+                               const InferenceInputs& inputs,
+                               const BdrmapConfig& config,
+                               std::span<const ProbeBlock> blocks);
 
-  // The whole pipeline on one probe stack: run_with(collect()). The §5.8
-  // split deployment and the examples use it; multi-VP runs go through
-  // runtime::MultiVpExecutor, which keys a stack per (VP, target-AS) slice.
-  BdrmapResult run();
-
-  // Split pipeline: collect() runs only the probing stages and packages
-  // their output, over the whole §5.3 schedule or over a given run of its
-  // blocks (one slice of runtime::SlicePlan); run_with() runs the
-  // inference tail (alias resolution, graph build, §5.4 heuristics) over
-  // previously collected traces, using this instance's services for the
-  // alias probing. Each counts only the probes its own stage spends. With
-  // `evidence`, alias resolution reuses the verdicts and Mercator sources
-  // stored there and adds what it measures; the evidence must come from
-  // stacks seeded as this one.
-  CollectedTraces collect();
-  CollectedTraces collect(std::span<const ProbeBlock> blocks);
-  BdrmapResult run_with(CollectedTraces collected,
-                        AliasEvidence* evidence = nullptr);
-
- private:
-  std::vector<ObservedTrace> collect_traces(
-      std::span<const ProbeBlock> blocks);
-  std::vector<std::vector<Ipv4Addr>> resolve_aliases(
-      const SharedTraces& traces, AliasEvidence* evidence);
-
-  // nullptr when observability is off — Span/handle no-op convention.
-  obs::Tracer* tracer() const {
-    return config_.obs ? config_.obs->tracer() : nullptr;
-  }
-  obs::MetricsRegistry* registry() const {
-    return config_.obs ? config_.obs->registry() : nullptr;
-  }
-
-  probe::ProbeServices& services_;
-  const InferenceInputs& inputs_;
-  BdrmapConfig config_;
-  StopSet stopset_;  // per-instance, never shared across VPs
-  BdrmapStats stats_;
-  std::vector<ProbeFailure> failures_;
-  std::atomic<bool> running_{false};  // concurrent re-entry tripwire
-};
+// The inference tail over previously collected traces: alias resolution
+// (probing on `services`), graph build and the §5.4 heuristics. The
+// result's probes_sent is the collection's plus what the tail spent. With
+// `evidence`, alias resolution reuses the verdicts and Mercator sources
+// stored there and adds what it measures; the evidence must come from
+// stacks seeded as this one.
+BdrmapResult run_tail(probe::ProbeServices& services,
+                      const InferenceInputs& inputs, const BdrmapConfig& config,
+                      CollectedTraces collected,
+                      AliasEvidence* evidence = nullptr);
 
 }  // namespace bdrmap::core

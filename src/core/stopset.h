@@ -6,12 +6,12 @@
 // repeatedly cross the same interdomain link. Keyed per target AS because
 // the same near-border address can lead to different far networks.
 //
-// NOT thread-safe, by design: a stop set belongs to exactly one Bdrmap
-// instance (one VP). The paper keys stopping on what THIS vantage point
-// has already seen — sharing a set across concurrently-running VPs would
-// both race and change inference results (a VP would stop on another
-// VP's observations). runtime::MultiVpExecutor therefore never shares
-// one; Bdrmap::run() additionally contracts against re-entry.
+// NOT thread-safe, by design: a stop set belongs to exactly one
+// core::collect_blocks call (one VP's slice). The paper keys stopping on
+// what THIS vantage point has already seen — sharing a set across
+// concurrently-running VPs would both race and change inference results
+// (a VP would stop on another VP's observations). A set lives on its
+// call's stack, so nothing can share one.
 #pragma once
 
 #include <unordered_map>

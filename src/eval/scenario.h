@@ -105,13 +105,13 @@ class Scenario {
                                 probe::TracerConfig tracer = {}) const;
 
   // Runs bdrmap for many VPs on the pool (sequentially when pool is
-  // null): a cold runtime::MultiVpExecutor run, keeping no slices. Slice
-  // (VP i, target AS) and VP i's inference tail draw from seeds keyed by
-  // (base_seed, i, AS) and (base_seed, i), so the result is byte-identical
-  // at any worker count, and equals serve::ServeEngine's rebuild_full()
-  // with the same base seed. The merged reduction is in VP order. Safe
-  // because every slice gets a private probe stack and the shared
-  // substrate (FIB / BGP route caches) is internally locked.
+  // null): a cold runtime::MultiVpExecutor run, keeping no slices. Every
+  // probe stack of VP i is seeded with runtime::vp_seed(base_seed, i), so
+  // the result is byte-identical at any worker count, and equals
+  // serve::ServeEngine's rebuild_full() with the same base seed. The
+  // merged reduction is in VP order. Safe because every slice gets a
+  // private probe stack and the shared substrate (FIB / BGP route caches)
+  // is internally locked.
   runtime::MultiVpResult run_bdrmap_parallel(
       const std::vector<topo::Vp>& vps, core::BdrmapConfig config = {},
       std::uint64_t base_seed = 0x515, runtime::ThreadPool* pool = nullptr,

@@ -24,7 +24,7 @@ class RadixTrie {
 
   // Inserts (or overwrites) the value for `p`.
   void insert(const Prefix& p, T value) {
-    Node* n = descend(p, /*create=*/true);
+    Node* n = descend(p);
     n->value = std::move(value);
     if (!n->has_value) {
       n->has_value = true;
@@ -35,19 +35,13 @@ class RadixTrie {
   // Inserts only if `p` has no value yet; returns a reference to the stored
   // value either way (useful for accumulating sets, e.g. MOAS origin sets).
   T& insert_if_absent(const Prefix& p, T value) {
-    Node* n = descend(p, /*create=*/true);
+    Node* n = descend(p);
     if (!n->has_value) {
       n->value = std::move(value);
       n->has_value = true;
       ++size_;
     }
     return n->value;
-  }
-
-  // Exact-match lookup for prefix `p`.
-  const T* exact(const Prefix& p) const {
-    const Node* n = const_cast<RadixTrie*>(this)->descend(p, /*create=*/false);
-    return (n && n->has_value) ? &n->value : nullptr;
   }
 
   // Longest-prefix match for a single address. Returns nullptr if nothing
@@ -75,25 +69,6 @@ class RadixTrie {
     return best;
   }
 
-  // All values on the path from /0 to /32 covering `a`, shortest first.
-  // Used to find every BGP prefix covering an address (less- and
-  // more-specific announcements).
-  std::vector<std::pair<Prefix, const T*>> all_matches(Ipv4Addr a) const {
-    std::vector<std::pair<Prefix, const T*>> out;
-    const Node* n = root_.get();
-    std::uint8_t depth = 0;
-    std::uint32_t v = a.value();
-    for (;;) {
-      if (n->has_value) out.emplace_back(Prefix(a, depth), &n->value);
-      if (depth == 32) break;
-      const auto& child = (v >> (31 - depth)) & 1u ? n->one : n->zero;
-      if (!child) break;
-      n = child.get();
-      ++depth;
-    }
-    return out;
-  }
-
   // Visits every (prefix, value) pair in lexicographic prefix order.
   template <typename Fn>
   void for_each(Fn&& fn) const {
@@ -111,15 +86,13 @@ class RadixTrie {
     bool has_value = false;
   };
 
-  Node* descend(const Prefix& p, bool create) {
+  // The node of `p`, created with its path if missing.
+  Node* descend(const Prefix& p) {
     Node* n = root_.get();
     std::uint32_t v = p.network().value();
     for (std::uint8_t depth = 0; depth < p.length(); ++depth) {
       auto& child = (v >> (31 - depth)) & 1u ? n->one : n->zero;
-      if (!child) {
-        if (!create) return nullptr;
-        child = std::make_unique<Node>();
-      }
+      if (!child) child = std::make_unique<Node>();
       n = child.get();
     }
     return n;

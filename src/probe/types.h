@@ -44,12 +44,16 @@ struct TraceResult {
 // doubletree's stop set (§5.3). Evaluated on responsive hop addresses.
 using StopFn = std::function<bool(Ipv4Addr)>;
 
-// The probing capabilities a measurement device exposes. core::Bdrmap is
-// written against this interface so the same inference code runs on a
-// monolithic prober (probe::LocalProbeServices) or the split low-resource
-// deployment of §5.8 (remote::RemoteProbeServices). A stack's state is
-// never rewound: runtime::MultiVpExecutor builds one probe stack per
-// (VP, target-AS) slice with that slice's seed, and one per inference tail.
+// The probing capabilities a measurement device exposes. The pipeline
+// (core::collect_blocks, core::run_tail) is written against this interface
+// so the same inference code runs on a monolithic prober
+// (probe::LocalProbeServices) or the split low-resource deployment of §5.8
+// (remote::RemoteProbeServices). Every reply is a pure function of the
+// stack's seed, what is probed and the forwarding state, never of what the
+// stack probed before: runtime::MultiVpExecutor seeds every stack of a VP
+// with the VP's seed, so it may build one per (VP, target-AS) slice and
+// one per inference tail, or, as the §5.8 split does, hand one stack to
+// all of them.
 class ProbeServices {
  public:
   virtual ~ProbeServices() = default;

@@ -11,18 +11,22 @@
 //
 // RemoteProbeServices is the controller-side adapter: it implements
 // probe::ProbeServices by marshalling each command over a Channel, so the
-// unmodified core::Bdrmap pipeline drives a remote device. Because the
-// channel may be lossy (remote::FaultyChannel), the controller is
-// resilient: per-request timeouts, bounded retries with exponential
-// backoff + jitter on a virtual clock, CRC/sequence verification of every
-// frame, session re-establishment after a device restart, and a circuit
-// breaker that fails probes fast while the device is unreachable. A probe
+// unmodified pipeline drives a remote device (runtime::shared_stack_job
+// hands one RemoteProbeServices to every slice and the inference tail of
+// a runtime::MultiVpExecutor run). Because the channel may be lossy
+// (remote::FaultyChannel), the controller is resilient: per-request
+// timeouts, bounded retries with exponential backoff + jitter on a virtual
+// clock, CRC/sequence verification of every frame, session
+// re-establishment after a device restart, and a circuit breaker that
+// fails probes fast while the device is unreachable. A probe
 // that still fails after all of that surfaces as TraceResult::failed /
-// nullopt — core::Bdrmap degrades gracefully instead of aborting.
+// nullopt — the pipeline degrades gracefully instead of aborting.
 //
 // The doubletree stop set stays controller-side: the device traces, the
 // controller truncates — trading some extra device probes for near-zero
-// device state, the same trade the paper makes.
+// device state, the same trade the paper makes. Trace draws are keyed on
+// (seed, destination, TTL), so the hops up to the cut are the ones a local
+// prober of the same seed returns, and the split map is the local map.
 #pragma once
 
 #include <cstdint>

@@ -26,24 +26,25 @@ core::BdrmapResult run_vp(
     core::AliasEvidence* evidence) {
   BDRMAP_EXPECTS(static_cast<bool>(job.make_services),
                  "VpJob needs a seeded probe-services factory");
+  const std::uint64_t seed = vp_seed(base_seed, vp);
   const std::vector<SlicePlan::Slice>& slices = plan.slices(vp);
   stored.resize(slices.size());
   std::vector<std::size_t> missing;
   for (std::size_t i = 0; i < slices.size(); ++i) {
     if (!stored[i]) missing.push_back(i);
   }
-  // One probe stack per slice, built with that slice's seed.
+  // One probe stack per slice, each built with the VP's seed.
   parallel_for(pool, missing.size(), [&](std::size_t k) {
     const SlicePlan::Slice& slice = slices[missing[k]];
-    // Declared first: the stack records into it, so it outlives the stack.
     std::vector<std::uint64_t> footprint;
-    auto services = job.make_services(vp_seed(base_seed, vp));
+    auto services = job.make_services(seed);
     // A kept slice records the routing it read, so a churn event can keep
-    // it (docs/serving.md §4).
+    // it (docs/serving.md §4). The stack may outlive the slice (a shared
+    // stack does), so it stops recording before `footprint` goes.
     if (evidence) services->record_footprint(&footprint);
-    core::CollectedTraces collected =
-        core::Bdrmap(*services, job.inputs, config)
-            .collect(plan.blocks_of(vp, slice));
+    core::CollectedTraces collected = core::collect_blocks(
+        *services, job.inputs, config, plan.blocks_of(vp, slice));
+    if (evidence) services->record_footprint(nullptr);
     std::sort(footprint.begin(), footprint.end());
     collected.footprint.assign(
         footprint.begin(), std::unique(footprint.begin(), footprint.end()));
@@ -58,9 +59,9 @@ core::BdrmapResult run_vp(
   }
   obs::Span vp_span(config.obs ? config.obs->tracer() : nullptr, "vp.run");
   vp_span.note("vp", static_cast<std::int64_t>(vp));
-  auto services = job.make_services(vp_seed(base_seed, vp));
-  core::Bdrmap pipeline(*services, job.inputs, config);
-  return pipeline.run_with(std::move(all), evidence);
+  auto services = job.make_services(seed);
+  return core::run_tail(*services, job.inputs, config, std::move(all),
+                        evidence);
 }
 
 // Ordered reduction over out.per_vp, VP by VP on the joining thread: the
@@ -81,6 +82,16 @@ void reduce_ordered(MultiVpResult& out) {
   }
 }
 }  // namespace
+
+VpJob shared_stack_job(std::shared_ptr<probe::ProbeServices> services,
+                       core::InferenceInputs inputs) {
+  VpJob job;
+  job.make_services = [services = std::move(services)](std::uint64_t) {
+    return services;
+  };
+  job.inputs = std::move(inputs);
+  return job;
+}
 
 SlicePlan::SlicePlan(const std::vector<VpJob>& jobs, ThreadPool* pool,
                      obs::Tracer* tracer) {

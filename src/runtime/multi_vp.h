@@ -11,7 +11,8 @@
 // (Scenario::run_bdrmap_parallel, Scenario::run_bdrmap) is that run
 // without a store to keep; serve::ServeEngine keeps its store across
 // epochs and erases only the slices and alias evidence a churn event
-// dirtied.
+// dirtied; the §5.8 split is that run with one remote stack for every
+// slice and the tail (shared_stack_job). There is no other driver.
 //
 // Determinism strategy (DESIGN.md §8): parallelism never reorders any
 // observable. Every probe stack of a VP, a slice's or the tail's, is
@@ -50,13 +51,24 @@ inline std::uint64_t vp_seed(std::uint64_t base_seed, std::size_t vp) {
 }
 
 // One vantage point: a factory for its probe stacks (invoked on the
-// executing worker with the slice or tail seed) and its read-only
-// inference inputs.
+// executing worker with the VP's seed, once per collected slice and once
+// for the tail) and its read-only inference inputs.
 struct VpJob {
-  std::function<std::unique_ptr<probe::ProbeServices>(std::uint64_t seed)>
+  std::function<std::shared_ptr<probe::ProbeServices>(std::uint64_t seed)>
       make_services;
   core::InferenceInputs inputs;
 };
+
+// A job whose every probe stack is `services`, whatever the seed. The
+// §5.8 split hands its one remote::RemoteProbeServices to every slice and
+// the tail this way, which keeps one session, one breaker and one fault
+// stream per run. Run it on a null pool and without a store: the slices
+// then take turns on the one stack, and each counts the probes it spent
+// by difference. Since any two stacks of a VP are interchangeable, a
+// stack seeded with vp_seed(base_seed, 0) gives the map that a one-VP run
+// at base_seed gives.
+VpJob shared_stack_job(std::shared_ptr<probe::ProbeServices> services,
+                       core::InferenceInputs inputs);
 
 // The §5.3 schedule of every VP, cut into (VP, target-AS) slices.
 class SlicePlan {

@@ -17,11 +17,12 @@
 //      Mercator sources its evidence lacks, and
 //   3. compiles and atomically publishes a fresh BorderMapSnapshot.
 //
-// The scheme is *exact*, not approximate: each slice's collection seed
-// depends only on (base_seed, vp, as) — never on the epoch — so a stored
-// clean slice is bit-identical to what a fresh collection would produce,
-// and each alias pair test is keyed on (tail seed, pair), so stored
-// evidence equals a fresh measurement while the routes it crossed stand.
+// The scheme is *exact*, not approximate: every probe stack of a VP is
+// seeded from (base_seed, vp) — never from the epoch — and each trace is
+// keyed on (VP seed, destination, TTL), so a stored clean slice is
+// bit-identical to what a fresh collection would produce; each alias pair
+// test is keyed on (VP seed, pair), so stored evidence equals a fresh
+// measurement while the routes it crossed stand.
 // A cold rebuild is the same executor run over an empty store, and
 // recompute_reference() is a cold run that keeps nothing, so tests can
 // hard-gate eval::same_border_map(incremental, from_scratch).

@@ -8,6 +8,7 @@
 #include "core/baseline.h"
 #include "eval/ground_truth.h"
 #include "eval/scenario.h"
+#include "runtime/multi_vp.h"
 
 namespace bdrmap::core {
 namespace {
@@ -161,14 +162,19 @@ TEST(BdrmapResult, NeighborAsesListsLinkOwners) {
   }
 }
 
-// run() is run_with(collect()) on one stack: each stage counts only what
-// it spent, so the total is every probe the stack sent, counted once.
+// A shared-stack run hands one stack to every slice and the tail: each
+// stage counts only what it spent, so the total is every probe the stack
+// sent, counted once.
 TEST(BdrmapResult, OneStackRunCountsEveryProbeOnce) {
   eval::Scenario s(eval::research_education_config(42));
   const topo::Vp vp = s.vps_in(s.first_of(topo::AsKind::kResearchEdu)).front();
-  const InferenceInputs inputs = s.inputs_for(vp.as);
-  auto services = s.services_for(vp, 0x515);
-  const BdrmapResult result = Bdrmap(*services, inputs).run();
+  std::shared_ptr<probe::ProbeServices> services =
+      s.services_for(vp, runtime::vp_seed(0x515, 0));
+  const BdrmapResult result =
+      runtime::MultiVpExecutor(nullptr)
+          .run({runtime::shared_stack_job(services, s.inputs_for(vp.as))}, {},
+               0x515)
+          .per_vp.front();
   EXPECT_GT(result.stats.probes_sent, 0u);
   EXPECT_EQ(result.stats.probes_sent, services->probes_sent());
 }

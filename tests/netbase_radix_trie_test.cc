@@ -16,9 +16,14 @@ TEST(RadixTrie, ExactInsertAndLookup) {
   RadixTrie<int> trie;
   trie.insert(P("10.0.0.0/8"), 1);
   trie.insert(P("10.1.0.0/16"), 2);
-  EXPECT_EQ(*trie.exact(P("10.0.0.0/8")), 1);
-  EXPECT_EQ(*trie.exact(P("10.1.0.0/16")), 2);
-  EXPECT_EQ(trie.exact(P("10.2.0.0/16")), nullptr);
+  Prefix matched;
+  EXPECT_EQ(*trie.match(A("10.0.0.1"), &matched), 1);
+  EXPECT_EQ(matched, P("10.0.0.0/8"));
+  EXPECT_EQ(*trie.match(A("10.1.0.1"), &matched), 2);
+  EXPECT_EQ(matched, P("10.1.0.0/16"));
+  // 10.2.0.0/16 holds no value of its own: its addresses fall to the /8.
+  EXPECT_EQ(*trie.match(A("10.2.0.1"), &matched), 1);
+  EXPECT_EQ(matched, P("10.0.0.0/8"));
   EXPECT_EQ(trie.size(), 2u);
 }
 
@@ -27,14 +32,15 @@ TEST(RadixTrie, OverwriteKeepsSize) {
   trie.insert(P("10.0.0.0/8"), 1);
   trie.insert(P("10.0.0.0/8"), 7);
   EXPECT_EQ(trie.size(), 1u);
-  EXPECT_EQ(*trie.exact(P("10.0.0.0/8")), 7);
+  EXPECT_EQ(*trie.match(A("10.0.0.1")), 7);
 }
 
 TEST(RadixTrie, InsertIfAbsentAccumulates) {
   RadixTrie<std::vector<int>> trie;
   trie.insert_if_absent(P("10.0.0.0/8"), {}).push_back(1);
   trie.insert_if_absent(P("10.0.0.0/8"), {}).push_back(2);
-  EXPECT_EQ(trie.exact(P("10.0.0.0/8"))->size(), 2u);
+  EXPECT_EQ(trie.match(A("10.0.0.1"))->size(), 2u);
+  EXPECT_EQ(trie.size(), 1u);
 }
 
 TEST(RadixTrie, LongestPrefixMatch) {
@@ -62,17 +68,6 @@ TEST(RadixTrie, Slash32Matches) {
   trie.insert(P("10.0.0.1/32"), 1);
   EXPECT_EQ(*trie.match(A("10.0.0.1")), 1);
   EXPECT_EQ(trie.match(A("10.0.0.2")), nullptr);
-}
-
-TEST(RadixTrie, AllMatchesReturnsNestingChain) {
-  RadixTrie<int> trie;
-  trie.insert(P("10.0.0.0/8"), 8);
-  trie.insert(P("10.1.0.0/16"), 16);
-  trie.insert(P("10.1.2.0/24"), 24);
-  auto chain = trie.all_matches(A("10.1.2.3"));
-  ASSERT_EQ(chain.size(), 3u);
-  EXPECT_EQ(*chain[0].second, 8);
-  EXPECT_EQ(*chain[2].second, 24);
 }
 
 TEST(RadixTrie, ForEachVisitsInOrder) {

@@ -4,8 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <numeric>
+
+#include "core/blocks.h"
+#include "eval/scenario_registry.h"
+#include "netbase/rng.h"
 #include "route/bgp_sim.h"
 #include "route/fib.h"
+#include "runtime/multi_vp.h"
 #include "test_support.h"
 
 namespace bdrmap::probe {
@@ -230,6 +236,72 @@ TEST(TracerThirdParty, EgressToSrcUsesThirdPartyAddress) {
   EXPECT_EQ(t.hops[1].truth_router, r2);
   EXPECT_EQ(t.hops[1].addr, ip("30.0.1.2"));
 }
+
+// Every reply draw is keyed on (seed, destination, TTL), so a trace does
+// not depend on what its stack traced before: one VP's destinations give
+// the same hops on a stack of their own, in three shuffled orders on a
+// fresh stack per order, and in all three orders on one shared stack.
+// spoofed_source forges 1% of reply sources (TracerConfig::spoof_reply_p),
+// so its spoof draws are checked too.
+class TraceOrderTest : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(TraceOrderTest, HopsIgnoreOrderAndStack) {
+  auto s = eval::make_scenario(GetParam(), 42);
+  ASSERT_NE(s, nullptr);
+  const topo::Vp vp = s->vps_in(s->first_of(s->spec().vp_kind)).front();
+  const core::InferenceInputs inputs = s->inputs_for(vp.as);
+  const std::uint64_t seed = runtime::vp_seed(0x515, 0);
+  std::vector<Ipv4Addr> dsts;
+  for (const core::ProbeBlock& block :
+       core::build_probe_blocks(*inputs.origins, inputs.vp_ases)) {
+    dsts.push_back(Ipv4Addr(block.prefix.first().value() + 1));
+  }
+  ASSERT_GT(dsts.size(), 100u);
+
+  using Hops = std::vector<std::tuple<ReplyKind, std::uint32_t, std::uint32_t>>;
+  auto hops_of = [](const TraceResult& t) {
+    Hops out;
+    for (const TraceHop& h : t.hops) {
+      out.emplace_back(h.kind, h.addr.value(), h.truth_router.value);
+    }
+    return out;
+  };
+  std::vector<Hops> want;
+  std::size_t spoofed = 0;
+  for (Ipv4Addr dst : dsts) {
+    const TraceResult t = s->services_for(vp, seed)->trace(dst, nullptr);
+    for (const TraceHop& h : t.hops) {
+      // A forged source is a host address in the destination's /24.
+      spoofed += h.kind == ReplyKind::kTimeExceeded &&
+                 (h.addr.value() >> 8) == (dst.value() >> 8) &&
+                 !s->net().iface_at(h.addr);
+    }
+    want.push_back(hops_of(t));
+  }
+  if (s->spec().adversary.spoof_reply_p > 0.0) {
+    EXPECT_GT(spoofed, 0u);
+  }
+
+  auto shared = s->services_for(vp, seed);
+  std::vector<std::size_t> order(dsts.size());
+  std::iota(order.begin(), order.end(), 0);
+  for (std::uint64_t round = 0; round < 3; ++round) {
+    net::Rng(round).shuffle(order);
+    auto fresh = s->services_for(vp, seed);
+    std::size_t differ = 0;
+    for (std::size_t i : order) {
+      differ += hops_of(fresh->trace(dsts[i], nullptr)) != want[i];
+      differ += hops_of(shared->trace(dsts[i], nullptr)) != want[i];
+    }
+    EXPECT_EQ(differ, 0u) << "order " << round;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Families, TraceOrderTest,
+                         ::testing::Values("small", "spoofed_source"),
+                         [](const auto& param_info) {
+                           return param_info.param;
+                         });
 
 }  // namespace
 }  // namespace bdrmap::probe

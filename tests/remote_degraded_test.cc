@@ -1,46 +1,36 @@
-// End-to-end degraded deployment: core::Bdrmap over a FaultyChannel.
+// End-to-end degraded deployment: the pipeline over a FaultyChannel.
 //
 // The determinism guard pins the fault-injection layer at 0% to the exact
-// behaviour of the local deployment; the degraded runs check that the
-// pipeline completes with partial data (never aborts), survives a mid-run
-// device power-cycle, and records abandoned targets as ProbeFailure
-// instead of silently omitting them.
+// map of the local deployment, with rate limiting and lossy destinations
+// on; the degraded runs check that the pipeline completes with partial
+// data (never aborts), survives a mid-run device power-cycle, and records
+// abandoned targets as ProbeFailure instead of silently omitting them.
 #include <gtest/gtest.h>
+
+#include <memory>
 
 #include "core/bdrmap.h"
 #include "eval/degradation.h"
 #include "eval/scenario.h"
 #include "remote/channel.h"
 #include "remote/split.h"
+#include "runtime/multi_vp.h"
 
 namespace bdrmap::remote {
 namespace {
 
-topo::GeneratorConfig deterministic_config() {
-  // Eliminate the per-probe randomness (rate limiting, lossy destinations)
-  // so the local and remote paths consume identical RNG streams: the
-  // comparison then isolates the deployment and the channel itself.
-  auto c = eval::small_access_config(11);
-  c.rate_limit_max = 0.0;
-  c.p_silent = 0.0;
-  c.p_echo_only = 0.0;
-  c.dest_responsiveness_enterprise = 1.0;
-  c.dest_responsiveness_default = 1.0;
-  return c;
-}
+constexpr std::uint64_t kProbeSeed = 123;
 
 class DegradedFixture : public ::testing::Test {
  protected:
   DegradedFixture()
-      : scenario_(deterministic_config()),
+      : scenario_(eval::small_access_config(11)),
         vp_as_(scenario_.first_of(topo::AsKind::kAccess)),
         vp_(scenario_.vps_in(vp_as_).front()),
         inputs_(scenario_.inputs_for(vp_as_)) {}
 
-  core::BdrmapResult run_local() {
-    auto services = scenario_.services_for(vp_, 123);
-    core::Bdrmap bdrmap(*services, inputs_);
-    return bdrmap.run();
+  core::BdrmapResult run_local(std::uint64_t seed = kProbeSeed) {
+    return scenario_.run_bdrmap(vp_, {}, seed);
   }
 
   struct DegradedRun {
@@ -49,14 +39,19 @@ class DegradedFixture : public ::testing::Test {
   };
 
   DegradedRun run_degraded(const FaultConfig& faults,
-                           ResilienceConfig rcfg = {}) {
-    auto backend = scenario_.services_for(vp_, 123);
+                           ResilienceConfig rcfg = {},
+                           std::uint64_t seed = kProbeSeed) {
+    // Every slice and the tail share the one remote stack, whose device
+    // has the VP's seed.
+    auto backend = scenario_.services_for(vp_, runtime::vp_seed(seed, 0));
     ProberDevice device(*backend);
     FaultyChannel channel(device, faults);
-    RemoteProbeServices services(channel, rcfg);
-    core::Bdrmap bdrmap(services, inputs_);
-    DegradedRun run{bdrmap.run(), channel.stats()};
-    return run;
+    auto services = std::make_shared<RemoteProbeServices>(channel, rcfg);
+    core::BdrmapResult result =
+        runtime::MultiVpExecutor(nullptr)
+            .run({runtime::shared_stack_job(services, inputs_)}, {}, seed)
+            .per_vp.front();
+    return {std::move(result), channel.stats()};
   }
 
   eval::Scenario scenario_;
@@ -66,14 +61,16 @@ class DegradedFixture : public ::testing::Test {
 };
 
 TEST_F(DegradedFixture, ZeroFaultRateIsBitIdenticalToLocalDeployment) {
-  core::BdrmapResult local = run_local();
-  DegradedRun faulty = run_degraded(FaultConfig{});
+  for (std::uint64_t seed : {123u, 77u, 9u}) {
+    core::BdrmapResult local = run_local(seed);
+    DegradedRun faulty = run_degraded(FaultConfig{}, {}, seed);
 
-  EXPECT_TRUE(eval::same_border_map(faulty.result, local));
-  EXPECT_EQ(faulty.result.stats.probe_failures, 0u);
-  EXPECT_TRUE(faulty.result.failed_targets.empty());
-  EXPECT_EQ(faulty.stats.retransmits, 0u);
-  EXPECT_EQ(faulty.stats.timeouts, 0u);
+    EXPECT_TRUE(eval::same_border_map(faulty.result, local)) << seed;
+    EXPECT_EQ(faulty.result.stats.probe_failures, 0u);
+    EXPECT_TRUE(faulty.result.failed_targets.empty());
+    EXPECT_EQ(faulty.stats.retransmits, 0u);
+    EXPECT_EQ(faulty.stats.timeouts, 0u);
+  }
 }
 
 TEST_F(DegradedFixture, FivePercentLossAndMidRunRestartCompletes) {

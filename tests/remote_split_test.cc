@@ -5,36 +5,36 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <utility>
 #include <vector>
 
 #include "core/bdrmap.h"
+#include "eval/degradation.h"
 #include "eval/scenario.h"
 #include "netbase/rng.h"
+#include "runtime/multi_vp.h"
 
 namespace bdrmap::remote {
 namespace {
 
-namespace {
-topo::GeneratorConfig deterministic_config() {
-  // Eliminate the per-probe randomness (rate limiting, lossy destinations)
-  // so the local and remote paths consume identical RNG streams: the
-  // comparison then isolates the deployment split itself.
-  auto c = eval::small_access_config(11);
-  c.rate_limit_max = 0.0;
-  c.p_silent = 0.0;
-  c.p_echo_only = 0.0;
-  c.dest_responsiveness_enterprise = 1.0;
-  c.dest_responsiveness_default = 1.0;
-  return c;
-}
-}  // namespace
-
+// The plain small access network: rate limiting, silent routers and lossy
+// destinations all on, so the split is checked where reply loss acts.
 class SplitFixture : public ::testing::Test {
  protected:
-  SplitFixture() : scenario_(deterministic_config()) {
+  SplitFixture() : scenario_(eval::small_access_config(11)) {
     vp_as_ = scenario_.first_of(topo::AsKind::kAccess);
     vp_ = scenario_.vps_in(vp_as_).front();
+  }
+
+  // The VP's map with every slice and the tail on `services`.
+  core::BdrmapResult run_split(std::shared_ptr<probe::ProbeServices> services,
+                               std::uint64_t seed) const {
+    return runtime::MultiVpExecutor(nullptr)
+        .run({runtime::shared_stack_job(std::move(services),
+                                        scenario_.inputs_for(vp_as_))},
+             {}, seed)
+        .per_vp.front();
   }
 
   eval::Scenario scenario_;
@@ -42,28 +42,22 @@ class SplitFixture : public ::testing::Test {
   topo::Vp vp_;
 };
 
+// §5.8: the split deployment runs the identical inference. The device
+// traces past the controller's stop set, yet every trace draw is keyed on
+// (VP seed, destination, TTL), so the hops up to the cut are the local
+// ones and the maps are equal.
 TEST_F(SplitFixture, RemoteMatchesLocalInference) {
-  core::InferenceInputs inputs = scenario_.inputs_for(vp_as_);
-
-  auto local_services = scenario_.services_for(vp_, 123);
-  core::Bdrmap local(*local_services, inputs);
-  auto local_result = local.run();
-
-  auto device_services = scenario_.services_for(vp_, 123);
-  ProberDevice device(*device_services);
-  RemoteProbeServices remote_services(device);
-  core::Bdrmap remote(remote_services, inputs);
-  auto remote_result = remote.run();
-
-  // Same routers and links inferred (the RNG streams are identical; only
-  // stop-set truncation differs mechanically, and it is applied to the
-  // same traces).
-  EXPECT_EQ(remote_result.links.size(), local_result.links.size());
-  EXPECT_EQ(remote_result.links_by_as.size(),
-            local_result.links_by_as.size());
-  for (const auto& [as, links] : local_result.links_by_as) {
-    ASSERT_TRUE(remote_result.links_by_as.count(as)) << as.str();
-    EXPECT_EQ(remote_result.links_by_as.at(as).size(), links.size());
+  for (std::uint64_t seed : {123u, 77u, 9u}) {
+    const core::BdrmapResult local = scenario_.run_bdrmap(vp_, {}, seed);
+    auto device_services =
+        scenario_.services_for(vp_, runtime::vp_seed(seed, 0));
+    ProberDevice device(*device_services);
+    const core::BdrmapResult remote =
+        run_split(std::make_shared<RemoteProbeServices>(device), seed);
+    EXPECT_FALSE(local.links.empty()) << "seed " << seed;
+    EXPECT_TRUE(eval::same_border_map(remote, local)) << "seed " << seed;
+    // The device traced past the stop set: more probes, same map.
+    EXPECT_GT(remote.stats.probes_sent, local.stats.probes_sent) << seed;
   }
 }
 
@@ -71,11 +65,14 @@ TEST_F(SplitFixture, RemoteMatchesLocalInference) {
 // device: a remote stack and a local stack of one seed give the same
 // verdicts and Mercator sources on the same shuffled pair list.
 TEST_F(SplitFixture, RemoteMatchesLocalAliasVerdicts) {
-  core::InferenceInputs inputs = scenario_.inputs_for(vp_as_);
-  auto collector = scenario_.services_for(vp_, 123);
-  core::Bdrmap pipeline(*collector, inputs);
-  core::AliasEvidence measured;
-  pipeline.run_with(pipeline.collect(), &measured);
+  runtime::VpJob job;
+  job.make_services = [this](std::uint64_t seed) {
+    return scenario_.services_for(vp_, seed);
+  };
+  job.inputs = scenario_.inputs_for(vp_as_);
+  runtime::SliceStore store;
+  (void)runtime::MultiVpExecutor(nullptr).run({job}, {}, 123, &store);
+  const core::AliasEvidence& measured = store.evidence.front();
   std::vector<std::uint64_t> keys;
   for (const auto& [key, verdict] : measured.verdicts) keys.push_back(key);
   ASSERT_GT(keys.size(), 20u);
@@ -109,14 +106,12 @@ TEST_F(SplitFixture, RemoteMatchesLocalAliasVerdicts) {
 }
 
 TEST_F(SplitFixture, ChannelStatsAccumulate) {
-  core::InferenceInputs inputs = scenario_.inputs_for(vp_as_);
   auto device_services = scenario_.services_for(vp_, 123);
   ProberDevice device(*device_services);
-  RemoteProbeServices remote_services(device);
-  core::Bdrmap remote(remote_services, inputs);
-  auto result = remote.run();
+  auto remote_services = std::make_shared<RemoteProbeServices>(device);
+  const core::BdrmapResult result = run_split(remote_services, 123);
 
-  const ChannelStats& stats = remote_services.channel_stats();
+  const ChannelStats& stats = remote_services->channel_stats();
   EXPECT_GT(stats.messages, result.stats.traces);
   EXPECT_GT(stats.bytes_to_device, 0u);
   EXPECT_GT(stats.bytes_from_device, 0u);

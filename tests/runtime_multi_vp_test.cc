@@ -9,15 +9,25 @@
 #include <atomic>
 
 #include "core/blocks.h"
+#include "core/merge.h"
 #include "eval/degradation.h"
 #include "eval/scenario.h"
-#include "netbase/contract.h"
 #include "runtime/thread_pool.h"
 #include "serve/churn.h"
 #include "serve/engine.h"
+#include "serve/snapshot.h"
 
 namespace bdrmap {
 namespace {
+
+// The compiled border map's structural hash over every VP of a run.
+std::uint64_t fingerprint(const runtime::MultiVpResult& m) {
+  std::vector<const core::BdrmapResult*> runs;
+  for (const core::BdrmapResult& r : m.per_vp) runs.push_back(&r);
+  return serve::BorderMapSnapshot::compile({}, core::merge_results(runs),
+                                           /*epoch=*/0)
+      ->fingerprint();
+}
 
 class MultiVpDeterminism : public ::testing::Test {
  protected:
@@ -156,60 +166,38 @@ TEST_F(MultiVpDeterminism, OneProbeStackPerCollectedSlice) {
   EXPECT_GT(dirty, 0u);
 }
 
-// Satellite audit: one Bdrmap instance must not be entered twice — the
-// stop set, stats and failure log are instance state. The contract fires
-// (kThrow here) instead of corrupting them silently: re-enter run() of
-// the driving instance from inside its own first trace.
-TEST_F(MultiVpDeterminism, ReenteringRunningInstanceTrips) {
-  net::ScopedContractMode scoped(net::ContractMode::kThrow);
-  core::InferenceInputs inputs = scenario_.inputs_for(vp_as_);
+// Any two stacks of a VP are interchangeable: every stack is seeded with
+// the VP's seed and every draw is keyed on what it probes. So one stack
+// per VP, shared by all its slices and its tail (as the §5.8 split does),
+// gives the map and the probe count of a stack per slice.
+TEST_F(MultiVpDeterminism, SharedStackEqualsPerSliceStacks) {
+  constexpr std::uint64_t kBaseSeed = 0x1000;
+  std::vector<topo::Vp> vps = vps_;
+  if (vps.size() > 3) vps.resize(3);
+  const runtime::MultiVpResult per_slice =
+      scenario_.run_bdrmap_parallel(vps, {}, kBaseSeed, nullptr);
 
-  class Hook : public probe::ProbeServices {
-   public:
-    explicit Hook(probe::ProbeServices& inner) : inner_(inner) {}
-    void arm(core::Bdrmap* target) { target_ = target; }
-    probe::TraceResult trace(net::Ipv4Addr dst,
-                             const probe::StopFn& stop) override {
-      if (target_ != nullptr && !fired_) {
-        fired_ = true;
-        EXPECT_THROW(target_->run(), net::ContractViolation);
-      }
-      return inner_.trace(dst, stop);
-    }
-    std::optional<net::Ipv4Addr> udp_probe(net::Ipv4Addr a) override {
-      return inner_.udp_probe(a);
-    }
-    std::optional<std::uint16_t> ipid_sample(net::Ipv4Addr a,
-                                             double t) override {
-      return inner_.ipid_sample(a, t);
-    }
-    void begin_alias_test(std::uint64_t key) override {
-      inner_.begin_alias_test(key);
-    }
-    void record_footprint(std::vector<std::uint64_t>* sink) override {
-      inner_.record_footprint(sink);
-    }
-    void addr_footprint(net::Ipv4Addr a,
-                        std::vector<std::uint64_t>& out) override {
-      inner_.addr_footprint(a, out);
-    }
-    std::uint64_t probes_sent() const override {
-      return inner_.probes_sent();
-    }
-    bool fired() const { return fired_; }
+  std::vector<runtime::VpJob> jobs;
+  std::vector<std::shared_ptr<probe::ProbeServices>> stacks;
+  for (std::size_t i = 0; i < vps.size(); ++i) {
+    stacks.push_back(
+        scenario_.services_for(vps[i], runtime::vp_seed(kBaseSeed, i)));
+    jobs.push_back(
+        runtime::shared_stack_job(stacks.back(), scenario_.inputs_for(vp_as_)));
+  }
+  const runtime::MultiVpResult shared =
+      runtime::MultiVpExecutor(nullptr).run(jobs, {}, kBaseSeed);
 
-   private:
-    probe::ProbeServices& inner_;
-    core::Bdrmap* target_ = nullptr;
-    bool fired_ = false;
-  };
-
-  auto backend = scenario_.services_for(vps_[0], 0x515);
-  Hook hook(*backend);
-  core::Bdrmap pipeline(hook, inputs);
-  hook.arm(&pipeline);  // re-enter the instance that is driving us
-  (void)pipeline.run();
-  EXPECT_TRUE(hook.fired());
+  EXPECT_EQ(fingerprint(shared), fingerprint(per_slice));
+  EXPECT_EQ(shared.total.probes_sent, per_slice.total.probes_sent);
+  for (std::size_t i = 0; i < vps.size(); ++i) {
+    EXPECT_TRUE(eval::same_border_map(shared.per_vp[i], per_slice.per_vp[i]))
+        << "VP " << i;
+    EXPECT_EQ(shared.per_vp[i].stats.probes_sent,
+              per_slice.per_vp[i].stats.probes_sent)
+        << "VP " << i;
+    EXPECT_EQ(shared.per_vp[i].stats.probes_sent, stacks[i]->probes_sent());
+  }
 }
 
 }  // namespace

@@ -347,8 +347,8 @@ void expect_solo_footprints(const EngineFixture& fx, std::uint64_t base_seed,
           fx.vps[vp], runtime::vp_seed(base_seed, vp));
       std::vector<std::uint64_t> footprint;
       services->record_footprint(&footprint);
-      core::Bdrmap(*services, inputs)
-          .collect(store.plan.blocks_of(vp, slices[i]));
+      (void)core::collect_blocks(*services, inputs, {},
+                                 store.plan.blocks_of(vp, slices[i]));
       std::sort(footprint.begin(), footprint.end());
       footprint.erase(std::unique(footprint.begin(), footprint.end()),
                       footprint.end());
