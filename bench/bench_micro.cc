@@ -48,6 +48,60 @@ void BM_FibNextHop(benchmark::State& state) {
 }
 BENCHMARK(BM_FibNextHop);
 
+// Full walks (first hop to delivery) from every VP's attach router toward
+// every announced prefix, over one Fib shared by all benchmark threads and
+// warmed before timing: the reads a pool worker's traces make. Reports
+// time per walk; at 4 threads it shows what the walk's shared reads cost
+// under contention.
+struct SharedWalks {
+  std::vector<net::RouterId> starts;
+  std::vector<route::Fib::RouteQuery> queries;
+};
+
+std::size_t walk_to_delivery(const route::Fib& fib, net::RouterId r,
+                             const route::Fib::RouteQuery& q) {
+  std::size_t hops = 0;
+  for (; hops < 64; ++hops) {
+    const auto next = fib.next_hop(r, q);
+    if (!next) break;
+    r = next->router;
+  }
+  return hops;
+}
+
+const SharedWalks& shared_walks() {
+  static const SharedWalks walks = [] {
+    const auto& s = shared_scenario();
+    SharedWalks w;
+    for (const auto& vp : s.vps_in(s.first_of(topo::AsKind::kAccess))) {
+      w.starts.push_back(vp.attach_router);
+    }
+    for (const auto& ap : s.net().announced()) {
+      w.queries.push_back(
+          s.fib().query(net::Ipv4Addr(ap.prefix.first().value() + 1)));
+    }
+    for (net::RouterId r : w.starts) {  // warm every memo the walks read
+      for (const auto& q : w.queries) walk_to_delivery(s.fib(), r, q);
+    }
+    return w;
+  }();
+  return walks;
+}
+
+void BM_FibWalkShared(benchmark::State& state) {
+  const route::Fib& fib = shared_scenario().fib();
+  const SharedWalks& w = shared_walks();
+  const std::size_t n = w.starts.size() * w.queries.size();
+  // Threads start at different walks so they do not move in lockstep.
+  std::size_t i = static_cast<std::size_t>(state.thread_index()) * 7919;
+  for (auto _ : state) {
+    const std::size_t k = i++ % n;
+    benchmark::DoNotOptimize(walk_to_delivery(
+        fib, w.starts[k % w.starts.size()], w.queries[k / w.starts.size()]));
+  }
+}
+BENCHMARK(BM_FibWalkShared)->Threads(1)->Threads(4);
+
 void BM_Traceroute(benchmark::State& state) {
   const auto& s = shared_scenario();
   auto vp = s.vps_in(s.first_of(topo::AsKind::kAccess)).front();

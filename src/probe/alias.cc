@@ -68,7 +68,6 @@ std::uint16_t AliasProber::next_ipid(const topo::Router& router,
 std::optional<std::uint16_t> AliasProber::ipid_sample(Ipv4Addr addr,
                                                       double t) {
   ++probes_sent_;
-  ipid_samples_.inc();
   // Two independent draws per sample: rate limiting and a random ID.
   const std::uint64_t sample = ++test_samples_;
   auto iface = net_.iface_at(addr);

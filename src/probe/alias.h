@@ -35,6 +35,9 @@ class AliasProber {
     }
     begin_test(0);
   }
+  ~AliasProber() { ipid_samples_.inc(test_samples_); }
+  AliasProber(const AliasProber&) = delete;
+  AliasProber& operator=(const AliasProber&) = delete;
 
   // Mercator: UDP probe to `addr`; returns the source address of the ICMP
   // port-unreachable reply (the interface the router transmits from), if
@@ -49,8 +52,11 @@ class AliasProber {
   // Starts one alias measurement keyed by `key`: every IP-ID counter
   // restarts with no replies sent, and the samples that follow draw from
   // (seed, key). A test's samples are then a pure function of the seed,
-  // the key, the (addr, t) sequence and the forwarding state.
+  // the key, the (addr, t) sequence and the forwarding state. The previous
+  // test's samples are counted here in one step (the last test's when the
+  // prober is destroyed), not once per sample on the shared counter.
   void begin_test(std::uint64_t key) {
+    ipid_samples_.inc(test_samples_);
     reply_counts_.clear();
     test_stream_ = net::mix(seed_, key, kIpidSalt);
     test_samples_ = 0;

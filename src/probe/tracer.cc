@@ -148,13 +148,14 @@ TraceResult TracerouteEngine::trace(Ipv4Addr dst, const StopFn& stop) {
   const route::Fib::RouteQuery q = fib_.query(dst);
   const std::vector<PathHop>& path = walk(q);
 
-  // Generate per-TTL replies along the walked path.
+  // Generate per-TTL replies along the walked path. Its packets are
+  // counted once per trace, so the shared counter is touched once.
+  const std::uint64_t sent_before = probes_sent_;
   int gap = 0;
   for (std::size_t i = 0; i < path.size(); ++i) {
     const PathHop& node = path[i];
     const int ttl = static_cast<int>(i) + 1;
     ++probes_sent_;
-    trace_packets_.inc();
     const auto& router = net_.router(node.router);
     TraceHop hop;
     hop.truth_router = node.router;
@@ -184,7 +185,6 @@ TraceResult TracerouteEngine::trace(Ipv4Addr dst, const StopFn& stop) {
         hop.kind = ReplyKind::kTimeExceeded;
       }
       ++probes_sent_;  // the extra host-directed probe
-      trace_packets_.inc();
       result.hops.push_back(hop);
       if (hop.kind != ReplyKind::kNone && stop && stop(hop.addr)) {
         result.stopped_by_stopset = true;
@@ -223,6 +223,7 @@ TraceResult TracerouteEngine::trace(Ipv4Addr dst, const StopFn& stop) {
       }
     }
   }
+  trace_packets_.inc(probes_sent_ - sent_before);
   return result;
 }
 

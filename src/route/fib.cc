@@ -48,7 +48,10 @@ Fib::Fib(const topo::Internet& net, const BgpSimulator& bgp,
       router_local_[routers[i].value] = i;
     }
   }
-  routing_.resize(ases.size());
+  // Slots start null; a vector of atomics is fixed-size by design.
+  routing_ = std::vector<std::atomic<const AsRouting*>>(ases.size());
+  link_down_.assign(net.links().size(), 0);
+  prefix_down_.assign(net.announced().size(), 0);
   sessions_.resize(ases.size());
   sessions_by_far_.resize(ases.size());
   row_width_ = static_cast<std::uint32_t>(ases.size());
@@ -94,16 +97,9 @@ Fib::Fib(const topo::Internet& net, const BgpSimulator& bgp,
 }
 
 std::vector<std::uint64_t> Fib::set_link_state(LinkId link, bool up) {
-  {
-    net::MutexLock lk(overlay_mu_);
-    if (up) {
-      down_links_.erase(link.value);
-    } else {
-      down_links_.insert(link.value);
-    }
-    overlay_active_.store(!down_links_.empty() || !withdrawn_.empty(),
-                          std::memory_order_release);
-  }
+  BDRMAP_EXPECTS(link.value < link_down_.size(),
+                 "link added after Fib construction");
+  link_down_[link.value] = up ? 0 : 1;
   // An egress decision reads the link's state iff it weighs a session over
   // it: its near AS decides toward a destination whose tiers list the far
   // AS. An IXP LAN carries one session per member pair.
@@ -121,20 +117,15 @@ std::vector<std::uint64_t> Fib::set_link_state(LinkId link, bool up) {
 
 std::vector<std::uint64_t> Fib::set_prefix_withdrawn(const net::Prefix& p,
                                                      bool withdrawn) {
-  net::MutexLock lk(overlay_mu_);
-  if (withdrawn) {
-    withdrawn_.insert(p);
-  } else {
-    withdrawn_.erase(p);
+  const auto at = std::lower_bound(withdrawn_.begin(), withdrawn_.end(), p);
+  const bool listed = at != withdrawn_.end() && *at == p;
+  if (withdrawn && !listed) withdrawn_.insert(at, p);
+  if (!withdrawn && listed) withdrawn_.erase(at);
+  const auto& announced = net_.announced();
+  for (std::size_t i = 0; i < prefix_down_.size(); ++i) {
+    if (announced[i].prefix == p) prefix_down_[i] = withdrawn ? 1 : 0;
   }
-  overlay_active_.store(!down_links_.empty() || !withdrawn_.empty(),
-                        std::memory_order_release);
   return {prefix_key(p)};
-}
-
-std::vector<net::Prefix> Fib::withdrawn_prefixes() const {
-  net::SharedLock lk(overlay_mu_);
-  return {withdrawn_.begin(), withdrawn_.end()};
 }
 
 void Fib::invalidate_egress(std::span<const std::uint64_t> changed) {
@@ -174,18 +165,6 @@ void Fib::invalidate_egress(std::span<const std::uint64_t> changed) {
   egress_dropped_ = 0;
 }
 
-bool Fib::link_is_down(LinkId link) const {
-  if (!overlay_active_.load(std::memory_order_acquire)) return false;
-  net::SharedLock lk(overlay_mu_);
-  return down_links_.count(link.value) > 0;
-}
-
-bool Fib::prefix_withdrawn(const topo::AnnouncedPrefix* ap) const {
-  if (!overlay_active_.load(std::memory_order_acquire)) return false;
-  net::SharedLock lk(overlay_mu_);
-  return withdrawn_.count(ap->prefix) > 0;
-}
-
 const std::vector<Session>& Fib::sessions_of(AsId as) const {
   const std::uint32_t d = bgp_.dense_index(as);
   return d == kNoIndex ? kNoSessions : sessions_[d];
@@ -199,77 +178,7 @@ AsId Fib::owner_of(RouterId r) const {
   return net_.router(r).owner;
 }
 
-Fib::RouteQuery::Resolved Fib::resolve(Ipv4Addr dst) const {
-  RouteQuery::Resolved r;
-  if (auto iface_id = net_.iface_at(dst)) {
-    const auto& iface = net_.iface(*iface_id);
-    const auto& link = net_.link(iface.link);
-    RouterId t = iface.router;
-    AsId owner = owner_of(t);
-    r.ok = true;
-    r.is_iface_addr = true;
-    r.final_router = t;
-    if (link.kind == topo::LinkKind::kInterdomain &&
-        link.addr_space_owner != owner) {
-      // Provider-assigned p2p address on the far side: packets route toward
-      // the supplier's AS, whose router on the subnet delivers across the
-      // link (this is why far-side link addresses are reachable at all).
-      for (net::IfaceId other : link.ifaces) {
-        const auto& oi = net_.iface(other);
-        if (owner_of(oi.router) == link.addr_space_owner) {
-          r.dst_as = link.addr_space_owner;
-          r.column = bgp_.dense_index(r.dst_as);
-          r.target = oi.router;
-          r.cross_link = link.id;
-          r.cross_egress = other;
-          r.key = link_key(link.id);
-          return r;
-        }
-      }
-    }
-    r.dst_as = owner;
-    r.column = bgp_.dense_index(owner);
-    r.target = t;
-    return r;
-  }
-  if (const auto* ap = net_.announced_match(dst)) {
-    // A withdrawn prefix has no route; there is deliberately no
-    // less-specific fallback (matching announced_match's exact-trie
-    // semantics — see docs/serving.md).
-    r.key = prefix_key(ap->prefix);
-    if (prefix_withdrawn(ap)) return r;
-    r.ok = true;
-    r.dst_as = ap->origin;
-    r.column = bgp_.dense_index(ap->origin);
-    r.target = ap->host_router;
-    r.final_router = ap->host_router;
-    r.ap = ap;
-    if (!ap->only_via_links.empty()) {
-      r.pinned = &ap->only_via_links;
-      const auto i = static_cast<std::size_t>(ap - net_.announced().data());
-      BDRMAP_EXPECTS(i < pinned_column_.size() &&
-                         pinned_column_[i] != kNoIndex,
-                     "pinned prefix announced after Fib construction");
-      if (r.column != kNoIndex) r.column = pinned_column_[i];
-    }
-    return r;
-  }
-  return r;
-}
-
-Fib::RouteQuery Fib::query(Ipv4Addr dst) const {
-  RouteQuery q;
-  q.dst_ = dst;
-  q.res_ = resolve(dst);
-  return q;
-}
-
-const Fib::AsRouting& Fib::routing_for(std::uint32_t as_dense) const {
-  {
-    net::SharedLock lk(routing_mu_);
-    if (routing_[as_dense]) return *routing_[as_dense];
-  }
-
+const Fib::AsRouting& Fib::routing_fill(std::uint32_t as_dense) const {
   const AsId as = net_.ases()[as_dense].id;
   auto r = std::make_unique<AsRouting>();
   r->routers = net_.as_info(as).routers;
@@ -335,14 +244,28 @@ const Fib::AsRouting& Fib::routing_for(std::uint32_t as_dense) const {
 
   // Pure computation: racing fills for the same AS produced identical
   // tables, so first writer wins and the duplicate is discarded. The
-  // returned reference survives because the slot vector never resizes.
-  // Only the published fill counts.
+  // tables are complete before the release store publishes them, and
+  // routing_storage_ owns them for the Fib's lifetime. Only the published
+  // fill counts.
   net::MutexLock lk(routing_mu_);
-  if (!routing_[as_dense]) {
-    routing_[as_dense] = std::move(r);
-    routing_fills_.inc();
+  if (const AsRouting* won =
+          routing_[as_dense].load(std::memory_order_relaxed)) {
+    return *won;
   }
-  return *routing_[as_dense];
+  const AsRouting* published = r.get();
+  routing_storage_.push_back(std::move(r));
+  routing_[as_dense].store(published, std::memory_order_release);
+  routing_fills_.inc();
+  return *published;
+}
+
+// BDRMAP_HOT_BEGIN(fib_internal_step) — BDR104: the intra-AS hop. Dense
+// table loads, one published-pointer acquire load and one flow hash;
+// nothing may allocate or lock here (the fill lives outside the region).
+
+const Fib::AsRouting& Fib::routing_for(std::uint32_t as_dense) const {
+  const AsRouting* rt = routing_[as_dense].load(std::memory_order_acquire);
+  return rt ? *rt : routing_fill(as_dense);
 }
 
 double Fib::igp_distance(RouterId a, RouterId b) const {
@@ -359,8 +282,6 @@ double Fib::igp_distance(RouterId a, RouterId b) const {
   return rt.dist[ia * rt.routers.size() + ib];
 }
 
-// BDRMAP_HOT_BEGIN(fib_internal_step) — BDR104: the intra-AS hop. Dense
-// table loads and one flow hash; nothing may allocate here.
 std::optional<Fib::Hop> Fib::internal_step(RouterId r, RouterId target,
                                            Ipv4Addr dst) const {
   std::uint32_t as_dense = router_as_dense_[r.value];
@@ -463,8 +384,79 @@ const Fib::EgressEntry* Fib::egress_fill(
 }
 
 // BDRMAP_HOT_BEGIN(fib_walk) — BDR104: the per-hop forwarding decision.
-// Array loads, published-pointer acquire loads and pure hashes only; no
-// node containers, no heap allocation (cold fills live outside the region).
+// Array loads, overlay bytes, published-pointer acquire loads and pure
+// hashes only; no node containers, no heap allocation, no lock (cold
+// fills live outside the region).
+
+bool Fib::link_is_down(LinkId link) const {
+  return link.value < link_down_.size() && link_down_[link.value] != 0;
+}
+
+Fib::RouteQuery::Resolved Fib::resolve(Ipv4Addr dst) const {
+  RouteQuery::Resolved r;
+  if (auto iface_id = net_.iface_at(dst)) {
+    const auto& iface = net_.iface(*iface_id);
+    const auto& link = net_.link(iface.link);
+    RouterId t = iface.router;
+    AsId owner = owner_of(t);
+    r.ok = true;
+    r.is_iface_addr = true;
+    r.final_router = t;
+    if (link.kind == topo::LinkKind::kInterdomain &&
+        link.addr_space_owner != owner) {
+      // Provider-assigned p2p address on the far side: packets route toward
+      // the supplier's AS, whose router on the subnet delivers across the
+      // link (this is why far-side link addresses are reachable at all).
+      for (net::IfaceId other : link.ifaces) {
+        const auto& oi = net_.iface(other);
+        if (owner_of(oi.router) == link.addr_space_owner) {
+          r.dst_as = link.addr_space_owner;
+          r.column = bgp_.dense_index(r.dst_as);
+          r.target = oi.router;
+          r.cross_link = link.id;
+          r.cross_egress = other;
+          r.key = link_key(link.id);
+          return r;
+        }
+      }
+    }
+    r.dst_as = owner;
+    r.column = bgp_.dense_index(owner);
+    r.target = t;
+    return r;
+  }
+  if (const auto* ap = net_.announced_match(dst)) {
+    // A withdrawn prefix has no route; there is deliberately no
+    // less-specific fallback (matching announced_match's exact-trie
+    // semantics — see docs/serving.md).
+    const auto i = static_cast<std::size_t>(ap - net_.announced().data());
+    BDRMAP_EXPECTS(i < prefix_down_.size(),
+                   "prefix announced after Fib construction");
+    r.key = prefix_key(ap->prefix);
+    if (prefix_down_[i] != 0) return r;
+    r.ok = true;
+    r.dst_as = ap->origin;
+    r.column = bgp_.dense_index(ap->origin);
+    r.target = ap->host_router;
+    r.final_router = ap->host_router;
+    r.ap = ap;
+    if (!ap->only_via_links.empty()) {
+      r.pinned = &ap->only_via_links;
+      BDRMAP_EXPECTS(pinned_column_[i] != kNoIndex,
+                     "pinned prefix announced after Fib construction");
+      if (r.column != kNoIndex) r.column = pinned_column_[i];
+    }
+    return r;
+  }
+  return r;
+}
+
+Fib::RouteQuery Fib::query(Ipv4Addr dst) const {
+  RouteQuery q;
+  q.dst_ = dst;
+  q.res_ = resolve(dst);
+  return q;
+}
 
 const Fib::EgressEntry* Fib::egress_entry(
     RouterId r, const RouteQuery::Resolved& res) const {

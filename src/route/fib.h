@@ -16,12 +16,14 @@
 // cheap while staying bit-identical to the naive per-hop recomputation:
 //  * RouteQuery — the destination is resolved (interface lookup, announced
 //    prefix match, delivery target) once per trace, not once per hop;
-//  * memoized decision caches — per-router flat egress rows (one column
-//    per destination AS, then one per selectively announced prefix) and
-//    per-(src, dst) candidate tiers (bgp_sim.h), filled lazily with
-//    first-writer-wins discipline (fills are pure functions of the
-//    immutable topology, so results are independent of thread
-//    interleaving — the MultiVpExecutor contract);
+//  * memoized decision caches — per-AS IGP tables and per-router flat
+//    egress rows (one column per destination AS, then one per selectively
+//    announced prefix), filled lazily with first-writer-wins discipline
+//    (fills are pure functions of the immutable topology, so results are
+//    independent of thread interleaving — the MultiVpExecutor contract)
+//    and published as pointers: a hit is one acquire load, never a lock.
+//    The per-(src, dst) candidate tiers (bgp_sim.h) keep double-checked
+//    locking, since only egress fills read them;
 //  * dense indexing — routers and ASes are addressed by flat arrays
 //    (ASes by BgpSimulator::dense_index) instead of hash probes.
 // tests/route_fastpath_test.cc checks every hop against a reference
@@ -33,10 +35,8 @@
 #include <deque>
 #include <memory>
 #include <optional>
-#include <set>
 #include <span>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "netbase/ids.h"
@@ -180,26 +180,25 @@ class Fib {
   // Data-plane churn applied on top of the immutable topology: interdomain
   // links can be marked down (their sessions drop out of egress selection
   // and cross-link delivery) and announced prefixes can be withdrawn
-  // (resolve() reports no route). Mutators REQUIRE external quiescence —
-  // no concurrent forwarding calls — which the serve engine guarantees by
-  // applying churn strictly between inference epochs; concurrent readers
-  // of an unchanging overlay are safe (overlay_mu_). With no churn ever
-  // applied the hot path pays one relaxed atomic load. Each mutator
-  // returns the sorted keys it moved: a forwarding decision or resolution
-  // that read none of them is the same as before.
+  // (resolve() reports no route). The overlay is one flat byte per link
+  // and one per announced prefix, read without a lock. Mutators REQUIRE
+  // external quiescence — no concurrent forwarding calls — which the serve
+  // engine guarantees by applying churn strictly between inference epochs;
+  // concurrent readers of an unchanging overlay are then safe. Each
+  // mutator returns the sorted keys it moved: a forwarding decision or
+  // resolution that read none of them is the same as before.
 
   // Marks an interdomain link down (up=false) or restores it. Reports its
   // link_key and, for every session over it (each IXP LAN member pair),
   // the memoized tier keys (near AS, dst) whose set lists the far AS, and
   // drops the egress decisions under those (invalidate_egress).
   std::vector<std::uint64_t> set_link_state(LinkId link, bool up)
-      BDRMAP_EXCLUDES(overlay_mu_, egress_mu_);
+      BDRMAP_EXCLUDES(egress_mu_);
 
   // Withdraws (or re-announces) every announced prefix equal to `p`.
   // Reports prefix_key(p); no egress decision reads the withdrawn set.
   std::vector<std::uint64_t> set_prefix_withdrawn(const net::Prefix& p,
-                                                  bool withdrawn)
-      BDRMAP_EXCLUDES(overlay_mu_);
+                                                  bool withdrawn);
 
   // Drops only the memoized egress decisions whose tier_key(router, query)
   // is in `changed` (sorted ascending; keys of other kinds are ignored):
@@ -212,11 +211,10 @@ class Fib {
   void invalidate_egress(std::span<const std::uint64_t> changed)
       BDRMAP_EXCLUDES(egress_mu_);
 
-  // The announced prefixes currently withdrawn, sorted ascending.
-  std::vector<net::Prefix> withdrawn_prefixes() const
-      BDRMAP_EXCLUDES(overlay_mu_);
+  // The prefixes currently withdrawn, announced or not, sorted ascending.
+  std::vector<net::Prefix> withdrawn_prefixes() const { return withdrawn_; }
 
-  bool link_is_down(LinkId link) const BDRMAP_EXCLUDES(overlay_mu_);
+  bool link_is_down(LinkId link) const;
 
  private:
   struct AsRouting {
@@ -248,7 +246,10 @@ class Fib {
   // mutated truth instead of crashing halfway between two views).
   AsId owner_of(RouterId r) const;
   RouteQuery::Resolved resolve(Ipv4Addr dst) const;
+  // The published IGP tables of an AS: one acquire load; a miss fills.
   const AsRouting& routing_for(std::uint32_t as_dense) const
+      BDRMAP_EXCLUDES(routing_mu_);
+  const AsRouting& routing_fill(std::uint32_t as_dense) const
       BDRMAP_EXCLUDES(routing_mu_);
   // The shared fill: first satisfiable tier, sessions tied at minimal IGP
   // distance from r, in session order. Pure function of the immutable
@@ -287,12 +288,15 @@ class Fib {
   std::vector<std::unordered_map<AsId, std::vector<std::uint32_t>>>
       sessions_by_far_;
 
-  // Lazily computed per-AS IGP tables, guarded by routing_mu_: one Fib is
-  // shared by every concurrent VP run, and the Dijkstra fill is a pure
-  // function of the immutable topology, so first-writer-wins insertion is
-  // value-deterministic regardless of thread interleaving.
-  mutable net::SharedMutex routing_mu_;
-  mutable std::vector<std::unique_ptr<AsRouting>> routing_
+  // Lazily computed per-AS IGP tables: one Fib is shared by every
+  // concurrent VP run, and the Dijkstra fill is a pure function of the
+  // immutable topology, so first-writer-wins insertion is value-
+  // deterministic regardless of thread interleaving. A fill publishes its
+  // fully built tables with a release store into the AS's slot; readers
+  // take one acquire load and no lock. routing_mu_ serializes the fills.
+  mutable net::Mutex routing_mu_;
+  mutable std::vector<std::atomic<const AsRouting*>> routing_;
+  mutable std::vector<std::unique_ptr<AsRouting>> routing_storage_
       BDRMAP_GUARDED_BY(routing_mu_);
 
   // Egress-row column of each selectively announced prefix, by index into
@@ -322,14 +326,15 @@ class Fib {
       BDRMAP_GUARDED_BY(egress_mu_);
   std::size_t egress_dropped_ BDRMAP_GUARDED_BY(egress_mu_) = 0;
 
-  // Churn overlay state (see the public churn section). overlay_active_
-  // fast-gates the overlay_mu_ acquisitions out of the zero-churn hot path.
-  bool prefix_withdrawn(const topo::AnnouncedPrefix* ap) const
-      BDRMAP_EXCLUDES(overlay_mu_);
-  std::atomic<bool> overlay_active_{false};
-  mutable net::SharedMutex overlay_mu_;
-  std::unordered_set<std::uint32_t> down_links_ BDRMAP_GUARDED_BY(overlay_mu_);
-  std::set<net::Prefix> withdrawn_ BDRMAP_GUARDED_BY(overlay_mu_);
+  // Churn overlay state (see the public churn section): a byte per link
+  // (by LinkId) and per announced prefix (by index into
+  // Internet::announced), written only under the quiescence contract and
+  // read by resolve, next_hop's cross-link delivery and the egress fill.
+  // withdrawn_ lists every withdrawn prefix, announced or not, for
+  // withdrawn_prefixes(); the walk never reads it.
+  std::vector<std::uint8_t> link_down_;
+  std::vector<std::uint8_t> prefix_down_;
+  std::vector<net::Prefix> withdrawn_;  // sorted ascending
 
   static const std::vector<Session> kNoSessions;
 };

@@ -5,9 +5,10 @@
 // hop by hop against a reference tier scan written here from the Fib's and
 // the BGP simulator's public calls: the per-hop recomputation the caches
 // replaced. Covers randomized destinations, interface addresses,
-// selectively-announced (pinned) prefixes, link and relationship churn, and concurrent cache fills from many threads (the
-// MultiVpExecutor determinism contract). Suite name carries "FastPath" so
-// check.sh's tsan pass picks these tests up.
+// selectively-announced (pinned) prefixes, link and relationship churn, and
+// concurrent cache fills from many threads, with and without a churn
+// overlay (the MultiVpExecutor determinism contract). Suite name carries
+// "FastPath" so check.sh's tsan pass picks these tests up.
 #include <algorithm>
 #include <limits>
 #include <map>
@@ -551,6 +552,30 @@ TEST(RouteFastPath, RelationshipFlipDropsOnlyChangedEgress) {
   EXPECT_GT(moved_walks, 0u);
 }
 
+// Eight threads walk `fib` at once; every walk must equal `expected`.
+// Each thread starts at a different offset so fills race on different
+// entries first.
+void expect_concurrent_walks_match(
+    const Fib& fib, const std::vector<Probe>& work,
+    const std::vector<std::vector<std::uint64_t>>& expected) {
+  constexpr unsigned kThreads = 8;
+  std::vector<std::size_t> mismatches(kThreads, 0);
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (unsigned t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (std::size_t i = 0; i < work.size(); ++i) {
+        const std::size_t j = (i + t * 13) % work.size();
+        if (walk(fib, work[j]) != expected[j]) ++mismatches[t];
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  for (unsigned t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(mismatches[t], 0u) << "thread " << t;
+  }
+}
+
 TEST(RouteFastPath, ConcurrentFillIsDeterministic) {
   // Eight threads hammer a cold Fib concurrently; every thread's walks
   // must equal a single-threaded cold plane's. Cache fills are pure and
@@ -565,24 +590,91 @@ TEST(RouteFastPath, ConcurrentFillIsDeterministic) {
 
   BgpSimulator cold_bgp(gen.net);
   Fib cold(gen.net, cold_bgp);
-  constexpr unsigned kThreads = 8;
-  std::vector<std::size_t> mismatches(kThreads, 0);
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (unsigned t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      // Each thread starts at a different offset so fills race on
-      // different entries first.
-      for (std::size_t i = 0; i < work.size(); ++i) {
-        std::size_t j = (i + t * 13) % work.size();
-        if (walk(cold, work[j]) != expected[j]) ++mismatches[t];
-      }
+  expect_concurrent_walks_match(cold, work, expected);
+}
+
+TEST(RouteFastPath, ConcurrentWalksUnderChurnOverlay) {
+  // Link-down and prefix-withdraw events go into a cold Fib while no walk
+  // runs (the quiescence contract); then eight threads walk it at once,
+  // reading the overlay bytes and published IGP tables without a lock
+  // while the fills race. Every walk must equal a sequential plane's with
+  // the same overlay, and the overlay must move walks, or it tests
+  // nothing.
+  topo::GeneratedInternet gen = topo::generate(eval::small_access_config(7));
+  const topo::Internet& net = gen.net;
+  const std::vector<Probe> work = build_workload(net, 0x0E7A1);
+
+  BgpSimulator up_bgp(net);
+  Fib up(net, up_bgp);
+  std::vector<std::vector<std::uint64_t>> unchurned;
+  unchurned.reserve(work.size());
+  for (const Probe& probe : work) unchurned.push_back(walk(up, probe));
+
+  // Down: the three links the unchurned walks cross most, and the busiest
+  // IXP LAN. Withdrawn: every fifth announced prefix, one prefix nobody
+  // announces, and one prefix withdrawn then re-announced.
+  const auto crossings = link_crossings(up, work);
+  std::set<topo::LinkId> ixp;
+  for (const auto& info : net.interdomain_links()) {
+    if (info.via_ixp) ixp.insert(info.link);
+  }
+  std::vector<topo::LinkId> down;
+  for (int i = 0; i < 3; ++i) {
+    const auto busiest = busiest_link(crossings, [&](topo::LinkId l) {
+      return std::find(down.begin(), down.end(), l) == down.end();
     });
+    ASSERT_TRUE(busiest.has_value()) << "the walks cross too few links";
+    down.push_back(*busiest);
   }
-  for (auto& th : threads) th.join();
-  for (unsigned t = 0; t < kThreads; ++t) {
-    EXPECT_EQ(mismatches[t], 0u) << "thread " << t;
+  const auto lan = busiest_link(crossings, [&](topo::LinkId l) {
+    return ixp.count(l) > 0 &&
+           std::find(down.begin(), down.end(), l) == down.end();
+  });
+  ASSERT_TRUE(lan.has_value()) << "the walks cross no IXP LAN";
+  down.push_back(*lan);
+
+  const auto& announced = net.announced();
+  std::vector<net::Prefix> withdrawn;
+  for (std::size_t i = 0; i < announced.size(); i += 5) {
+    withdrawn.push_back(announced[i].prefix);
   }
+  const net::Prefix unannounced(Ipv4Addr(0xC6336400u), 24);  // 198.51.100/24
+  ASSERT_TRUE(std::none_of(
+      announced.begin(), announced.end(),
+      [&](const auto& ap) { return ap.prefix == unannounced; }));
+  withdrawn.push_back(unannounced);
+  const net::Prefix bounced = announced[1].prefix;
+  auto apply = [&](Fib& fib) {
+    for (topo::LinkId link : down) fib.set_link_state(link, false);
+    for (const net::Prefix& p : withdrawn) fib.set_prefix_withdrawn(p, true);
+    fib.set_prefix_withdrawn(bounced, true);
+    fib.set_prefix_withdrawn(bounced, false);
+  };
+
+  BgpSimulator seq_bgp(net);
+  Fib sequential(net, seq_bgp);
+  apply(sequential);
+  std::vector<std::vector<std::uint64_t>> expected;
+  expected.reserve(work.size());
+  std::size_t moved = 0;
+  for (std::size_t i = 0; i < work.size(); ++i) {
+    expected.push_back(walk(sequential, work[i]));
+    moved += expected.back() != unchurned[i];
+  }
+  EXPECT_GT(moved, 0u) << "the overlay moved no walk";
+
+  BgpSimulator cold_bgp(net);
+  Fib cold(net, cold_bgp);
+  apply(cold);
+  // withdrawn_prefixes() lists exactly what is withdrawn, announced or not.
+  std::vector<net::Prefix> listed(withdrawn.begin(), withdrawn.end());
+  std::sort(listed.begin(), listed.end());
+  listed.erase(std::unique(listed.begin(), listed.end()), listed.end());
+  listed.erase(std::remove(listed.begin(), listed.end(), bounced),
+               listed.end());
+  EXPECT_EQ(cold.withdrawn_prefixes(), listed);
+
+  expect_concurrent_walks_match(cold, work, expected);
 }
 
 TEST(RouteFastPath, CacheMetricsCountHitsAndMisses) {

@@ -92,7 +92,7 @@ RULES = {
                "raw std lock primitive in src/; use the TSA-annotated "
                "capabilities from netbase/sync.h"),
     "BDR104": ("hot-region-alloc",
-               "node-based container / naked new inside a "
+               "node-based container / naked new / lock inside a "
                "BDRMAP_HOT_BEGIN/END region (DESIGN.md §14)"),
 }
 RULE_BY_NAME = {name: rid for rid, (name, _) in RULES.items()}
@@ -422,20 +422,27 @@ def pass_concurrency_determinism(ctx: FileContext) -> list[Finding]:
 # designate the per-trace inner loops of the data-oriented core
 # (DESIGN.md §14). Inside a region, node-based containers
 # (std::unordered_map / std::unordered_set / std::map / std::set and their
-# multi- forms / std::list) and naked `new` are banned:
-# every per-element allocation there belongs in a flat vector.
+# multi- forms / std::list) and naked `new` are banned: every per-element
+# allocation there belongs in a flat vector. So are net::MutexLock and
+# net::SharedLock: the walk runs on every pool worker at once, so a memo
+# hit there is a published-pointer acquire load or a flat byte, and only
+# the cold fill outside the region may lock.
 # Unbalanced markers are findings too, so a region cannot silently stop
 # being checked.
 # --------------------------------------------------------------------------
 
 HOT_MARKER_RE = re.compile(r"BDRMAP_HOT_(BEGIN|END)\((\w+)\)")
+FLAT = "use a flat vector"
+LOCK_FREE = "publish with an atomic pointer and lock only in the cold fill"
 HOT_BANS = [
-    (re.compile(r"\bstd::unordered_map\b"), "std::unordered_map"),
-    (re.compile(r"\bstd::unordered_set\b"), "std::unordered_set"),
-    (re.compile(r"\bstd::(multi)?map\b"), "std::map"),
-    (re.compile(r"\bstd::(multi)?set\b"), "std::set"),
-    (re.compile(r"\bstd::list\b"), "std::list"),
-    (re.compile(r"(?<![\w.:])new\b"), "naked new"),
+    (re.compile(r"\bstd::unordered_map\b"), "std::unordered_map", FLAT),
+    (re.compile(r"\bstd::unordered_set\b"), "std::unordered_set", FLAT),
+    (re.compile(r"\bstd::(multi)?map\b"), "std::map", FLAT),
+    (re.compile(r"\bstd::(multi)?set\b"), "std::set", FLAT),
+    (re.compile(r"\bstd::list\b"), "std::list", FLAT),
+    (re.compile(r"(?<![\w.:])new\b"), "naked new", FLAT),
+    (re.compile(r"\b(?:net::)?MutexLock\b"), "net::MutexLock", LOCK_FREE),
+    (re.compile(r"\b(?:net::)?SharedLock\b"), "net::SharedLock", LOCK_FREE),
 ]
 
 
@@ -462,13 +469,13 @@ def pass_hot_region(ctx: FileContext) -> list[Finding]:
         if not open_regions:
             continue
         code = ctx.code_lines[n - 1]
-        for ban_re, what in HOT_BANS:
+        for ban_re, what, remedy in HOT_BANS:
             if ban_re.search(code):
                 region = ", ".join(sorted(open_regions))
                 findings.append(Finding(
                     "BDR104", ctx.relstr, n,
-                    f"{what} inside hot region '{region}' — use a flat "
-                    "vector (DESIGN.md §14)"))
+                    f"{what} inside hot region '{region}' — {remedy} "
+                    "(DESIGN.md §14)"))
     for name, line in sorted(open_regions.items()):
         findings.append(Finding(
             "BDR104", ctx.relstr, line,
