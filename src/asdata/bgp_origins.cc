@@ -23,9 +23,9 @@ AsId OriginTable::origin(Ipv4Addr a) const {
   return set->front();  // sets are kept sorted; lowest AS wins
 }
 
-std::vector<std::pair<Prefix, std::vector<AsId>>> OriginTable::all_prefixes()
-    const {
-  std::vector<std::pair<Prefix, std::vector<AsId>>> out;
+std::vector<std::pair<Prefix, std::span<const AsId>>>
+OriginTable::all_prefixes() const {
+  std::vector<std::pair<Prefix, std::span<const AsId>>> out;
   out.reserve(trie_.size());
   trie_.for_each([&](const Prefix& p, const std::vector<AsId>& set) {
     out.emplace_back(p, set);

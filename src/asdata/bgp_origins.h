@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -38,8 +39,9 @@ class OriginTable {
   // True iff some announced prefix covers `a`.
   bool is_routed(Ipv4Addr a) const { return origins(a) != nullptr; }
 
-  // Every (prefix, origin set), lexicographic by prefix.
-  std::vector<std::pair<Prefix, std::vector<AsId>>> all_prefixes() const;
+  // Every (prefix, origin set), lexicographic by prefix. The sets are
+  // views of the table's own, valid while the table is unchanged.
+  std::vector<std::pair<Prefix, std::span<const AsId>>> all_prefixes() const;
 
   // All prefixes originated by `as` (including MOAS prefixes it shares).
   std::vector<Prefix> prefixes_of(AsId as) const;

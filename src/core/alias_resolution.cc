@@ -1,6 +1,7 @@
 #include "core/alias_resolution.h"
 
 #include <algorithm>
+#include <array>
 #include <limits>
 #include <numeric>
 
@@ -58,20 +59,23 @@ std::size_t AliasEvidence::drop_moved(std::span<const std::uint64_t> changed) {
 
 AliasVerdict AliasResolver::mercator(Ipv4Addr a, Ipv4Addr b) {
   auto source_of = [&](Ipv4Addr x) -> std::optional<Ipv4Addr> {
+    if (!evidence_) {  // one probe per address, kept for this run only
+      if (const auto* known = udp_sources_.find(x.value())) return *known;
+      return udp_sources_.insert(x.value(), services_.udp_probe(x));
+    }
     auto it = evidence_->udp_sources.find(x);
     if (it != evidence_->udp_sources.end()) return it->second;
-    if (record_footprints_) {
-      // First: its walk also serves the probes of x that follow.
-      footprint_.clear();
-      services_.addr_footprint(x, footprint_);
-      std::sort(footprint_.begin(), footprint_.end());
-      evidence_->footprint_addrs.push_back(x);
-      evidence_->footprint_keys.insert(
-          evidence_->footprint_keys.end(), footprint_.begin(),
-          std::unique(footprint_.begin(), footprint_.end()));
-      evidence_->footprint_offsets.push_back(
-          static_cast<std::uint32_t>(evidence_->footprint_keys.size()));
-    }
+    // The footprint first: its walk also serves the probes of x that
+    // follow.
+    footprint_.clear();
+    services_.addr_footprint(x, footprint_);
+    std::sort(footprint_.begin(), footprint_.end());
+    evidence_->footprint_addrs.push_back(x);
+    evidence_->footprint_keys.insert(
+        evidence_->footprint_keys.end(), footprint_.begin(),
+        std::unique(footprint_.begin(), footprint_.end()));
+    evidence_->footprint_offsets.push_back(
+        static_cast<std::uint32_t>(evidence_->footprint_keys.size()));
     auto src = services_.udp_probe(x);
     evidence_->udp_sources.emplace(x, src);
     return src;
@@ -88,13 +92,13 @@ namespace {
 // interleaving a,b,a,b,a,b samples half a second apart.
 constexpr int kAllyRounds = 5;
 constexpr double kAllyRoundInterval = 300.0;
-constexpr int kAllySamples = 6;
+constexpr std::size_t kAllySamples = 6;
 constexpr double kAllySampleGap = 0.5;
 constexpr std::uint16_t kAllyMaxGap = 2000;  // max believable id jump/step
 
 // MIDAR-style monotonicity over an interleaved sample sequence: strictly
 // increasing with at most one 16-bit wrap, and no implausibly large jump.
-bool monotone(const std::vector<std::uint16_t>& ids) {
+bool monotone(std::span<const std::uint16_t> ids) {
   int wraps = 0;
   for (std::size_t i = 1; i < ids.size(); ++i) {
     std::uint32_t prev = ids[i - 1];
@@ -117,10 +121,12 @@ AliasVerdict AliasResolver::ally(Ipv4Addr a, Ipv4Addr b) {
   if (b < a) std::swap(a, b);
   double clock = 0.0;  // pair-local virtual measurement time
   bool ever_sampled = false;
+  // BDRMAP_HOT_BEGIN(ally_rounds) — BDR104: 30 samples per pair test into
+  // one fixed array per round.
   for (int round = 0; round < kAllyRounds; ++round) {
-    std::vector<std::uint16_t> ids;
+    std::array<std::uint16_t, kAllySamples> ids;
     bool missing = false;
-    for (int i = 0; i < kAllySamples; ++i) {
+    for (std::size_t i = 0; i < kAllySamples; ++i) {
       Ipv4Addr target = (i % 2 == 0) ? a : b;
       auto id = services_.ipid_sample(target, clock);
       clock += kAllySampleGap;
@@ -128,7 +134,7 @@ AliasVerdict AliasResolver::ally(Ipv4Addr a, Ipv4Addr b) {
         missing = true;
         break;
       }
-      ids.push_back(*id);
+      ids[i] = *id;
     }
     clock += kAllyRoundInterval;
     if (missing) {
@@ -146,6 +152,7 @@ AliasVerdict AliasResolver::ally(Ipv4Addr a, Ipv4Addr b) {
       return AliasVerdict::kNotAlias;
     }
   }
+  // BDRMAP_HOT_END(ally_rounds)
   return ever_sampled ? AliasVerdict::kAlias : AliasVerdict::kUnknown;
 }
 
@@ -155,23 +162,24 @@ AliasVerdict AliasResolver::test_pair(Ipv4Addr a, Ipv4Addr b) {
   auto it = slot(verdicts_, key);
   if (it != verdicts_.end() && it->first == key) return it->second;
 
-  AliasVerdict v = AliasVerdict::kUnknown;
-  auto known = evidence_->verdicts.find(key);
-  if (known != evidence_->verdicts.end()) {
-    v = known->second;
-    ++pairs_reused_;
-  } else {
-    v = mercator(a, b);
-    if (v == AliasVerdict::kUnknown) {
-      v = ally(a, b);
-    } else if (v == AliasVerdict::kAlias) {
-      // Corroborate with Ally when possible; a rejecting Ally measurement
-      // is negative evidence the closure must honor.
-      AliasVerdict av = ally(a, b);
-      if (av == AliasVerdict::kNotAlias) v = AliasVerdict::kNotAlias;
+  if (evidence_) {
+    const auto known = evidence_->verdicts.find(key);
+    if (known != evidence_->verdicts.end()) {
+      ++pairs_reused_;
+      verdicts_.emplace(it, key, known->second);
+      return known->second;
     }
-    evidence_->verdicts.emplace(key, v);
   }
+  AliasVerdict v = mercator(a, b);
+  if (v == AliasVerdict::kUnknown) {
+    v = ally(a, b);
+  } else if (v == AliasVerdict::kAlias) {
+    // Corroborate with Ally when possible; a rejecting Ally measurement
+    // is negative evidence the closure must honor.
+    AliasVerdict av = ally(a, b);
+    if (av == AliasVerdict::kNotAlias) v = AliasVerdict::kNotAlias;
+  }
+  if (evidence_) evidence_->verdicts.emplace(key, v);
   verdicts_.emplace(it, key, v);  // probing leaves verdicts_ untouched
   return v;
 }

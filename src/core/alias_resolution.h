@@ -23,6 +23,7 @@
 #include <utility>
 #include <vector>
 
+#include "netbase/flat_memo.h"
 #include "netbase/ipv4.h"
 #include "netbase/prefix.h"
 #include "probe/types.h"
@@ -80,13 +81,13 @@ struct AliasEvidence {
 class AliasResolver {
  public:
   // `evidence`, when set, is consulted before probing and receives every
-  // new measurement; it must outlive the resolver. Without it the resolver
-  // measures into evidence of its own.
+  // new measurement with its routing footprint; it must outlive the
+  // resolver. Without it (a cold run that keeps nothing) the verdicts live
+  // in the resolver's sorted list alone and the Mercator sources in a flat
+  // per-run memo.
   explicit AliasResolver(probe::ProbeServices& services,
                          AliasEvidence* evidence = nullptr)
-      : services_(services),
-        evidence_(evidence ? evidence : &own_evidence_),
-        record_footprints_(evidence != nullptr) {}
+      : services_(services), evidence_(evidence) {}
   AliasResolver(const AliasResolver&) = delete;
   AliasResolver& operator=(const AliasResolver&) = delete;
 
@@ -140,9 +141,9 @@ class AliasResolver {
 
  private:
   probe::ProbeServices& services_;
-  AliasEvidence own_evidence_;
-  AliasEvidence* evidence_;
-  bool record_footprints_;
+  AliasEvidence* evidence_;  // nullable
+  // Mercator reply source by address, when there is no evidence to keep.
+  net::FlatMemo<std::optional<Ipv4Addr>> udp_sources_;
   std::vector<std::uint64_t> footprint_;  // scratch for addr_footprint
   // The verdicts of this run, sorted by pair_key: what groups() closes
   // over.

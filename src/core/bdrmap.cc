@@ -5,6 +5,7 @@
 #include <unordered_set>
 
 #include "core/stopset.h"
+#include "netbase/flat_memo.h"
 #include "netbase/radix_sort.h"
 
 namespace bdrmap::core {
@@ -297,6 +298,8 @@ CollectedTraces collect_blocks(probe::ProbeServices& services,
   CollectedTraces out;
   out.blocks = blocks.size();
   std::vector<ObservedTrace> traces;
+  // One trace per block unless a block needs another address.
+  traces.reserve(blocks.size());
   StopSet stopset;  // this call's alone, never shared across VPs
   obs::Span trace_span(tracer_of(config), "stage.trace");
 
@@ -305,13 +308,18 @@ CollectedTraces collect_blocks(probe::ProbeServices& services,
            inputs.vp_ases.end();
   };
   // "External" for retry/stop-set purposes: routed and not the VP network.
+  // Looked up once per distinct address in this call: a slice's traces
+  // cross the same VP-side hops over and over.
+  net::FlatMemo<AsId> origin_memo;
   auto external_origin = [&](Ipv4Addr addr) -> AsId {
+    if (const AsId* known = origin_memo.find(addr.value())) return *known;
+    AsId origin;
     const auto* set = inputs.origins->origins(addr);
-    if (!set || set->empty()) return AsId{};
-    for (AsId o : *set) {
-      if (is_vp(o)) return AsId{};
+    if (set && !set->empty() &&
+        std::none_of(set->begin(), set->end(), is_vp)) {
+      origin = set->front();
     }
-    return set->front();
+    return origin_memo.insert(addr.value(), origin);
   };
 
   for (const ProbeBlock& block : blocks) {
@@ -322,12 +330,15 @@ CollectedTraces collect_blocks(probe::ProbeServices& services,
     Ipv4Addr dst = block.prefix.size() >= 4
                        ? Ipv4Addr(block.prefix.first().value() + 1)
                        : block.prefix.first();
+    const auto in_stopset = [&](Ipv4Addr a) {
+      return stopset.contains(block.target_as, a);
+    };
+    const probe::StopFn stop =
+        config.enable_stop_set ? probe::StopFn(in_stopset) : nullptr;
+    // BDRMAP_HOT_BEGIN(collect_attempts) — BDR104: one trace per pass; the
+    // stored hops (observe) are its only allocation.
     for (int attempt = 0; attempt < attempts; ++attempt, dst = dst.next()) {
       if (!block.prefix.contains(dst)) break;
-      probe::StopFn stop = nullptr;
-      if (config.enable_stop_set) {
-        stop = [&](Ipv4Addr a) { return stopset.contains(block.target_as, a); };
-      }
       probe::TraceResult raw = services.trace(dst, stop);
       if (raw.failed) {
         // The channel abandoned this probe. Record the unmeasured target
@@ -363,6 +374,7 @@ CollectedTraces collect_blocks(probe::ProbeServices& services,
       traces.push_back(std::move(trace));
       if (saw_external) break;
     }
+    // BDRMAP_HOT_END(collect_attempts)
   }
   trace_span.note("traces", static_cast<std::int64_t>(traces.size()));
   trace_span.note("stopset_hits",

@@ -13,6 +13,8 @@ std::vector<ProbeBlock> build_probe_blocks(
 
   auto all = origins.all_prefixes();  // lexicographic: parents before holes
   std::vector<ProbeBlock> out;
+  std::vector<net::Prefix> holes;   // reused per prefix
+  std::vector<net::Prefix> pieces;  // reused per prefix
 
   for (std::size_t i = 0; i < all.size(); ++i) {
     const auto& [prefix, origin_set] = all[i];
@@ -22,17 +24,17 @@ std::vector<ProbeBlock> build_probe_blocks(
     if (vp_originated || origin_set.empty()) continue;
 
     // Direct more-specific holes: announced prefixes nested inside.
-    std::vector<net::Prefix> holes;
+    holes.clear();
     for (std::size_t j = i + 1; j < all.size(); ++j) {
       if (!prefix.contains(all[j].first)) break;  // sorted: nesting is a run
       if (all[j].first == prefix) continue;
       holes.push_back(all[j].first);
     }
 
-    net::AsId target = origin_set.front();
-    for (const net::Prefix& piece : net::subtract(prefix, holes)) {
-      out.push_back({piece, target});
-    }
+    const net::AsId target = origin_set.front();
+    pieces.clear();
+    net::subtract_into(prefix, holes, pieces);
+    for (const net::Prefix& piece : pieces) out.push_back({piece, target});
   }
 
   std::sort(out.begin(), out.end(), [](const ProbeBlock& a,

@@ -892,15 +892,17 @@ void Heuristics::phase8_uncooperative() {
       std::unique(bgp_neighbors.begin(), bgp_neighbors.end()),
       bgp_neighbors.end());
 
-  // Compiled-scan index: trace indices grouped by target organization, so
-  // each neighbor only visits its own traces instead of rescanning all of
-  // them. Trace order within a group is preserved, and the per-trace work
-  // below is order-independent anyway.
-  std::unordered_map<AsId, std::vector<std::size_t>> traces_by_org;
+  // Compiled-scan index: (target organization, trace index) pairs in one
+  // sorted flat array, so each neighbor only visits its own run of traces
+  // instead of rescanning all of them. Trace order within a run is
+  // preserved, and the per-trace work below is order-independent anyway.
   const auto& traces = graph_.traces();
+  std::vector<std::pair<AsId, std::size_t>> traces_by_org;
+  traces_by_org.reserve(traces.size());
   for (std::size_t ti = 0; ti < traces.size(); ++ti) {
-    traces_by_org[org_rep(traces[ti].target_as)].push_back(ti);
+    traces_by_org.emplace_back(org_rep(traces[ti].target_as), ti);
   }
+  std::sort(traces_by_org.begin(), traces_by_org.end());
   const auto& routers = graph_.routers();
 
   for (AsId neighbor : bgp_neighbors) {
@@ -914,47 +916,49 @@ void Heuristics::phase8_uncooperative() {
     std::vector<std::pair<std::size_t, std::size_t>> last_counts;
     bool beyond = false;
     bool icmp_from_neighbor = false;
-    auto it = traces_by_org.find(neighbor_org);
-    if (it != traces_by_org.end()) {
-      // BDRMAP_HOT_BEGIN(uncooperative_scan)
-      for (std::size_t ti : it->second) {
-        const auto& hops = traces[ti].hops;
-        const std::span<const std::uint32_t> ids = graph_.hop_ids(ti);
-        // Last VP-side router, and anything after it?
-        std::uint32_t last_vp = RouterGraph::kNoRouter;
-        for (std::size_t i = 0; i < hops.size(); ++i) {
-          if (hops[i].kind == probe::ReplyKind::kNone) continue;
-          if (hops[i].kind == probe::ReplyKind::kTimeExceeded) {
-            const std::uint32_t r = graph_.router_of_id(ids[i]);
-            if (routers[r].vp_side) {
-              last_vp = r;
-              continue;
-            }
-            if (last_vp != RouterGraph::kNoRouter) {
-              beyond = true;  // a non-VP interface after the last VP router
-            }
-          } else {
-            // Echo reply / unreachable: does its source map to the
-            // neighbor?
-            const AddrInfo& info = info_[ids[i]];
-            if (info.cls == AddrClass::kExternal &&
-                org_rep(info.origin) == neighbor_org) {
-              icmp_from_neighbor = true;
-            }
+    const auto run = std::equal_range(
+        traces_by_org.begin(), traces_by_org.end(),
+        std::pair<AsId, std::size_t>(neighbor_org, 0),
+        [](const auto& x, const auto& y) { return x.first < y.first; });
+    // BDRMAP_HOT_BEGIN(uncooperative_scan)
+    for (auto at = run.first; at != run.second; ++at) {
+      const std::size_t ti = at->second;
+      const auto& hops = traces[ti].hops;
+      const std::span<const std::uint32_t> ids = graph_.hop_ids(ti);
+      // Last VP-side router, and anything after it?
+      std::uint32_t last_vp = RouterGraph::kNoRouter;
+      for (std::size_t i = 0; i < hops.size(); ++i) {
+        if (hops[i].kind == probe::ReplyKind::kNone) continue;
+        if (hops[i].kind == probe::ReplyKind::kTimeExceeded) {
+          const std::uint32_t r = graph_.router_of_id(ids[i]);
+          if (routers[r].vp_side) {
+            last_vp = r;
+            continue;
+          }
+          if (last_vp != RouterGraph::kNoRouter) {
+            beyond = true;  // a non-VP interface after the last VP router
+          }
+        } else {
+          // Echo reply / unreachable: does its source map to the
+          // neighbor?
+          const AddrInfo& info = info_[ids[i]];
+          if (info.cls == AddrClass::kExternal &&
+              org_rep(info.origin) == neighbor_org) {
+            icmp_from_neighbor = true;
           }
         }
-        if (last_vp == RouterGraph::kNoRouter) continue;
-        auto counted = std::find_if(
-            last_counts.begin(), last_counts.end(),
-            [&](const auto& entry) { return entry.first == last_vp; });
-        if (counted != last_counts.end()) {
-          ++counted->second;
-        } else {
-          last_counts.emplace_back(last_vp, 1);
-        }
       }
-      // BDRMAP_HOT_END(uncooperative_scan)
+      if (last_vp == RouterGraph::kNoRouter) continue;
+      auto counted = std::find_if(
+          last_counts.begin(), last_counts.end(),
+          [&](const auto& entry) { return entry.first == last_vp; });
+      if (counted != last_counts.end()) {
+        ++counted->second;
+      } else {
+        last_counts.emplace_back(last_vp, 1);
+      }
     }
+    // BDRMAP_HOT_END(uncooperative_scan)
     if (beyond || last_counts.empty()) continue;
     // Ties go to the lowest router index.
     std::sort(last_counts.begin(), last_counts.end());

@@ -7,7 +7,7 @@ namespace {
 // A ProbeServices that answers nothing: offline analysis owns no prober.
 class NullProbeServices final : public probe::ProbeServices {
  public:
-  probe::TraceResult trace(Ipv4Addr dst, const probe::StopFn&) override {
+  probe::TraceResult trace(Ipv4Addr dst, probe::StopFn) override {
     probe::TraceResult t;
     t.dst = dst;
     return t;

@@ -12,10 +12,14 @@
 // concurrently-running VPs would both race and change inference results
 // (a VP would stop on another VP's observations). A set lives on its
 // call's stack, so nothing can share one.
+//
+// A slice's blocks share one target AS and cross few interdomain links,
+// so the set is a short flat list, scanned per responsive hop: no node
+// per entry (DESIGN.md §14).
 #pragma once
 
-#include <unordered_map>
-#include <unordered_set>
+#include <algorithm>
+#include <vector>
 
 #include "netbase/ids.h"
 #include "netbase/ipv4.h"
@@ -25,22 +29,23 @@ namespace bdrmap::core {
 class StopSet {
  public:
   void add(net::AsId target_as, net::Ipv4Addr addr) {
-    sets_[target_as].insert(addr);
+    if (!contains(target_as, addr)) entries_.push_back({target_as, addr});
   }
 
   bool contains(net::AsId target_as, net::Ipv4Addr addr) const {
-    auto it = sets_.find(target_as);
-    return it != sets_.end() && it->second.count(addr) > 0;
+    return std::find(entries_.begin(), entries_.end(),
+                     Entry{target_as, addr}) != entries_.end();
   }
 
-  std::size_t size() const {
-    std::size_t n = 0;
-    for (const auto& [as, set] : sets_) n += set.size();
-    return n;
-  }
+  std::size_t size() const { return entries_.size(); }
 
  private:
-  std::unordered_map<net::AsId, std::unordered_set<net::Ipv4Addr>> sets_;
+  struct Entry {
+    net::AsId target_as;
+    net::Ipv4Addr addr;
+    bool operator==(const Entry&) const = default;
+  };
+  std::vector<Entry> entries_;
 };
 
 }  // namespace bdrmap::core

@@ -94,15 +94,19 @@ std::vector<topo::Vp> Scenario::vps_in(net::AsId as) const {
   return out;
 }
 
-std::unique_ptr<probe::LocalProbeServices> Scenario::services_for(
-    const topo::Vp& vp, std::uint64_t seed,
-    probe::TracerConfig tracer) const {
+probe::TracerConfig Scenario::stack_config(probe::TracerConfig tracer) const {
   // Spec-level reply spoofing applies unless the caller configured its own.
   if (tracer.spoof_reply_p <= 0.0) {
     tracer.spoof_reply_p = spec_.adversary.spoof_reply_p;
   }
-  return std::make_unique<probe::LocalProbeServices>(gen_.net, *fib_, vp,
-                                                     seed, tracer);
+  return tracer;
+}
+
+std::unique_ptr<probe::LocalProbeServices> Scenario::services_for(
+    const topo::Vp& vp, std::uint64_t seed,
+    probe::TracerConfig tracer) const {
+  return std::make_unique<probe::LocalProbeServices>(
+      gen_.net, *fib_, vp, seed, stack_config(tracer));
 }
 
 core::BdrmapResult Scenario::run_bdrmap(const topo::Vp& vp,
@@ -120,13 +124,16 @@ runtime::MultiVpResult Scenario::run_bdrmap_parallel(
   // Obs runs get probe counters for free: wire the run's registry into the
   // probe stacks unless the caller supplied one explicitly.
   if (!tracer.metrics && config.obs) tracer.metrics = config.obs->registry();
+  tracer = stack_config(tracer);
   std::vector<runtime::VpJob> jobs;
   jobs.reserve(vps.size());
   for (const topo::Vp& vp : vps) {
     runtime::VpJob job;
-    job.make_services = [this, vp, tracer](std::uint64_t seed)
-        -> std::unique_ptr<probe::ProbeServices> {
-      return services_for(vp, seed, tracer);
+    // services_for's stack, built as the executor holds it: one
+    // allocation per slice stack.
+    job.make_services = [this, vp, tracer](std::uint64_t seed) {
+      return std::make_shared<probe::LocalProbeServices>(gen_.net, *fib_, vp,
+                                                         seed, tracer);
     };
     job.inputs = inputs_for(vp.as);
     jobs.push_back(std::move(job));

@@ -92,7 +92,8 @@ class Scenario {
   // VPs hosted by `as`.
   std::vector<topo::Vp> vps_in(net::AsId as) const;
 
-  // A fresh probe stack for one VP.
+  // A fresh probe stack for one VP. run_bdrmap_parallel builds the same
+  // stack with make_shared, one allocation per slice.
   std::unique_ptr<probe::LocalProbeServices> services_for(
       const topo::Vp& vp, std::uint64_t seed = 0x515,
       probe::TracerConfig tracer = {}) const;
@@ -125,6 +126,9 @@ class Scenario {
   net::AsId first_of(topo::AsKind kind, std::size_t index = 0) const;
 
  private:
+  // `tracer` with the spec's reply spoofing, unless it sets its own.
+  probe::TracerConfig stack_config(probe::TracerConfig tracer) const;
+
   ScenarioSpec spec_;
   topo::GeneratedInternet gen_;
   std::vector<HijackRecord> hijacks_;

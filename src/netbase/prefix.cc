@@ -25,8 +25,6 @@ std::string Prefix::str() const {
   return addr_.str() + "/" + std::to_string(len_);
 }
 
-namespace {
-
 void subtract_into(const Prefix& whole, const std::vector<Prefix>& holes,
                    std::vector<Prefix>& out) {
   // If no hole intersects `whole`, keep it intact; if a hole covers it fully,
@@ -44,8 +42,6 @@ void subtract_into(const Prefix& whole, const std::vector<Prefix>& holes,
   subtract_into(whole.lower_half(), holes, out);
   subtract_into(whole.upper_half(), holes, out);
 }
-
-}  // namespace
 
 std::vector<Prefix> subtract(const Prefix& whole,
                              const std::vector<Prefix>& holes) {

@@ -95,6 +95,9 @@ constexpr std::optional<Ipv4Addr> mate30(Ipv4Addr a) {
 // originates the more-specific 128.66.2.0/24, X's probe blocks exclude Y's.
 std::vector<Prefix> subtract(const Prefix& whole,
                              const std::vector<Prefix>& holes);
+// subtract() appending its blocks to `out`, in no particular order.
+void subtract_into(const Prefix& whole, const std::vector<Prefix>& holes,
+                   std::vector<Prefix>& out);
 
 }  // namespace bdrmap::net
 

@@ -1,5 +1,7 @@
 #include "probe/alias.h"
 
+#include <algorithm>
+
 namespace bdrmap::probe {
 
 std::optional<Ipv4Addr> AliasProber::udp_probe(Ipv4Addr addr) {
@@ -65,22 +67,39 @@ std::uint16_t AliasProber::next_ipid(const topo::Router& router,
   return 0;
 }
 
+const AliasProber::Target& AliasProber::target(Ipv4Addr addr) {
+  for (std::size_t i = 0; i < target_count_; ++i) {
+    if (targets_[i].addr == addr) return targets_[i];
+  }
+  // A test sampling more addresses than targets_ holds reuses the last
+  // slot: a Target is a pure function of its address.
+  Target& out = targets_[std::min(target_count_, targets_.size() - 1)];
+  target_count_ = std::min(target_count_ + 1, targets_.size());
+  out = {addr, {}, nullptr, false};
+  if (const auto iface = net_.iface_at(addr)) {
+    out.iface = *iface;
+    out.router = &net_.router(net_.iface(*iface).router);
+    out.answers = out.router->behavior.responds_echo &&
+                  tracer_.reaches_addr(addr);
+  }
+  return out;
+}
+
+// BDRMAP_HOT_BEGIN(ipid_sample) — BDR104: 30 samples per pair test over
+// the test's resolved targets; no lookup repeats per sample.
 std::optional<std::uint16_t> AliasProber::ipid_sample(Ipv4Addr addr,
                                                       double t) {
   ++probes_sent_;
   // Two independent draws per sample: rate limiting and a random ID.
   const std::uint64_t sample = ++test_samples_;
-  auto iface = net_.iface_at(addr);
-  if (!iface) return std::nullopt;
-  net::RouterId owner = net_.iface(*iface).router;
-  const auto& router = net_.router(owner);
-  if (!router.behavior.responds_echo) return std::nullopt;
-  if (!tracer_.reaches_addr(addr)) return std::nullopt;
+  const Target& to = target(addr);
+  if (!to.answers) return std::nullopt;
   if (net::unit_draw(net::mix(test_stream_, sample, 0)) <
-      router.behavior.rate_limit_drop) {
+      to.router->behavior.rate_limit_drop) {
     return std::nullopt;
   }
-  return next_ipid(router, *iface, t, net::mix(test_stream_, sample, 1));
+  return next_ipid(*to.router, to.iface, t, net::mix(test_stream_, sample, 1));
 }
+// BDRMAP_HOT_END(ipid_sample)
 
 }  // namespace bdrmap::probe

@@ -10,6 +10,7 @@
 // the tests run before it on the same stack (DESIGN.md §8).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <utility>
@@ -58,6 +59,7 @@ class AliasProber {
   void begin_test(std::uint64_t key) {
     ipid_samples_.inc(test_samples_);
     reply_counts_.clear();
+    target_count_ = 0;
     test_stream_ = net::mix(seed_, key, kIpidSalt);
     test_samples_ = 0;
   }
@@ -67,6 +69,17 @@ class AliasProber {
  private:
   static constexpr std::uint64_t kUdpSalt = 0x0d9;
   static constexpr std::uint64_t kIpidSalt = 0x1d1d;
+
+  // What an echo probe of one address meets, a pure function of the
+  // address and the forwarding state: resolved the first time a test
+  // samples the address, not on every sample.
+  struct Target {
+    Ipv4Addr addr;
+    net::IfaceId iface;                    // invalid: not an interface
+    const topo::Router* router = nullptr;  // the interface's owner
+    bool answers = false;  // the owner answers echo and probes reach it
+  };
+  const Target& target(Ipv4Addr addr);
 
   std::uint16_t next_ipid(const topo::Router& router, net::IfaceId iface,
                           double t, std::uint64_t random_draw);
@@ -83,6 +96,9 @@ class AliasProber {
   // counters) in this test — each reply consumes one IP-ID. A test samples
   // two addresses, so a linear scan beats a hash map.
   std::vector<std::pair<std::uint64_t, std::uint32_t>> reply_counts_;
+  // The addresses this test has sampled (an Ally test samples two).
+  std::array<Target, 2> targets_;
+  std::size_t target_count_ = 0;
   std::uint64_t probes_sent_ = 0;
   // No-op handles unless a registry was supplied at construction.
   obs::Counter udp_probes_;
@@ -101,7 +117,7 @@ class LocalProbeServices final : public ProbeServices {
         prober_(net, fib, tracer_, prober_seed(seed),
                 tracer_config.metrics) {}
 
-  TraceResult trace(Ipv4Addr dst, const StopFn& stop) override {
+  TraceResult trace(Ipv4Addr dst, StopFn stop) override {
     return tracer_.trace(dst, stop);
   }
   std::optional<Ipv4Addr> udp_probe(Ipv4Addr addr) override {

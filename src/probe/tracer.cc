@@ -10,6 +10,7 @@ TracerouteEngine::TracerouteEngine(const topo::Internet& net,
                                    std::uint64_t seed, TracerConfig config)
     : net_(net), fib_(fib), vp_(vp), seed_(seed), config_(config),
       vp_query_(fib.query(vp.addr)) {
+  path_.reserve(kMaxTtl);
   if (config_.metrics) {
     traces_ = config_.metrics->counter("probe.traces");
     trace_packets_ = config_.metrics->counter("probe.trace_packets");
@@ -18,18 +19,18 @@ TracerouteEngine::TracerouteEngine(const topo::Internet& net,
 
 std::optional<IfaceId> TracerouteEngine::egress_iface_to_vp(
     RouterId router) const {
-  auto it = vp_egress_cache_.find(router.value);
-  if (it == vp_egress_cache_.end()) {
+  const IfaceId* out = vp_egress_cache_.find(router.value);
+  if (!out) {
     if (footprint_) {
       note_key(fib_.tier_key(router, vp_query_));
       if (const auto key = fib_.query_key(vp_query_)) note_key(*key);
     }
-    auto out = fib_.egress_iface(router, vp_query_);
-    it = vp_egress_cache_.emplace(router.value, out.value_or(IfaceId{}))
-             .first;
+    out = &vp_egress_cache_.insert(
+        router.value,
+        fib_.egress_iface(router, vp_query_).value_or(IfaceId{}));
   }
-  if (!it->second.valid()) return std::nullopt;
-  return it->second;
+  if (!out->valid()) return std::nullopt;
+  return *out;
 }
 
 Ipv4Addr TracerouteEngine::reply_source(
@@ -131,14 +132,14 @@ void TracerouteEngine::addr_footprint(Ipv4Addr addr,
   const RouterId owner = net_.iface(*iface).router;
   const route::Fib::RouteQuery q = fib_.query(addr);
   // The walk reaches_addr would make, memoized for the probes of `addr`.
-  reach_cache_.emplace(addr.value(), reaches(owner, q));
+  reach_cache_.insert(addr.value(), reaches(owner, q));
   for (const PathHop& hop : path_) out.push_back(fib_.tier_key(hop.router, q));
   out.push_back(fib_.tier_key(owner, vp_query_));
   if (const auto key = fib_.query_key(q)) out.push_back(*key);
   if (const auto key = fib_.query_key(vp_query_)) out.push_back(*key);
 }
 
-TraceResult TracerouteEngine::trace(Ipv4Addr dst, const StopFn& stop) {
+TraceResult TracerouteEngine::trace(Ipv4Addr dst, StopFn stop) {
   traces_.inc();
   TraceResult result;
   result.dst = dst;
@@ -149,9 +150,14 @@ TraceResult TracerouteEngine::trace(Ipv4Addr dst, const StopFn& stop) {
   const std::vector<PathHop>& path = walk(q);
 
   // Generate per-TTL replies along the walked path. Its packets are
-  // counted once per trace, so the shared counter is touched once.
+  // counted once per trace, so the shared counter is touched once. A
+  // trace has at most one hop per walked router plus the end host's, so
+  // the hops are allocated once.
+  result.hops.reserve(path.size() + 1);
   const std::uint64_t sent_before = probes_sent_;
   int gap = 0;
+  // BDRMAP_HOT_BEGIN(trace_replies) — BDR104: one reply per walked hop
+  // into the reserved hops; the stop set is a non-owning StopFn.
   for (std::size_t i = 0; i < path.size(); ++i) {
     const PathHop& node = path[i];
     const int ttl = static_cast<int>(i) + 1;
@@ -223,6 +229,7 @@ TraceResult TracerouteEngine::trace(Ipv4Addr dst, const StopFn& stop) {
       }
     }
   }
+  // BDRMAP_HOT_END(trace_replies)
   trace_packets_.inc(probes_sent_ - sent_before);
   return result;
 }
@@ -239,16 +246,14 @@ bool TracerouteEngine::reaches(RouterId router,
 }
 
 bool TracerouteEngine::reaches_addr(Ipv4Addr addr) const {
-  auto it = reach_cache_.find(addr.value());
-  if (it != reach_cache_.end()) return it->second;
+  if (const bool* known = reach_cache_.find(addr.value())) return *known;
   bool ok = false;
   if (auto iface = net_.iface_at(addr)) {
     ok = reaches(net_.iface(*iface).router, fib_.query(addr));
   } else if (const auto* ap = net_.announced_match(addr)) {
     ok = reaches(ap->host_router, fib_.query(addr));
   }
-  reach_cache_.emplace(addr.value(), ok);
-  return ok;
+  return reach_cache_.insert(addr.value(), ok);
 }
 
 }  // namespace bdrmap::probe

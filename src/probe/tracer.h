@@ -21,9 +21,9 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
+#include "netbase/flat_memo.h"
 #include "netbase/mix.h"
 #include "obs/metrics.h"
 #include "probe/types.h"
@@ -56,7 +56,7 @@ class TracerouteEngine {
   TracerouteEngine(const topo::Internet& net, const route::Fib& fib,
                    topo::Vp vp, std::uint64_t seed, TracerConfig config = {});
 
-  TraceResult trace(Ipv4Addr dst, const StopFn& stop = nullptr);
+  TraceResult trace(Ipv4Addr dst, StopFn stop = nullptr);
 
   // True iff a probe to `addr` is delivered to the router or host owning
   // it (considers routing and edge firewalls). Cached per address.
@@ -144,13 +144,15 @@ class TracerouteEngine {
   obs::Counter trace_packets_;
   // The VP's own address resolved once for the engine's lifetime.
   route::Fib::RouteQuery vp_query_;
-  mutable std::unordered_map<std::uint32_t, bool> reach_cache_;
+  // address -> reaches_addr.
+  mutable net::FlatMemo<bool> reach_cache_;
   // router -> egress interface toward the VP (invalid == no egress).
-  mutable std::unordered_map<std::uint32_t, net::IfaceId> vp_egress_cache_;
+  mutable net::FlatMemo<net::IfaceId> vp_egress_cache_;
   std::vector<std::uint64_t>* footprint_ = nullptr;  // record_footprint
 
-  // The last walk's hops, reused across calls. Mutable because reaches()
-  // is logically const (same discipline as reach_cache_).
+  // The last walk's hops, reused across calls and reserved to kMaxTtl at
+  // construction, so no walk allocates. Mutable because reaches() is
+  // logically const (same discipline as reach_cache_).
   mutable std::vector<PathHop> path_;
 };
 

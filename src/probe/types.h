@@ -2,9 +2,11 @@
 // core, and the remote (split prober/controller) deployment.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <functional>
+#include <memory>
 #include <optional>
+#include <type_traits>
 #include <vector>
 
 #include "netbase/ids.h"
@@ -42,7 +44,33 @@ struct TraceResult {
 
 // Predicate the driver passes in: "stop probing past this address" —
 // doubletree's stop set (§5.3). Evaluated on responsive hop addresses.
-using StopFn = std::function<bool(Ipv4Addr)>;
+// A non-owning reference to a callable `bool(Ipv4Addr)`, two words passed
+// by value: building one allocates nothing, so a driver makes one per
+// trace for free. Like std::function_ref, it must not outlive the callable
+// it refers to; pass it as an argument and never keep one. Empty (nullptr)
+// means "never stop".
+class StopFn {
+ public:
+  StopFn() = default;
+  /*implicit*/ StopFn(std::nullptr_t) {}
+  template <typename F>
+    requires(!std::is_same_v<std::remove_cvref_t<F>, StopFn> &&
+             std::is_invocable_r_v<bool, const std::remove_reference_t<F>&,
+                                   Ipv4Addr>)
+  /*implicit*/ StopFn(F&& f)
+      : callable_(std::addressof(f)),
+        call_([](const void* callable, Ipv4Addr addr) -> bool {
+          return (*static_cast<const std::remove_reference_t<F>*>(callable))(
+              addr);
+        }) {}
+
+  explicit operator bool() const { return call_ != nullptr; }
+  bool operator()(Ipv4Addr addr) const { return call_(callable_, addr); }
+
+ private:
+  const void* callable_ = nullptr;
+  bool (*call_)(const void*, Ipv4Addr) = nullptr;
+};
 
 // The probing capabilities a measurement device exposes. The pipeline
 // (core::collect_blocks, core::run_tail) is written against this interface
@@ -59,7 +87,7 @@ class ProbeServices {
   virtual ~ProbeServices() = default;
 
   // Paris traceroute with ICMP echo probes toward `dst`.
-  virtual TraceResult trace(Ipv4Addr dst, const StopFn& stop) = 0;
+  virtual TraceResult trace(Ipv4Addr dst, StopFn stop) = 0;
 
   // UDP probe to a high port (Mercator): the source address of the ICMP
   // port-unreachable reply, if the router answers. A pure function of

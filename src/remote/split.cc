@@ -236,7 +236,7 @@ std::optional<std::vector<std::uint8_t>> RemoteProbeServices::request(
 }
 
 probe::TraceResult RemoteProbeServices::trace(net::Ipv4Addr dst,
-                                              const probe::StopFn& stop) {
+                                              probe::StopFn stop) {
   probe::TraceResult t;
   auto payload = request(encode_trace_req(dst));
   bool decoded = false;
@@ -247,7 +247,6 @@ probe::TraceResult RemoteProbeServices::trace(net::Ipv4Addr dst,
     } catch (const ProtocolError&) {
       ++channel_->stats().corrupt_frames_detected;
       corrupt_frames_.inc();
-    corrupt_frames_.inc();
     }
   }
   if (!decoded) {

@@ -118,8 +118,7 @@ class RemoteProbeServices final : public probe::ProbeServices {
   // Caller-supplied channel, e.g. a FaultyChannel.
   explicit RemoteProbeServices(Channel& channel, ResilienceConfig config = {});
 
-  probe::TraceResult trace(net::Ipv4Addr dst,
-                           const probe::StopFn& stop) override;
+  probe::TraceResult trace(net::Ipv4Addr dst, probe::StopFn stop) override;
   std::optional<net::Ipv4Addr> udp_probe(net::Ipv4Addr addr) override;
   std::optional<std::uint16_t> ipid_sample(net::Ipv4Addr addr,
                                            double t) override;

@@ -62,7 +62,7 @@ class RecordingServices final : public probe::ProbeServices {
   explicit RecordingServices(std::unique_ptr<probe::ProbeServices> inner)
       : inner_(std::move(inner)) {}
 
-  probe::TraceResult trace(Ipv4Addr dst, const probe::StopFn& stop) override {
+  probe::TraceResult trace(Ipv4Addr dst, probe::StopFn stop) override {
     return inner_->trace(dst, stop);
   }
   std::optional<Ipv4Addr> udp_probe(Ipv4Addr addr) override {

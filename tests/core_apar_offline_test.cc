@@ -18,7 +18,7 @@ using test::make_trace;
 // A probe-less resolver for pure-analytic tests.
 class NullServices final : public probe::ProbeServices {
  public:
-  probe::TraceResult trace(Ipv4Addr dst, const probe::StopFn&) override {
+  probe::TraceResult trace(Ipv4Addr dst, probe::StopFn) override {
     probe::TraceResult t;
     t.dst = dst;
     return t;

@@ -12,7 +12,9 @@
 #include "core/bdrmap.h"
 #include "eval/degradation.h"
 #include "eval/scenario.h"
+#include "obs/metrics.h"
 #include "remote/channel.h"
+#include "remote/protocol.h"
 #include "remote/split.h"
 #include "runtime/multi_vp.h"
 
@@ -118,6 +120,85 @@ TEST_F(DegradedFixture, HeavyLossDegradesGracefullyAndRecordsFailures) {
     EXPECT_TRUE(failure.target_as.valid());
   }
   EXPECT_GT(run.stats.probe_failures, 0u);
+}
+
+// Damage no frame check can see: every 7th trace response the wrapped
+// channel delivers loses its payload's last byte and is sealed again, so
+// its CRC is valid and only the payload decoder rejects it.
+class UnderCrcChannel final : public Channel {
+ public:
+  explicit UnderCrcChannel(Channel& inner) : inner_(inner) {}
+
+  std::optional<std::vector<std::uint8_t>> roundtrip(
+      const std::vector<std::uint8_t>& wire, double deadline_s) override {
+    auto response = inner_.roundtrip(wire, deadline_s);
+    if (!response) return response;
+    Frame f;
+    try {
+      f = open_frame(*response);
+    } catch (const ProtocolError&) {
+      return response;  // the wrapped channel's damage, caught as usual
+    }
+    if (f.type() != MsgType::kTraceResp || ++traces_ % 7 != 0) {
+      return response;
+    }
+    f.payload.pop_back();
+    ++damaged_;
+    return seal_frame(f.session, f.seq, f.payload);
+  }
+  ProberDevice& device() override { return inner_.device(); }
+  VirtualClock& clock() override { return inner_.clock(); }
+  ChannelStats& stats() override { return inner_.stats(); }
+  std::uint64_t damaged() const { return damaged_; }
+
+ private:
+  Channel& inner_;
+  std::uint64_t traces_ = 0;
+  std::uint64_t damaged_ = 0;
+};
+
+// The registry's remote.* counters mirror ChannelStats one for one
+// (docs/observability.md): after a split run whose channel corrupts,
+// truncates, drops, duplicates and reorders frames, and damages trace
+// payloads under a valid CRC, each counter equals its field.
+TEST_F(DegradedFixture, RemoteCountersMirrorChannelStats) {
+  FaultConfig faults;
+  faults.drop_rate = 0.05;
+  faults.corrupt_rate = 0.2;
+  faults.truncate_rate = 0.1;
+  faults.duplicate_rate = 0.05;
+  faults.reorder_rate = 0.05;
+  faults.crash_at_message = 500;
+  faults.seed = 0xC0FFEE;
+  obs::MetricsRegistry registry;
+  ResilienceConfig rcfg;
+  rcfg.metrics = &registry;
+  auto backend = scenario_.services_for(vp_, runtime::vp_seed(kProbeSeed, 0));
+  ProberDevice device(*backend);
+  FaultyChannel faulty(device, faults);
+  UnderCrcChannel channel(faulty);
+  auto services = std::make_shared<RemoteProbeServices>(channel, rcfg);
+  const core::BdrmapResult result =
+      runtime::MultiVpExecutor(nullptr)
+          .run({runtime::shared_stack_job(services, inputs_)}, {}, kProbeSeed)
+          .per_vp.front();
+  const ChannelStats& stats = faulty.stats();
+
+  // Both kinds of damage happened, and the run still completed.
+  ASSERT_GT(stats.corruptions_injected, 0u);
+  ASSERT_GT(channel.damaged(), 0u);
+  EXPECT_GT(result.links.size(), 0u);
+  const obs::MetricsSnapshot snap = registry.snapshot();
+  EXPECT_EQ(snap.counter("remote.retransmits"), stats.retransmits);
+  EXPECT_EQ(snap.counter("remote.timeouts"), stats.timeouts);
+  EXPECT_EQ(snap.counter("remote.corrupt_frames"),
+            stats.corrupt_frames_detected);
+  EXPECT_EQ(snap.counter("remote.stale_frames"),
+            stats.stale_frames_discarded);
+  EXPECT_EQ(snap.counter("remote.breaker_fast_fails"),
+            stats.breaker_fast_fails);
+  EXPECT_EQ(snap.counter("remote.probe_failures"), stats.probe_failures);
+  EXPECT_EQ(snap.counter("remote.device_restarts"), stats.device_restarts);
 }
 
 }  // namespace

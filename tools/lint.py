@@ -92,8 +92,8 @@ RULES = {
                "raw std lock primitive in src/; use the TSA-annotated "
                "capabilities from netbase/sync.h"),
     "BDR104": ("hot-region-alloc",
-               "node-based container / naked new / lock inside a "
-               "BDRMAP_HOT_BEGIN/END region (DESIGN.md §14)"),
+               "node-based container / naked new / std::function / lock "
+               "inside a BDRMAP_HOT_BEGIN/END region (DESIGN.md §14)"),
 }
 RULE_BY_NAME = {name: rid for rid, (name, _) in RULES.items()}
 
@@ -423,10 +423,12 @@ def pass_concurrency_determinism(ctx: FileContext) -> list[Finding]:
 # (DESIGN.md §14). Inside a region, node-based containers
 # (std::unordered_map / std::unordered_set / std::map / std::set and their
 # multi- forms / std::list) and naked `new` are banned: every per-element
-# allocation there belongs in a flat vector. So are net::MutexLock and
-# net::SharedLock: the walk runs on every pool worker at once, so a memo
-# hit there is a published-pointer acquire load or a flat byte, and only
-# the cold fill outside the region may lock.
+# allocation there belongs in a flat vector. So is std::function, which
+# may allocate whenever one is built or copied: a hot loop takes a
+# non-owning callable (probe::StopFn) or a template parameter. So are
+# net::MutexLock and net::SharedLock: the walk runs on every pool worker at
+# once, so a memo hit there is a published-pointer acquire load or a flat
+# byte, and only the cold fill outside the region may lock.
 # Unbalanced markers are findings too, so a region cannot silently stop
 # being checked.
 # --------------------------------------------------------------------------
@@ -434,6 +436,7 @@ def pass_concurrency_determinism(ctx: FileContext) -> list[Finding]:
 HOT_MARKER_RE = re.compile(r"BDRMAP_HOT_(BEGIN|END)\((\w+)\)")
 FLAT = "use a flat vector"
 LOCK_FREE = "publish with an atomic pointer and lock only in the cold fill"
+NON_OWNING = "take a non-owning callable or a template parameter"
 HOT_BANS = [
     (re.compile(r"\bstd::unordered_map\b"), "std::unordered_map", FLAT),
     (re.compile(r"\bstd::unordered_set\b"), "std::unordered_set", FLAT),
@@ -441,6 +444,7 @@ HOT_BANS = [
     (re.compile(r"\bstd::(multi)?set\b"), "std::set", FLAT),
     (re.compile(r"\bstd::list\b"), "std::list", FLAT),
     (re.compile(r"(?<![\w.:])new\b"), "naked new", FLAT),
+    (re.compile(r"\bstd::function\b"), "std::function", NON_OWNING),
     (re.compile(r"\b(?:net::)?MutexLock\b"), "net::MutexLock", LOCK_FREE),
     (re.compile(r"\b(?:net::)?SharedLock\b"), "net::SharedLock", LOCK_FREE),
 ]

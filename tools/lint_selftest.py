@@ -44,6 +44,7 @@ EXPECT: dict[str, set[str]] = {
     "src/route/bad_rawlock.h": {"BDR103"},
     "src/route/bad_hotpath.cc": {"BDR104"},
     "src/route/bad_hot_lock.cc": {"BDR104"},
+    "src/core/bad_hot_function.cc": {"BDR104"},
     "src/serve/bad_layer.cc": {"BDR101"},
 }
 
@@ -97,16 +98,16 @@ def main() -> int:
         label = f"{rel}: expect {sorted(want) or 'clean'}"
         check(got == want, f"{label}, got {sorted(got) or 'clean'}")
 
-    print("== BDR104 flags each lock inside a hot region, none outside ==")
-    lock_fixture = FIXTURES / "src/route/bad_hot_lock.cc"
-    marked = {n for n, line in enumerate(
-        lock_fixture.read_text().splitlines(), start=1)
-        if line.rstrip().endswith("// BDR104")}
-    flagged = {f["line"] for f in doc.get("findings", [])
-               if f["path"] == "tests/lint_fixtures/src/route/bad_hot_lock.cc"}
-    check(bool(marked) and flagged == marked,
-          f"bad_hot_lock.cc: expect lines {sorted(marked)}, "
-          f"got {sorted(flagged)}")
+    print("== BDR104 flags each lock and std::function inside a hot region, "
+          "none outside ==")
+    for rel in ("src/route/bad_hot_lock.cc", "src/core/bad_hot_function.cc"):
+        marked = {n for n, line in enumerate(
+            (FIXTURES / rel).read_text().splitlines(), start=1)
+            if line.rstrip().endswith("// BDR104")}
+        flagged = {f["line"] for f in doc.get("findings", [])
+                   if f["path"] == f"tests/lint_fixtures/{rel}"}
+        check(bool(marked) and flagged == marked,
+              f"{rel}: expect lines {sorted(marked)}, got {sorted(flagged)}")
 
     print("== json schema ==")
     for key, typ in [("tool", str), ("schema_version", int),
