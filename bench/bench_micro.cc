@@ -3,15 +3,46 @@
 // closure, and the full per-VP inference.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <atomic>
+#include <cstdlib>
+#include <new>
+#include <span>
+
 #include "core/alias_resolution.h"
 #include "core/bdrmap.h"
+#include "core/blocks.h"
 #include "eval/scenario.h"
 #include "netbase/radix_trie.h"
 #include "netbase/rng.h"
 
+// Every operator new is counted, so a benchmark can report its
+// allocations per iteration (a relaxed increment, shared by all threads).
+namespace {
+std::atomic<std::uint64_t> g_allocations{0};
+}  // namespace
+
+[[gnu::noinline]] void* operator new(std::size_t n) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+
 using namespace bdrmap;
 
 namespace {
+
+// Reports the allocations made since `before` as a per-iteration counter.
+void report_allocations(benchmark::State& state, std::uint64_t before) {
+  state.counters["allocs/op"] = benchmark::Counter(
+      static_cast<double>(g_allocations.load(std::memory_order_relaxed) -
+                          before),
+      benchmark::Counter::kAvgIterations);
+}
 
 const eval::Scenario& shared_scenario() {
   static eval::Scenario scenario(eval::small_access_config(42));
@@ -140,6 +171,73 @@ void BM_AliasClosure(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_AliasClosure);
+
+// One (VP, target-AS) slice, the target AS with the most blocks, collected
+// on a fresh probe stack per iteration over a warm Fib.
+void BM_CollectSlice(benchmark::State& state) {
+  const auto& s = shared_scenario();
+  const auto vp = s.vps_in(s.first_of(topo::AsKind::kAccess)).front();
+  const core::InferenceInputs inputs = s.inputs_for(vp.as);
+  const std::vector<core::ProbeBlock> blocks =
+      core::build_probe_blocks(*inputs.origins, inputs.vp_ases);
+  std::size_t best = 0, best_len = 0;
+  for (std::size_t i = 0, end; i < blocks.size(); i = end) {
+    end = i + 1;
+    while (end < blocks.size() &&
+           blocks[end].target_as == blocks[i].target_as) {
+      ++end;
+    }
+    if (end - i > best_len) {
+      best = i;
+      best_len = end - i;
+    }
+  }
+  const std::span<const core::ProbeBlock> slice(blocks.data() + best,
+                                                best_len);
+  (void)core::collect_blocks(*s.services_for(vp), inputs, {}, slice);
+  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  for (auto _ : state) {
+    auto services = s.services_for(vp);
+    benchmark::DoNotOptimize(
+        core::collect_blocks(*services, inputs, {}, slice));
+  }
+  report_allocations(state, before);
+}
+BENCHMARK(BM_CollectSlice);
+
+// One Ally pair test (up to 30 IP-ID samples) between two responsive hop
+// addresses, on a warm stack.
+void BM_AllyPairTest(benchmark::State& state) {
+  const auto& s = shared_scenario();
+  const auto vp = s.vps_in(s.first_of(topo::AsKind::kAccess)).front();
+  auto services = s.services_for(vp);
+  core::AliasResolver resolver(*services);
+  std::vector<net::Ipv4Addr> addrs;
+  for (const auto& ap : s.net().announced()) {
+    const net::Ipv4Addr dst(ap.prefix.first().value() + 1);
+    for (const probe::TraceHop& hop : services->trace(dst, nullptr).hops) {
+      if (hop.kind == probe::ReplyKind::kTimeExceeded) {
+        addrs.push_back(hop.addr);
+      }
+    }
+    if (addrs.size() > 64) break;
+  }
+  // The first distinct pair Ally measures.
+  net::Ipv4Addr a, b;
+  for (std::size_t i = 0; i + 1 < addrs.size() && a.is_zero(); ++i) {
+    if (addrs[i] != addrs[i + 1] && resolver.ally(addrs[i], addrs[i + 1]) !=
+                                        core::AliasVerdict::kUnknown) {
+      a = addrs[i];
+      b = addrs[i + 1];
+    }
+  }
+  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(resolver.ally(a, b));
+  }
+  report_allocations(state, before);
+}
+BENCHMARK(BM_AllyPairTest);
 
 void BM_FullBdrmapRun(benchmark::State& state) {
   const auto& s = shared_scenario();
