@@ -13,8 +13,10 @@
 #include "core/bdrmap.h"
 #include "core/blocks.h"
 #include "eval/scenario.h"
+#include "eval/scenario_registry.h"
 #include "netbase/radix_trie.h"
 #include "netbase/rng.h"
+#include "runtime/multi_vp.h"
 
 // Every operator new is counted, so a benchmark can report its
 // allocations per iteration (a relaxed increment, shared by all threads).
@@ -238,6 +240,33 @@ void BM_AllyPairTest(benchmark::State& state) {
   report_allocations(state, before);
 }
 BENCHMARK(BM_AllyPairTest);
+
+// One warm inference tail of the featured `access` VP (~3300 traces): its
+// slices and alias evidence are kept from a cold run, so an iteration
+// stitches the kept slices, resolves aliases from the kept evidence without
+// probing, builds the router graph and runs the §5.4 heuristics — what a
+// churn epoch does per VP whose inputs did not move.
+void BM_RunTail(benchmark::State& state) {
+  static const eval::Scenario scenario(*eval::scenario_spec("access", 42));
+  const topo::Vp vp = scenario.vps_in(scenario.featured_access()).front();
+  runtime::VpJob job;
+  job.make_services = [vp](std::uint64_t seed) {
+    return scenario.services_for(vp, seed);
+  };
+  job.inputs = scenario.inputs_for(vp.as);
+  const std::vector<runtime::VpJob> jobs{job};
+  const runtime::MultiVpExecutor executor(nullptr);
+  runtime::SliceStore store;
+  std::vector<core::BdrmapResult> results;
+  (void)executor.run_into(jobs, {}, 0x515, &store, results);  // cold
+  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  for (auto _ : state) {
+    (void)executor.run_into(jobs, {}, 0x515, &store, results);
+    benchmark::DoNotOptimize(results.front().links.data());
+  }
+  report_allocations(state, before);
+}
+BENCHMARK(BM_RunTail)->Unit(benchmark::kMillisecond);
 
 void BM_FullBdrmapRun(benchmark::State& state) {
   const auto& s = shared_scenario();

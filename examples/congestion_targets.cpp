@@ -23,20 +23,20 @@ int main() {
 
   std::printf("# near_addr far_addr neighbor_as heuristic\n");
   std::size_t pairs = 0;
-  const auto& routers = result.graph.routers();
+  const core::RouterGraph& graph = result.graph;
   for (const auto& link : result.links) {
     // Near-side probe address: an interface of the VP-side router.
     std::string near = "-";
     if (link.vp_router != core::InferredLink::kNoRouter &&
-        !routers[link.vp_router].addrs.empty()) {
-      near = routers[link.vp_router].addrs.front().str();
+        !graph.addrs(link.vp_router).empty()) {
+      near = graph.addrs(link.vp_router).front().str();
     }
     // Far-side probe address: prefer an address on the neighbor router
     // that sits in the VP network's space (the interconnect subnet).
     std::string far = "-";
     if (link.neighbor_router != core::InferredLink::kNoRouter) {
-      const auto& neighbor = routers[link.neighbor_router];
-      if (!neighbor.addrs.empty()) far = neighbor.addrs.front().str();
+      const auto neighbor = graph.addrs(link.neighbor_router);
+      if (!neighbor.empty()) far = neighbor.front().str();
     }
     if (near == "-" && far == "-") continue;
     std::printf("%-16s %-16s %-8s %s\n", near.c_str(), far.c_str(),

@@ -100,9 +100,12 @@ int main() {
       runtime::MultiVpExecutor(nullptr).run({job}, {}, 1).per_vp.front();
 
   std::printf("inferred routers:\n");
-  for (const auto& r : result.graph.routers()) {
-    if (r.addrs.empty() || r.ttl_addrs.empty()) continue;
-    std::printf("  %-14s owner=%-5s %s%s\n", r.addrs.front().str().c_str(),
+  const core::RouterGraph& graph = result.graph;
+  for (std::size_t i = 0; i < graph.routers().size(); ++i) {
+    const core::GraphRouter& r = graph.routers()[i];
+    if (graph.merged_away(i) || graph.ttl_ids(i).empty()) continue;
+    std::printf("  %-14s owner=%-5s %s%s\n",
+                graph.addrs(i).front().str().c_str(),
                 r.owner.valid() ? r.owner.str().c_str() : "?",
                 core::heuristic_name(r.how), r.vp_side ? "  [VP side]" : "");
   }

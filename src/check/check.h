@@ -60,7 +60,7 @@ struct CheckContext {
   const core::BdrmapResult* result = nullptr;
   const core::InferenceInputs* inputs = nullptr;
   const core::AliasResolver* aliases = nullptr;
-  const std::vector<std::vector<net::Ipv4Addr>>* alias_groups = nullptr;
+  const core::AliasGroups* alias_groups = nullptr;
 
   // Sampling bounds for the quadratic route-level checks. Deterministic for
   // a given sample_seed.

@@ -44,13 +44,15 @@ void run_router_graph(const CheckContext& ctx, ViolationSink& sink) {
   for (std::size_t i = 0; i < routers.size(); ++i) {
     const GraphRouter& r = routers[i];
     if (graph.merged_away(i)) {
-      if (!r.prev.empty() || !r.next.empty() || r.owner.valid()) {
+      if (!graph.prev(i).empty() || !graph.next(i).empty() ||
+          r.owner.valid()) {
         sink.error(router_name(i),
                    "merged-away router still carries adjacency or ownership");
       }
       continue;
     }
-    for (Ipv4Addr a : r.addrs) {
+    const std::span<const Ipv4Addr> addrs = graph.addrs(i);
+    for (Ipv4Addr a : addrs) {
       auto [it, inserted] = owner_of.emplace(a, i);
       if (!inserted) {
         sink.error(a.str(), "interface address appears in two live routers (" +
@@ -58,17 +60,19 @@ void run_router_graph(const CheckContext& ctx, ViolationSink& sink) {
                                 router_name(i) + ")");
       }
     }
-    std::unordered_set<Ipv4Addr> addr_set(r.addrs.begin(), r.addrs.end());
-    if (addr_set.size() != r.addrs.size()) {
+    std::unordered_set<Ipv4Addr> addr_set(addrs.begin(), addrs.end());
+    if (addr_set.size() != addrs.size()) {
       sink.error(router_name(i), "duplicate address inside one alias set");
     }
-    for (Ipv4Addr a : r.ttl_addrs) {
+    for (std::uint32_t id : graph.ttl_ids(i)) {
+      const Ipv4Addr a = graph.address(id);
       if (addr_set.count(a) == 0) {
         sink.error(router_name(i), "time-exceeded address " + a.str() +
                                        " is not in the router's alias set");
       }
     }
-    auto check_adjacency = [&](const auto& side, const char* dir) {
+    auto check_adjacency = [&](std::span<const std::uint32_t> side,
+                               const char* dir) {
       for (std::size_t j : side) {
         if (j >= routers.size()) {
           sink.error(router_name(i), std::string(dir) +
@@ -88,16 +92,16 @@ void run_router_graph(const CheckContext& ctx, ViolationSink& sink) {
         }
       }
     };
-    check_adjacency(r.prev, "prev");
-    check_adjacency(r.next, "next");
+    check_adjacency(graph.prev(i), "prev");
+    check_adjacency(graph.next(i), "next");
   }
 
   // Adjacency symmetry: i -> j observed means j lists i as a predecessor.
   for (std::size_t i = 0; i < routers.size(); ++i) {
     if (graph.merged_away(i)) continue;
-    for (std::size_t j : routers[i].next) {
+    for (std::size_t j : graph.next(i)) {
       if (j < routers.size() && !graph.merged_away(j) &&
-          !std::binary_search(routers[j].prev.begin(), routers[j].prev.end(),
+          !std::binary_search(graph.prev(j).begin(), graph.prev(j).end(),
                               i)) {
         sink.error(router_name(i), "asymmetric adjacency: next contains " +
                                        router_name(j) +
@@ -105,9 +109,9 @@ void run_router_graph(const CheckContext& ctx, ViolationSink& sink) {
                                        router_name(i));
       }
     }
-    for (std::size_t j : routers[i].prev) {
+    for (std::size_t j : graph.prev(i)) {
       if (j < routers.size() && !graph.merged_away(j) &&
-          !std::binary_search(routers[j].next.begin(), routers[j].next.end(),
+          !std::binary_search(graph.next(j).begin(), graph.next(j).end(),
                               i)) {
         sink.error(router_name(i), "asymmetric adjacency: prev contains " +
                                        router_name(j) +
@@ -144,7 +148,7 @@ void run_router_graph(const CheckContext& ctx, ViolationSink& sink) {
     }
     if (r == RouterGraph::kNoRouter) continue;
     if (r >= routers.size() || graph.merged_away(r) ||
-        !std::binary_search(routers[r].addrs.begin(), routers[r].addrs.end(),
+        !std::binary_search(graph.addrs(r).begin(), graph.addrs(r).end(),
                             addr)) {
       sink.error(addr.str(), "router_of_id() names " + router_name(r) +
                                  ", whose alias set does not list the "
@@ -193,15 +197,13 @@ void run_router_graph(const CheckContext& ctx, ViolationSink& sink) {
 void run_alias_consistency(const CheckContext& ctx, ViolationSink& sink) {
   // The groups under audit: explicit alias groups when given, otherwise the
   // live routers' alias sets.
-  std::vector<std::vector<Ipv4Addr>> graph_groups;
-  const std::vector<std::vector<Ipv4Addr>>* groups = ctx.alias_groups;
+  core::AliasGroups graph_groups;
+  const core::AliasGroups* groups = ctx.alias_groups;
   bool explicit_groups = groups != nullptr;
   if (!explicit_groups) {
     const RouterGraph& graph = *ctx.effective_graph();
     for (std::size_t i = 0; i < graph.routers().size(); ++i) {
-      if (!graph.merged_away(i)) {
-        graph_groups.push_back(graph.routers()[i].addrs);
-      }
+      if (!graph.merged_away(i)) graph_groups.add(graph.addrs(i));
     }
     groups = &graph_groups;
   }

@@ -1,40 +1,41 @@
 #include "congestion/tslp.h"
 
 #include <algorithm>
+#include <span>
 
 namespace bdrmap::congestion {
 
 std::vector<TslpTarget> make_targets(const core::BdrmapResult& result,
                                      const topo::Internet& net) {
   std::vector<TslpTarget> targets;
-  const auto& routers = result.graph.routers();
+  const core::RouterGraph& graph = result.graph;
   for (const auto& link : result.links) {
     if (link.vp_router == core::InferredLink::kNoRouter ||
         link.neighbor_router == core::InferredLink::kNoRouter) {
       continue;
     }
-    const auto& near = routers[link.vp_router];
-    const auto& far = routers[link.neighbor_router];
-    if (near.addrs.empty() || far.addrs.empty()) continue;
+    const std::span<const net::Ipv4Addr> near = graph.addrs(link.vp_router);
+    const std::span<const net::Ipv4Addr> far =
+        graph.addrs(link.neighbor_router);
+    if (near.empty() || far.empty()) continue;
 
     TslpTarget t;
-    t.near_addr = near.addrs.front();
+    t.near_addr = near.front();
     t.neighbor_as = link.neighbor_as;
     // Prefer a far-side address whose point-to-point subnet mate sits on
     // the near router: probes to it are guaranteed to cross exactly this
     // interconnect. A far address supplied by the neighbor can otherwise
     // be routed over a parallel link, corrupting the time series — the
     // kind of artifact [24] wrestles with.
-    t.far_addr = far.addrs.front();
+    t.far_addr = far.front();
     bool mated = false;
-    for (net::Ipv4Addr a : far.addrs) {
+    for (net::Ipv4Addr a : far) {
       auto iface = net.iface_at(a);
       if (!iface) continue;
       const auto& l = net.link(net.iface(*iface).link);
       if (l.kind == topo::LinkKind::kInternal) continue;
       auto on_near = [&](net::Ipv4Addr m) {
-        return std::find(near.addrs.begin(), near.addrs.end(), m) !=
-               near.addrs.end();
+        return std::find(near.begin(), near.end(), m) != near.end();
       };
       bool mate_on_near = on_near(net::mate31(a));
       if (auto m30 = net::mate30(a)) mate_on_near |= on_near(*m30);

@@ -229,7 +229,7 @@ std::vector<AliasResolver::PairVerdict> AliasResolver::all_verdicts() const {
   return out;
 }
 
-std::vector<std::vector<Ipv4Addr>> AliasResolver::groups(
+AliasGroups AliasResolver::groups(
     const std::vector<Ipv4Addr>& addrs) const {
   // BDRMAP_HOT_BEGIN(alias_closure)
   // Union-find over positive verdicts with negative-pair veto. The nodes
@@ -323,18 +323,25 @@ std::vector<std::vector<Ipv4Addr>> AliasResolver::groups(
 
   // One group per root. Nodes ascend, so each group is met at its lowest
   // address: the groups come out ordered by first member, each sorted.
+  // A counting fill lays them out flat.
   std::vector<std::uint32_t> group_of(nodes.size(), kAbsent);
-  std::vector<std::vector<Ipv4Addr>> out;
+  std::vector<std::uint32_t> offsets(1, 0);
   for (std::uint32_t i = 0; i < nodes.size(); ++i) {
     std::uint32_t& g = group_of[find(i)];
     if (g == kAbsent) {
-      g = static_cast<std::uint32_t>(out.size());
-      out.emplace_back();
+      g = static_cast<std::uint32_t>(offsets.size() - 1);
+      offsets.push_back(0);
     }
-    out[g].push_back(nodes[i]);
+    ++offsets[g + 1];
+  }
+  std::partial_sum(offsets.begin(), offsets.end(), offsets.begin());
+  std::vector<Ipv4Addr> members(nodes.size());
+  std::vector<std::uint32_t> cursor(offsets.begin(), offsets.end() - 1);
+  for (std::uint32_t i = 0; i < nodes.size(); ++i) {
+    members[cursor[group_of[find(i)]]++] = nodes[i];
   }
   // BDRMAP_HOT_END(alias_closure)
-  return out;
+  return AliasGroups(std::move(offsets), std::move(members));
 }
 
 }  // namespace bdrmap::core

@@ -23,6 +23,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/alias_groups.h"
 #include "netbase/flat_memo.h"
 #include "netbase/ipv4.h"
 #include "netbase/prefix.h"
@@ -131,8 +132,7 @@ class AliasResolver {
   // measurements suggested a pair of IP addresses were not aliases").
   // Positives unite in ascending pair_key order. The groups come out
   // ordered by first member, each sorted.
-  std::vector<std::vector<Ipv4Addr>> groups(
-      const std::vector<Ipv4Addr>& addrs) const;
+  AliasGroups groups(const std::vector<Ipv4Addr>& addrs) const;
 
   // Pairs this resolver consulted (tested, reused or declared), and how
   // many of the tested ones came from the evidence without probing.

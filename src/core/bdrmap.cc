@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <span>
-#include <unordered_set>
 
 #include "core/stopset.h"
 #include "netbase/flat_memo.h"
@@ -81,7 +80,7 @@ obs::Tracer* tracer_of(const BdrmapConfig& config) {
 
 // Tests the alias candidates of `traces` on `services` and returns the
 // router groups over every time-exceeded address.
-std::vector<std::vector<Ipv4Addr>> resolve_aliases(
+AliasGroups resolve_aliases(
     probe::ProbeServices& services, const BdrmapConfig& config,
     const SharedTraces& traces, AliasEvidence* evidence, BdrmapStats& stats) {
   obs::Span alias_span(tracer_of(config), "stage.alias");
@@ -241,7 +240,7 @@ BdrmapResult infer_borders(RouterGraph graph, const InferenceInputs& inputs,
   // Emit router-level interdomain links: every (VP-side router -> inferred
   // neighbor router) adjacency, plus first-after-gap borders, plus the
   // §5.4.8 placements for otherwise-uncovered neighbors.
-  std::unordered_set<AsId> linked_orgs;
+  std::vector<AsId> linked_orgs;  // sorted and distinct once filled
   for (std::size_t n = 0; n < routers.size(); ++n) {
     if (result.graph.merged_away(n)) continue;
     const GraphRouter& router = routers[n];
@@ -250,7 +249,7 @@ BdrmapResult infer_borders(RouterGraph graph, const InferenceInputs& inputs,
       continue;
     }
     bool any_near = false;
-    for (std::size_t p : router.prev) {  // ascending: the links' order
+    for (std::size_t p : inferred.prev(n)) {  // ascending: the links' order
       if (routers[p].vp_side) {
         result.links.push_back(
             {p, n, router.owner, router.how, router.confidence});
@@ -262,10 +261,16 @@ BdrmapResult infer_borders(RouterGraph graph, const InferenceInputs& inputs,
                               router.how, router.confidence});
       any_near = true;
     }
-    if (any_near) linked_orgs.insert(heuristics.org_rep(router.owner));
+    if (any_near) linked_orgs.push_back(heuristics.org_rep(router.owner));
   }
+  std::sort(linked_orgs.begin(), linked_orgs.end());
+  linked_orgs.erase(std::unique(linked_orgs.begin(), linked_orgs.end()),
+                    linked_orgs.end());
   for (const auto& u : uncooperative) {
-    if (linked_orgs.count(heuristics.org_rep(u.neighbor))) continue;
+    if (std::binary_search(linked_orgs.begin(), linked_orgs.end(),
+                           heuristics.org_rep(u.neighbor))) {
+      continue;
+    }
     result.links.push_back(
         {u.vp_router, InferredLink::kNoRouter, u.neighbor, u.how,
          u.confidence});

@@ -2,10 +2,9 @@
 
 #include <algorithm>
 #include <iterator>
-#include <map>
+#include <numeric>
 #include <optional>
 #include <span>
-#include <unordered_set>
 #include <utility>
 
 #include "core/confidence.h"
@@ -197,30 +196,32 @@ void Heuristics::extend_vp_space(const std::vector<AddrRouting>& routing) {
   // BDRMAP_HOT_END(extend_vp_space)
 }
 
-bool Heuristics::all_vp(const GraphRouter& r) const {
-  if (r.ttl_addrs.empty()) return false;
-  for (Ipv4Addr a : r.ttl_addrs) {
-    if (classify(a).cls != AddrClass::kVp) return false;
+bool Heuristics::all_vp(std::size_t router) const {
+  const std::span<const std::uint32_t> ids = graph_.ttl_ids(router);
+  if (ids.empty()) return false;
+  for (std::uint32_t id : ids) {
+    if (info_[id].cls != AddrClass::kVp) return false;
   }
   return true;
 }
 
-std::vector<AsId> Heuristics::external_origins(const GraphRouter& r) const {
-  std::vector<AsId> out;
-  for (Ipv4Addr a : r.ttl_addrs) {
-    AddrInfo info = classify(a);
-    if (info.cls == AddrClass::kExternal &&
-        std::find(out.begin(), out.end(), info.origin) == out.end()) {
-      out.push_back(info.origin);
-    }
+AsId Heuristics::sole_external_origin(std::size_t router) const {
+  AsId sole;
+  for (std::uint32_t id : graph_.ttl_ids(router)) {
+    const AddrInfo& info = info_[id];
+    if (info.cls != AddrClass::kExternal) continue;
+    if (sole.valid() && info.origin != sole) return net::kNoAs;
+    sole = info.origin;
   }
-  std::sort(out.begin(), out.end());
-  return out;
+  return sole;
 }
 
-std::vector<AsId> Heuristics::first_external_after(std::size_t router) const {
+std::span<const AsId> Heuristics::first_external_after(
+    std::size_t router) const {
   if (!first_external_built_) build_first_external_table();
-  return first_external_table_[router];
+  const std::uint32_t begin = first_external_offsets_[router];
+  return {first_external_values_.data() + begin,
+          first_external_offsets_[router + 1] - begin};
 }
 
 void Heuristics::build_first_external_table() const {
@@ -230,11 +231,13 @@ void Heuristics::build_first_external_table() const {
   // a *different* router supplies its origin; a router's own first hop is
   // consumed before it joins the pending set, so hops strictly after the
   // first occurrence are considered — exactly a per-router rescan (the
-  // reference oracle in tests/walk_reference_test.cc).
+  // reference oracle in tests/walk_reference_test.cc). The sweep lists
+  // (router, origin) pairs in trace order; a stable counting sort by
+  // router turns them into the flat table.
   const std::size_t count = graph_.routers().size();
-  first_external_table_.assign(count, {});
   std::vector<std::uint32_t> seen_epoch(count, 0);
   std::vector<std::uint32_t> pending;
+  std::vector<std::pair<std::uint32_t, AsId>> found;
   std::uint32_t epoch = 0;
   const auto& traces = graph_.traces();
   // BDRMAP_HOT_BEGIN(first_external_scan)
@@ -255,7 +258,7 @@ void Heuristics::build_first_external_table() const {
               pending[keep++] = pending[i];
               continue;
             }
-            first_external_table_[pending[i]].push_back(info.origin);
+            found.emplace_back(pending[i], info.origin);
           }
           pending.resize(keep);
         }
@@ -266,42 +269,81 @@ void Heuristics::build_first_external_table() const {
       }
     }
   }
+  first_external_offsets_.assign(count + 1, 0);
+  for (const auto& [router, origin] : found) {
+    ++first_external_offsets_[router + 1];
+  }
+  std::partial_sum(first_external_offsets_.begin(),
+                   first_external_offsets_.end(),
+                   first_external_offsets_.begin());
+  first_external_values_.resize(found.size());
+  std::vector<std::uint32_t>& cursor = seen_epoch;  // reused as fill cursors
+  std::copy(first_external_offsets_.begin(), first_external_offsets_.end() - 1,
+            cursor.begin());
+  for (const auto& [router, origin] : found) {
+    first_external_values_[cursor[router]++] = origin;
+  }
   // BDRMAP_HOT_END(first_external_scan)
   first_external_built_ = true;
 }
 
-std::unordered_map<AsId, int> Heuristics::adjacent_origin_counts(
-    std::size_t router) const {
-  std::unordered_map<AsId, int> counts;
-  for (std::size_t n : graph_.routers()[router].next) {
-    for (Ipv4Addr a : graph_.routers()[n].ttl_addrs) {
-      AddrInfo info = classify(a);
-      if (info.cls == AddrClass::kExternal) ++counts[info.origin];
-    }
+void Heuristics::tally(std::vector<AsId>& votes, std::vector<Tally>& out) {
+  std::sort(votes.begin(), votes.end());
+  out.clear();
+  for (AsId as : votes) {
+    if (out.empty() || out.back().as != as) out.push_back({as, 0});
+    ++out.back().count;
   }
-  return counts;
 }
 
-Heuristics::ScoredNextas Heuristics::nextas_scored(std::size_t router) const {
-  ScoredNextas out;
-  const GraphRouter& r = graph_.routers()[router];
-  if (r.dest_ases.size() < 2 || !in_.rels) return out;
-  std::map<AsId, int> provider_counts;
-  for (AsId dest : r.dest_ases) {
-    for (AsId p : in_.rels->providers(dest)) ++provider_counts[p];
+void Heuristics::adjacent_origin_counts(std::size_t router,
+                                        std::vector<AsId>& votes,
+                                        std::vector<Tally>& out) const {
+  votes.clear();
+  for (std::uint32_t n : graph_.next(router)) {
+    for (std::uint32_t id : graph_.ttl_ids(n)) {
+      if (info_[id].cls == AddrClass::kExternal) {
+        votes.push_back(info_[id].origin);
+      }
+    }
   }
-  for (const auto& [as, count] : provider_counts) {
-    out.total += count;
-    if (count > out.best) {
-      out.as = as;
-      out.best = count;
+  tally(votes, out);
+}
+
+Heuristics::Majority Heuristics::majority(const std::vector<Tally>& tallies) {
+  Majority out;
+  for (const Tally& t : tallies) {
+    out.total += t.count;
+    if (t.count > out.best) {
+      out.as = t.as;
+      out.best = t.count;
     }
   }
   return out;
 }
 
-AsId Heuristics::nextas(std::size_t router) const {
-  return nextas_scored(router).as;
+Heuristics::Majority Heuristics::nextas_scored(
+    std::size_t router, std::vector<AsId>& votes,
+    std::vector<Tally>& tallies) const {
+  const std::span<const AsId> dests = graph_.dest_ases(router);
+  if (dests.size() < 2 || !in_.rels) return {};
+  votes.clear();
+  for (AsId dest : dests) {
+    for (AsId p : in_.rels->providers(dest)) votes.push_back(p);
+  }
+  tally(votes, tallies);
+  return majority(tallies);
+}
+
+void Heuristics::distinct_orgs(std::span<const AsId> ases,
+                               std::vector<AsId>& out) const {
+  out.clear();
+  for (AsId as : ases) {
+    const AsId rep = org_rep(as);
+    if (std::find(out.begin(), out.end(), rep) == out.end()) {
+      out.push_back(rep);
+    }
+  }
 }
 
 void Heuristics::assign(std::size_t router, AsId owner, Heuristic how,
@@ -340,6 +382,9 @@ void Heuristics::phase1_vp_network() {
   }
   // BDRMAP_HOT_END(vp_after)
 
+  std::vector<AsId> dest_orgs, votes;
+  std::vector<Tally> counts_r, counts_r2;
+  // BDRMAP_HOT_BEGIN(phase1_vp_network)
   for (std::size_t r : order_) {
     const GraphRouter& router = graph_.routers()[r];
     if (router.how != Heuristic::kNone) continue;
@@ -347,8 +392,8 @@ void Heuristics::phase1_vp_network() {
     // border's neighbor-supplied point-to-point addresses into the same
     // router, and those must not disqualify it (step 1.2 / Figure 13).
     bool any_vp = false;
-    for (Ipv4Addr a : router.ttl_addrs) {
-      any_vp |= classify(a).cls == AddrClass::kVp;
+    for (std::uint32_t id : graph_.ttl_ids(r)) {
+      any_vp |= info_[id].cls == AddrClass::kVp;
     }
     if (!any_vp || !vp_after[r]) continue;
 
@@ -358,25 +403,24 @@ void Heuristics::phase1_vp_network() {
     // Only a router that exclusively carries traffic toward A can be A's
     // border — the VP's own borders forward toward many organizations.
     AsId multihomed_as;
-    std::vector<AsId> dest_orgs;
-    for (AsId dest : router.dest_ases) {
-      AsId rep = org_rep(dest);
-      if (std::find(dest_orgs.begin(), dest_orgs.end(), rep) ==
-          dest_orgs.end()) {
-        dest_orgs.push_back(rep);
-      }
-    }
+    distinct_orgs(graph_.dest_ases(r), dest_orgs);
     if (dest_orgs.size() == 1) {
-      for (std::size_t n : router.next) {
-        const GraphRouter& r2 = graph_.routers()[n];
-        if (!all_vp(r2)) continue;
+      bool counted_r = false;
+      for (std::uint32_t n : graph_.next(r)) {
+        if (!all_vp(n)) continue;
         // External AS adjacent to both R and R2, matching the sole
-        // destination organization?
-        auto counts_r = adjacent_origin_counts(r);
-        auto counts_r2 = adjacent_origin_counts(n);
-        for (const auto& [as, count] : counts_r) {
-          if (counts_r2.count(as) && org_rep(as) == dest_orgs.front()) {
-            multihomed_as = as;
+        // destination organization? The lowest such AS.
+        if (!counted_r) {
+          adjacent_origin_counts(r, votes, counts_r);
+          counted_r = true;
+        }
+        adjacent_origin_counts(n, votes, counts_r2);
+        for (const Tally& t : counts_r) {
+          const bool adjacent_to_r2 = std::binary_search(
+              counts_r2.begin(), counts_r2.end(), t,
+              [](const Tally& x, const Tally& y) { return x.as < y.as; });
+          if (adjacent_to_r2 && org_rep(t.as) == dest_orgs.front()) {
+            multihomed_as = t.as;
             break;
           }
         }
@@ -387,8 +431,11 @@ void Heuristics::phase1_vp_network() {
       // Veto: a subsequent router's would-be owner is a customer of the VP
       // network but not a known neighbor of A — then R is really the VP's.
       bool veto = false;
-      for (std::size_t n : router.next) {
-        for (AsId o : external_origins(graph_.routers()[n])) {
+      for (std::uint32_t n : graph_.next(r)) {
+        for (std::uint32_t id : graph_.ttl_ids(n)) {
+          const AddrInfo& info = info_[id];
+          if (info.cls != AddrClass::kExternal) continue;
+          const AsId o = info.origin;
           if (o == multihomed_as) continue;
           bool customer_of_vp = false;
           for (AsId v : in_.vp_ases) {
@@ -411,6 +458,7 @@ void Heuristics::phase1_vp_network() {
     assign(r, vp_as_, Heuristic::kVpNetwork, /*vp_side=*/true,
            conf::prior(Heuristic::kVpNetwork));
   }
+  // BDRMAP_HOT_END(phase1_vp_network)
 }
 
 // ---------------------------------------------------------------------------
@@ -418,31 +466,28 @@ void Heuristics::phase1_vp_network() {
 // ---------------------------------------------------------------------------
 
 void Heuristics::phase2_firewall() {
+  std::vector<AsId> orgs, votes;
+  std::vector<Tally> tallies;
+  // BDRMAP_HOT_BEGIN(phase2_firewall)
   for (std::size_t r : order_) {
-    GraphRouter& router = graph_.routers()[r];
+    const GraphRouter& router = graph_.routers()[r];
     if (router.how != Heuristic::kNone) continue;
-    if (!all_vp(router)) continue;
-    if (!router.next.empty()) continue;       // something was seen beyond
-    if (router.terminal_for.empty()) continue;
+    if (!all_vp(r)) continue;
+    if (!graph_.next(r).empty()) continue;  // something was seen beyond
+    const std::span<const AsId> terminal = graph_.terminal_for(r);
+    if (terminal.empty()) continue;
 
     // Collapse sibling target ASes to organizations.
-    std::vector<AsId> orgs;
-    for (AsId dest : router.terminal_for) {
-      AsId rep = org_rep(dest);
-      if (std::find(orgs.begin(), orgs.end(), rep) == orgs.end()) {
-        orgs.push_back(rep);
-      }
-    }
+    distinct_orgs(terminal, orgs);
     if (orgs.size() == 1) {
       // Each terminating target is an independent observation that the
       // silent space beyond belongs to this one organization.
-      assign(r, *router.terminal_for.begin(), Heuristic::kFirewall,
+      assign(r, terminal.front(), Heuristic::kFirewall,
              /*vp_side=*/false,
              conf::both(conf::prior(Heuristic::kFirewall),
-                        conf::support(0.5, static_cast<int>(
-                                               router.terminal_for.size()))));
+                        conf::support(0.5, static_cast<int>(terminal.size()))));
     } else {
-      ScoredNextas scored = nextas_scored(r);
+      const Majority scored = nextas_scored(r, votes, tallies);
       double share = conf::vote(static_cast<std::size_t>(scored.best),
                                 static_cast<std::size_t>(scored.total));
       if (is_vp_as(scored.as)) {
@@ -457,6 +502,7 @@ void Heuristics::phase2_firewall() {
       }
     }
   }
+  // BDRMAP_HOT_END(phase2_firewall)
 }
 
 // ---------------------------------------------------------------------------
@@ -464,26 +510,28 @@ void Heuristics::phase2_firewall() {
 // ---------------------------------------------------------------------------
 
 void Heuristics::phase3_unrouted() {
-  auto unrouted_class = [&](Ipv4Addr a) {
-    AddrClass c = classify(a).cls;
+  auto unrouted_class = [&](std::uint32_t id) {
+    const AddrClass c = info_[id].cls;
     return c == AddrClass::kUnrouted || c == AddrClass::kIxp;
   };
+  std::vector<AsId> distinct, dest_orgs, votes;
+  std::vector<Tally> tallies;
+  // BDRMAP_HOT_BEGIN(phase3_unrouted)
   for (std::size_t r : order_) {
-    GraphRouter& router = graph_.routers()[r];
-    if (router.how != Heuristic::kNone || router.ttl_addrs.empty()) continue;
+    const GraphRouter& router = graph_.routers()[r];
+    const std::span<const std::uint32_t> ttl = graph_.ttl_ids(r);
+    if (router.how != Heuristic::kNone || ttl.empty()) continue;
 
-    bool all_unrouted = std::all_of(router.ttl_addrs.begin(),
-                                    router.ttl_addrs.end(), unrouted_class);
+    bool all_unrouted = std::all_of(ttl.begin(), ttl.end(), unrouted_class);
     // Scenario (a): a VP-addressed neighbor border whose network beyond is
     // entirely unrouted — every adjacent subsequent router must be
     // unrouted, else better-constrained heuristics apply (Figure 6).
-    bool scenario_a = all_vp(router) && !router.next.empty();
+    bool scenario_a = all_vp(r) && !graph_.next(r).empty();
     if (scenario_a) {
-      for (std::size_t n : router.next) {
-        const GraphRouter& nr = graph_.routers()[n];
-        if (nr.ttl_addrs.empty() ||
-            !std::all_of(nr.ttl_addrs.begin(), nr.ttl_addrs.end(),
-                         unrouted_class)) {
+      for (std::uint32_t n : graph_.next(r)) {
+        const std::span<const std::uint32_t> nttl = graph_.ttl_ids(n);
+        if (nttl.empty() ||
+            !std::all_of(nttl.begin(), nttl.end(), unrouted_class)) {
           scenario_a = false;
           break;
         }
@@ -491,9 +539,8 @@ void Heuristics::phase3_unrouted() {
     }
     bool scenario_b = false;  // unrouted itself, behind a VP router
     if (all_unrouted) {
-      for (std::size_t p : router.prev) {
-        const GraphRouter& pr = graph_.routers()[p];
-        if (pr.vp_side || all_vp(pr)) scenario_b = true;
+      for (std::uint32_t p : graph_.prev(r)) {
+        if (graph_.routers()[p].vp_side || all_vp(p)) scenario_b = true;
       }
     }
     if (!scenario_a && !scenario_b) continue;
@@ -501,19 +548,17 @@ void Heuristics::phase3_unrouted() {
     // Routers whose addresses come from a known IXP LAN are inferred the
     // same way, but belong with the paper's onenet accounting: the LAN
     // address plus the member's own subsequent space identify the member.
-    bool ixp_addressed =
-        !router.ttl_addrs.empty() &&
-        std::all_of(router.ttl_addrs.begin(), router.ttl_addrs.end(),
-                    [&](Ipv4Addr a) {
-                      return classify(a).cls == AddrClass::kIxp;
-                    });
+    const bool ixp_addressed =
+        std::all_of(ttl.begin(), ttl.end(), [&](std::uint32_t id) {
+          return info_[id].cls == AddrClass::kIxp;
+        });
     Heuristic tag = ixp_addressed ? Heuristic::kOnenet : Heuristic::kUnrouted;
 
-    auto firsts = first_external_after(r);
+    const std::span<const AsId> firsts = first_external_after(r);
     // Every trace contributing a first-external observation supports the
     // conclusion independently (counted before deduplication).
     const int observations = static_cast<int>(firsts.size());
-    std::vector<AsId> distinct = firsts;
+    distinct.assign(firsts.begin(), firsts.end());
     std::sort(distinct.begin(), distinct.end());
     distinct.erase(std::unique(distinct.begin(), distinct.end()),
                    distinct.end());
@@ -523,33 +568,25 @@ void Heuristics::phase3_unrouted() {
     } else if (distinct.size() > 1 && in_.rels) {
       // Step 3.2: the most frequent provider across the observed set —
       // that AS is likely providing transit to the others.
-      std::map<AsId, int> provider_counts;
+      votes.clear();
       for (AsId as : distinct) {
-        for (AsId p : in_.rels->providers(as)) ++provider_counts[p];
+        for (AsId p : in_.rels->providers(as)) votes.push_back(p);
       }
-      AsId best;
-      int best_count = 0;
-      int total = 0;
-      for (const auto& [as, count] : provider_counts) {
-        total += count;
-        if (count > best_count) {
-          best = as;
-          best_count = count;
-        }
-      }
-      if (best.valid()) {
+      tally(votes, tallies);
+      const Majority best = majority(tallies);
+      if (best.as.valid()) {
         // The provider vote share, weighted by the strongest relationship
         // edge tying an observed AS to the winner.
         double edge = 0.0;
         for (AsId as : distinct) {
           edge = std::max(edge,
-                          conf::relationship_prior(*in_.rels, as, best));
+                          conf::relationship_prior(*in_.rels, as, best.as));
         }
-        assign(r, best, Heuristic::kUnrouted, false,
+        assign(r, best.as, Heuristic::kUnrouted, false,
                conf::both(conf::prior(Heuristic::kUnrouted),
                           conf::both(conf::vote(
-                                         static_cast<std::size_t>(best_count),
-                                         static_cast<std::size_t>(total)),
+                                         static_cast<std::size_t>(best.best),
+                                         static_cast<std::size_t>(best.total)),
                                      edge)));
       } else {
         assign(r, distinct.front(), Heuristic::kUnrouted, false,
@@ -557,7 +594,7 @@ void Heuristics::phase3_unrouted() {
                           conf::kWeakEvidence));
       }
     } else {
-      ScoredNextas scored = nextas_scored(r);
+      const Majority scored = nextas_scored(r, votes, tallies);
       double share = conf::vote(static_cast<std::size_t>(scored.best),
                                 static_cast<std::size_t>(scored.total));
       if (is_vp_as(scored.as)) {
@@ -569,21 +606,16 @@ void Heuristics::phase3_unrouted() {
       } else {
         // Nothing routed beyond and a single destination organization:
         // a neighbor whose internals are entirely unannounced.
-        std::vector<AsId> dest_orgs;
-        for (AsId dest : router.dest_ases) {
-          AsId rep = org_rep(dest);
-          if (std::find(dest_orgs.begin(), dest_orgs.end(), rep) ==
-              dest_orgs.end()) {
-            dest_orgs.push_back(rep);
-          }
-        }
+        const std::span<const AsId> dests = graph_.dest_ases(r);
+        distinct_orgs(dests, dest_orgs);
         if (dest_orgs.size() == 1 && !is_vp_as(dest_orgs.front())) {
-          assign(r, *router.dest_ases.begin(), tag, false,
+          assign(r, dests.front(), tag, false,
                  conf::both(conf::prior(tag), conf::kWeakEvidence));
         }
       }
     }
   }
+  // BDRMAP_HOT_END(phase3_unrouted)
 }
 
 // ---------------------------------------------------------------------------
@@ -591,23 +623,24 @@ void Heuristics::phase3_unrouted() {
 // ---------------------------------------------------------------------------
 
 void Heuristics::phase4_onenet() {
+  // BDRMAP_HOT_BEGIN(phase4_onenet)
   for (std::size_t r : order_) {
-    GraphRouter& router = graph_.routers()[r];
-    if (router.how != Heuristic::kNone || router.ttl_addrs.empty()) continue;
+    const GraphRouter& router = graph_.routers()[r];
+    const std::span<const std::uint32_t> ttl = graph_.ttl_ids(r);
+    if (router.how != Heuristic::kNone || ttl.empty()) continue;
 
-    auto externals = external_origins(router);
     // Step 4.1: every interface maps to one external AS, and an adjacent
     // subsequent router also has an address in it: not a third party.
-    if (externals.size() == 1 && !all_vp(router)) {
-      bool mixed = false;  // any VP/unrouted address alongside?
-      for (Ipv4Addr a : router.ttl_addrs) {
-        if (classify(a).cls != AddrClass::kExternal) mixed = true;
-      }
+    const AsId a = sole_external_origin(r);
+    if (a.valid() && !all_vp(r)) {
+      const bool mixed =  // any VP/unrouted address alongside?
+          std::any_of(ttl.begin(), ttl.end(), [&](std::uint32_t id) {
+            return info_[id].cls != AddrClass::kExternal;
+          });
       if (!mixed) {
-        AsId a = externals.front();
-        for (std::size_t n : router.next) {
-          for (Ipv4Addr addr : graph_.routers()[n].ttl_addrs) {
-            AddrInfo info = classify(addr);
+        for (std::uint32_t n : graph_.next(r)) {
+          for (std::uint32_t id : graph_.ttl_ids(n)) {
+            const AddrInfo& info = info_[id];
             if (info.cls == AddrClass::kExternal && info.origin == a) {
               assign(r, a, Heuristic::kOnenet, false,
                      conf::prior(Heuristic::kOnenet));
@@ -623,15 +656,14 @@ void Heuristics::phase4_onenet() {
     // Step 4.2: VP-addressed border followed by two consecutive routers in
     // the same external AS. The evidence sits one hop beyond the router
     // being assigned, so it carries the indirection discount.
-    if (!all_vp(router)) continue;
-    for (std::size_t n : router.next) {
-      auto n_ext = external_origins(graph_.routers()[n]);
-      if (n_ext.size() != 1) continue;
-      for (std::size_t m : graph_.routers()[n].next) {
+    if (!all_vp(r)) continue;
+    for (std::uint32_t n : graph_.next(r)) {
+      const AsId n_ext = sole_external_origin(n);
+      if (!n_ext.valid()) continue;
+      for (std::uint32_t m : graph_.next(n)) {
         if (m == r) continue;
-        auto m_ext = external_origins(graph_.routers()[m]);
-        if (m_ext.size() == 1 && m_ext.front() == n_ext.front()) {
-          assign(r, n_ext.front(), Heuristic::kOnenet, false,
+        if (sole_external_origin(m) == n_ext) {
+          assign(r, n_ext, Heuristic::kOnenet, false,
                  conf::both(conf::prior(Heuristic::kOnenet),
                             conf::kIndirectEvidence));
           break;
@@ -640,6 +672,7 @@ void Heuristics::phase4_onenet() {
       if (router.how != Heuristic::kNone) break;
     }
   }
+  // BDRMAP_HOT_END(phase4_onenet)
 }
 
 // ---------------------------------------------------------------------------
@@ -647,17 +680,18 @@ void Heuristics::phase4_onenet() {
 // ---------------------------------------------------------------------------
 
 void Heuristics::phase5_relationships() {
+  std::vector<AsId> dest_orgs, votes, firsts;
+  std::vector<Tally> adjacent;
+  // BDRMAP_HOT_BEGIN(phase5_third_party)
   // Third-party detection (steps 5.1 / 5.2).
   for (std::size_t r : order_) {
-    GraphRouter& router = graph_.routers()[r];
-    if (router.how != Heuristic::kNone) continue;
-    auto externals = external_origins(router);
-    if (externals.size() != 1) continue;
-    AsId a = externals.front();
+    if (graph_.routers()[r].how != Heuristic::kNone) continue;
+    const AsId a = sole_external_origin(r);
+    if (!a.valid()) continue;
     // Only observed on paths toward a single organization B != A?
-    std::vector<AsId> dest_orgs;
     AsId b;
-    for (AsId dest : router.dest_ases) {
+    dest_orgs.clear();
+    for (AsId dest : graph_.dest_ases(r)) {
       AsId rep = org_rep(dest);
       if (std::find(dest_orgs.begin(), dest_orgs.end(), rep) ==
           dest_orgs.end()) {
@@ -677,11 +711,10 @@ void Heuristics::phase5_relationships() {
     // Step 5.1: a preceding all-VP router is B's border too — but only
     // when that router likewise appears exclusively on paths toward B;
     // a router carrying traffic to other networks is not B's border.
-    for (std::size_t p : router.prev) {
-      GraphRouter& pr = graph_.routers()[p];
-      if (pr.how != Heuristic::kNone || !all_vp(pr)) continue;
+    for (std::uint32_t p : graph_.prev(r)) {
+      if (graph_.routers()[p].how != Heuristic::kNone || !all_vp(p)) continue;
       bool only_b = true;
-      for (AsId dest : pr.dest_ases) {
+      for (AsId dest : graph_.dest_ases(p)) {
         only_b &= org_rep(dest) == org_rep(b);
       }
       if (only_b) {
@@ -692,17 +725,18 @@ void Heuristics::phase5_relationships() {
       }
     }
   }
+  // BDRMAP_HOT_END(phase5_third_party)
 
   // Steps 5.3 / 5.4 / 5.5: VP-addressed borders classified by relationship
   // data about the adjacent and subsequent address space.
+  // BDRMAP_HOT_BEGIN(phase5_relationships)
   for (std::size_t r : order_) {
-    GraphRouter& router = graph_.routers()[r];
-    if (router.how != Heuristic::kNone) continue;
-    if (!all_vp(router)) continue;
+    if (graph_.routers()[r].how != Heuristic::kNone) continue;
+    if (!all_vp(r)) continue;
 
-    auto adjacent = adjacent_origin_counts(r);
+    adjacent_origin_counts(r, votes, adjacent);
     if (adjacent.size() == 1) {
-      AsId a = adjacent.begin()->first;
+      AsId a = adjacent.front().as;
       // Step 5.3: a known peer or customer of the VP network.
       AsId known_vp;
       for (AsId v : in_.vp_ases) {
@@ -747,16 +781,18 @@ void Heuristics::phase5_relationships() {
 
     // Step 5.5: every subsequent routed interface maps to one AS — a
     // neighbor with no BGP-visible relationship (hidden peer).
-    auto firsts = first_external_after(r);
-    const int observations = static_cast<int>(firsts.size());
+    const std::span<const AsId> after = first_external_after(r);
+    const int observations = static_cast<int>(after.size());
+    firsts.assign(after.begin(), after.end());
     std::sort(firsts.begin(), firsts.end());
     firsts.erase(std::unique(firsts.begin(), firsts.end()), firsts.end());
-    if (firsts.size() == 1 && !router.next.empty()) {
+    if (firsts.size() == 1 && !graph_.next(r).empty()) {
       assign(r, firsts.front(), Heuristic::kHiddenPeer, false,
              conf::both(conf::prior(Heuristic::kHiddenPeer),
                         conf::support(0.35, observations)));
     }
   }
+  // BDRMAP_HOT_END(phase5_relationships)
 }
 
 // ---------------------------------------------------------------------------
@@ -764,69 +800,65 @@ void Heuristics::phase5_relationships() {
 // ---------------------------------------------------------------------------
 
 void Heuristics::phase6_counting() {
+  std::vector<AsId> votes;
+  std::vector<Tally> tallies;
+  // BDRMAP_HOT_BEGIN(phase6_counting)
   for (std::size_t r : order_) {
-    GraphRouter& router = graph_.routers()[r];
-    if (router.how != Heuristic::kNone || router.ttl_addrs.empty()) continue;
+    if (graph_.routers()[r].how != Heuristic::kNone ||
+        graph_.ttl_ids(r).empty()) {
+      continue;
+    }
 
-    if (all_vp(router)) {
+    if (all_vp(r)) {
       // Step 6.1: several adjacent external ASes — majority of adjacent
       // addresses wins; ties go to the first AS with a known relationship.
-      auto adjacent = adjacent_origin_counts(r);
-      if (adjacent.empty()) continue;
-      int best_count = 0;
-      int total = 0;
-      for (const auto& [as, count] : adjacent) {
-        total += count;
-        best_count = std::max(best_count, count);
-      }
-      std::vector<AsId> tied;
-      for (const auto& [as, count] : adjacent) {
-        if (count == best_count) tied.push_back(as);
-      }
-      std::sort(tied.begin(), tied.end());
-      AsId winner = tied.front();
-      if (tied.size() > 1 && in_.rels) {
-        for (AsId as : tied) {
+      adjacent_origin_counts(r, votes, tallies);
+      if (tallies.empty()) continue;
+      const Majority best = majority(tallies);
+      // The plain majority is the lowest tied AS; a tie goes to the first
+      // tied AS (ascending) the VP network is known to neighbor.
+      AsId winner = best.as;
+      const bool tie =
+          std::count_if(tallies.begin(), tallies.end(), [&](const Tally& t) {
+            return t.count == best.best;
+          }) > 1;
+      if (tie && in_.rels) {
+        for (const Tally& t : tallies) {
+          if (t.count != best.best) continue;
           bool known = false;
           for (AsId v : in_.vp_ases) {
-            known |= in_.rels->are_neighbors(v, as);
+            known |= in_.rels->are_neighbors(v, t.as);
           }
           if (known) {
-            winner = as;
+            winner = t.as;
             break;
           }
         }
       }
       assign(r, winner, Heuristic::kCount, false,
              conf::both(conf::prior(Heuristic::kCount),
-                        conf::vote(static_cast<std::size_t>(best_count),
-                                   static_cast<std::size_t>(total))));
+                        conf::vote(static_cast<std::size_t>(best.best),
+                                   static_cast<std::size_t>(best.total))));
       continue;
     }
 
     // Step 6.2: plain IP-AS mapping — the majority origin of the router's
     // own addresses.
-    std::map<AsId, int> votes;
-    for (Ipv4Addr a : router.ttl_addrs) {
-      AddrInfo info = classify(a);
-      if (info.cls == AddrClass::kExternal) ++votes[info.origin];
-    }
-    if (votes.empty()) continue;
-    AsId best;
-    int best_count = 0;
-    int total = 0;
-    for (const auto& [as, count] : votes) {
-      total += count;
-      if (count > best_count) {
-        best = as;
-        best_count = count;
+    votes.clear();
+    for (std::uint32_t id : graph_.ttl_ids(r)) {
+      if (info_[id].cls == AddrClass::kExternal) {
+        votes.push_back(info_[id].origin);
       }
     }
-    assign(r, best, Heuristic::kIpAs, false,
+    if (votes.empty()) continue;
+    tally(votes, tallies);
+    const Majority best = majority(tallies);
+    assign(r, best.as, Heuristic::kIpAs, false,
            conf::both(conf::prior(Heuristic::kIpAs),
-                      conf::vote(static_cast<std::size_t>(best_count),
-                                 static_cast<std::size_t>(total))));
+                      conf::vote(static_cast<std::size_t>(best.best),
+                                 static_cast<std::size_t>(best.total))));
   }
+  // BDRMAP_HOT_END(phase6_counting)
 }
 
 // ---------------------------------------------------------------------------
@@ -837,27 +869,40 @@ void Heuristics::phase7_analytic_alias() {
   // A neighbor router connected by a point-to-point link attaches to one
   // VP router; several single-interface VP-side predecessors of the same
   // neighbor router are therefore aliases of one border router.
+  //
+  // Each neighbor sees the graph as the merges before it left it, so the
+  // merges gather here and apply as one batch. A router a merge of this
+  // phase touched is either merged away or grown to two or more
+  // addresses; neither is single-interface any more, and a neighbor's
+  // current predecessors are its original ones with the merged-away ones
+  // replaced by (grown) survivors.
   const std::size_t count = graph_.routers().size();
+  std::vector<std::uint8_t> touched(count, 0);
+  std::vector<RouterGraph::Merge> merges;
+  std::vector<std::uint32_t> collapsible;
+  // BDRMAP_HOT_BEGIN(phase7_analytic_alias)
   for (std::size_t n = 0; n < count; ++n) {
     const GraphRouter& neighbor = graph_.routers()[n];
     if (graph_.merged_away(n)) continue;
     if (neighbor.how == Heuristic::kNone || neighbor.vp_side) continue;
-    std::vector<std::size_t> collapsible;
-    for (std::size_t p : neighbor.prev) {
-      const GraphRouter& pr = graph_.routers()[p];
-      if (!pr.vp_side) continue;
+    collapsible.clear();  // ascending, as prev is
+    for (std::uint32_t p : graph_.prev(n)) {
+      if (touched[p] || !graph_.routers()[p].vp_side) continue;
       // Single observed interface: likely one physical border router that
       // responded differently per destination (Figure 13).
-      if (pr.addrs.size() != 1) continue;
+      if (graph_.addrs(p).size() != 1) continue;
       collapsible.push_back(p);
     }
     if (collapsible.size() < 2) continue;
-    std::sort(collapsible.begin(), collapsible.end());
+    touched[collapsible.front()] = 1;
     for (std::size_t i = 1; i < collapsible.size(); ++i) {
-      graph_.merge(collapsible.front(), collapsible[i]);
+      merges.emplace_back(collapsible.front(), collapsible[i]);
+      touched[collapsible[i]] = 1;
       note_fire();
     }
   }
+  // BDRMAP_HOT_END(phase7_analytic_alias)
+  graph_.merge(merges);
 }
 
 // ---------------------------------------------------------------------------
@@ -867,19 +912,25 @@ void Heuristics::phase7_analytic_alias() {
 void Heuristics::phase8_uncooperative() {
   // Which neighbor ASes already have an inferred *border* router (one
   // adjacent to the VP network)? Deep routers after response gaps do not
-  // establish a link by themselves.
-  std::unordered_set<AsId> covered;
-  for (const auto& router : graph_.routers()) {
+  // establish a link by themselves. Sorted and distinct.
+  const auto& routers = graph_.routers();
+  std::vector<AsId> covered;
+  // BDRMAP_HOT_BEGIN(phase8_covered)
+  for (std::size_t r = 0; r < routers.size(); ++r) {
+    const GraphRouter& router = routers[r];
     if (router.how == Heuristic::kNone || router.vp_side ||
         !router.owner.valid()) {
       continue;
     }
-    bool adjacent_to_vp = false;
-    for (std::size_t p : router.prev) {
-      adjacent_to_vp |= graph_.routers()[p].vp_side;
-    }
-    if (adjacent_to_vp) covered.insert(org_rep(router.owner));
+    const std::span<const std::uint32_t> prev = graph_.prev(r);
+    const bool adjacent_to_vp =
+        std::any_of(prev.begin(), prev.end(),
+                    [&](std::uint32_t p) { return routers[p].vp_side; });
+    if (adjacent_to_vp) covered.push_back(org_rep(router.owner));
   }
+  // BDRMAP_HOT_END(phase8_covered)
+  std::sort(covered.begin(), covered.end());
+  covered.erase(std::unique(covered.begin(), covered.end()), covered.end());
 
   std::vector<AsId> bgp_neighbors;
   for (AsId v : in_.vp_ases) {
@@ -903,17 +954,19 @@ void Heuristics::phase8_uncooperative() {
     traces_by_org.emplace_back(org_rep(traces[ti].target_as), ti);
   }
   std::sort(traces_by_org.begin(), traces_by_org.end());
-  const auto& routers = graph_.routers();
+  // (final VP router, traces) pairs; a handful per neighbor.
+  std::vector<std::pair<std::size_t, std::size_t>> last_counts;
 
   for (AsId neighbor : bgp_neighbors) {
     const AsId neighbor_org = org_rep(neighbor);
-    if (covered.count(neighbor_org)) continue;
+    if (std::binary_search(covered.begin(), covered.end(), neighbor_org)) {
+      continue;
+    }
 
     // Process the traces toward this AS as a set (§5.4.8). Rate limiting
     // can hide the true final VP router in a few traces, so we accept the
     // dominant final router rather than demanding strict unanimity.
-    // (final VP router, traces) pairs; a handful per neighbor.
-    std::vector<std::pair<std::size_t, std::size_t>> last_counts;
+    last_counts.clear();
     bool beyond = false;
     bool icmp_from_neighbor = false;
     const auto run = std::equal_range(

@@ -13,8 +13,8 @@
 
 #include <cstdint>
 #include <string>
+#include <span>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "asdata/as_relationships.h"
@@ -101,18 +101,14 @@ class Heuristics {
   }
 
   // External origins of the first routed hop after `router` in each trace,
-  // in trace order. Served from a table built in one pass over all traces
-  // on first use, so it is only valid before the first alias merge (§5.4.3
-  // and §5.4.5, its callers, both run before §5.4.7 merges).
-  std::vector<AsId> first_external_after(std::size_t router) const;
+  // in trace order: a view into one flat table built in one pass over all
+  // traces on first use, so it is only valid before the first alias merge
+  // (§5.4.3 and §5.4.5, its callers, both run before §5.4.7 merges).
+  std::span<const AsId> first_external_after(std::size_t router) const;
 
   // Representative AS for sibling-collapsing comparisons: the lowest AS
   // of its organization (itself without a sibling table).
   AsId org_rep(AsId as) const;
-
-  // nextas(r): the most common provider among the destination ASes probed
-  // through the router (§5.4 final paragraph).
-  AsId nextas(std::size_t router) const;
 
   const HeuristicsConfig& config() const { return config_; }
   const InferenceInputs& inputs() const { return in_; }
@@ -149,24 +145,45 @@ class Heuristics {
   AddrRouting routing_of(Ipv4Addr addr) const;
   // classify() given the address's routing (and vp_extra_blocks_).
   AddrInfo classify_routed(Ipv4Addr addr, const AddrRouting& routing) const;
-  // One pass over all traces filling first_external_table_ for every
+  // One pass over all traces filling the first-external table for every
   // router at once (see first_external_after).
   void build_first_external_table() const;
-  bool all_vp(const GraphRouter& r) const;
-  // Distinct external origins over the router's time-exceeded addresses.
-  std::vector<AsId> external_origins(const GraphRouter& r) const;
-  // External origins (with address counts) over adjacent next routers.
-  std::unordered_map<AsId, int> adjacent_origin_counts(
-      std::size_t router) const;
+  // Every time-exceeded address of the router is VP space (and it has one).
+  bool all_vp(std::size_t router) const;
+  // The one external origin over the router's time-exceeded addresses, or
+  // kNoAs when they have none or several.
+  AsId sole_external_origin(std::size_t router) const;
 
-  // nextas() with the vote tallies behind it, so callers can turn the
-  // majority share into a confidence (DESIGN.md §15).
-  struct ScoredNextas {
-    AsId as;        // kNoAs when no external destinations were seen
+  // An AS with its votes; tallies are ascending by AS.
+  struct Tally {
+    AsId as;
+    int count = 0;
+  };
+  // Tallies `votes` (sorting it) into `out`.
+  static void tally(std::vector<AsId>& votes, std::vector<Tally>& out);
+  // External origins (with address counts) over adjacent next routers,
+  // into `out`; `votes` is scratch.
+  void adjacent_origin_counts(std::size_t router, std::vector<AsId>& votes,
+                              std::vector<Tally>& out) const;
+
+  // The most voted AS of a tally (ties to the lowest AS), with the vote
+  // counts behind it, so callers can turn the majority share into a
+  // confidence (DESIGN.md §15).
+  struct Majority {
+    AsId as;        // kNoAs when nothing was voted for
     int best = 0;   // votes for the winner
     int total = 0;  // all votes cast
   };
-  ScoredNextas nextas_scored(std::size_t router) const;
+  static Majority majority(const std::vector<Tally>& tallies);
+  // nextas(r): the most common provider among the destination ASes probed
+  // through the router (§5.4 final paragraph); `votes` and `tallies` are
+  // scratch.
+  Majority nextas_scored(std::size_t router, std::vector<AsId>& votes,
+                         std::vector<Tally>& tallies) const;
+  // The distinct organizations of `ases` (by org_rep), first-seen order,
+  // into `out`.
+  void distinct_orgs(std::span<const AsId> ases,
+                     std::vector<AsId>& out) const;
 
   // §5.4.1 RIR delegation extension, given the routing of every id of the
   // graph's address table.
@@ -197,9 +214,12 @@ class Heuristics {
   // Live routers by hop distance; run() computes it once, since only the
   // §5.4.7 merges (after every reader of it) change the graph.
   std::vector<std::size_t> order_;
-  // Compiled-scan cache (DESIGN.md §14). Mutable: it memoizes a const
-  // lookup without changing observable results.
-  mutable std::vector<std::vector<AsId>> first_external_table_;
+  // Compiled-scan cache (DESIGN.md §14), one flat table: router r's
+  // first-external origins are first_external_values_[offsets r .. r + 1).
+  // Mutable: it memoizes a const lookup without changing observable
+  // results.
+  mutable std::vector<std::uint32_t> first_external_offsets_;
+  mutable std::vector<AsId> first_external_values_;
   mutable bool first_external_built_ = false;
   // Per-rule accounting (kRules order).
   std::vector<HeuristicRuleStats> rule_stats_;

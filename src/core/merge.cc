@@ -72,17 +72,17 @@ MergedMap merge_results(const std::vector<const BdrmapResult*>& runs) {
   std::vector<std::uint32_t> source_of;
   std::size_t key_count = 0;
   for (std::size_t r = 0; r < runs.size(); ++r) {
-    const auto& routers = runs[r]->graph.routers();
+    const RouterGraph& graph = runs[r]->graph;
     flat_base[r] = source_of.size();
-    for (std::size_t i = 0; i < routers.size(); ++i) {
-      if (routers[i].addrs.empty()) {
+    for (std::size_t i = 0; i < graph.routers().size(); ++i) {
+      if (graph.merged_away(i)) {
         source_of.push_back(kNone);
         continue;
       }
       source_of.push_back(static_cast<std::uint32_t>(sources.size()));
       sources.push_back(
           {static_cast<std::uint32_t>(r), static_cast<std::uint32_t>(i)});
-      key_count += routers[i].addrs.size();
+      key_count += graph.addrs(i).size();
     }
   }
   BDRMAP_EXPECTS(sources.size() < kNone, "too many routers to merge");
@@ -96,7 +96,8 @@ MergedMap merge_results(const std::vector<const BdrmapResult*>& runs) {
   std::vector<std::uint64_t> keys;
   keys.reserve(key_count);
   for (std::size_t s = 0; s < sources.size(); ++s) {
-    for (Ipv4Addr a : router_at(s).addrs) {
+    for (Ipv4Addr a :
+         runs[sources[s].run]->graph.addrs(sources[s].router)) {
       keys.push_back((std::uint64_t{a.value()} << 32) | s);
     }
   }

@@ -12,6 +12,16 @@
 // traces read the hop-id arrays and the id -> router column instead of
 // hashing addresses.
 //
+// Each per-router set (alias set, time-exceeded address ids, prev, next,
+// destination ASes, terminal ASes) is one flat column in CSR form: an
+// offsets array over the routers plus one values array, each router's run
+// ascending and distinct. The constructor fills every column from one
+// radix sort of (router, value) keys gathered in the trace walk, so a
+// graph costs a fixed number of allocations whatever its router count.
+// merge() applies §5.4.7 merges through a union-find whose survivor is
+// the merge target and refills the columns once per call; a batch of
+// merges is one refill.
+//
 // The graph references the traces it was built from (core::SharedTraces)
 // instead of owning a stitched copy: on the serving path they are the
 // slices runtime::SliceStore keeps, so building a VP's graph copies no
@@ -23,8 +33,10 @@
 #include <limits>
 #include <optional>
 #include <span>
+#include <utility>
 #include <vector>
 
+#include "core/alias_groups.h"
 #include "core/observations.h"
 #include "netbase/ids.h"
 
@@ -55,17 +67,10 @@ const char* heuristic_name(Heuristic h);
 // core.confidence.<tag>.
 const char* heuristic_tag(Heuristic h);
 
+// The per-router scalars; the per-router sets live in RouterGraph's
+// columns.
 struct GraphRouter {
-  std::vector<Ipv4Addr> addrs;      // full alias set (sorted)
-  std::vector<Ipv4Addr> ttl_addrs;  // subset seen in time-exceeded replies
   int min_hop = std::numeric_limits<int>::max();  // observed hop distance
-  // Flat sets: sorted ascending, no duplicates (link emission relies on
-  // the ascending order).
-  std::vector<std::size_t> prev;  // routers observed immediately before
-  std::vector<std::size_t> next;  // routers observed immediately after
-  std::vector<AsId> dest_ases;    // target ASes probed through this router
-  // Target ASes for which this router was the last responsive hop.
-  std::vector<AsId> terminal_for;
 
   // Ownership inference (filled by core::Heuristics).
   AsId owner;
@@ -89,13 +94,41 @@ class RouterGraph {
   // An empty graph: no traces, no routers.
   RouterGraph() = default;
   // Builds the graph from traces and alias groups, sharing the traces (a
-  // std::vector<ObservedTrace> converts, moved in as one part). Addresses
-  // not covered by any group become singleton routers.
-  RouterGraph(SharedTraces traces,
-              const std::vector<std::vector<Ipv4Addr>>& alias_groups);
+  // std::vector<ObservedTrace> converts, moved in as one part). Router i
+  // is the i-th non-empty group; addresses no group covers become
+  // singleton routers numbered in first-seen trace order. An address
+  // listed in two groups is carried by its first.
+  RouterGraph(SharedTraces traces, const AliasGroups& alias_groups);
 
+  // Per-router scalars, indexed by router (tombstones included).
   std::vector<GraphRouter>& routers() { return routers_; }
   const std::vector<GraphRouter>& routers() const { return routers_; }
+
+  // The per-router sets, each ascending and duplicate-free (link emission
+  // relies on the ascending order). A merged-away router's are empty.
+  // Full alias set.
+  std::span<const Ipv4Addr> addrs(std::size_t r) const {
+    return addrs_col_.at(r);
+  }
+  // Ids of the alias-set addresses seen in time-exceeded replies.
+  std::span<const std::uint32_t> ttl_ids(std::size_t r) const {
+    return ttl_col_.at(r);
+  }
+  // Routers observed immediately before / after this one.
+  std::span<const std::uint32_t> prev(std::size_t r) const {
+    return prev_col_.at(r);
+  }
+  std::span<const std::uint32_t> next(std::size_t r) const {
+    return next_col_.at(r);
+  }
+  // Target ASes probed through this router.
+  std::span<const AsId> dest_ases(std::size_t r) const {
+    return dest_col_.at(r);
+  }
+  // Target ASes for which this router was the last responsive hop.
+  std::span<const AsId> terminal_for(std::size_t r) const {
+    return terminal_col_.at(r);
+  }
 
   // Router index carrying `addr`, if observed.
   std::optional<std::size_t> router_of(Ipv4Addr addr) const;
@@ -114,25 +147,50 @@ class RouterGraph {
   // Router carrying address `id` (kept current by merge()), or kNoRouter.
   std::uint32_t router_of_id(std::uint32_t id) const { return router_col_[id]; }
 
-  // Routers sorted by observed hop distance (nearest first).
+  // Live routers sorted by observed hop distance (nearest first), ties by
+  // index: a counting sort on min_hop.
   std::vector<std::size_t> by_hop_distance() const;
 
   // Merges router `from` into router `into` (the §5.4.7 analytic alias
-  // collapse). Adjacency, addresses and annotations are unioned.
+  // collapse). Adjacency, addresses and annotations are unioned; `from`
+  // becomes a tombstone.
   void merge(std::size_t into, std::size_t from);
+  // Applies (into, from) merges in order, with one column refill for the
+  // batch: the same graph as merging them one at a time.
+  using Merge = std::pair<std::uint32_t, std::uint32_t>;
+  void merge(std::span<const Merge> merges);
 
   const SharedTraces& traces() const { return traces_; }
 
   std::size_t live_router_count() const;
-  bool merged_away(std::size_t i) const { return routers_[i].addrs.empty(); }
+  bool merged_away(std::size_t i) const { return addrs(i).empty(); }
 
  private:
+  friend struct RouterGraphTestPeer;  // corrupts columns in invariant tests
+
+  // One per-router set: router r's values are
+  // values[offsets[r] .. offsets[r + 1]).
+  template <typename T>
+  struct Column {
+    std::vector<std::uint32_t> offsets;
+    std::vector<T> values;
+    std::span<const T> at(std::size_t r) const {
+      return {values.data() + offsets[r], offsets[r + 1] - offsets[r]};
+    }
+  };
+
   std::vector<GraphRouter> routers_;
   SharedTraces traces_;
   std::vector<Ipv4Addr> addrs_;            // id -> address, ascending
   std::vector<std::uint32_t> router_col_;  // id -> router, or kNoRouter
   std::vector<std::uint32_t> hop_ids_;     // every hop of every trace
   std::vector<std::size_t> hop_begin_;     // trace t's hops start here
+  Column<Ipv4Addr> addrs_col_;
+  Column<std::uint32_t> ttl_col_;
+  Column<std::uint32_t> prev_col_;
+  Column<std::uint32_t> next_col_;
+  Column<AsId> dest_col_;
+  Column<AsId> terminal_col_;
 };
 
 }  // namespace bdrmap::core

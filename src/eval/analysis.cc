@@ -48,7 +48,7 @@ std::vector<TraceExit> trace_exits(const core::BdrmapResult& result,
 
     TraceExit exit;
     exit.prefix = prefix;
-    auto egress = truth.true_router(routers[last_vp].addrs);
+    auto egress = truth.true_router(result.graph.addrs(last_vp));
     if (!egress) continue;
     exit.egress_truth = *egress;
     std::size_t border = adjacent_external != core::InferredLink::kNoRouter

@@ -21,13 +21,15 @@ std::optional<double> rdns_longitude(
 DnsSanity dns_sanity_check(const core::BdrmapResult& result,
                            const topo::Internet& net) {
   DnsSanity out;
-  for (const auto& router : result.graph.routers()) {
-    if (router.addrs.empty() || router.vp_side ||
+  const core::RouterGraph& graph = result.graph;
+  for (std::size_t i = 0; i < graph.routers().size(); ++i) {
+    const core::GraphRouter& router = graph.routers()[i];
+    if (graph.merged_away(i) || router.vp_side ||
         router.how == core::Heuristic::kNone || !router.owner.valid()) {
       continue;
     }
     std::optional<net::AsId> hint;
-    for (net::Ipv4Addr a : router.addrs) {
+    for (net::Ipv4Addr a : graph.addrs(i)) {
       auto name = net.reverse_dns().lookup(a);
       if (!name) continue;
       auto hints = asdata::parse_hostname(*name);

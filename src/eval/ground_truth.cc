@@ -9,7 +9,7 @@ GroundTruth::GroundTruth(const topo::Internet& net, AsId vp_as)
     : net_(net), vp_as_(vp_as) {}
 
 std::optional<RouterId> GroundTruth::true_router(
-    const std::vector<Ipv4Addr>& addrs) const {
+    std::span<const Ipv4Addr> addrs) const {
   std::map<RouterId, int> votes;
   for (Ipv4Addr a : addrs) {
     if (auto r = net_.router_at(a)) ++votes[*r];
@@ -22,7 +22,7 @@ std::optional<RouterId> GroundTruth::true_router(
 }
 
 std::optional<AsId> GroundTruth::true_owner(
-    const std::vector<Ipv4Addr>& addrs) const {
+    std::span<const Ipv4Addr> addrs) const {
   std::map<AsId, int> votes;
   for (Ipv4Addr a : addrs) {
     if (auto r = net_.router_at(a)) ++votes[net_.router(*r).owner];
@@ -63,18 +63,19 @@ ValidationSummary GroundTruth::validate(
   ValidationSummary summary;
 
   // Routers: every inferred neighbor (far-side) router.
-  const auto& routers = result.graph.routers();
+  const core::RouterGraph& graph = result.graph;
+  const auto& routers = graph.routers();
   for (std::size_t i = 0; i < routers.size(); ++i) {
     const auto& r = routers[i];
-    if (r.addrs.empty() || r.vp_side || r.how == core::Heuristic::kNone ||
-        !r.owner.valid()) {
+    if (graph.merged_away(i) || r.vp_side ||
+        r.how == core::Heuristic::kNone || !r.owner.valid()) {
       continue;
     }
     RouterValidation v;
     v.graph_index = i;
     v.inferred_owner = r.owner;
     v.how = r.how;
-    auto truth = true_owner(r.addrs);
+    auto truth = true_owner(graph.addrs(i));
     if (!truth) {
       // Addresses unknown to the generator cannot occur; defensive.
       v.verdict = Verdict::kInconsistent;
@@ -97,11 +98,11 @@ ValidationSummary GroundTruth::validate(
     lt.inferred_as = link.neighbor_as;
 
     if (link.vp_router != core::InferredLink::kNoRouter) {
-      auto near = true_router(routers[link.vp_router].addrs);
+      auto near = true_router(graph.addrs(link.vp_router));
       if (near) lt.near_router = *near;
     }
     if (link.neighbor_router != core::InferredLink::kNoRouter) {
-      auto far = true_router(routers[link.neighbor_router].addrs);
+      auto far = true_router(graph.addrs(link.neighbor_router));
       if (far) lt.far_router = *far;
     }
 
@@ -113,7 +114,7 @@ ValidationSummary GroundTruth::validate(
       // Resolve the physical interconnect: an inferred far-side address
       // sitting on an interdomain subnet identifies the link precisely
       // (parallel links between one router pair stay distinct).
-      for (Ipv4Addr a : routers[link.neighbor_router].addrs) {
+      for (Ipv4Addr a : graph.addrs(link.neighbor_router)) {
         auto iface = net_.iface_at(a);
         if (!iface) continue;
         const auto& l = net_.link(net_.iface(*iface).link);

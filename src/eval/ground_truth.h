@@ -9,6 +9,7 @@
 #pragma once
 
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "core/bdrmap.h"
@@ -72,11 +73,10 @@ class GroundTruth {
   GroundTruth(const topo::Internet& net, AsId vp_as);
 
   // Majority true operator over an inferred router's addresses.
-  std::optional<AsId> true_owner(const std::vector<Ipv4Addr>& addrs) const;
+  std::optional<AsId> true_owner(std::span<const Ipv4Addr> addrs) const;
 
   // True router holding the majority of the addresses.
-  std::optional<RouterId> true_router(
-      const std::vector<Ipv4Addr>& addrs) const;
+  std::optional<RouterId> true_router(std::span<const Ipv4Addr> addrs) const;
 
   bool same_org(AsId a, AsId b) const;
 

@@ -322,34 +322,36 @@ Fib::EgressEntry Fib::compute_egress_entry(
   const auto& sessions = sessions_[as_dense];
   const auto& by_far = sessions_by_far_[as_dense];
   if (!sessions.empty()) {
-    std::vector<std::uint32_t> candidates;
     for (const auto& tier : bgp_.tiers(as, dst_as).tiers) {
-      candidates.clear();
+      // The tier's sessions, far AS by far AS; which of them tie does not
+      // depend on the visiting order, and sorting the ties restores
+      // session order (sessions_ is one vector, so pointer order is index
+      // order).
+      double best_dist = kInfDist;
       for (AsId far : tier) {
         auto it = by_far.find(far);
         if (it == by_far.end()) continue;
-        candidates.insert(candidates.end(), it->second.begin(),
-                          it->second.end());
-      }
-      std::sort(candidates.begin(), candidates.end());
-      double best_dist = kInfDist;
-      for (std::uint32_t idx : candidates) {
-        const Session& s = sessions[idx];
-        if (pinned && s.far_as == dst_as &&
-            std::find(pinned->begin(), pinned->end(), s.link) ==
-                pinned->end()) {
-          continue;
+        for (std::uint32_t idx : it->second) {
+          const Session& s = sessions[idx];
+          if (pinned && s.far_as == dst_as &&
+              std::find(pinned->begin(), pinned->end(), s.link) ==
+                  pinned->end()) {
+            continue;
+          }
+          if (link_is_down(s.link)) continue;  // churn overlay
+          double d = igp_distance(r, s.near_router);
+          if (d == kInfDist) continue;
+          if (d < best_dist) {
+            best_dist = d;
+            entry.tied.clear();
+          }
+          if (d == best_dist) entry.tied.push_back(&s);
         }
-        if (link_is_down(s.link)) continue;  // churn overlay
-        double d = igp_distance(r, s.near_router);
-        if (d == kInfDist) continue;
-        if (d < best_dist) {
-          best_dist = d;
-          entry.tied.clear();
-        }
-        if (d == best_dist) entry.tied.push_back(&s);
       }
-      if (!entry.tied.empty()) break;  // tier satisfied
+      if (!entry.tied.empty()) {  // tier satisfied
+        std::sort(entry.tied.begin(), entry.tied.end());
+        break;
+      }
     }
   }
   return entry;

@@ -27,7 +27,8 @@ std::string node_name(std::size_t index) {
 }  // namespace
 
 std::string result_to_dot(const core::BdrmapResult& result) {
-  const auto& routers = result.graph.routers();
+  const core::RouterGraph& graph = result.graph;
+  const auto& routers = graph.routers();
   std::string out = "digraph borders {\n  rankdir=LR;\n"
                     "  node [shape=box, style=filled, fontsize=9];\n";
 
@@ -45,8 +46,8 @@ std::string result_to_dot(const core::BdrmapResult& result) {
   }
   for (std::size_t v : vp_nodes) {
     out += "    " + node_name(v) + " [label=\"" +
-           (routers[v].addrs.empty() ? std::string("?")
-                                     : routers[v].addrs.front().str()) +
+           (graph.addrs(v).empty() ? std::string("?")
+                                   : graph.addrs(v).front().str()) +
            "\", fillcolor=white];\n";
   }
   out += "  }\n";
@@ -60,8 +61,8 @@ std::string result_to_dot(const core::BdrmapResult& result) {
            " {\n    label=\"" + as.str() + "\";\n";
     for (std::size_t f : nodes) {
       out += "    " + node_name(f) + " [label=\"" +
-             (routers[f].addrs.empty() ? std::string("?")
-                                       : routers[f].addrs.front().str()) +
+             (graph.addrs(f).empty() ? std::string("?")
+                                     : graph.addrs(f).front().str()) +
              "\", fillcolor=" + heuristic_color(routers[f].how) + "];\n";
     }
     out += "  }\n";

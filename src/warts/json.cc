@@ -99,7 +99,7 @@ JsonWriter& JsonWriter::value(bool boolean) {
 
 std::string result_to_json(const core::BdrmapResult& result) {
   JsonWriter w;
-  const auto& routers = result.graph.routers();
+  const core::RouterGraph& graph = result.graph;
   w.begin_object();
 
   w.key("stats").begin_object();
@@ -124,12 +124,12 @@ std::string result_to_json(const core::BdrmapResult& result) {
       w.key("heuristic").value(core::heuristic_name(link.how));
       w.key("near_addrs").begin_array();
       if (link.vp_router != core::InferredLink::kNoRouter) {
-        for (auto a : routers[link.vp_router].addrs) w.value(a.str());
+        for (auto a : graph.addrs(link.vp_router)) w.value(a.str());
       }
       w.end_array();
       w.key("far_addrs").begin_array();
       if (link.neighbor_router != core::InferredLink::kNoRouter) {
-        for (auto a : routers[link.neighbor_router].addrs) w.value(a.str());
+        for (auto a : graph.addrs(link.neighbor_router)) w.value(a.str());
       }
       w.end_array();
       w.end_object();

@@ -21,6 +21,17 @@
 #include "test_support.h"
 #include "topo/generator.h"
 
+namespace bdrmap::core {
+
+// Reaches into a graph's id -> router column to corrupt it on purpose.
+struct RouterGraphTestPeer {
+  static std::vector<std::uint32_t>& router_col(RouterGraph& g) {
+    return g.router_col_;
+  }
+};
+
+}  // namespace bdrmap::core
+
 namespace bdrmap::check {
 namespace {
 
@@ -291,18 +302,24 @@ TEST_F(InferenceCorruption, BaselineRunIsClean) {
 // Corruption class 5: duplicate interface — one address claimed by two live
 // routers breaks alias-set uniqueness in the router graph.
 TEST_F(InferenceCorruption, DuplicateInterfaceIsCaughtByStructurePass) {
-  core::BdrmapResult result = *result_;
-  auto& routers = result.graph.routers();
-  std::size_t a = live_router(result, [](const core::GraphRouter& r) {
-    return !r.addrs.empty();
-  });
-  std::size_t b = live_router(result, [&](const core::GraphRouter& r) {
-    return !r.addrs.empty() && &r != &routers[a];
-  });
-  routers[b].addrs.push_back(routers[a].addrs.front());
+  // The live routers' alias sets as groups, the second one also listing
+  // the first one's address: the graph built from them has two live
+  // routers holding it.
+  const core::RouterGraph& graph = result_->graph;
+  core::AliasGroups groups;
+  for (std::size_t i = 0; i < graph.routers().size(); ++i) {
+    if (graph.merged_away(i)) continue;
+    std::vector<Ipv4Addr> group(graph.addrs(i).begin(), graph.addrs(i).end());
+    if (groups.size() == 1) group.push_back(groups[0].front());
+    groups.add(group);
+  }
+  ASSERT_GE(groups.size(), 2u);
+  const core::RouterGraph corrupted(graph.traces(), groups);
+  CheckContext ctx = context_for(*result_);
+  ctx.graph = &corrupted;
 
-  CheckReport report = InvariantChecker().run(
-      context_for(result), one(pass_id::kRouterGraphStructure));
+  CheckReport report =
+      InvariantChecker().run(ctx, one(pass_id::kRouterGraphStructure));
   EXPECT_GT(errors_of(report, pass_id::kRouterGraphStructure), 0u)
       << report.summary();
   EXPECT_TRUE(any_detail_contains(report, pass_id::kRouterGraphStructure,
@@ -314,21 +331,22 @@ TEST_F(InferenceCorruption, DuplicateInterfaceIsCaughtByStructurePass) {
 // naming a tombstone.
 TEST_F(InferenceCorruption, StaleAddressColumnIsCaughtByStructurePass) {
   core::BdrmapResult result = *result_;
-  auto& routers = result.graph.routers();
-  std::size_t a = live_router(result, [](const core::GraphRouter& r) {
-    return !r.ttl_addrs.empty();
-  });
-  std::size_t b = live_router(result, [&](const core::GraphRouter& r) {
-    return !r.ttl_addrs.empty() && &r != &routers[a];
-  });
-  core::GraphRouter& into = routers[a];
-  into.addrs.insert(into.addrs.end(), routers[b].addrs.begin(),
-                    routers[b].addrs.end());
-  std::sort(into.addrs.begin(), into.addrs.end());
-  into.ttl_addrs.insert(into.ttl_addrs.end(), routers[b].ttl_addrs.begin(),
-                        routers[b].ttl_addrs.end());
-  std::sort(into.ttl_addrs.begin(), into.ttl_addrs.end());
-  routers[b] = core::GraphRouter{};
+  core::RouterGraph& graph = result.graph;
+  std::vector<std::size_t> with_ttl;  // live routers that answered TTLs
+  for (std::size_t i = 0; i < graph.routers().size(); ++i) {
+    if (!graph.ttl_ids(i).empty()) with_ttl.push_back(i);
+  }
+  ASSERT_GE(with_ttl.size(), 2u);
+  const std::size_t a = with_ttl[0], b = with_ttl[1];
+  std::vector<std::uint32_t> moved;
+  for (std::uint32_t id = 0; id < graph.address_count(); ++id) {
+    if (graph.router_of_id(id) == b) moved.push_back(id);
+  }
+  graph.merge(a, b);
+  for (std::uint32_t id : moved) {
+    core::RouterGraphTestPeer::router_col(graph)[id] =
+        static_cast<std::uint32_t>(b);
+  }
 
   CheckReport report = InvariantChecker().run(
       context_for(result), one(pass_id::kRouterGraphStructure));
@@ -383,7 +401,7 @@ TEST_F(InferenceCorruption, AliasAsymmetryIsCaughtByConsistencyPass) {
                    core::AliasVerdict::kNotAlias);
 
   // .1/.2 split across groups despite kAlias; .3/.4 fused despite kNotAlias.
-  std::vector<std::vector<Ipv4Addr>> groups = {
+  const core::AliasGroups groups = {
       {ip("10.9.0.1"), ip("10.9.0.3"), ip("10.9.0.4")},
       {ip("10.9.0.2")},
   };
@@ -397,7 +415,7 @@ TEST_F(InferenceCorruption, AliasAsymmetryIsCaughtByConsistencyPass) {
 
   // Disjointness: the same address in two groups is flagged even without
   // any recorded verdicts.
-  std::vector<std::vector<Ipv4Addr>> overlapping = {
+  const core::AliasGroups overlapping = {
       {ip("10.9.1.1"), ip("10.9.1.2")},
       {ip("10.9.1.2"), ip("10.9.1.3")},
   };
@@ -417,7 +435,7 @@ TEST_F(InferenceCorruption, ClosureOutputPassesConsistencyPass) {
   auto services = scenario_->services_for(*vp_);
   auto check_groups_of = [&](const core::AliasResolver& resolver,
                              const std::vector<Ipv4Addr>& addrs) {
-    const std::vector<std::vector<Ipv4Addr>> groups = resolver.groups(addrs);
+    const core::AliasGroups groups = resolver.groups(addrs);
     CheckContext ctx;
     ctx.aliases = &resolver;
     ctx.alias_groups = &groups;

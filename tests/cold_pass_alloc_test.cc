@@ -13,8 +13,10 @@
 #include <vector>
 
 #include "core/alias_resolution.h"
+#include "core/bdrmap.h"
 #include "eval/scenario.h"
 #include "eval/scenario_registry.h"
+#include "runtime/multi_vp.h"
 
 namespace {
 
@@ -161,6 +163,50 @@ TEST(ColdPassAllocations, TraceReplyLoopAllocatesOncePerTrace) {
   }
   ASSERT_GT(hops, 4 * dsts.size());
   EXPECT_EQ(allocations, dsts.size());
+}
+
+// A churn epoch with no event: every VP's inference tail re-runs over the
+// kept slices and the kept alias evidence, probing nothing. The tails
+// build each VP's router graph and run the §5.4 heuristics over flat
+// columns and reused scratch, so an epoch allocates a fixed number of
+// times per VP, not per router (169,828 allocations before the per-router
+// sets went flat).
+TEST(ColdPassAllocations, WarmTailsStayInBudget) {
+  constexpr std::uint64_t kEpochBudget = 40'000;
+  const std::vector<topo::Vp> vps =
+      access().vps_in(access().featured_access());
+  ASSERT_EQ(vps.size(), 19u);
+  std::vector<runtime::VpJob> jobs;
+  for (const topo::Vp& vp : vps) {
+    runtime::VpJob job;
+    job.make_services = [vp](std::uint64_t seed) {
+      return access().services_for(vp, seed);
+    };
+    job.inputs = access().inputs_for(vp.as);
+    jobs.push_back(std::move(job));
+  }
+  const runtime::MultiVpExecutor executor(nullptr);
+  runtime::SliceStore store;
+  std::vector<core::BdrmapResult> results;
+  (void)executor.run_into(jobs, {}, kSeed, &store, results);  // cold
+
+  std::uint64_t allocations = 0;
+  {
+    CountAllocations counting;
+    (void)executor.run_into(jobs, {}, kSeed, &store, results);
+    allocations = counting.count();
+  }
+  std::uint64_t live_routers = 0;
+  std::uint64_t probed = 0;
+  for (const core::BdrmapResult& r : results) {
+    live_routers += r.graph.live_router_count();
+    probed += r.stats.alias_pair_tests - r.stats.alias_pairs_reused;
+  }
+  ASSERT_EQ(probed, 0u) << "a warm tail re-probed alias pairs";
+  EXPECT_LE(allocations, kEpochBudget);
+  EXPECT_LT(allocations, live_routers)
+      << allocations << " allocations for " << live_routers
+      << " live routers";
 }
 
 }  // namespace

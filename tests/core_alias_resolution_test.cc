@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <random>
+#include <span>
 #include <vector>
 
 #include "probe/alias.h"
@@ -155,8 +156,8 @@ TEST_F(AliasResolutionFixture, GroupsHonorNegativeEvidence) {
       {ip("10.0.0.5"), ip("10.0.0.6"), AliasVerdict::kAlias},
       {ip("10.0.0.2"), ip("10.0.0.6"), AliasVerdict::kNotAlias},
   };
-  const std::vector<std::vector<Ipv4Addr>> want = {
-      {ip("10.0.0.2"), ip("10.0.0.5")}, {ip("10.0.0.6")}};
+  const AliasGroups want = {{ip("10.0.0.2"), ip("10.0.0.5")},
+                            {ip("10.0.0.6")}};
   std::vector<std::size_t> order = {0, 1, 2};
   do {
     AliasResolver r(*services_);
@@ -188,7 +189,7 @@ TEST_F(AliasResolutionFixture, GroupsHonorNegativeEvidence) {
         }
       }
     }
-    std::vector<std::vector<Ipv4Addr>> first;
+    AliasGroups first;
     for (int shuffle = 0; shuffle < 6; ++shuffle) {
       std::shuffle(verdicts.begin(), verdicts.end(), rng);
       std::vector<Ipv4Addr> listed = addrs;
@@ -238,7 +239,8 @@ TEST_F(AliasResolutionFixture, EndToEndPairTestOnRealRouters) {
       {ip("10.0.0.2"), ip("10.0.0.5"), ip("10.0.0.6"), ip("10.0.0.10")});
   // r2's two addresses merge; r3's stay separate.
   bool found_pair = false;
-  for (const auto& g : groups) {
+  for (std::size_t i = 0; i < groups.size(); ++i) {
+    const std::span<const Ipv4Addr> g = groups[i];
     if (g.size() == 2) {
       EXPECT_EQ(g[0], ip("10.0.0.2"));
       EXPECT_EQ(g[1], ip("10.0.0.5"));

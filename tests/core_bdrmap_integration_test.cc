@@ -106,8 +106,9 @@ TEST_P(Pipeline, StopSetReducesProbes) {
 TEST_P(Pipeline, InferredOwnersAreRealAses) {
   net::AsId vp_as = scenario_.first_of(topo::AsKind::kResearchEdu);
   auto result = scenario_.run_bdrmap(scenario_.vps_in(vp_as).front());
-  for (const auto& r : result.graph.routers()) {
-    if (r.addrs.empty() || r.how == Heuristic::kNone) continue;
+  for (std::size_t i = 0; i < result.graph.routers().size(); ++i) {
+    const core::GraphRouter& r = result.graph.routers()[i];
+    if (result.graph.merged_away(i) || r.how == Heuristic::kNone) continue;
     EXPECT_TRUE(scenario_.net().has_as(r.owner))
         << "inferred nonexistent " << r.owner.str();
   }
@@ -120,9 +121,11 @@ TEST_P(Pipeline, VpSideRoutersAreTrulyVpOperated) {
   auto result = scenario_.run_bdrmap(scenario_.vps_in(vp_as).front());
   eval::GroundTruth truth(scenario_.net(), vp_as);
   std::size_t total = 0, correct = 0;
-  for (const auto& r : result.graph.routers()) {
-    if (r.addrs.empty() || !r.vp_side) continue;
-    auto owner = truth.true_owner(r.addrs);
+  for (std::size_t i = 0; i < result.graph.routers().size(); ++i) {
+    if (result.graph.merged_away(i) || !result.graph.routers()[i].vp_side) {
+      continue;
+    }
+    auto owner = truth.true_owner(result.graph.addrs(i));
     if (!owner) continue;
     ++total;
     correct += truth.same_org(*owner, vp_as);

@@ -10,6 +10,7 @@
 #include <numeric>
 #include <random>
 #include <set>
+#include <span>
 #include <string>
 #include <tuple>
 
@@ -171,11 +172,11 @@ ReferenceMap reference_merge(const std::vector<const BdrmapResult*>& runs) {
   std::vector<Source> sources;
   std::vector<std::vector<std::size_t>> run_offsets(runs.size());
   for (std::size_t r = 0; r < runs.size(); ++r) {
-    const auto& routers = runs[r]->graph.routers();
-    run_offsets[r].resize(routers.size(),
+    const RouterGraph& graph = runs[r]->graph;
+    run_offsets[r].resize(graph.routers().size(),
                           std::numeric_limits<std::size_t>::max());
-    for (std::size_t i = 0; i < routers.size(); ++i) {
-      if (routers[i].addrs.empty()) continue;
+    for (std::size_t i = 0; i < graph.routers().size(); ++i) {
+      if (graph.merged_away(i)) continue;
       run_offsets[r][i] = sources.size();
       sources.push_back({r, i});
     }
@@ -188,9 +189,8 @@ ReferenceMap reference_merge(const std::vector<const BdrmapResult*>& runs) {
   };
   std::map<net::Ipv4Addr, std::size_t> first_holder;
   for (std::size_t s = 0; s < sources.size(); ++s) {
-    const auto& router =
-        runs[sources[s].run]->graph.routers()[sources[s].router];
-    for (net::Ipv4Addr a : router.addrs) {
+    for (net::Ipv4Addr a :
+         runs[sources[s].run]->graph.addrs(sources[s].router)) {
       auto [it, inserted] = first_holder.emplace(a, s);
       if (!inserted) parent[find(s)] = find(it->second);
     }
@@ -205,10 +205,11 @@ ReferenceMap reference_merge(const std::vector<const BdrmapResult*>& runs) {
       owner_votes.emplace_back();
     }
     ReferenceRouter& out = merged.routers[it->second];
-    const auto& router =
-        runs[sources[s].run]->graph.routers()[sources[s].router];
-    out.addrs.insert(out.addrs.end(), router.addrs.begin(),
-                     router.addrs.end());
+    const RouterGraph& graph = runs[sources[s].run]->graph;
+    const GraphRouter& router = graph.routers()[sources[s].router];
+    const std::span<const net::Ipv4Addr> addrs =
+        graph.addrs(sources[s].router);
+    out.addrs.insert(out.addrs.end(), addrs.begin(), addrs.end());
     out.seen_by.insert(sources[s].run);
     out.vp_side |= router.vp_side;
     if (router.how != Heuristic::kNone) {

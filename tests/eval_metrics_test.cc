@@ -13,10 +13,11 @@ TEST(GroundTruth, TrueOwnerMajorityVote) {
   Scenario s(small_access_config(3));
   GroundTruth truth(s.net(), s.first_of(topo::AsKind::kAccess));
   const auto& iface = s.net().ifaces().front();
-  auto owner = truth.true_owner({iface.addr});
+  auto owner = truth.true_owner(std::vector<net::Ipv4Addr>{iface.addr});
   ASSERT_TRUE(owner.has_value());
   EXPECT_EQ(*owner, s.net().router(iface.router).owner);
-  EXPECT_FALSE(truth.true_owner({net::Ipv4Addr::of(203, 0, 113, 1)}));
+  EXPECT_FALSE(truth.true_owner(
+      std::vector<net::Ipv4Addr>{net::Ipv4Addr::of(203, 0, 113, 1)}));
 }
 
 TEST(GroundTruth, TrueNeighborsNonEmptyAndSorted) {

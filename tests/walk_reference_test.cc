@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -221,9 +222,9 @@ TEST(WalkReferenceTest, CompiledScanParityEndToEnd) {
     const topo::Vp vp = s->vps_in(s->first_of(s->spec().vp_kind)).front();
     const core::InferenceInputs inputs = s->inputs_for(vp.as);
     const core::BdrmapResult run = s->run_bdrmap(vp, {}, 0x515);
-    std::vector<std::vector<Ipv4Addr>> groups;
-    for (const auto& router : run.graph.routers()) {
-      if (router.addrs.size() > 1) groups.push_back(router.addrs);
+    core::AliasGroups groups;
+    for (std::size_t r = 0; r < run.graph.routers().size(); ++r) {
+      if (run.graph.addrs(r).size() > 1) groups.add(run.graph.addrs(r));
     }
     core::RouterGraph graph(run.graph.traces(), groups);
     const core::Heuristics h(graph, inputs);
@@ -233,7 +234,10 @@ TEST(WalkReferenceTest, CompiledScanParityEndToEnd) {
       const std::vector<net::AsId> expected =
           first_external_rescan(h, graph, r);
       observed += expected.size();
-      if (h.first_external_after(r) != expected && ++mismatches <= 5) {
+      const std::span<const net::AsId> got = h.first_external_after(r);
+      if (!std::equal(got.begin(), got.end(), expected.begin(),
+                      expected.end()) &&
+          ++mismatches <= 5) {
         ADD_FAILURE() << family << ": router " << r << " diverges";
       }
     }
@@ -331,7 +335,7 @@ std::size_t column_mismatches(const core::RouterGraph& graph,
                               const char* what) {
   std::map<Ipv4Addr, std::uint32_t> listed_by;
   for (std::size_t r = 0; r < graph.routers().size(); ++r) {
-    for (Ipv4Addr a : graph.routers()[r].addrs) {
+    for (Ipv4Addr a : graph.addrs(r)) {
       listed_by.emplace(a, static_cast<std::uint32_t>(r));
     }
   }
